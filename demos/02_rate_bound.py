@@ -11,7 +11,7 @@ from dmimo.config import SystemConfig
 from dmimo.rate import (
     RateContext,
     equal_split_allocation,
-    ergodic_rate_mc,
+    monte_carlo_users,
     sum_rate,
 )
 from dmimo.scenario import build_scenario
@@ -28,8 +28,7 @@ for kbar in (1.0, 5.0, 10.0, 20.0, 50.0, 100.0):
     alloc = equal_split_allocation(sc, groups=[list(range(K))])
     lb = sum_rate(sc, alloc, ctx)
     rng = np.random.default_rng(99)
-    mc = sum(ergodic_rate_mc(sc, alloc, k, trials, rng, ctx)[0]
-             for k in range(K))
+    mc = monte_carlo_users(sc, alloc, trials, rng, ctx).sum_rate
     print(f"{kbar:>6g} {lb:>14.1f} {mc:>14.1f} {(mc - lb) / mc:>9.4f}")
 
 print()

@@ -78,26 +78,6 @@ def scenario_estimation_stats(scenario, sigma2=None):
     return out
 
 
-def pilot_observation(scenario, h, pilot_noise):
-    """Despread pilot observations yhat_{m,k} per cohort.
-
-    h: (M, K, N) channel draw; pilot_noise: (M, tau, N) CN(0, sigma^2 I)
-    draws per pilot sequence. Returns (M, K, N).
-    """
-    cfg = scenario.config
-    tau = cfg.pilot_length
-    M, K, N = h.shape
-    yhat = np.empty((M, K, N), dtype=complex)
-    for k in range(K):
-        cohort = scenario.pilots.cohort(k)
-        t = scenario.pilots.pilot_index[k]
-        contrib = sum(
-            np.sqrt(tau * cfg.pilot_power) * h[:, j, :] for j in cohort
-        )
-        yhat[:, k, :] = contrib + pilot_noise[:, t, :]
-    return yhat
-
-
 def draw_pilot_noise(scenario, rng, sigma2=None, trials=None):
     """CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot)."""
     if sigma2 is None:
@@ -107,37 +87,6 @@ def draw_pilot_noise(scenario, rng, sigma2=None, trials=None):
     if trials is not None:
         shape = (trials,) + shape
     return np.sqrt(sigma2) * complex_normal(rng, shape)
-
-
-def mmse_estimate(scenario, yhat, stats=None, sigma2=None):
-    """MMSE estimates hhat_{m,k} from despread observations.
-
-    The deterministic LoS means of every cohort member are removed before
-    filtering so the estimate's moments match the nominal statistics.
-    """
-    cfg = scenario.config
-    tau = cfg.pilot_length
-    M, K, N = yhat.shape
-    if stats is None:
-        stats = scenario_estimation_stats(scenario, sigma2=sigma2)
-    hhat = np.empty_like(yhat)
-    for m in range(M):
-        for k in range(K):
-            link = scenario.link(m, k)
-            cohort = scenario.pilots.cohort(k)
-            mean_sum = sum(
-                np.sqrt(tau * cfg.pilot_power)
-                * np.sqrt(scenario.link(m, j).rician
-                          * scenario.link(m, j).rician_scale)
-                * scenario.link(m, j).los_vector
-                for j in cohort
-            )
-            own_mean = np.sqrt(link.rician * link.rician_scale) \
-                * link.los_vector
-            filt = np.sqrt(tau * cfg.pilot_power) \
-                * (stats[(m, k)].R @ stats[(m, k)].psi)
-            hhat[m, k] = own_mean + filt @ (yhat[m, k] - mean_sum)
-    return hhat
 
 
 def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):

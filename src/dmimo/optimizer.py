@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import sample_channel
-from .estimation import draw_pilot_noise, estimate_batch
+from .estimation import estimate_batch
 from .gp import GpProblem, GpUnboundedError, Monomial, condense, divide, solve_gp
 from .rate import (
     AllocationState,

@@ -1,10 +1,16 @@
 """Closed-form achievable-rate lower bound with maximum-ratio combining,
-its pure-LoS limit, and Monte Carlo oracles for every expectation term.
+its pure-LoS limit, and one Monte Carlo engine for every expectation term.
+
+The engine (``monte_carlo_users``) draws the channel, its pilot noise and
+MMSE estimates once, and returns every requested user's terms and ergodic
+rate from that shared draw. Because the users share it, the standard error
+of the simulated sum rate comes from the per-trial sum of user rates,
+std(ddof=1) / sqrt(T), not from the users' separate standard errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,36 +261,74 @@ def sinr_los_limit(scenario, allocation, k):
     return num / max(denom, DENOM_FLOOR)
 
 
-@dataclass
+@dataclass(frozen=True)
 class McTermReport:
-    """Monte Carlo estimates (mean, standard error) per expectation term."""
+    """Monte Carlo estimates for one user of a shared draw."""
 
     user: int
     trials: int
     ds_closed: float
     ds_mc: float
-    terms: dict = field(default_factory=dict)
+    terms: dict
     # terms maps name -> (closed_form, mc_mean, mc_se); names are
     # "ls", "noise", and "ui:<k'>".
+    rate: float  # sample-mean ergodic rate, bit/s
+    rate_se: float
 
 
-def _combined_gains(scenario, allocation, k, h, hhat):
-    """v[t] = sum_{m in M_k} w_m hhat_{m,k}^H x_{m, :} batched over trials."""
-    sset = sorted(scenario.serving_sets[k])
-    w = allocation.weights[:, k]
-    return sset, w
+@dataclass(frozen=True)
+class McResult:
+    """Every requested user's report from one shared channel draw."""
+
+    users: dict  # k -> McTermReport, in request order
+    # Mean and standard error of the per-trial sum of user rates. The
+    # users share each draw, so their rates are correlated and the SE of
+    # the sum is not sqrt(sum of rate_se**2).
+    sum_rate: float
+    sum_rate_se: float
 
 
-def monte_carlo_terms(scenario, allocation, k, trials, rng, context=None):
-    """Estimate |DS|^2, E|LS|^2, E|UI|^2, E|N|^2 by simulation.
+def monte_carlo_users(scenario, allocation, trials, rng, context=None,
+                      users=None):
+    """Estimate |DS|^2, E|LS|^2, E|UI|^2, E|N|^2 and the ergodic rate of
+    each user in `users` (default: every scheduled user) by simulation.
 
-    Draws fresh channel, pilot-noise, and receiver-noise realizations, runs
-    the MMSE estimator, and forms the combining statistics directly.
+    Draws, in this order: one (T, M, K, N) channel batch, its pilot noise
+    and MMSE estimates, then one receiver-noise batch per requested user.
+    The ergodic rate uses the genie decomposition: the desired-signal power
+    is the deterministic |DS|^2; leakage, interference, and noise powers
+    are instantaneous per realization.
     """
     if trials < 100:
         raise ContractError("need at least 100 trials")
     if context is None:
         context = RateContext(scenario)
+    if users is None:
+        users = [k for g in allocation.groups for k in g]
+    if len(set(users)) != len(users):
+        raise ContractError("each user may be requested once")
+
+    h, _ = sample_channel_batch(scenario, rng, trials)
+    hhat, _ = estimate_batch(scenario, h, rng, stats=context.stats)
+    reports = {}
+    sum_samples = np.zeros(trials)
+    for k in users:
+        reports[k], rates = _user_terms(scenario, allocation, k, h, hhat,
+                                        rng, context)
+        sum_samples += rates
+    mean, se = _mean_se(sum_samples)
+    return McResult(users=reports, sum_rate=mean, sum_rate_se=se)
+
+
+def _mean_se(samples):
+    """Sample mean and its standard error, std(ddof=1) / sqrt(T)."""
+    return (float(samples.mean()),
+            float(samples.std(ddof=1) / np.sqrt(len(samples))))
+
+
+def _user_terms(scenario, allocation, k, h, hhat, rng, context):
+    """User k's McTermReport and per-trial rates from a shared draw."""
+    trials = h.shape[0]
     band = allocation.band_of(k)
     group = allocation.groups[band]
     bw = allocation.bandwidths[band]
@@ -292,9 +336,6 @@ def monte_carlo_terms(scenario, allocation, k, trials, rng, context=None):
     sset = sorted(scenario.serving_sets[k])
     w = allocation.weights[:, k]
     p = allocation.powers
-
-    h, _ = sample_channel_batch(scenario, rng, trials)
-    hhat, _ = estimate_batch(scenario, h, rng, stats=context.stats)
 
     # g[t, k'] = sum_m w_m hhat_{m,k}^H h_{m,k'}
     hh_k = hhat[:, sset, k, :]  # (T, |M_k|, N)
@@ -307,83 +348,48 @@ def monte_carlo_terms(scenario, allocation, k, trials, rng, context=None):
     n_k = np.einsum("tmn,m,tmn->t", hh_k.conj(), wv, noise)
 
     closed = sinr_lower_bound(scenario, allocation, k, context)
-    ds_mc = np.sqrt(p[k]) * g[:, k].mean()
     ds_closed = np.sqrt(p[k]) * closed.ds
-
-    report = McTermReport(user=k, trials=trials,
-                          ds_closed=float(abs(ds_closed) ** 2),
-                          ds_mc=float(abs(ds_mc) ** 2))
-
-    def add(name, closed_value, samples):
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / np.sqrt(trials))
-        report.terms[name] = (closed_value, mean, se)
-
-    ls = np.sqrt(p[k]) * g[:, k] - ds_closed
-    add("ls", p[k] * closed.i1[k], np.abs(ls) ** 2)
-    add("noise", closed.i_noise, np.abs(n_k) ** 2)
+    # name -> (closed form, per-trial power samples)
+    term_samples = {
+        "ls": (p[k] * closed.i1[k],
+               np.abs(np.sqrt(p[k]) * g[:, k] - ds_closed) ** 2),
+        "noise": (closed.i_noise, np.abs(n_k) ** 2),
+    }
     cohort = set(scenario.pilots.cohort(k))
     for kp in group:
         if kp == k:
             continue
-        ui = np.sqrt(p[kp]) * g[:, kp]
         cf = p[kp] * (closed.i1[kp] + closed.i2[kp])
         if kp in cohort:
             cf += p[kp] * closed.i3[kp]
-        add(f"ui:{kp}", cf, np.abs(ui) ** 2)
-    return report
+        term_samples[f"ui:{kp}"] = (cf,
+                                    np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2)
+    denom = sum(samples for _, samples in term_samples.values())
+    rates = bw * np.log2(1.0 + ds_closed ** 2
+                         / np.maximum(denom, DENOM_FLOOR))
+    rate, rate_se = _mean_se(rates)
+    report = McTermReport(
+        user=k, trials=trials, ds_closed=float(abs(ds_closed) ** 2),
+        ds_mc=float(abs(np.sqrt(p[k]) * g[:, k].mean()) ** 2),
+        terms={name: (cf, *_mean_se(samples))
+               for name, (cf, samples) in term_samples.items()},
+        rate=rate, rate_se=rate_se,
+    )
+    return report, rates
+
+
+# Single-user entry points over the engine. The benchmark's tracer and
+# per-layer metric list (benchmarks/tracer.py, BENCHMARK.json) look these
+# names up, so they stay until the benchmark traces monte_carlo_users.
+
+
+def monte_carlo_terms(scenario, allocation, k, trials, rng, context=None):
+    """User k's report alone: ``monte_carlo_users`` with ``users=(k,)``."""
+    return monte_carlo_users(scenario, allocation, trials, rng, context,
+                             users=(k,)).users[k]
 
 
 def ergodic_rate_mc(scenario, allocation, k, trials, rng, context=None):
-    """Sample-average ergodic rate under the genie decomposition.
-
-    The desired-signal power is the deterministic |DS|^2; leakage,
-    interference, and noise powers are instantaneous per realization.
-    Returns (rate_mean, rate_se) in bit/s.
-    """
-    if trials < 100:
-        raise ContractError("need at least 100 trials")
-    if context is None:
-        context = RateContext(scenario)
-    band = allocation.band_of(k)
-    group = allocation.groups[band]
-    bw = allocation.bandwidths[band]
-    sigma_i = scenario.subband_noise(bw)
-    sset = sorted(scenario.serving_sets[k])
-    w = allocation.weights[:, k]
-    p = allocation.powers
-
-    h, _ = sample_channel_batch(scenario, rng, trials)
-    hhat, _ = estimate_batch(scenario, h, rng, stats=context.stats)
-    hh_k = hhat[:, sset, k, :]
-    wv = w[sset]
-    g = np.einsum("tmn,m,tmjn->tj", hh_k.conj(), wv, h[:, sset, :, :])
-    noise = np.sqrt(sigma_i) * complex_normal(
-        rng, (trials, len(sset), scenario.num_antennas)
-    )
-    n_k = np.einsum("tmn,m,tmn->t", hh_k.conj(), wv, noise)
-
-    closed = sinr_lower_bound(scenario, allocation, k, context)
-    ds = np.sqrt(p[k]) * closed.ds
-    ls = np.sqrt(p[k]) * g[:, k] - ds
-    denom = np.abs(ls) ** 2 + np.abs(n_k) ** 2
-    for kp in group:
-        if kp != k:
-            denom = denom + p[kp] * np.abs(g[:, kp]) ** 2
-    rates = bw * np.log2(1.0 + ds ** 2 / np.maximum(denom, DENOM_FLOOR))
-    return float(rates.mean()), float(rates.std(ddof=1) / np.sqrt(trials))
-
-
-def rate_report_rows(scenario, allocation, trials, rng, context=None):
-    """CSV-ready rows: user, term, closed_form, mc_mean, mc_se, trials."""
-    if context is None:
-        context = RateContext(scenario)
-    rows = []
-    for g in allocation.groups:
-        for k in g:
-            rep = monte_carlo_terms(scenario, allocation, k, trials, rng,
-                                    context)
-            rows.append([k, "ds", rep.ds_closed, rep.ds_mc, 0.0, trials])
-            for name, (cf, mean, se) in sorted(rep.terms.items()):
-                rows.append([k, name, cf, mean, se, trials])
-    return rows
+    """User k's (rate_mean, rate_se) in bit/s, from ``monte_carlo_terms``."""
+    rep = monte_carlo_terms(scenario, allocation, k, trials, rng, context)
+    return rep.rate, rep.rate_se

@@ -29,8 +29,7 @@ from dmimo.rate import (
     RateContext,
     equal_split_allocation,
     equal_weights,
-    ergodic_rate_mc,
-    monte_carlo_terms,
+    monte_carlo_users,
     sinr_lower_bound,
     sum_rate,
 )
@@ -66,8 +65,10 @@ def test_criterion_01_term_equivalence():
             )
             ctx = RateContext(sc)
             rng = np.random.default_rng(900 + seed)
+            # a draw per user keeps the users' three-sigma checks independent
             for k in range(sc.num_users):
-                rep = monte_carlo_terms(sc, alloc, k, trials, rng, ctx)
+                rep = monte_carlo_users(sc, alloc, trials, rng, ctx,
+                                        users=(k,)).users[k]
                 # |DS|^2: the MC mean's error propagates through |.|^2
                 se = math.sqrt(rep.terms["ls"][0] / trials)
                 tol = 2.0 * math.sqrt(rep.ds_closed) * 3 * se + (3 * se) ** 2
@@ -98,14 +99,9 @@ def test_criterion_02_bound_validity():
                 sc, groups=[list(range(sc.num_users))]
             )
             lb = sum_rate(sc, alloc, ctx)
-            means, variances = [], []
-            for k in range(sc.num_users):
-                m, se = ergodic_rate_mc(sc, alloc, k, trials, rng, ctx)
-                means.append(m)
-                variances.append(se ** 2)
-            mc = sum(means)
-            se = math.sqrt(sum(variances))
-            assert lb <= mc + 3 * se, kbar
+            res = monte_carlo_users(sc, alloc, trials, rng, ctx)
+            mc = res.sum_rate
+            assert lb <= mc + 3 * res.sum_rate_se, kbar
             lbs[kbar] = lb
             gaps[kbar] = (mc - lb) / mc
         assert gaps[100.0] < gaps[1.0]
@@ -484,15 +480,16 @@ def test_criterion_10_benchmark(tmp_path):
 
 def test_criterion_11_determinism(tmp_path):
     def body():
-        for name, trials in (("nmse-sweep", 500), ("benchmark", 2)):
+        extras = {"nmse-sweep": {}, "bound-validate": {},
+                  "benchmark": {"user_grid": (6,)}}
+        for name, trials in (("nmse-sweep", 500), ("bound-validate", 200),
+                             ("benchmark", 2)):
             outs = []
             for tag in ("a", "b"):
                 d = tmp_path / f"{name}-{tag}"
                 spec = ExperimentSpec(
                     name=name, config=SystemConfig(), seed=13,
-                    trials=trials, out_dir=d,
-                    extras={} if name == "nmse-sweep"
-                    else {"user_grid": (6,)},
+                    trials=trials, out_dir=d, extras=extras[name],
                 )
                 outs.append(run_experiment(spec).read_bytes())
             assert outs[0] == outs[1], name
