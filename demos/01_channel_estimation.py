@@ -9,7 +9,7 @@
 import numpy as np
 
 from dmimo.channel import sample_channel_batch
-from dmimo.estimation import estimate_batch, mse, nmse, scenario_estimation_stats
+from dmimo.estimation import estimate_batch, mse, nmse
 from dmimo.scenario import build_scenario
 from dmimo.config import SystemConfig
 
@@ -27,7 +27,7 @@ print(f"{'Kbar':>8} {'MSE closed':>12} {'MSE mc':>12} "
 
 for kbar in (1.0, 5.0, 10.0, 50.0, 100.0, 1e4):
     sc = base.with_rician(kbar)
-    stats = scenario_estimation_stats(sc)
+    stats = sc.estimation_stats
 
     # closed-form averages over all (satellite, user) links
     mse_cf = np.mean([mse(sc, m, k) for m in range(M) for k in range(K)])

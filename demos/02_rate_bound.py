@@ -9,7 +9,6 @@ import numpy as np
 
 from dmimo.config import SystemConfig
 from dmimo.rate import (
-    RateContext,
     equal_split_allocation,
     monte_carlo_users,
     sum_rate,
@@ -24,7 +23,7 @@ trials = 2000
 print(f"{'Kbar':>6} {'bound':>14} {'Monte Carlo':>14} {'rel gap':>9}")
 for kbar in (1.0, 5.0, 10.0, 20.0, 50.0, 100.0):
     sc = base.with_rician(kbar)
-    ctx = RateContext(sc)
+    ctx = sc.rate_context
     alloc = equal_split_allocation(sc, groups=[list(range(K))])
     lb = sum_rate(sc, alloc, ctx)
     rng = np.random.default_rng(99)

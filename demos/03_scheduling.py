@@ -10,7 +10,7 @@ import numpy as np
 
 from dmimo.config import SystemConfig
 from dmimo.optimizer import scheduling_estimates
-from dmimo.rate import AllocationState, RateContext, equal_weights, sum_rate
+from dmimo.rate import AllocationState, equal_weights, sum_rate
 from dmimo.scenario import build_scenario
 from dmimo.scheduler import (
     correlation_matrix_rho,
@@ -23,7 +23,7 @@ cfg = SystemConfig(num_users=6, num_satellites=3, cluster_size=2,
                    max_power=10.0, pilot_power=10.0)
 rng = np.random.default_rng(2003)
 sc = build_scenario(cfg, rng)
-ctx = RateContext(sc)
+ctx = sc.rate_context
 powers = np.full(sc.num_users, cfg.max_power)
 weights = equal_weights(sc)
 estimates = scheduling_estimates(sc, rng)

@@ -92,13 +92,16 @@ def draw_pilot_noise(scenario, rng, sigma2=None, trials=None):
 def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
     """Vectorized estimates for a (T, M, K, N) channel batch.
 
-    Returns (hhat, pilot_noise) with hhat shaped like h_batch.
+    Returns (hhat, pilot_noise) with hhat shaped like h_batch. Without
+    ``stats`` the scenario's cached statistics are used, unless ``sigma2``
+    asks for another noise power.
     """
     cfg = scenario.config
     tau = cfg.pilot_length
     T, M, K, N = h_batch.shape
     if stats is None:
-        stats = scenario_estimation_stats(scenario, sigma2=sigma2)
+        stats = (scenario.estimation_stats if sigma2 is None
+                 else scenario_estimation_stats(scenario, sigma2=sigma2))
     noise = draw_pilot_noise(scenario, rng, sigma2=sigma2, trials=T)
     hhat = np.empty_like(h_batch)
     sqrt_tp = np.sqrt(tau * cfg.pilot_power)

@@ -14,11 +14,11 @@ from .estimation import estimate_batch
 from .gp import GpProblem, GpUnboundedError, Monomial, condense, divide, solve_gp
 from .rate import (
     AllocationState,
-    RateContext,
     equal_weights,
     normalize_weights,
     sinr_lower_bound,
     sum_rate,
+    user_terms,
 )
 from .scheduler import schedule_users
 
@@ -192,7 +192,7 @@ def feasibility_check(scenario, allocation, context=None,
     weights. With zero requirements phi is unbounded and reported as inf.
     """
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     gammas = {
         k: _rate_gamma(scenario, allocation.bandwidths[i])
         for i, g in enumerate(allocation.groups) for k in g
@@ -291,7 +291,7 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
     renormalized to unit squared norm on exit. Returns (allocation, trace).
     """
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     cfg = scenario.config
     work = allocation.copy()
     work.powers = np.full(scenario.num_users, cfg.max_power)
@@ -305,17 +305,15 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
         work = seeded
         work.powers = np.minimum(work.powers, cfg.max_power)
 
-    def objective(alloc):
-        return sum_rate(scenario, alloc, context)
-
+    # One SINR pass per iterate gives both its objective (the sum rate, in
+    # sum_rate's order) and the next iteration's anchor chi.
+    terms = user_terms(scenario, work, context)
     trace = ScaTrace()
-    trace.objectives.append(objective(work))
-    scheduled = [k for g in work.groups for k in g]
+    trace.objectives.append(sum(t.rate_lb for t in terms.values()))
     for _ in range(max_iter):
         chi = np.ones(scenario.num_users)
-        for k in scheduled:
-            chi[k] = max(sinr_lower_bound(scenario, work, k, context).sinr_lb,
-                         1e-30)
+        for k, t in terms.items():
+            chi[k] = max(t.sinr_lb, 1e-30)
         problem, anchor = build_sca_subproblem(
             scenario, work, context, chi, optimize_weights=optimize_weights
         )
@@ -329,10 +327,11 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
                 for m in sorted(scenario.serving_sets[k]):
                     cand.weights[m, k] = sol.values[_w_name(m, k)]
         cand.weights = normalize_weights(scenario, cand.weights)
-        obj = objective(cand)
+        cand_terms = user_terms(scenario, cand, context)
+        obj = sum(t.rate_lb for t in cand_terms.values())
         if obj < trace.objectives[-1]:
             break  # solver noise; keep the previous iterate
-        work = cand
+        work, terms = cand, cand_terms
         trace.objectives.append(obj)
         prev, cur = trace.objectives[-2], trace.objectives[-1]
         if cur > 0 and (cur - prev) / cur < eps:
@@ -365,7 +364,7 @@ def bandwidth_coefficients(scenario, allocation, context=None):
     """Per-user (a, b, c): desired power, noise-per-Hz factor, and
     bandwidth-independent interference-plus-leakage power."""
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     coeffs = {}
     n0 = scenario.config.noise_density
     for i, group in enumerate(allocation.groups):
@@ -413,7 +412,7 @@ def optimize_bandwidth(scenario, allocation, context=None, tol=1e-10):
     g_i'(B_i) = mu off the rate floors. mu is found by safeguarded Newton.
     """
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     total = scenario.config.total_bandwidth
     req = scenario.config.rate_requirement
     coeffs = bandwidth_coefficients(scenario, allocation, context)
@@ -537,7 +536,7 @@ def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
     """Outer loop: scheduling -> power/weights -> bandwidth, keeping the
     best allocation observed."""
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     cfg = scenario.config
     K = scenario.num_users
     estimates = scheduling_estimates(scenario, rng)
@@ -599,7 +598,7 @@ def benchmark_allocation(scenario, rng, weight_mode, context=None):
     """Benchmark arms: fixed weights, Algorithm-2 power control only, with
     the same scheduler and equal-split bandwidth."""
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     cfg = scenario.config
     estimates = scheduling_estimates(scenario, rng)
     if weight_mode == "equal":

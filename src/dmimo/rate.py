@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import complex_normal, sample_channel_batch
-from .estimation import estimate_batch, scenario_estimation_stats
+from .estimation import estimate_batch
 
 DENOM_FLOOR = 1e-30
 
@@ -123,14 +123,19 @@ class RateContext:
     q3[m, k, k'] = tau p^p tr(R' R Psi R)
     tmat[m, k, k'] = tr(R_k Psi_k R_k')          (real, >= 0)
     smat[m, k, k'] = sqrt(Kbar a Kbar' a') hbar^H hbar'   (complex)
+
+    Built from ``scenario.estimation_stats``. Callers use
+    ``scenario.rate_context``, so statistics and context are built once per
+    scenario. The context keeps no reference to its scenario: the scenario
+    caches it, and a back-reference would make a cycle that only the
+    cyclic garbage collector frees.
     """
 
     def __init__(self, scenario):
-        self.scenario = scenario
         cfg = scenario.config
         M, K, N = (scenario.num_satellites, scenario.num_users,
                    scenario.num_antennas)
-        stats = scenario_estimation_stats(scenario)
+        stats = scenario.estimation_stats
         self.stats = stats
         tau, pp = cfg.pilot_length, cfg.pilot_power
         self.gamma = np.zeros((M, K))
@@ -152,6 +157,7 @@ class RateContext:
                 ck = stats[(m, k)].est_cov
                 psik = stats[(m, k)].psi
                 rk = stats[(m, k)].R
+                rk_psik = rk @ psik
                 hbar_k = scenario.link(m, k).los_vector
                 for kp in range(K):
                     lkp = scenario.link(m, kp)
@@ -166,7 +172,7 @@ class RateContext:
                         * scenario.link(m, k).rician_scale
                     self.q3[m, k, kp] = float(np.trace(rkp @ ck).real)
                     self.tmat[m, k, kp] = float(
-                        np.trace(rk @ psik @ rkp).real
+                        np.trace(rk_psik @ rkp).real
                     )
                     self.smat[m, k, kp] = los_amp[m, k] * los_amp[m, kp] \
                         * (hbar_k.conj() @ hbar_kp)
@@ -175,7 +181,7 @@ class RateContext:
 def sinr_lower_bound(scenario, allocation, k, context=None):
     """Closed-form SINR lower bound and per-term decomposition for user k."""
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     cfg = scenario.config
     band = allocation.band_of(k)
     group = allocation.groups[band]
@@ -222,9 +228,20 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
                      rate_lb=bw * np.log2(1.0 + sinr))
 
 
+def user_terms(scenario, allocation, context=None):
+    """Every scheduled user's SinrTerms, keyed by user in group order.
+
+    Summing their ``rate_lb`` in this order gives ``sum_rate`` exactly.
+    """
+    if context is None:
+        context = scenario.rate_context
+    return {k: sinr_lower_bound(scenario, allocation, k, context)
+            for g in allocation.groups for k in g}
+
+
 def sum_rate(scenario, allocation, context=None):
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     return sum(
         sinr_lower_bound(scenario, allocation, k, context).rate_lb
         for g in allocation.groups for k in g
@@ -302,7 +319,7 @@ def monte_carlo_users(scenario, allocation, trials, rng, context=None,
     if trials < 100:
         raise ContractError("need at least 100 trials")
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     if users is None:
         users = [k for g in allocation.groups for k in g]
     if len(set(users)) != len(users):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,10 @@ def assign_pilots_random(num_users, pilot_length, rng):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One problem instance. Its estimation statistics and RateContext are
+    built on first use and kept for the scenario's lifetime; a scenario
+    made by ``with_rician`` or the constructor builds its own."""
+
     config: SystemConfig
     links: tuple  # links[m][k] -> LinkStats
     pilots: PilotAssignment
@@ -137,6 +142,21 @@ class Scenario:
 
     def betas(self, k):
         return np.array([self.links[m][k].beta for m in range(self.num_satellites)])
+
+    # Estimation and rate sit above this module, so they are imported on
+    # first use rather than at module level.
+
+    @cached_property
+    def estimation_stats(self):
+        """EstimationStats for every (m, k) at the full-band noise power."""
+        from .estimation import scenario_estimation_stats
+        return scenario_estimation_stats(self)
+
+    @cached_property
+    def rate_context(self):
+        """The RateContext of this scenario."""
+        from .rate import RateContext
+        return RateContext(self)
 
     def with_rician(self, kbar):
         """Copy with every link's Rician factor replaced (for sweeps)."""

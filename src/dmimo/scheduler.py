@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rate import AllocationState, RateContext, sinr_lower_bound, sum_rate
+from .rate import AllocationState, sinr_lower_bound, user_terms
 
 L_MAX = 100
 EXHAUSTIVE_GUARD = 10
@@ -124,7 +124,7 @@ def validate_schedule(schedule, num_users, num_bands, capacity):
     return len(schedule.groups) <= num_bands
 
 
-def _allocation_for_groups(scenario, groups, num_bands, powers, weights):
+def _allocation_for_groups(scenario, groups, powers, weights):
     """Equal-split bandwidth over the occupied bands (nothing wasted when a
     partition uses fewer than the configured band count)."""
     bw = scenario.config.total_bandwidth / max(len(groups), 1)
@@ -135,15 +135,54 @@ def _allocation_for_groups(scenario, groups, num_bands, powers, weights):
     )
 
 
-def _meets_requirements(scenario, alloc, context):
-    req = scenario.config.rate_requirement
-    if req <= 0:
-        return True
-    for g in alloc.groups:
-        for k in g:
-            if sinr_lower_bound(scenario, alloc, k, context).rate_lb < req:
-                return False
-    return True
+def _floored_sum_rate(terms, requirement):
+    """Sum of the users' rate_lb in the order given, as ``sum_rate`` adds
+    them, or None at the first user below a positive rate requirement.
+    Given a generator, an infeasible partition stops at that user."""
+    rates = []
+    for t in terms:
+        if requirement > 0 and t.rate_lb < requirement:
+            return None
+        rates.append(t.rate_lb)
+    return sum(rates)
+
+
+@dataclass(frozen=True)
+class PartitionScore:
+    """One partition under equal-split bandwidth, from one closed-form SINR
+    pass per user.
+
+    sum_rate: the users' rates summed in group order, or None when a user
+    misses the rate requirement.
+    worst: the user with the lowest SINR (first in group order on ties).
+    interferer: worst's strongest co-band interferer (lowest index on ties),
+    or None when worst is alone in its band.
+    """
+
+    sum_rate: float | None
+    worst: int
+    interferer: int | None
+
+
+def score_partition(scenario, groups, powers, weights, context):
+    """PartitionScore of `groups` at the given powers and weights."""
+    alloc = _allocation_for_groups(scenario, groups, powers, weights)
+    terms = user_terms(scenario, alloc, context)
+    worst, worst_sinr = None, np.inf
+    for k, t in terms.items():
+        if t.sinr_lb < worst_sinr:
+            worst_sinr, worst = t.sinr_lb, k
+    t = terms[worst]
+    interferer = max(
+        sorted(t.i2),  # co-band users other than worst
+        key=lambda kp: powers[kp] * (t.i1[kp] + t.i2[kp] + t.i3.get(kp, 0.0)),
+        default=None,
+    )
+    return PartitionScore(
+        sum_rate=_floored_sum_rate(terms.values(),
+                                   scenario.config.rate_requirement),
+        worst=worst, interferer=interferer,
+    )
 
 
 def schedule_users(scenario, estimates, powers, weights, num_bands=None,
@@ -154,6 +193,10 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
     threshold while the coloring needs more than I colors, otherwise adds a
     conflict edge between the worst-SINR user and its strongest co-band
     interferer. Keeps the best feasible grouping by sum rate.
+
+    The loop revisits graphs and partitions, so each coloring is kept by
+    adjacency and each partition's score by its groups; both are pure
+    functions of those keys within one call.
     """
     cfg = scenario.config
     K = scenario.num_users
@@ -164,7 +207,23 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
     if num_bands * capacity < K:
         raise ValueError("no feasible partition: I * N_max < K")
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
+
+    colorings = {}
+    scores = {}
+
+    def color(adjacency):
+        key = adjacency.tobytes()
+        if key not in colorings:
+            colorings[key] = dsatur_color(adjacency, capacity)
+        return colorings[key]
+
+    def score(groups):
+        key = tuple(tuple(g) for g in groups)
+        if key not in scores:
+            scores[key] = score_partition(scenario, groups, powers, weights,
+                                          context)
+        return scores[key]
 
     rho = correlation_matrix_rho(scenario, estimates)
     off = rho[~np.eye(K, dtype=bool)]
@@ -172,7 +231,7 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
     rho_max = float(rho.max()) if off.size else 0.0
 
     graph = ConflictGraph.from_threshold(rho, threshold)
-    groups, n_c = dsatur_color(graph.adjacency, capacity)
+    groups, n_c = color(graph.adjacency)
 
     best = None
     best_rate = -np.inf
@@ -180,39 +239,20 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
         if n_c > num_bands:
             threshold = (threshold + rho_max) / 2.0
             graph = ConflictGraph.from_threshold(rho, threshold)
-            groups, n_c = dsatur_color(graph.adjacency, capacity)
+            groups, n_c = color(graph.adjacency)
             continue
-        alloc = _allocation_for_groups(scenario, groups, num_bands, powers,
-                                       weights)
-        if _meets_requirements(scenario, alloc, context):
-            rate = sum_rate(scenario, alloc, context)
-            if rate > best_rate:
-                best_rate = rate
-                best = Schedule(groups=[list(g) for g in groups],
-                                colors_used=n_c, feasible=True)
-        # worst user and its strongest co-band interferer
-        worst_k, worst_sinr = None, np.inf
-        terms = {}
-        for g in alloc.groups:
-            for k in g:
-                t = sinr_lower_bound(scenario, alloc, k, context)
-                terms[k] = t
-                if t.sinr_lb < worst_sinr:
-                    worst_sinr, worst_k = t.sinr_lb, k
-        t = terms[worst_k]
-        cand = [kp for kp in t.i2]  # co-band users other than worst_k
-        if not cand:
+        sc = score(groups)
+        if sc.sum_rate is not None and sc.sum_rate > best_rate:
+            best_rate = sc.sum_rate
+            best = Schedule(groups=[list(g) for g in groups],
+                            colors_used=n_c, feasible=True)
+        if sc.interferer is None:
             break  # worst user already alone in its band
-        contrib = {
-            kp: alloc.powers[kp] * (t.i1[kp] + t.i2.get(kp, 0.0)
-                                    + t.i3.get(kp, 0.0))
-            for kp in cand
-        }
-        kp = max(sorted(cand), key=lambda x: contrib[x])
+        worst_k, kp = sc.worst, sc.interferer
         if graph.adjacency[worst_k, kp]:
             break  # no monotone edit left at this threshold
         graph.adjacency[worst_k, kp] = graph.adjacency[kp, worst_k] = 1
-        groups, n_c = dsatur_color(graph.adjacency, capacity)
+        groups, n_c = color(graph.adjacency)
 
     if best is not None:
         return best
@@ -255,15 +295,16 @@ def exhaustive_schedule(scenario, powers, weights, num_bands=None,
     if capacity is None:
         capacity = cfg.subband_capacity
     if context is None:
-        context = RateContext(scenario)
+        context = scenario.rate_context
     best, best_rate = None, -np.inf
     for groups in enumerate_partitions(K, num_bands, capacity):
-        alloc = _allocation_for_groups(scenario, groups, num_bands, powers,
-                                       weights)
-        if not _meets_requirements(scenario, alloc, context):
-            continue
-        rate = sum_rate(scenario, alloc, context)
-        if rate > best_rate:
+        alloc = _allocation_for_groups(scenario, groups, powers, weights)
+        rate = _floored_sum_rate(
+            (sinr_lower_bound(scenario, alloc, k, context)
+             for g in alloc.groups for k in g),
+            cfg.rate_requirement,
+        )
+        if rate is not None and rate > best_rate:
             best_rate = rate
             best = Schedule(groups=groups, colors_used=len(groups),
                             feasible=True)

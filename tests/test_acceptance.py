@@ -481,9 +481,9 @@ def test_criterion_10_benchmark(tmp_path):
 def test_criterion_11_determinism(tmp_path):
     def body():
         extras = {"nmse-sweep": {}, "bound-validate": {},
-                  "benchmark": {"user_grid": (6,)}}
+                  "schedule-compare": {}, "benchmark": {"user_grid": (6,)}}
         for name, trials in (("nmse-sweep", 500), ("bound-validate", 200),
-                             ("benchmark", 2)):
+                             ("schedule-compare", 1), ("benchmark", 2)):
             outs = []
             for tag in ("a", "b"):
                 d = tmp_path / f"{name}-{tag}"

@@ -134,3 +134,25 @@ def test_nmse_degenerate_zero_covariance():
     links = [[manual_link(0.0, 1.0, [1.0]), manual_link(0.0, 1.0, [1.0])]]
     sc = manual_scenario(cfg, links, pilots=(0, 1), serving_sets=[{0}, {0}])
     assert nmse(sc, 0, 0, sigma2=1.0) == 1.0
+
+
+def test_scenario_caches_estimation_stats(default_scenario):
+    sc = default_scenario
+    cached = sc.estimation_stats
+    assert sc.estimation_stats is cached
+    fresh = scenario_estimation_stats(sc)
+    assert cached.keys() == fresh.keys()
+    for key, st in fresh.items():
+        for name in ("R", "psi", "est_cov", "err_cov"):
+            assert np.array_equal(getattr(cached[key], name),
+                                  getattr(st, name))
+
+
+def test_estimate_batch_defaults_to_cached_stats(default_scenario):
+    sc = default_scenario
+    h, _ = sample_channel_batch(sc, np.random.default_rng(0), 8)
+    hhat, noise = estimate_batch(sc, h, np.random.default_rng(1))
+    ref, ref_noise = estimate_batch(sc, h, np.random.default_rng(1),
+                                    stats=scenario_estimation_stats(sc))
+    assert np.array_equal(hhat, ref)
+    assert np.array_equal(noise, ref_noise)

@@ -82,6 +82,13 @@ def test_schedule_compare_outputs(tmp_path):
         heur = float(r[header.index("rate_heuristic")])
         opt = float(r[header.index("rate_exhaustive")])
         assert heur <= opt * (1 + 1e-9)
+    # wall-clock times live in the manifest, keeping the CSV reproducible
+    assert not [h for h in header if h.startswith("time_")]
+    manifest = json.loads((tmp_path / "run-manifest.json").read_text())
+    timings = manifest["timings"]
+    assert [t["num_users"] for t in timings] == [5, 6]
+    assert all(t["time_heuristic_s"] > 0 and t["time_exhaustive_s"] > 0
+               for t in timings)
 
 
 def test_convergence_outputs(tmp_path):

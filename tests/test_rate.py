@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -313,3 +315,38 @@ def test_sum_rate_aggregates(default_scenario):
         for g in alloc.groups for k in g
     )
     assert sum_rate(sc, alloc, ctx) == pytest.approx(total)
+
+
+def test_rate_context_built_once_per_scenario(default_scenario):
+    sc = default_scenario
+    ctx = sc.rate_context
+    assert sc.rate_context is ctx
+    assert ctx.stats is sc.estimation_stats
+    fresh = RateContext(sc)
+    names = ("gamma", "q1", "q2", "q3", "tmat", "smat")
+    for name in names:
+        assert np.array_equal(getattr(ctx, name), getattr(fresh, name))
+    for (m, k), st in ctx.stats.items():
+        for kp in range(sc.num_users):
+            rkp = ctx.stats[(m, kp)].R
+            assert ctx.tmat[m, k, kp] == float(
+                np.trace(st.R @ st.psi @ rkp).real)
+    swept = sc.with_rician(50.0)
+    assert swept.estimation_stats is not sc.estimation_stats
+    assert swept.rate_context is not ctx
+    assert not np.array_equal(swept.rate_context.gamma, ctx.gamma)
+    for name in names:
+        assert np.array_equal(getattr(swept.rate_context, name),
+                              getattr(RateContext(swept), name))
+
+
+def test_cached_rate_context_makes_no_reference_cycle():
+    sc = make_scenario(seed=4)
+    sc.rate_context
+    ref = weakref.ref(sc)
+    gc.disable()
+    try:
+        del sc
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
+from dmimo import scheduler
+from dmimo.config import SystemConfig
 from dmimo.estimation import estimate_batch
 from dmimo.channel import sample_channel_batch
-from dmimo.rate import RateContext, equal_weights, sum_rate
+from dmimo.optimizer import estimate_magnitude_weights, scheduling_estimates
+from dmimo.rate import RateContext, equal_weights, sinr_lower_bound, sum_rate
 from dmimo.rate import AllocationState
+from dmimo.scenario import build_scenario
 from dmimo.scheduler import (
     ConflictGraph,
     DegenerateInputError,
@@ -20,6 +24,7 @@ from dmimo.scheduler import (
     enumerate_partitions,
     exhaustive_schedule,
     schedule_users,
+    score_partition,
     validate_schedule,
 )
 
@@ -226,3 +231,171 @@ def test_partitions_all_valid(k, cap):
         users = [u for b in p for u in b]
         assert sorted(users) == list(range(k))
         assert all(0 < len(b) <= cap for b in p)
+
+
+# Rate floors that bind at some partitions of the golden instances; at K=5,
+# seed 0 no partition meets it, so both schedulers report infeasible.
+GOLDEN_FLOORS = {5: 1.14e5, 6: 1.12e5, 8: 1.0e5}
+
+# Outputs of the scheduler as it was before it kept its colorings and
+# partition scores, which must not change them: (K, floored, weights, seed) ->
+# ((groups, colors_used, feasible) of schedule_users,
+#  (groups, colors_used, feasible) of exhaustive_schedule).
+GOLDEN_SCHEDULES = {
+    (5, False, 'equal', 0): (
+        ([[1, 3], [0, 2], [4]], 3, True),
+        ([[0, 2], [1, 3], [4]], 3, True)),
+    (5, False, 'equal', 1): (
+        ([[0, 1], [2], [3, 4]], 3, True),
+        ([[0, 1], [2], [3, 4]], 3, True)),
+    (5, False, 'estimate', 0): (
+        ([[1, 3], [0, 2], [4]], 3, True),
+        ([[0, 2], [1, 3], [4]], 3, True)),
+    (5, False, 'estimate', 1): (
+        ([[0, 1], [2], [3, 4]], 3, True),
+        ([[0, 1], [2], [3, 4]], 3, True)),
+    (5, True, 'equal', 0): (
+        ([[0], [1, 3], [2], [4]], 4, False),
+        ([[0, 1], [2, 3, 4]], 2, False)),
+    (5, True, 'equal', 1): (
+        ([[0, 1], [2], [3, 4]], 3, True),
+        ([[0, 1], [2], [3, 4]], 3, True)),
+    (5, True, 'estimate', 0): (
+        ([[0], [1, 3], [2], [4]], 4, False),
+        ([[0, 1], [2, 3, 4]], 2, False)),
+    (5, True, 'estimate', 1): (
+        ([[0, 1], [2], [3, 4]], 3, True),
+        ([[0, 1], [2], [3, 4]], 3, True)),
+    (6, False, 'equal', 0): (
+        ([[0, 1, 2], [3, 4, 5]], 2, True),
+        ([[0, 1, 2], [3, 4, 5]], 2, True)),
+    (6, False, 'equal', 1): (
+        ([[1, 3], [2, 4], [0, 5]], 3, True),
+        ([[0, 5], [1, 3], [2, 4]], 3, True)),
+    (6, False, 'estimate', 0): (
+        ([[0, 1, 2], [3, 4, 5]], 2, True),
+        ([[0, 1, 2], [3, 4, 5]], 2, True)),
+    (6, False, 'estimate', 1): (
+        ([[1, 3], [0, 5], [2, 4]], 3, True),
+        ([[0, 5], [1, 3], [2, 4]], 3, True)),
+    (6, True, 'equal', 0): (
+        ([[1, 2], [0, 5], [3, 4]], 3, True),
+        ([[0, 5], [1, 2], [3, 4]], 3, True)),
+    (6, True, 'equal', 1): (
+        ([[1, 3], [2, 4], [0, 5]], 3, True),
+        ([[0, 5], [1, 3], [2, 4]], 3, True)),
+    (6, True, 'estimate', 0): (
+        ([[1, 2], [3, 4], [0, 5]], 3, True),
+        ([[0, 5], [1, 2], [3, 4]], 3, True)),
+    (6, True, 'estimate', 1): (
+        ([[1, 3], [0, 5], [2, 4]], 3, True),
+        ([[0, 5], [1, 3], [2, 4]], 3, True)),
+    (8, False, 'equal', 0): (
+        ([[1, 2], [0, 4], [6, 7], [3, 5]], 4, True),
+        ([[0, 4], [1, 2, 7], [3, 5, 6]], 3, True)),
+    (8, False, 'equal', 1): (
+        ([[4, 6, 7], [1, 3, 5], [0, 2]], 3, True),
+        ([[0, 2, 3], [1, 5, 6], [4, 7]], 3, True)),
+    (8, False, 'estimate', 0): (
+        ([[1, 2], [0, 4], [6, 7], [3, 5]], 4, True),
+        ([[0, 4], [1, 2, 7], [3, 5, 6]], 3, True)),
+    (8, False, 'estimate', 1): (
+        ([[4, 6, 7], [1, 3, 5], [0, 2]], 3, True),
+        ([[0, 2, 3], [1, 5, 6], [4, 7]], 3, True)),
+    (8, True, 'equal', 0): (
+        ([[1, 2], [0, 4], [6, 7], [3, 5]], 4, True),
+        ([[0, 2, 4], [1, 7], [3, 5, 6]], 3, True)),
+    (8, True, 'equal', 1): (
+        ([[4, 6, 7], [1, 3, 5], [0, 2]], 3, True),
+        ([[0, 2, 3], [1, 5, 6], [4, 7]], 3, True)),
+    (8, True, 'estimate', 0): (
+        ([[1, 2], [0, 4], [6, 7], [3, 5]], 4, True),
+        ([[0, 2, 4], [1, 7], [3, 5, 6]], 3, True)),
+    (8, True, 'estimate', 1): (
+        ([[4, 6, 7], [1, 3, 5], [0, 2]], 3, True),
+        ([[0, 2, 3], [1, 5, 6], [4, 7]], 3, True)),
+}
+
+
+def golden_instance(num_users, floored, weight_mode, seed):
+    """(scenario, estimates, powers, weights) of one golden instance, on
+    the schedule-compare system."""
+    cfg = SystemConfig().replace(
+        num_users=num_users, num_satellites=4, cluster_size=3,
+        num_subbands=4, subband_capacity=3, pilot_length=num_users - 1,
+        rate_requirement=GOLDEN_FLOORS[num_users] if floored else 0.0,
+    )
+    rng = np.random.default_rng(seed)
+    sc = build_scenario(cfg, rng)
+    est = scheduling_estimates(sc, rng)
+    if weight_mode == "equal":
+        weights = equal_weights(sc)
+    else:
+        weights = estimate_magnitude_weights(sc, est)
+    return sc, est, np.full(num_users, cfg.max_power), weights
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_SCHEDULES))
+def test_schedules_match_golden(key):
+    sc, est, powers, weights = golden_instance(*key)
+    heuristic, exhaustive = GOLDEN_SCHEDULES[key]
+    sched = schedule_users(sc, est, powers, weights)
+    assert (sched.groups, sched.colors_used, sched.feasible) == heuristic
+    opt = exhaustive_schedule(sc, powers, weights)
+    assert (opt.groups, opt.colors_used, opt.feasible) == exhaustive
+
+
+def test_schedule_users_colors_and_scores_each_once(monkeypatch):
+    graphs, partitions = [], []
+    real_color, real_score = scheduler.dsatur_color, scheduler.score_partition
+
+    def color(adjacency, capacity):
+        graphs.append(np.asarray(adjacency).tobytes())
+        return real_color(adjacency, capacity)
+
+    def score(scenario, groups, *args):
+        partitions.append(tuple(tuple(g) for g in groups))
+        return real_score(scenario, groups, *args)
+
+    monkeypatch.setattr(scheduler, "dsatur_color", color)
+    monkeypatch.setattr(scheduler, "score_partition", score)
+    for key in ((8, False, "equal", 0), (8, True, "equal", 1),
+                (6, True, "estimate", 0)):
+        graphs.clear()
+        partitions.clear()
+        schedule_users(*golden_instance(*key))
+        assert graphs and len(graphs) == len(set(graphs)), key
+        assert partitions and len(partitions) == len(set(partitions)), key
+
+
+def test_score_partition_matches_reference():
+    """Scores of every partition of a floored instance against sum_rate and
+    per-user sinr_lower_bound calls."""
+    sc, _, powers, weights = golden_instance(6, True, "equal", 0)
+    req = sc.config.rate_requirement
+    feasible = 0
+    for groups in enumerate_partitions(6, 4, 3):
+        score = score_partition(sc, groups, powers, weights, sc.rate_context)
+        bw = sc.config.total_bandwidth / len(groups)
+        alloc = AllocationState(groups=groups,
+                                bandwidths=[bw] * len(groups),
+                                powers=powers, weights=weights)
+        terms = {k: sinr_lower_bound(sc, alloc, k) for g in groups for k in g}
+        if all(t.rate_lb >= req for t in terms.values()):
+            feasible += 1
+            assert score.sum_rate == sum_rate(sc, alloc)
+        else:
+            assert score.sum_rate is None
+        sinrs = [t.sinr_lb for t in terms.values()]
+        assert score.worst == list(terms)[int(np.argmin(sinrs))]
+        worst = terms[score.worst]
+        if worst.i2:
+            contrib = {kp: powers[kp] * (worst.i1[kp] + worst.i2[kp]
+                                         + worst.i3.get(kp, 0.0))
+                       for kp in worst.i2}
+            top = max(contrib.values())
+            assert score.interferer == min(kp for kp, v in contrib.items()
+                                           if v == top)
+        else:
+            assert score.interferer is None
+    assert 0 < feasible < len(enumerate_partitions(6, 4, 3))
