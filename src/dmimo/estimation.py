@@ -13,11 +13,6 @@ import numpy as np
 from .channel import complex_normal
 
 
-def covariance_R(link):
-    """Channel covariance R = a * Delta with a = beta / (Kbar + 1)."""
-    return link.covariance
-
-
 def psi_matrix(cohort_covs, tau, pilot_powers, sigma2):
     """Inverse of (sum_j tau p_j R_j + sigma^2 I) over the pilot cohort."""
     if sigma2 <= 0:
@@ -39,19 +34,6 @@ class EstimationStats:
     err_cov: np.ndarray  # E = R - C
 
 
-def link_estimation_stats(scenario, m, k, sigma2=None):
-    cfg = scenario.config
-    if sigma2 is None:
-        sigma2 = scenario.fullband_noise
-    tau = cfg.pilot_length
-    cohort = scenario.pilots.cohort(k)
-    covs = [covariance_R(scenario.link(m, j)) for j in cohort]
-    psi = psi_matrix(covs, tau, [cfg.pilot_power] * len(covs), sigma2)
-    R = covariance_R(scenario.link(m, k))
-    est_cov = tau * cfg.pilot_power * (R @ psi @ R)
-    return EstimationStats(R=R, psi=psi, est_cov=est_cov, err_cov=R - est_cov)
-
-
 def scenario_estimation_stats(scenario, sigma2=None):
     """EstimationStats for every (m, k), cohort inverses computed once."""
     M, K = scenario.num_satellites, scenario.num_users
@@ -66,12 +48,12 @@ def scenario_estimation_stats(scenario, sigma2=None):
             t = scenario.pilots.pilot_index[k]
             if t not in psi_by_pilot:
                 cohort = scenario.pilots.cohort(k)
-                covs = [covariance_R(scenario.link(m, j)) for j in cohort]
+                covs = [scenario.link(m, j).covariance for j in cohort]
                 psi_by_pilot[t] = psi_matrix(
                     covs, tau, [cfg.pilot_power] * len(covs), sigma2
                 )
             psi = psi_by_pilot[t]
-            R = covariance_R(scenario.link(m, k))
+            R = scenario.link(m, k).covariance
             est_cov = tau * cfg.pilot_power * (R @ psi @ R)
             out[(m, k)] = EstimationStats(R=R, psi=psi, est_cov=est_cov,
                                           err_cov=R - est_cov)
@@ -106,32 +88,43 @@ def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
     hhat = np.empty_like(h_batch)
     sqrt_tp = np.sqrt(tau * cfg.pilot_power)
     for m in range(M):
+        # centered observation of each pilot: its cohort's NLoS parts plus
+        # pilot noise, shared by every user on that pilot
+        resid = {}
         for k in range(K):
             link = scenario.link(m, k)
-            cohort = scenario.pilots.cohort(k)
             t = scenario.pilots.pilot_index[k]
+            if t not in resid:
+                resid[t] = noise[:, m, t, :].copy()
+                for j in scenario.pilots.cohort(k):
+                    lj = scenario.link(m, j)
+                    mean_j = np.sqrt(lj.rician * lj.rician_scale) \
+                        * lj.los_vector
+                    resid[t] += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
             own_mean = np.sqrt(link.rician * link.rician_scale) \
                 * link.los_vector
-            # centered observation: cohort NLoS parts plus pilot noise
-            resid = noise[:, m, t, :].copy()
-            for j in cohort:
-                lj = scenario.link(m, j)
-                mean_j = np.sqrt(lj.rician * lj.rician_scale) * lj.los_vector
-                resid += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
             filt = sqrt_tp * (stats[(m, k)].R @ stats[(m, k)].psi)
-            hhat[:, m, k, :] = own_mean[None] + resid @ filt.T
+            hhat[:, m, k, :] = own_mean[None] + resid[t] @ filt.T
     return hhat, noise
+
+
+def _link_stats(scenario, m, k, sigma2):
+    """Link (m, k)'s statistics at the full-band noise power, or at
+    sigma2 when given."""
+    if sigma2 is None:
+        return scenario.estimation_stats[(m, k)]
+    return scenario_estimation_stats(scenario, sigma2=sigma2)[(m, k)]
 
 
 def mse(scenario, m, k, sigma2=None):
     """Estimation-error power tr(R - tau p R Psi R)."""
-    st = link_estimation_stats(scenario, m, k, sigma2=sigma2)
+    st = _link_stats(scenario, m, k, sigma2)
     return float(np.trace(st.err_cov).real)
 
 
 def nmse(scenario, m, k, sigma2=None):
     """Normalized MSE in [0, 1]; the degenerate tr(R)=0 case reports 1."""
-    st = link_estimation_stats(scenario, m, k, sigma2=sigma2)
+    st = _link_stats(scenario, m, k, sigma2)
     tr_r = float(np.trace(st.R).real)
     if tr_r == 0.0:
         return 1.0

@@ -1,15 +1,18 @@
-"""A small geometric-programming layer.
+"""A small geometric-programming layer in log-domain array form.
 
-Monomials are coeff * prod v_i^{e_i} with coeff > 0; a posynomial is a sum
-of monomials. Problems maximize a monomial objective subject to posynomial
-constraints g(v) <= 1. Solving log-transforms the variables (x = log v),
-which turns the objective affine and each constraint into log-sum-exp <= 0,
-and hands the smooth convex program to SLSQP.
+A GP maximizes a monomial prod v_j^{a_j} subject to posynomial constraints
+g(v) <= 1. With x = log v, a posynomial term c * prod v_j^{e_j} becomes the
+affine value log c + e @ x, so each constraint is log-sum-exp(rows) <= 0
+and the objective is a @ x (Boyd, Kim, Vandenberghe & Hassibi, "A tutorial
+on geometric programming", 2007). A problem is stored exactly so: one row
+(log c, e) per term over integer variable columns, the rows of constraint
+i being ``logs[starts[i]:starts[i + 1]]``. SLSQP solves the smooth convex
+program through one vector-valued constraint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -27,149 +30,94 @@ class GpUnboundedError(GpError):
     pass
 
 
-@dataclass(frozen=True)
-class Monomial:
-    coeff: float
-    exponents: dict
-
-    def __post_init__(self):
-        if self.coeff <= 0:
-            raise ValueError("monomial coefficient must be positive")
-
-    def value(self, assignment):
-        v = self.coeff
-        for name, e in self.exponents.items():
-            v *= assignment[name] ** e
-        return v
-
-
-def posynomial_value(terms, assignment):
-    return sum(t.value(assignment) for t in terms)
-
-
-def condense(terms, anchor):
-    """AM-GM condensation of a posynomial into a monomial, tight at anchor.
-
-    g(v) = sum u_t(v) >= prod (u_t(v) / eps_t)^{eps_t}, eps_t = u_t(anchor)/g(anchor).
-    """
-    values = np.array([t.value(anchor) for t in terms])
-    total = values.sum()
-    if total <= 0:
-        raise ValueError("posynomial must be positive at the anchor")
-    eps = values / total
-    coeff = 1.0
-    exponents = {}
-    for t, e in zip(terms, eps):
-        if e <= 0:
-            continue
-        coeff *= (t.coeff / e) ** e
-        for name, p in t.exponents.items():
-            exponents[name] = exponents.get(name, 0.0) + e * p
-    return Monomial(coeff=coeff, exponents=exponents)
-
-
-def divide(terms, mono):
-    """Posynomial divided by a monomial (still a posynomial)."""
-    out = []
-    for t in terms:
-        exps = dict(t.exponents)
-        for name, p in mono.exponents.items():
-            exps[name] = exps.get(name, 0.0) - p
-            if exps[name] == 0.0:
-                del exps[name]
-        out.append(Monomial(coeff=t.coeff / mono.coeff, exponents=exps))
-    return out
-
-
 @dataclass
 class GpProblem:
-    """Maximize `objective` subject to posynomial constraints <= 1."""
+    """Maximize exp(objective @ x) subject to lse_i(x) <= 0 for every
+    constraint i, lse_i being the log-sum-exp of ``logs[r] + exps[r] @ x``
+    over the constraint's rows r.
 
-    objective: Monomial
-    constraints: list = field(default_factory=list)
+    objective: (n,) exponents of the objective monomial.
+    logs: (R,) log-coefficients of the stacked rows; all finite, since a
+    posynomial term's coefficient is positive.
+    exps: (R, n) exponents of the stacked rows.
+    starts: (C,) first row of each constraint, strictly increasing from 0.
+    """
 
-    def add(self, terms):
-        self.constraints.append(list(terms))
+    objective: np.ndarray
+    logs: np.ndarray
+    exps: np.ndarray
+    starts: np.ndarray
 
-    def variables(self):
-        names = set(self.objective.exponents)
-        for g in self.constraints:
-            for t in g:
-                names |= set(t.exponents)
-        return sorted(names)
+    def __post_init__(self):
+        self.objective = np.asarray(self.objective, dtype=float)
+        self.logs = np.asarray(self.logs, dtype=float)
+        self.exps = np.asarray(self.exps, dtype=float).reshape(
+            len(self.logs), len(self.objective))
+        self.starts = np.asarray(self.starts, dtype=np.intp)
+        if not np.all(np.isfinite(self.logs)):
+            raise ValueError("term coefficients must be positive")
+        if (len(self.starts) == 0 or self.starts[0] != 0
+                or np.any(np.diff(self.starts) <= 0)
+                or self.starts[-1] >= len(self.logs)):
+            raise ValueError("starts must begin at 0 and give every "
+                             "constraint at least one row")
+
+    def lse(self, x):
+        """Each constraint's log-sum-exp at x (<= 0 where satisfied)."""
+        return _segment_lse(self.logs + self.exps @ x, self.starts)[0]
+
+    def lse_jacobian(self, x):
+        """(lse, d lse / dx): each constraint's value and gradient."""
+        val, soft = _segment_lse(self.logs + self.exps @ x, self.starts)
+        return val, np.add.reduceat(soft[:, None] * self.exps, self.starts)
+
+
+def _segment_lse(z, starts):
+    """Log-sum-exp of each segment of z, and the within-segment softmax."""
+    counts = np.diff(np.append(starts, len(z)))
+    zmax = np.repeat(np.maximum.reduceat(z, starts), counts)
+    w = np.exp(z - zmax)
+    sums = np.add.reduceat(w, starts)
+    return zmax[starts] + np.log(sums), w / np.repeat(sums, counts)
+
+
+def condense(logs, exps, x0):
+    """AM-GM condensation of the posynomial with rows (logs, exps) into one
+    monomial (log c, e), tight at x0 and below the posynomial everywhere.
+
+    g(v) = sum u_t(v) >= prod (u_t(v) / eps_t)^{eps_t}, eps_t = u_t(x0)/g(x0).
+    """
+    val, eps = _segment_lse(logs + exps @ x0, np.zeros(1, dtype=np.intp))
+    e = eps @ exps
+    return float(val[0] - e @ x0), e
 
 
 @dataclass
 class GpSolution:
-    values: dict
-    objective: float
+    x: np.ndarray  # log of the optimal variables
+    status: int  # SLSQP's exit status; 0 is success
     kkt_residual: float
-    max_violation: float
+    max_violation: float  # max over constraints of g(exp(x)) - 1
     iterations: int
 
 
-def _build_matrices(problem, names):
-    idx = {n: i for i, n in enumerate(names)}
-    cons = []
-    for g in problem.constraints:
-        logs = np.array([np.log(t.coeff) for t in g])
-        E = np.zeros((len(g), len(names)))
-        for r, t in enumerate(g):
-            for n, p in t.exponents.items():
-                E[r, idx[n]] = p
-        cons.append((logs, E))
-    obj = np.zeros(len(names))
-    for n, p in problem.objective.exponents.items():
-        obj[idx[n]] = p
-    return obj, cons
-
-
-def solve_gp(problem, start=None, tol=1e-9, max_iter=300):
-    """Solve in the log domain. Returns a GpSolution; raises
+def solve_gp(problem, x0, max_iter=300):
+    """Solve from the log-domain start x0. Returns a GpSolution; raises
     GpInfeasibleError / GpUnboundedError on detection.
     """
-    names = problem.variables()
-    if not names:
-        return GpSolution(values={}, objective=problem.objective.coeff,
-                          kkt_residual=0.0, max_violation=0.0, iterations=0)
-    obj_vec, cons = _build_matrices(problem, names)
-    n = len(names)
-
-    if start is not None:
-        x0 = np.array([np.log(start.get(nm, 1.0)) for nm in names])
-    else:
-        x0 = np.zeros(n)
-
-    def con_val(logs_E, x):
-        logs, E = logs_E
-        z = logs + E @ x
-        zmax = z.max()
-        return zmax + np.log(np.exp(z - zmax).sum())  # lse(z) <= 0
-
-    def con_grad(logs_E, x):
-        logs, E = logs_E
-        z = logs + E @ x
-        w = np.exp(z - z.max())
-        w /= w.sum()
-        return w @ E
-
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": (lambda x, c=c: -con_val(c, x)),
-            "jac": (lambda x, c=c: -con_grad(c, x)),
-        }
-        for c in cons
-    ]
+    obj = problem.objective
     res = minimize(
-        lambda x: -obj_vec @ x, x0, jac=lambda x: -obj_vec,
-        method="SLSQP", constraints=constraints,
+        lambda x: -obj @ x, np.asarray(x0, dtype=float), jac=lambda x: -obj,
+        method="SLSQP",
+        constraints={"type": "ineq", "fun": lambda x: -problem.lse(x),
+                     "jac": lambda x: -problem.lse_jacobian(x)[1]},
         options={"maxiter": max_iter, "ftol": 1e-14},
     )
     x = res.x
     if not np.all(np.isfinite(x)) or np.abs(x).max() > 80.0:
         raise GpUnboundedError("iterates diverged; problem likely unbounded")
-    viol = max((con_val(c, x) for c in cons), default=0.0)
+    val, jac = problem.lse_jacobian(x)
+    viol = val.max()
     if viol > 1e-6:
         raise GpInfeasibleError(
             f"no feasible point found (max log violation {viol:.2e}, "
@@ -177,28 +125,12 @@ def solve_gp(problem, start=None, tol=1e-9, max_iter=300):
         )
 
     # KKT residual: least-squares multipliers over near-active constraints
-    grads, active = [], []
-    for c in cons:
-        v = con_val(c, x)
-        if v > -1e-7:
-            active.append(c)
-            grads.append(con_grad(c, x))
-    if grads:
-        G = np.array(grads).T
-        lam, *_ = np.linalg.lstsq(G, obj_vec, rcond=None)
-        lam = np.clip(lam, 0.0, None)
-        kkt = np.linalg.norm(obj_vec - G @ lam)
+    G = jac[val > -1e-7].T
+    if G.size:
+        lam, *_ = np.linalg.lstsq(G, obj, rcond=None)
+        kkt = np.linalg.norm(obj - G @ np.clip(lam, 0.0, None))
     else:
-        kkt = np.linalg.norm(obj_vec)
-
-    values = {nm: float(np.exp(xi)) for nm, xi in zip(names, x)}
-    return GpSolution(
-        values=values,
-        objective=problem.objective.value(values),
-        kkt_residual=float(kkt),
-        max_violation=float(max(
-            (posynomial_value(g, values) - 1.0 for g in problem.constraints),
-            default=0.0,
-        )),
-        iterations=int(res.nit),
-    )
+        kkt = np.linalg.norm(obj)
+    return GpSolution(x=x, status=int(res.status), kkt_residual=float(kkt),
+                      max_violation=float(np.expm1(viol)),
+                      iterations=int(res.nit))

@@ -30,7 +30,6 @@ from .optimizer import (
     scheduling_estimates,
 )
 from .rate import (
-    AllocationState,
     equal_split_allocation,
     equal_weights,
     monte_carlo_users,
@@ -198,12 +197,6 @@ def run_nmse_sweep(spec):
     return path
 
 
-def _single_band_allocation(scenario):
-    return equal_split_allocation(
-        scenario, groups=[list(range(scenario.num_users))]
-    )
-
-
 def run_bound_validation(spec):
     """Closed-form rate lower bound vs Monte Carlo ergodic rate, from one
     shared channel draw per Rician point."""
@@ -219,7 +212,7 @@ def run_bound_validation(spec):
     for kbar, rng in zip(grid, rngs):
         sc = base.with_rician(kbar)
         ctx = sc.rate_context
-        alloc = _single_band_allocation(sc)
+        alloc = equal_split_allocation(sc, groups=[list(range(sc.num_users))])
         lb = sum_rate(sc, alloc, ctx)
         mc = monte_carlo_users(sc, alloc, spec.trials, rng, ctx)
         # bound recomputed from MC term estimates (consistency channel)
@@ -279,27 +272,19 @@ def run_schedule_compare(spec):
         t0 = time.perf_counter()
         sched = schedule_users(sc, estimates, powers, weights, context=ctx)
         t_alg = time.perf_counter() - t0
-        bw = cfg.total_bandwidth / len(sched.groups)
-        alloc = AllocationState(
-            groups=sched.groups, bandwidths=[bw] * len(sched.groups),
-            powers=powers, weights=weights,
-        )
+        alloc = equal_split_allocation(sc, groups=sched.groups,
+                                       powers=powers, weights=weights)
         r_alg = sum_rate(sc, alloc, ctx)
 
         t0 = time.perf_counter()
         opt = exhaustive_schedule(sc, powers, weights, context=ctx)
         t_opt = time.perf_counter() - t0
-        bw_opt = cfg.total_bandwidth / len(opt.groups)
-        opt_alloc = AllocationState(
-            groups=opt.groups, bandwidths=[bw_opt] * len(opt.groups),
-            powers=powers, weights=weights,
-        )
+        opt_alloc = equal_split_allocation(sc, groups=opt.groups,
+                                           powers=powers, weights=weights)
         r_opt = sum_rate(sc, opt_alloc, ctx)
 
-        shared = AllocationState(
-            groups=[list(range(K))], bandwidths=[cfg.total_bandwidth],
-            powers=powers, weights=weights,
-        )
+        shared = equal_split_allocation(sc, groups=[list(range(K))],
+                                        powers=powers, weights=weights)
         r_base = sum_rate(sc, shared, ctx)
         rows.append([spec.seed, build, K, r_alg, r_opt, r_base,
                      sched.colors_used])
@@ -335,11 +320,8 @@ def run_convergence(spec):
         weights = equal_weights(sc)
         estimates = scheduling_estimates(sc, rng)
         sched = schedule_users(sc, estimates, powers, weights, context=ctx)
-        bw = cfg.total_bandwidth / len(sched.groups)
-        alloc = AllocationState(
-            groups=sched.groups, bandwidths=[bw] * len(sched.groups),
-            powers=powers, weights=weights,
-        )
+        alloc = equal_split_allocation(sc, groups=sched.groups,
+                                       powers=powers, weights=weights)
         alloc, trace = optimize_power_weights(sc, alloc, ctx)
         n = nx * ny
         for it, obj in enumerate(trace.objectives):

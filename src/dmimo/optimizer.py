@@ -11,9 +11,10 @@ import numpy as np
 
 from .channel import sample_channel
 from .estimation import estimate_batch
-from .gp import GpProblem, GpUnboundedError, Monomial, condense, divide, solve_gp
+from .gp import GpProblem, GpUnboundedError, condense, solve_gp
 from .rate import (
     AllocationState,
+    equal_split_allocation,
     equal_weights,
     normalize_weights,
     sinr_lower_bound,
@@ -92,88 +93,134 @@ def _interference_quadratics(scenario, context, k, group):
     return sset, mats
 
 
-def _w_name(m, k):
-    return f"w{m}_{k}"
+def _weight_offsets(scenario):
+    """User k's weights w_{m,k}, m in sorted(M_k), take the columns
+    offsets[k] to offsets[k + 1] of the weight block."""
+    return np.cumsum([0] + [len(s) for s in scenario.serving_sets])
 
 
-def _sinr_constraint(scenario, context, k, group, sigma_i, anchor,
-                     chi_name, optimize_weights, weights):
-    """Posynomial constraint encoding chi_k <= SINR_k^LB.
+def _unit_rows(ncols, cols, exponent):
+    """One monomial row v_c^exponent (coefficient 1) per column c."""
+    e = np.zeros((len(cols), ncols))
+    e[np.arange(len(cols)), cols] = exponent
+    return e
 
-    Returns a list of monomial terms g with g(v) <= 1. Negative quadratic
-    entries are moved to the right-hand side and the resulting posynomial
-    is condensed into a monomial at the anchor.
+
+def _sinr_rows(scenario, context, allocation, k, group, sigma_i, x0,
+               wcols):
+    """Rows (logs, exps) of chi_k D_k(p, w) / N_k(p, w) <= 1, which encodes
+    chi_k <= SINR_k^LB.
+
+    Every nonzero entry Q[i, j] of user k's quadratic forms is a term
+    chi_k p_k' w_i w_j of chi_k D_k. Negative ones move to the right-hand
+    side, which is then condensed into a monomial at x0. With wcols None
+    the weights are the allocation's constants.
     """
+    K = scenario.num_users
     sset, mats = _interference_quadratics(scenario, context, k, group)
-    gamma = np.array([context.gamma[m, k] for m in sset])
+    n = len(sset)
+    gamma = context.gamma[sset, k]
+    w = allocation.weights[sset, k]
 
-    lhs = []  # posynomial terms of chi * D
-    rhs_extra = []  # negative-sign terms moved to the RHS
+    # exponents shared by all terms of one interferer: chi_k w_i w_j
+    base = np.zeros((n * n, len(x0)))
+    base[:, k] = 1.0
+    noise_e = np.zeros((n, len(x0)))
+    noise_e[:, k] = 1.0
+    if wcols is not None:
+        rows = np.arange(n * n)
+        i, j = np.divmod(rows, n)
+        base[rows, wcols[i]] += 1.0
+        base[rows, wcols[j]] += 1.0
+        noise_e[np.arange(n), wcols] = 2.0
+    coeffs, exps = [], []
     for kp, Q in mats.items():
-        for i, m in enumerate(sset):
-            for j, mn in enumerate(sset):
-                coeff = Q[i, j]
-                if coeff == 0.0:
-                    continue
-                exps = {chi_name: 1.0, f"p{kp}": 1.0}
-                if optimize_weights:
-                    exps[_w_name(m, k)] = exps.get(_w_name(m, k), 0.0) + 1.0
-                    exps[_w_name(mn, k)] = exps.get(_w_name(mn, k), 0.0) + 1.0
-                    c = coeff
-                else:
-                    c = coeff * weights[m, k] * weights[mn, k]
-                if c > 0:
-                    lhs.append(Monomial(coeff=c, exponents=exps))
-                elif c < 0:
-                    rhs_extra.append(Monomial(coeff=-c, exponents=exps))
-    for i, m in enumerate(sset):
-        exps = {chi_name: 1.0}
-        if optimize_weights:
-            exps[_w_name(m, k)] = 2.0
-            c = sigma_i * gamma[i]
-        else:
-            c = sigma_i * gamma[i] * weights[m, k] ** 2
-        lhs.append(Monomial(coeff=c, exponents=exps))
+        e = base.copy()
+        e[:, K + kp] = 1.0
+        exps.append(e)
+        coeffs.append((Q if wcols is not None
+                       else Q * w[:, None] * w[None, :]).ravel())
+    coeffs.append(sigma_i * gamma if wcols is not None
+                  else sigma_i * gamma * w ** 2)
+    exps.append(noise_e)
+    c, e = np.concatenate(coeffs), np.vstack(exps)
 
-    # numerator monomial p_k * (sum w Gamma)^2, bounded via AM-GM in w
+    # numerator monomial p_k (sum w Gamma)^2, bounded via AM-GM in w
+    num_e = np.zeros(len(x0))
+    num_e[K + k] = 1.0
+    if wcols is not None:
+        cnum, num_e[wcols] = monomial_bound(gamma, np.maximum(w, 1e-12))
+    else:
+        cnum = float((w * gamma).sum()) ** 2
+    num_log = math.log(cnum)
+    neg = c < 0
+    if neg.any():
+        num_log, num_e = condense(np.append(num_log, np.log(-c[neg])),
+                                  np.vstack([num_e, e[neg]]), x0)
+    pos = c > 0
+    return np.log(c[pos]) - num_log, e[pos] - num_e
+
+
+def _gp_rows(scenario, allocation, context, chi, optimize_weights,
+             floors):
+    """The stacked GP rows of the power/weight problem, anchored at
+    (allocation, chi).
+
+    Columns: chi_k at k, p_k at K + k, then, with optimize_weights, each
+    user's weights in the order of ``_weight_offsets``. Constraints, in
+    order: chi_k <= SINR_k^LB for each scheduled user in group order, each
+    followed by the rate floor chi_k >= gamma_req when ``floors`` and a
+    requirement is set; then for every user p_k <= P_max and, with
+    optimize_weights, sum_m w_{m,k}^2 <= 1.
+
+    Returns (x0, logs, exps, starts), x0 being the anchor in log domain.
+    """
+    K = scenario.num_users
+    points = [np.maximum(chi, 1e-30), allocation.powers]
     if optimize_weights:
-        wh = np.array([max(anchor[_w_name(m, k)], 1e-300) for m in sset])
-        cnum, exps2 = monomial_bound(gamma, wh)
-        num_exps = {f"p{k}": 1.0}
-        for e, m in zip(exps2, sset):
-            num_exps[_w_name(m, k)] = e
-        numerator = Monomial(coeff=cnum, exponents=num_exps)
-    else:
-        s = float(sum(weights[m, k] * g for m, g in zip(sset, gamma)))
-        numerator = Monomial(coeff=s ** 2, exponents={f"p{k}": 1.0})
-
-    if rhs_extra:
-        rhs = condense([numerator] + rhs_extra, anchor)
-    else:
-        rhs = numerator
-    return divide(lhs, rhs)
-
-
-def _anchor_from(scenario, allocation, chi):
-    anchor = {}
-    for k in range(scenario.num_users):
-        anchor[f"p{k}"] = float(allocation.powers[k])
-        anchor[f"chi{k}"] = float(max(chi[k], 1e-30))
-        for m in sorted(scenario.serving_sets[k]):
-            anchor[_w_name(m, k)] = float(max(allocation.weights[m, k], 1e-12))
-    return anchor
-
-
-def _structural_constraints(scenario, problem, optimize_weights):
-    cfg = scenario.config
-    for k in range(scenario.num_users):
-        problem.add([Monomial(coeff=1.0 / cfg.max_power,
-                              exponents={f"p{k}": 1.0})])
+        points += [np.maximum(allocation.weights[sorted(s), k], 1e-12)
+                   for k, s in enumerate(scenario.serving_sets)]
+    x0 = np.log(np.concatenate(points))
+    offsets = 2 * K + _weight_offsets(scenario)
+    wcols = [np.arange(offsets[k], offsets[k + 1]) for k in range(K)]
+    blocks = []
+    for i, group in enumerate(allocation.groups):
+        bw = allocation.bandwidths[i]
+        gamma_req = _rate_gamma(scenario, bw)
+        for k in group:
+            blocks.append(_sinr_rows(
+                scenario, context, allocation, k, group,
+                scenario.subband_noise(bw), x0,
+                wcols[k] if optimize_weights else None,
+            ))
+            if floors and gamma_req > 0:
+                blocks.append(([math.log(gamma_req)],
+                               _unit_rows(len(x0), [k], -1.0)))
+    for k in range(K):
+        blocks.append(([math.log(1.0 / scenario.config.max_power)],
+                       _unit_rows(len(x0), [K + k], 1.0)))
         if optimize_weights:
-            problem.add([
-                Monomial(coeff=1.0, exponents={_w_name(m, k): 2.0})
-                for m in sorted(scenario.serving_sets[k])
-            ])
+            blocks.append((np.zeros(len(wcols[k])),
+                           _unit_rows(len(x0), wcols[k], 2.0)))
+    sizes = [len(logs) for logs, _ in blocks]
+    return (x0, np.concatenate([logs for logs, _ in blocks]),
+            np.vstack([e for _, e in blocks]),
+            np.cumsum([0] + sizes[:-1]))
+
+
+def _allocation_at(scenario, allocation, x, optimize_weights):
+    """`allocation` with the powers (capped at P_max) and, if optimized,
+    the weights of the log-domain point x = (log p, log w), the weights
+    renormalized to unit squared norm."""
+    K = scenario.num_users
+    out = allocation.copy()
+    out.powers = np.minimum(np.exp(x[:K]), scenario.config.max_power)
+    if optimize_weights:
+        offsets = K + _weight_offsets(scenario)
+        for k, s in enumerate(scenario.serving_sets):
+            out.weights[sorted(s), k] = np.exp(x[offsets[k]:offsets[k + 1]])
+    out.weights = normalize_weights(scenario, out.weights)
+    return out
 
 
 def _rate_gamma(scenario, bandwidth):
@@ -193,6 +240,7 @@ def feasibility_check(scenario, allocation, context=None,
     """
     if context is None:
         context = scenario.rate_context
+    K = scenario.num_users
     gammas = {
         k: _rate_gamma(scenario, allocation.bandwidths[i])
         for i, g in enumerate(allocation.groups) for k in g
@@ -200,44 +248,24 @@ def feasibility_check(scenario, allocation, context=None,
     if all(v <= 0 for v in gammas.values()):
         return math.inf, allocation.copy()
 
-    chi = np.ones(scenario.num_users)
-    anchor = _anchor_from(scenario, allocation, chi)
-    anchor["phi"] = 1.0
-    problem = GpProblem(objective=Monomial(coeff=1.0,
-                                           exponents={"phi": 1.0}))
-    for i, group in enumerate(allocation.groups):
-        sigma_i = scenario.subband_noise(allocation.bandwidths[i])
-        for k in group:
-            # chi_k plays the role of phi * gamma_k
-            terms = _sinr_constraint(
-                scenario, context, k, group, sigma_i, anchor,
-                chi_name=f"chi{k}", optimize_weights=optimize_weights,
-                weights=allocation.weights,
-            )
-            swapped = []
-            for t in terms:
-                exps = dict(t.exponents)
-                deg = exps.pop(f"chi{k}", 0.0)
-                if deg:
-                    exps["phi"] = exps.get("phi", 0.0) + deg
-                swapped.append(
-                    Monomial(coeff=t.coeff * gammas[k] ** deg, exponents=exps)
-                )
-            problem.add(swapped)
-    _structural_constraints(scenario, problem, optimize_weights)
+    x0, logs, exps, starts = _gp_rows(scenario, allocation, context,
+                                      np.ones(K), optimize_weights,
+                                      floors=False)
+    # chi_k = phi * gamma_k: fold the chi columns into one phi column
+    log_gamma = np.zeros(K)
+    for k, g in gammas.items():
+        log_gamma[k] = math.log(g)
+    chi = exps[:, :K]
+    exps = np.hstack([chi.sum(axis=1, keepdims=True), exps[:, K:]])
+    objective = np.zeros(exps.shape[1])
+    objective[0] = 1.0
+    problem = GpProblem(objective, logs + chi @ log_gamma, exps, starts)
     try:
-        sol = solve_gp(problem, start=anchor)
+        sol = solve_gp(problem, np.append(0.0, x0[K:]))
     except GpUnboundedError:
         return math.inf, allocation.copy()
-    out = allocation.copy()
-    for k in range(scenario.num_users):
-        out.powers[k] = min(sol.values.get(f"p{k}", out.powers[k]),
-                            scenario.config.max_power)
-        if optimize_weights:
-            for m in sorted(scenario.serving_sets[k]):
-                out.weights[m, k] = sol.values[_w_name(m, k)]
-    out.weights = normalize_weights(scenario, out.weights)
-    return float(sol.values["phi"]), out
+    return float(np.exp(sol.x[0])), _allocation_at(
+        scenario, allocation, sol.x[1:], optimize_weights)
 
 
 def build_sca_subproblem(scenario, allocation, context, chi,
@@ -245,36 +273,27 @@ def build_sca_subproblem(scenario, allocation, context, chi,
     """One SCA iteration's GP, anchored at (allocation, chi).
 
     Maximizes prod chi_k^psi_hat with psi_hat = psi_k B_i / B, subject to the
-    SINR, power-cap, weight-norm, and rate-floor constraints. Returns
-    (problem, anchor assignment).
+    SINR, power-cap, weight-norm, and rate-floor constraints laid out as in
+    ``_gp_rows``. Returns (problem, x0), x0 the anchor in log domain.
     """
-    cfg = scenario.config
-    anchor = _anchor_from(scenario, allocation, chi)
-    problem = GpProblem(objective=Monomial(coeff=1.0, exponents={}))
-    obj_exps = {}
+    x0, logs, exps, starts = _gp_rows(scenario, allocation, context, chi,
+                                      optimize_weights, floors=True)
+    objective = np.zeros(len(x0))
     for i, group in enumerate(allocation.groups):
-        bw = allocation.bandwidths[i]
-        sigma_i = scenario.subband_noise(bw)
-        gamma_req = _rate_gamma(scenario, bw)
         for k in group:
             psi, _ = sca_coefficients(chi[k])
-            obj_exps[f"chi{k}"] = psi * bw / cfg.total_bandwidth
-            problem.add(_sinr_constraint(
-                scenario, context, k, group, sigma_i, anchor,
-                chi_name=f"chi{k}", optimize_weights=optimize_weights,
-                weights=allocation.weights,
-            ))
-            if gamma_req > 0:
-                problem.add([Monomial(coeff=gamma_req,
-                                      exponents={f"chi{k}": -1.0})])
-    problem.objective = Monomial(coeff=1.0, exponents=obj_exps)
-    _structural_constraints(scenario, problem, optimize_weights)
-    return problem, anchor
+            objective[k] = (psi * allocation.bandwidths[i]
+                            / scenario.config.total_bandwidth)
+    return GpProblem(objective, logs, exps, starts), x0
 
 
 @dataclass
 class ScaTrace:
     objectives: list = field(default_factory=list)
+    # Why the loop stopped: "converged" (relative gain below eps),
+    # "no_improvement" (a GP step lowered the sum rate, so the previous
+    # iterate was kept) or "max_iter".
+    stop_reason: str = "max_iter"
 
     @property
     def iterations(self):
@@ -314,27 +333,22 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
         chi = np.ones(scenario.num_users)
         for k, t in terms.items():
             chi[k] = max(t.sinr_lb, 1e-30)
-        problem, anchor = build_sca_subproblem(
+        problem, x0 = build_sca_subproblem(
             scenario, work, context, chi, optimize_weights=optimize_weights
         )
-        sol = solve_gp(problem, start=anchor)
-
-        cand = work.copy()
-        for k in range(scenario.num_users):
-            cand.powers[k] = min(sol.values.get(f"p{k}", cand.powers[k]),
-                                 cfg.max_power)
-            if optimize_weights:
-                for m in sorted(scenario.serving_sets[k]):
-                    cand.weights[m, k] = sol.values[_w_name(m, k)]
-        cand.weights = normalize_weights(scenario, cand.weights)
+        sol = solve_gp(problem, x0)
+        cand = _allocation_at(scenario, work, sol.x[scenario.num_users:],
+                              optimize_weights)
         cand_terms = user_terms(scenario, cand, context)
         obj = sum(t.rate_lb for t in cand_terms.values())
         if obj < trace.objectives[-1]:
-            break  # solver noise; keep the previous iterate
+            trace.stop_reason = "no_improvement"
+            break
         work, terms = cand, cand_terms
         trace.objectives.append(obj)
         prev, cur = trace.objectives[-2], trace.objectives[-1]
         if cur > 0 and (cur - prev) / cur < eps:
+            trace.stop_reason = "converged"
             break
     return work, trace
 
@@ -553,12 +567,9 @@ def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
     for _ in range(max_rounds):
         sched = schedule_users(scenario, estimates, powers, weights,
                                context=context)
-        bw = cfg.total_bandwidth / len(sched.groups)
-        alloc = AllocationState(
-            groups=[list(g) for g in sched.groups],
-            bandwidths=[bw] * len(sched.groups),
-            powers=powers.copy(), weights=weights.copy(),
-            feasible=sched.feasible,
+        alloc = equal_split_allocation(
+            scenario, groups=sched.groups, powers=powers.copy(),
+            weights=weights.copy(), feasible=sched.feasible,
         )
         alloc, trace = optimize_power_weights(
             scenario, alloc, context, optimize_weights=optimize_weights
@@ -610,12 +621,9 @@ def benchmark_allocation(scenario, rng, weight_mode, context=None):
     powers = np.full(scenario.num_users, cfg.max_power)
     sched = schedule_users(scenario, estimates, powers, weights,
                            context=context)
-    bw = cfg.total_bandwidth / len(sched.groups)
-    alloc = AllocationState(
-        groups=[list(g) for g in sched.groups],
-        bandwidths=[bw] * len(sched.groups),
-        powers=powers, weights=weights, feasible=sched.feasible,
-    )
+    alloc = equal_split_allocation(scenario, groups=sched.groups,
+                                   powers=powers, weights=weights,
+                                   feasible=sched.feasible)
     alloc, _ = optimize_power_weights(scenario, alloc, context,
                                       optimize_weights=False)
     return alloc, sum_rate(scenario, alloc, context)

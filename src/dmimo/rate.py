@@ -56,9 +56,10 @@ class AllocationState:
 
 
 def equal_split_allocation(scenario, num_bands=None, groups=None,
-                           powers=None, weights=None):
-    """Convenience allocation: equal bandwidth split, max power, and
-    equal-norm weights over each serving set."""
+                           powers=None, weights=None, feasible=True):
+    """Allocation with the bandwidth split equally over the occupied bands;
+    powers default to max power and weights to equal norm over each
+    serving set."""
     cfg = scenario.config
     K, M = scenario.num_users, scenario.num_satellites
     if num_bands is None:
@@ -75,7 +76,7 @@ def equal_split_allocation(scenario, num_bands=None, groups=None,
     bw = [cfg.total_bandwidth / max(len(groups), 1)] * len(groups)
     return AllocationState(groups=[list(g) for g in groups], bandwidths=bw,
                            powers=np.asarray(powers, dtype=float),
-                           weights=weights)
+                           weights=weights, feasible=feasible)
 
 
 def equal_weights(scenario):

@@ -47,11 +47,6 @@ def slant_range(elevation_rad, altitude, earth_radius=EARTH_RADIUS):
     return math.sqrt(s * s + altitude * altitude + 2.0 * re * altitude) - s
 
 
-def rician_factor_lookup(elevation_deg, table):
-    """Linear Rician factor for the table row containing the elevation."""
-    return table.lookup(elevation_deg)
-
-
 def select_serving_satellites(betas, cluster_size):
     """Indices of the cluster_size largest-beta satellites (ties: low index)."""
     if cluster_size > len(betas):
@@ -202,7 +197,7 @@ def build_scenario(config, rng=None):
             if config.rician_override is not None:
                 kbar = float(config.rician_override)
             else:
-                kbar = rician_factor_lookup(elev_deg, table)
+                kbar = table.lookup(elev_deg)
             los = steering_vector(elev, azim, config.antennas_x,
                                   config.antennas_y,
                                   config.antenna_spacing_ratio)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rate import AllocationState, sinr_lower_bound, user_terms
+from .rate import equal_split_allocation, sinr_lower_bound, user_terms
 
 L_MAX = 100
 EXHAUSTIVE_GUARD = 10
@@ -124,17 +124,6 @@ def validate_schedule(schedule, num_users, num_bands, capacity):
     return len(schedule.groups) <= num_bands
 
 
-def _allocation_for_groups(scenario, groups, powers, weights):
-    """Equal-split bandwidth over the occupied bands (nothing wasted when a
-    partition uses fewer than the configured band count)."""
-    bw = scenario.config.total_bandwidth / max(len(groups), 1)
-    return AllocationState(
-        groups=[list(g) for g in groups],
-        bandwidths=[bw] * len(groups),
-        powers=powers, weights=weights,
-    )
-
-
 def _floored_sum_rate(terms, requirement):
     """Sum of the users' rate_lb in the order given, as ``sum_rate`` adds
     them, or None at the first user below a positive rate requirement.
@@ -166,7 +155,8 @@ class PartitionScore:
 
 def score_partition(scenario, groups, powers, weights, context):
     """PartitionScore of `groups` at the given powers and weights."""
-    alloc = _allocation_for_groups(scenario, groups, powers, weights)
+    alloc = equal_split_allocation(scenario, groups=groups, powers=powers,
+                                   weights=weights)
     terms = user_terms(scenario, alloc, context)
     worst, worst_sinr = None, np.inf
     for k, t in terms.items():
@@ -298,7 +288,8 @@ def exhaustive_schedule(scenario, powers, weights, num_bands=None,
         context = scenario.rate_context
     best, best_rate = None, -np.inf
     for groups in enumerate_partitions(K, num_bands, capacity):
-        alloc = _allocation_for_groups(scenario, groups, powers, weights)
+        alloc = equal_split_allocation(scenario, groups=groups,
+                                       powers=powers, weights=weights)
         rate = _floored_sum_rate(
             (sinr_lower_bound(scenario, alloc, k, context)
              for g in alloc.groups for k in g),

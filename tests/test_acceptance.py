@@ -12,7 +12,7 @@ import pytest
 from conftest import make_scenario, manual_link, manual_scenario
 from dmimo.config import SystemConfig
 from dmimo.estimation import mse, nmse
-from dmimo.gp import GpProblem, Monomial, posynomial_value, solve_gp
+from dmimo.gp import GpProblem, solve_gp
 from dmimo.harness import ExperimentSpec, run_experiment
 from dmimo.optimizer import (
     build_sca_subproblem,
@@ -284,20 +284,20 @@ def test_criterion_07_gp_oracle():
     def body():
         # analytic KKT toys: max x s.t. x/3 <= 1 -> x = 3
         sol = solve_gp(GpProblem(
-            objective=Monomial(coeff=1.0, exponents={"x": 1.0}),
-            constraints=[[Monomial(coeff=1.0 / 3.0,
-                                   exponents={"x": 1.0})]],
-        ), start={"x": 1.0})
-        assert abs(sol.values["x"] - 3.0) <= 1e-6
+            objective=[1.0], logs=[math.log(1.0 / 3.0)], exps=[[1.0]],
+            starts=[0],
+        ), np.zeros(1))
+        assert abs(math.exp(sol.x[0]) - 3.0) <= 1e-6
         # max chi s.t. 0.1 chi (1 + 1/p) <= 1, p <= 1 -> p = 1, chi = 5
-        toy = GpProblem(objective=Monomial(coeff=1.0,
-                                           exponents={"chi": 1.0}))
-        toy.add([Monomial(coeff=0.1, exponents={"chi": 1.0}),
-                 Monomial(coeff=0.1, exponents={"chi": 1.0, "p": -1.0})])
-        toy.add([Monomial(coeff=1.0, exponents={"p": 1.0})])
-        sol = solve_gp(toy, start={"chi": 1.0, "p": 0.5})
-        assert abs(sol.values["p"] - 1.0) <= 1e-6
-        assert abs(sol.values["chi"] - 5.0) <= 1e-5
+        # columns (chi, p); rows 0.1 chi, 0.1 chi / p | p
+        toy = GpProblem(objective=[1.0, 0.0],
+                        logs=np.log([0.1, 0.1, 1.0]),
+                        exps=[[1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
+                        starts=[0, 2])
+        sol = solve_gp(toy, np.log([1.0, 0.5]))
+        chi, p = np.exp(sol.x)
+        assert abs(p - 1.0) <= 1e-6
+        assert abs(chi - 5.0) <= 1e-5
 
         grid_n = 40
         for seed in range(20):
@@ -330,11 +330,11 @@ def test_criterion_07_gp_oracle():
                 sinr_lower_bound(sc, solved, k, ctx).sinr_lb
                 for k in range(3)
             ])
-            problem, anchor = build_sca_subproblem(
+            problem, x0 = build_sca_subproblem(
                 sc, solved, ctx, chi, optimize_weights=False
             )
-            for terms in problem.constraints:
-                assert posynomial_value(terms, anchor) <= 1 + 1e-6
+            # every posynomial constraint g(v) <= 1 + 1e-6 at the anchor
+            assert problem.lse(x0).max() <= math.log1p(1e-6)
 
     _report(7, body)
 

@@ -6,7 +6,6 @@ from dmimo.channel import sample_channel_batch
 from dmimo.config import SystemConfig
 from dmimo.estimation import (
     estimate_batch,
-    link_estimation_stats,
     mse,
     nmse,
     psi_matrix,
@@ -156,3 +155,36 @@ def test_estimate_batch_defaults_to_cached_stats(default_scenario):
                                     stats=scenario_estimation_stats(sc))
     assert np.array_equal(hhat, ref)
     assert np.array_equal(noise, ref_noise)
+
+
+def _estimate_per_user(scenario, h_batch, noise, stats):
+    """The estimator written per (m, k): each user rebuilds its pilot's
+    centered observation. Reference for estimate_batch."""
+    cfg = scenario.config
+    sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
+    hhat = np.empty_like(h_batch)
+    for m in range(scenario.num_satellites):
+        for k in range(scenario.num_users):
+            link = scenario.link(m, k)
+            t = scenario.pilots.pilot_index[k]
+            own_mean = np.sqrt(link.rician * link.rician_scale) \
+                * link.los_vector
+            resid = noise[:, m, t, :].copy()
+            for j in scenario.pilots.cohort(k):
+                lj = scenario.link(m, j)
+                mean_j = np.sqrt(lj.rician * lj.rician_scale) * lj.los_vector
+                resid += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
+            filt = sqrt_tp * (stats[(m, k)].R @ stats[(m, k)].psi)
+            hhat[:, m, k, :] = own_mean[None] + resid @ filt.T
+    return hhat
+
+
+@pytest.mark.parametrize("users, pilots", [(5, 3), (8, 3), (5, 5)])
+def test_estimate_batch_matches_per_user_reference(users, pilots):
+    sc = make_scenario(seed=users + pilots, num_users=users,
+                       pilot_length=pilots, num_subbands=2,
+                       subband_capacity=users)
+    h, _ = sample_channel_batch(sc, np.random.default_rng(0), 16)
+    hhat, noise = estimate_batch(sc, h, np.random.default_rng(1))
+    ref = _estimate_per_user(sc, h, noise, sc.estimation_stats)
+    assert np.array_equal(hhat, ref)

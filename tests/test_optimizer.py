@@ -1,14 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dmimo.optimizer
 from conftest import make_scenario
 from dmimo.optimizer import (
     InfeasibleError,
     alternating_optimize,
     benchmark_allocation,
     bandwidth_coefficients,
+    build_sca_subproblem,
     estimate_magnitude_weights,
     feasibility_check,
     monomial_bound,
@@ -196,6 +201,98 @@ def test_power_weights_converges_quickly():
     assert trace.iterations <= 10
     objs = trace.objectives
     assert all(b >= a - 1e-8 * abs(a) for a, b in zip(objs, objs[1:]))
+
+
+def test_sca_trace_records_stop_reason(default_scenario):
+    sc = default_scenario
+    alloc = equal_split_allocation(sc)
+    _, trace = optimize_power_weights(sc, alloc, eps=0.01)
+    assert trace.stop_reason == "converged"
+    objs = trace.objectives
+    assert (objs[-1] - objs[-2]) / objs[-1] < 0.01
+    # eps = 0 never converges, so the loop runs out of iterations
+    for max_iter in (0, 1, 2):
+        _, trace = optimize_power_weights(sc, alloc, eps=0.0,
+                                          max_iter=max_iter)
+        assert trace.stop_reason == "max_iter"
+        assert trace.iterations == max_iter
+
+
+def test_sca_keeps_iterate_when_step_lowers_rate(default_scenario,
+                                                 monkeypatch):
+    sc = default_scenario
+    K = sc.num_users
+    solve = dmimo.optimizer.solve_gp
+
+    def collapse_powers(problem, x0):
+        sol = solve(problem, x0)
+        sol.x[K:2 * K] -= 30.0  # every power down by e^30
+        return sol
+
+    monkeypatch.setattr(dmimo.optimizer, "solve_gp", collapse_powers)
+    alloc = equal_split_allocation(sc)
+    out, trace = optimize_power_weights(sc, alloc)
+    assert trace.stop_reason == "no_improvement"
+    assert trace.iterations == 0
+    assert np.array_equal(out.powers, np.full(K, sc.config.max_power))
+    assert out.weights == pytest.approx(alloc.weights, abs=1e-15)
+
+
+@functools.cache
+def _rows_scenario(seed):
+    return make_scenario(seed=seed, num_users=6, num_satellites=4,
+                         cluster_size=3, num_subbands=2, pilot_length=3,
+                         subband_capacity=4)
+
+
+@given(seed=st.integers(0, 2), draw=st.integers(0, 2 ** 32 - 1),
+       optimize=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_sca_rows_bound_reference_sinr(seed, draw, optimize):
+    """The SCA GP's SINR rows against the scalar sinr_lower_bound: tight
+    at the anchor, and conservative at nearby points."""
+    sc = _rows_scenario(seed)
+    ctx = sc.rate_context
+    K, M = sc.num_users, sc.num_satellites
+    rng = np.random.default_rng(draw)
+    perm = rng.permutation(K)
+    groups = [sorted(perm[:3].tolist()), sorted(perm[3:].tolist())]
+    weights = np.where(equal_weights(sc) > 0,
+                       rng.uniform(0.2, 1.0, (M, K)), 0.0)
+    powers = rng.uniform(0.1, 1.0, K) * sc.config.max_power
+    alloc = equal_split_allocation(sc, groups=groups, powers=powers,
+                                   weights=weights)
+    order = [k for g in groups for k in g]
+    chi = np.ones(K)
+    for k in order:
+        chi[k] = sinr_lower_bound(sc, alloc, k, ctx).sinr_lb
+    problem, x0 = build_sca_subproblem(sc, alloc, ctx, chi,
+                                       optimize_weights=optimize)
+
+    # columns: chi_k, p_k, then each user's weights over sorted(M_k)
+    wcols, col = {}, 2 * K
+    if optimize:
+        for k in range(K):
+            sset = sorted(sc.serving_sets[k])
+            wcols[k] = (sset, slice(col, col + len(sset)))
+            col += len(sset)
+    assert len(x0) == col
+    # no rate floor, so constraint j is the SINR row of user order[j]
+    assert np.all(np.abs(problem.lse(x0)[:K]) <= 1e-9)
+
+    for _ in range(5):
+        x = x0 + rng.normal(0.0, 0.3, len(x0))
+        near = alloc.copy()
+        near.powers = np.exp(x[K:2 * K])
+        for k, (sset, cols) in wcols.items():
+            near.weights[sset, k] = np.exp(x[cols])
+        lse = problem.lse(x)
+        for j, k in enumerate(order):
+            ratio = math.exp(x[k]) / sinr_lower_bound(sc, near, k,
+                                                      ctx).sinr_lb
+            # Conservative: the row is at least chi_k / SINR_k where that
+            # is below 1, and violated wherever chi_k exceeds SINR_k.
+            assert math.exp(lse[j]) >= min(ratio, 1.0) * (1 - 1e-9)
 
 
 # --- bandwidth stage -------------------------------------------------------

@@ -12,7 +12,6 @@ from dmimo.scenario import (
     build_scenario,
     noise_power,
     path_gain,
-    rician_factor_lookup,
     select_serving_satellites,
     slant_range,
 )
@@ -64,9 +63,9 @@ def test_rician_lookup_and_out_of_range():
     table = RicianTable.from_records(
         [{"min_deg": 20.0, "max_deg": 30.0, "k_linear": 10.0}]
     )
-    assert rician_factor_lookup(20.05, table) == 10.0
+    assert table.lookup(20.05) == 10.0
     with pytest.raises(ConfigError):
-        rician_factor_lookup(35.0, table)
+        table.lookup(35.0)
 
 
 def test_select_serving_satellites():
