@@ -78,29 +78,18 @@ def _link_arrays(scenario):
 
 def sample_channel(scenario, rng):
     """Draw one ChannelRealization for every (satellite, user) link."""
-    return sample_channels(scenario, rng, 1)[0]
-
-
-def sample_channels(scenario, rng, trials):
-    """Draw `trials` independent realizations; returns a list."""
     M, K, N = (scenario.num_satellites, scenario.num_users,
                scenario.num_antennas)
     mean, scale = _link_arrays(scenario)
-    draws = complex_normal(rng, (trials, M, K, N))
-    out = []
-    identity_corr = scenario.config.correlation.kind == "identity"
-    for t in range(trials):
-        htilde = draws[t]
-        if identity_corr:
-            colored = htilde
-        else:
-            colored = np.empty_like(htilde)
-            for m in range(M):
-                for k in range(K):
-                    colored[m, k] = scenario.link(m, k).corr_sqrt @ htilde[m, k]
-        h = mean + scale[:, :, None] * colored
-        out.append(ChannelRealization(los_part=mean, nlos_draw=htilde, h=h))
-    return out
+    htilde = complex_normal(rng, (M, K, N))
+    colored = htilde
+    if scenario.config.correlation.kind != "identity":
+        colored = np.empty_like(htilde)
+        for m in range(M):
+            for k in range(K):
+                colored[m, k] = scenario.link(m, k).corr_sqrt @ htilde[m, k]
+    return ChannelRealization(los_part=mean, nlos_draw=htilde,
+                              h=mean + scale[:, :, None] * colored)
 
 
 def sample_channel_batch(scenario, rng, trials):

@@ -8,7 +8,6 @@ lookup table are linear (not dB).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -22,11 +21,6 @@ class ConfigError(ValueError):
 def db_to_linear(x_db):
     """Convert a power quantity from dB to linear scale."""
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x):
-    """Convert a linear power quantity to dB."""
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,11 @@ class EstimationStats:
     R: np.ndarray  # channel covariance
     psi: np.ndarray  # regularized inverse for the cohort
     est_cov: np.ndarray  # C = tau p R Psi R
-    err_cov: np.ndarray  # E = R - C
+
+    @property
+    def err_cov(self):
+        """E = R - C, formed on access rather than stored."""
+        return self.R - self.est_cov
 
 
 def scenario_estimation_stats(scenario, sigma2=None):
@@ -55,20 +59,8 @@ def scenario_estimation_stats(scenario, sigma2=None):
             psi = psi_by_pilot[t]
             R = scenario.link(m, k).covariance
             est_cov = tau * cfg.pilot_power * (R @ psi @ R)
-            out[(m, k)] = EstimationStats(R=R, psi=psi, est_cov=est_cov,
-                                          err_cov=R - est_cov)
+            out[(m, k)] = EstimationStats(R=R, psi=psi, est_cov=est_cov)
     return out
-
-
-def draw_pilot_noise(scenario, rng, sigma2=None, trials=None):
-    """CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot)."""
-    if sigma2 is None:
-        sigma2 = scenario.fullband_noise
-    shape = (scenario.num_satellites, scenario.config.pilot_length,
-             scenario.num_antennas)
-    if trials is not None:
-        shape = (trials,) + shape
-    return np.sqrt(sigma2) * complex_normal(rng, shape)
 
 
 def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
@@ -84,7 +76,9 @@ def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
     if stats is None:
         stats = (scenario.estimation_stats if sigma2 is None
                  else scenario_estimation_stats(scenario, sigma2=sigma2))
-    noise = draw_pilot_noise(scenario, rng, sigma2=sigma2, trials=T)
+    # CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot)
+    noise = np.sqrt(scenario.fullband_noise if sigma2 is None else sigma2) \
+        * complex_normal(rng, (T, M, tau, N))
     hhat = np.empty_like(h_batch)
     sqrt_tp = np.sqrt(tau * cfg.pilot_power)
     for m in range(M):

@@ -33,7 +33,6 @@ from .rate import (
     equal_split_allocation,
     equal_weights,
     monte_carlo_users,
-    sinr_lower_bound,
     sum_rate,
 )
 from .scenario import build_scenario
@@ -114,6 +113,18 @@ def write_manifest(spec, extra=None):
     return path
 
 
+def write_outputs(spec, header, rows, title, xlabel, ylabel, plots,
+                  logx=False, extra=None):
+    """Write the experiment's CSV, its gnuplot script and the manifest;
+    returns the CSV path."""
+    path = spec.out_dir / f"{spec.name}.csv"
+    write_csv(path, header, rows)
+    write_plot_script(path.with_suffix(".gp"), path.name, title, xlabel,
+                      ylabel, plots, logx)
+    write_manifest(spec, extra)
+    return path
+
+
 def write_plot_script(path, csv_name, title, xlabel, ylabel, plots,
                       logx=False):
     """Emit a gnuplot script next to the data CSV."""
@@ -183,18 +194,14 @@ def run_nmse_sweep(spec):
         ])
     header = ["seed", "build", "rician_factor", "mse_closed", "mse_mc",
               "mse_se", "nmse_closed", "nmse_mc", "nmse_se"]
-    path = spec.out_dir / "nmse-sweep.csv"
-    write_csv(path, header, rows)
-    write_plot_script(
-        spec.out_dir / "nmse-sweep.gp", "nmse-sweep.csv",
+    return write_outputs(
+        spec, header, rows,
         "Channel estimation error vs Rician factor", "Rician factor",
         "error power",
         [("3:4", "MSE closed form"), ("3:5", "MSE Monte Carlo"),
          ("3:7", "NMSE closed form"), ("3:8", "NMSE Monte Carlo")],
         logx=True,
     )
-    write_manifest(spec)
-    return path
 
 
 def run_bound_validation(spec):
@@ -225,29 +232,22 @@ def run_bound_validation(spec):
                      mc.sum_rate_se, float(bound_mc)])
     header = ["seed", "build", "rician_factor", "rate_lb", "rate_mc",
               "rate_mc_se", "rate_bound_mc"]
-    path = spec.out_dir / "bound-validate.csv"
-    write_csv(path, header, rows)
-    write_plot_script(
-        spec.out_dir / "bound-validate.gp", "bound-validate.csv",
+    return write_outputs(
+        spec, header, rows,
         "Achievable-rate bound vs Monte Carlo", "Rician factor",
         "sum rate (bit/s)",
         [("3:4", "closed-form lower bound"), ("3:5", "MC ergodic rate"),
          ("3:7", "bound from MC terms")],
         logx=True,
     )
-    write_manifest(spec)
-    return path
 
 
-def _compare_config(base, K):
-    return base.replace(
-        num_users=K,
-        num_satellites=max(base.num_satellites, 4),
-        cluster_size=3,
-        num_subbands=4,
-        subband_capacity=3,
-        pilot_length=K - 1,
-    )
+def _cluster_config(base, K, **kw):
+    """K users on four sub-bands, served by clusters of three of at least
+    four satellites; ``kw`` sets the rest."""
+    return base.replace(num_users=K,
+                        num_satellites=max(base.num_satellites, 4),
+                        cluster_size=3, num_subbands=4, **kw)
 
 
 def run_schedule_compare(spec):
@@ -261,7 +261,9 @@ def run_schedule_compare(spec):
     for K in grid:
         if K > 10:
             raise ValueError("exhaustive arm refused for K > 10")
-        cfg = _paper_scale(_compare_config(spec.config, K), spec.paper_scale)
+        cfg = _paper_scale(_cluster_config(spec.config, K, subband_capacity=3,
+                                           pilot_length=K - 1),
+                           spec.paper_scale)
         rng = np.random.default_rng(spec.seed + K)
         sc = build_scenario(cfg, rng)
         ctx = sc.rate_context
@@ -292,17 +294,14 @@ def run_schedule_compare(spec):
                         "time_exhaustive_s": t_opt})
     header = ["seed", "build", "num_users", "rate_heuristic",
               "rate_exhaustive", "rate_shared_band", "colors_used"]
-    path = spec.out_dir / "schedule-compare.csv"
-    write_csv(path, header, rows)
-    write_plot_script(
-        spec.out_dir / "schedule-compare.gp", "schedule-compare.csv",
+    return write_outputs(
+        spec, header, rows,
         "Scheduling: heuristic vs exhaustive", "number of users",
         "sum rate (bit/s)",
         [("3:4", "conflict-graph heuristic"), ("3:5", "exhaustive search"),
          ("3:6", "all users share full band")],
+        extra={"timings": timings},
     )
-    write_manifest(spec, extra={"timings": timings})
-    return path
 
 
 def run_convergence(spec):
@@ -331,29 +330,13 @@ def run_convergence(spec):
             rows.append([spec.seed, build, n, "bandwidth", it, obj])
     header = ["seed", "build", "num_antennas", "stage", "iteration",
               "objective"]
-    path = spec.out_dir / "convergence.csv"
-    write_csv(path, header, rows)
-    write_plot_script(
-        spec.out_dir / "convergence.gp", "convergence.csv",
+    return write_outputs(
+        spec, header, rows,
         "Convergence of the alternating optimization stages", "iteration",
         "objective (bit/s)",
         [("5:(strcol(4) eq 'power-weights' ? $6 : 1/0)",
           "SCA power/weights"),
          ("5:(strcol(4) eq 'bandwidth' ? $6 : 1/0)", "bandwidth stage")],
-    )
-    write_manifest(spec)
-    return path
-
-
-def _benchmark_config(base, K):
-    return base.replace(
-        num_users=K,
-        num_satellites=max(base.num_satellites, 4),
-        cluster_size=3,
-        num_subbands=4,
-        subband_capacity=max(-(-K // 4), 3),
-        pilot_length=K - 2,
-        max_power=0.2,
     )
 
 
@@ -364,8 +347,11 @@ def run_benchmark(spec):
     seeds = spec.trials
     rows = []
     for K in grid:
-        cfg = _paper_scale(_benchmark_config(spec.config, K),
-                           spec.paper_scale)
+        cfg = _paper_scale(
+            _cluster_config(spec.config, K, pilot_length=K - 2,
+                            subband_capacity=max(-(-K // 4), 3),
+                            max_power=0.2),
+            spec.paper_scale)
         totals = {"proposed": [], "benchmark1": [], "benchmark2": []}
         children = np.random.SeedSequence(spec.seed + K).spawn(2 * seeds)
         for s in range(seeds):
@@ -387,10 +373,8 @@ def run_benchmark(spec):
             rows.append([spec.seed, build, K, arm, mean, mean / K, seeds])
     header = ["seed", "build", "num_users", "arm", "mean_sum_rate",
               "mean_rate_per_user", "num_seeds"]
-    path = spec.out_dir / "benchmark.csv"
-    write_csv(path, header, rows)
-    write_plot_script(
-        spec.out_dir / "benchmark.gp", "benchmark.csv",
+    return write_outputs(
+        spec, header, rows,
         "Seed-averaged sum rate vs number of users", "number of users",
         "mean sum rate (bit/s)",
         [("3:(strcol(4) eq 'proposed' ? $5 : 1/0)", "proposed"),
@@ -398,8 +382,6 @@ def run_benchmark(spec):
          ("3:(strcol(4) eq 'benchmark2' ? $5 : 1/0)",
           "estimate-norm weights")],
     )
-    write_manifest(spec)
-    return path
 
 
 RUNNERS = {

@@ -11,15 +11,15 @@ import numpy as np
 
 from .channel import sample_channel
 from .estimation import estimate_batch
-from .gp import GpProblem, GpUnboundedError, condense, solve_gp
+from .gp import (GpInfeasibleError, GpProblem, GpUnboundedError, condense,
+                 solve_gp)
 from .rate import (
     AllocationState,
     equal_split_allocation,
     equal_weights,
     normalize_weights,
-    sinr_lower_bound,
+    sinr_all,
     sum_rate,
-    user_terms,
 )
 from .scheduler import schedule_users
 
@@ -27,7 +27,11 @@ LN2 = math.log(2.0)
 
 
 class InfeasibleError(RuntimeError):
-    pass
+    """Unattainable rate floors, with their feasibility margin phi (or nan)."""
+
+    def __init__(self, message, phi=math.nan):
+        super().__init__(message)
+        self.phi = phi
 
 
 def sca_coefficients(chi_prev):
@@ -70,24 +74,17 @@ def _interference_quadratics(scenario, context, k, group):
     coefficient of p_{k'} (k' = k gives the leakage term). Entries of Q can
     be negative (LoS cross products); the GP builder splits signs.
     """
-    cfg = scenario.config
     sset = sorted(scenario.serving_sets[k])
-    n = len(sset)
-    tau, pp = cfg.pilot_length, cfg.pilot_power
-    cohort = set(scenario.pilots.cohort(k))
+    tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
     mats = {}
     for kp in group:
-        Q = np.zeros((n, n))
-        for i, m in enumerate(sset):
-            Q[i, i] += (context.q1[m, k, kp] + context.q2[m, k, kp]
-                        + context.q3[m, k, kp])
+        Q = np.diag(context.q[sset, k, kp])
         if kp != k:
-            s = np.array([context.smat[m, k, kp] for m in sset])
+            s = context.smat[sset, k, kp]
             Q += np.real(np.outer(s, s.conj()))
-            if kp in cohort:
-                t = np.array([context.tmat[m, k, kp] for m in sset])
-                re_s = s.real
-                Q += tau * pp * (np.outer(re_s, t) + np.outer(t, re_s))
+            if context.cohort[k, kp]:
+                t = context.tmat[sset, k, kp]
+                Q += tau * pp * (np.outer(s.real, t) + np.outer(t, s.real))
                 Q += tau * tau * pp * pp * np.outer(t, t)
         mats[kp] = Q
     return sset, mats
@@ -292,7 +289,8 @@ class ScaTrace:
     objectives: list = field(default_factory=list)
     # Why the loop stopped: "converged" (relative gain below eps),
     # "no_improvement" (a GP step lowered the sum rate, so the previous
-    # iterate was kept) or "max_iter".
+    # iterate was kept), "gp_infeasible" (the solver found no feasible
+    # point, so the previous iterate was kept) or "max_iter".
     stop_reason: str = "max_iter"
 
     @property
@@ -307,7 +305,9 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
     Starts from max power (and the feasibility solution when requirements
     are active), iterates tangent surrogates with AM-GM weight bounds, and
     stops when the relative sum-rate gain drops below eps. Weights are
-    renormalized to unit squared norm on exit. Returns (allocation, trace).
+    renormalized to unit squared norm on exit. Returns (allocation, trace),
+    the allocation carrying the feasibility margin phi; raises
+    InfeasibleError with phi when the requirements are unattainable.
     """
     if context is None:
         context = scenario.rate_context
@@ -319,32 +319,36 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
                                         optimize_weights=optimize_weights)
         if phi < 1.0:
             raise InfeasibleError(
-                f"rate requirements unattainable (phi = {phi:.4f})"
+                f"rate requirements unattainable (phi = {phi:.4f})", phi
             )
         work = seeded
         work.powers = np.minimum(work.powers, cfg.max_power)
+        work.phi = phi
 
-    # One SINR pass per iterate gives both its objective (the sum rate, in
-    # sum_rate's order) and the next iteration's anchor chi.
-    terms = user_terms(scenario, work, context)
+    # One SINR evaluation per iterate gives both its objective (the sum
+    # rate, in sum_rate's order) and the next iteration's anchor chi.
+    res = sinr_all(scenario, work, context)
     trace = ScaTrace()
-    trace.objectives.append(sum(t.rate_lb for t in terms.values()))
+    trace.objectives.append(res.sum_rate)
     for _ in range(max_iter):
         chi = np.ones(scenario.num_users)
-        for k, t in terms.items():
-            chi[k] = max(t.sinr_lb, 1e-30)
+        chi[res.users] = np.maximum(res.sinr[res.users], 1e-30)
         problem, x0 = build_sca_subproblem(
             scenario, work, context, chi, optimize_weights=optimize_weights
         )
-        sol = solve_gp(problem, x0)
+        try:
+            sol = solve_gp(problem, x0)
+        except GpInfeasibleError:
+            trace.stop_reason = "gp_infeasible"
+            break
         cand = _allocation_at(scenario, work, sol.x[scenario.num_users:],
                               optimize_weights)
-        cand_terms = user_terms(scenario, cand, context)
-        obj = sum(t.rate_lb for t in cand_terms.values())
+        cand_res = sinr_all(scenario, cand, context)
+        obj = cand_res.sum_rate
         if obj < trace.objectives[-1]:
             trace.stop_reason = "no_improvement"
             break
-        work, terms = cand, cand_terms
+        work, res = cand, cand_res
         trace.objectives.append(obj)
         prev, cur = trace.objectives[-2], trace.objectives[-1]
         if cur > 0 and (cur - prev) / cur < eps:
@@ -377,20 +381,16 @@ def rate_vs_bandwidth_second(x, a, b, c):
 def bandwidth_coefficients(scenario, allocation, context=None):
     """Per-user (a, b, c): desired power, noise-per-Hz factor, and
     bandwidth-independent interference-plus-leakage power."""
-    if context is None:
-        context = scenario.rate_context
+    res = sinr_all(scenario, allocation, context)
+    c = res.interference.sum(axis=1)
     coeffs = {}
-    n0 = scenario.config.noise_density
     for i, group in enumerate(allocation.groups):
         for k in group:
-            t = sinr_lower_bound(scenario, allocation, k, context)
-            a = t.numerator
-            b = t.i_noise / allocation.bandwidths[i] if \
-                allocation.bandwidths[i] > 0 else 0.0
             # i_noise = (sum w^2 Gamma) * sigma_i, linear in bandwidth
-            denom = t.numerator / max(t.sinr_lb, 1e-300)
-            c = max(denom - t.i_noise, 1e-30)
-            coeffs[k] = (max(a, 1e-300), max(b, 1e-300), c)
+            b = res.i_noise[k] / allocation.bandwidths[i] if \
+                allocation.bandwidths[i] > 0 else 0.0
+            coeffs[k] = (max(res.numerator[k], 1e-300), max(b, 1e-300),
+                         max(c[k], 1e-30))
     return coeffs
 
 
@@ -431,12 +431,8 @@ def optimize_bandwidth(scenario, allocation, context=None, tol=1e-10):
     req = scenario.config.rate_requirement
     coeffs = bandwidth_coefficients(scenario, allocation, context)
     bands = list(range(len(allocation.groups)))
-    floors = []
-    for i in bands:
-        f = 0.0
-        for k in allocation.groups[i]:
-            f = max(f, _min_bandwidth(*coeffs[k], req, total))
-        floors.append(f)
+    floors = [max([0.0] + [_min_bandwidth(*coeffs[k], req, total)
+                           for k in group]) for group in allocation.groups]
     if sum(floors) > total:
         raise InfeasibleError("rate floors jointly exceed total bandwidth")
 
@@ -473,9 +469,6 @@ def optimize_bandwidth(scenario, allocation, context=None, tol=1e-10):
         return sum(rate_vs_bandwidth(bws[i], *coeffs[k])
                    for i in bands for k in allocation.groups[i])
 
-    def excess(mu):
-        return sum(band_bw(i, mu) for i in bands) - total
-
     # bracket: excess > 0 as mu -> 0, excess < 0 at mu_hi (all bands clamp)
     mu_lo = 0.0
     mu_hi = max(gp(i, max(floors[i], 1e-12 * total)) for i in bands)
@@ -487,8 +480,9 @@ def optimize_bandwidth(scenario, allocation, context=None, tol=1e-10):
     trace = []
     for _ in range(60):
         iterations += 1
-        e = excess(mu)
-        cand = np.array([band_bw(i, mu) for i in bands])
+        x = [band_bw(i, mu) for i in bands]
+        e = sum(x) - total
+        cand = np.array(x)
         cand *= total / cand.sum()
         obj = primal(cand)
         trace.append(max(obj, trace[-1]) if trace else obj)
@@ -499,11 +493,8 @@ def optimize_bandwidth(scenario, allocation, context=None, tol=1e-10):
         if abs(e) <= tol * total:
             break
         # Newton on the dual: d(excess)/dmu = sum 1/g'' over unclamped bands
-        slope = 0.0
-        for i in bands:
-            x = band_bw(i, mu)
-            if x > floors[i] + 1e-15 * total:
-                slope += 1.0 / gpp(i, x)
+        slope = sum(1.0 / gpp(i, x[i]) for i in bands
+                    if x[i] > floors[i] + 1e-15 * total)
         if slope < 0:
             mu_n = mu - e / slope
             mu = mu_n if mu_lo < mu_n < mu_hi else 0.5 * (mu_lo + mu_hi)
@@ -537,11 +528,18 @@ def scheduling_estimates(scenario, rng):
 
 @dataclass
 class AoResult:
+    """The best allocation and its feasibility margin phi. If the first
+    round cannot meet the rate floors, ``feasible`` is False and the
+    allocation is where that round stopped, phi that stage's margin
+    (nan if it measured none)."""
+
     allocation: AllocationState
     sum_rate: float
     round_rates: list
     sca_trace: ScaTrace | None = None
     bandwidth_iterations: int = 0
+    feasible: bool = True
+    phi: float = math.inf
 
 
 def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
@@ -571,10 +569,17 @@ def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
             scenario, groups=sched.groups, powers=powers.copy(),
             weights=weights.copy(), feasible=sched.feasible,
         )
-        alloc, trace = optimize_power_weights(
-            scenario, alloc, context, optimize_weights=optimize_weights
-        )
-        res = optimize_bandwidth(scenario, alloc, context)
+        try:
+            alloc, trace = optimize_power_weights(
+                scenario, alloc, context, optimize_weights=optimize_weights
+            )
+            res = optimize_bandwidth(scenario, alloc, context)
+        except (InfeasibleError, GpInfeasibleError) as err:
+            if best is not None:
+                break  # the next round would repeat this schedule
+            alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
+            return AoResult(alloc, sum_rate(scenario, alloc, context),
+                            round_rates, feasible=False, phi=alloc.phi)
         alloc = res.allocation
         bw_iters = res.iterations
         rate = sum_rate(scenario, alloc, context)
@@ -589,7 +594,7 @@ def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
         prev_rate = rate
     return AoResult(allocation=best, sum_rate=best_rate,
                     round_rates=round_rates, sca_trace=trace,
-                    bandwidth_iterations=bw_iters)
+                    bandwidth_iterations=bw_iters, phi=best.phi)
 
 
 def estimate_magnitude_weights(scenario, estimates):
@@ -599,15 +604,15 @@ def estimate_magnitude_weights(scenario, estimates):
     for k in range(K):
         sset = sorted(scenario.serving_sets[k])
         mags = np.array([np.linalg.norm(estimates[m, k]) for m in sset])
-        mags = mags / np.sqrt((mags ** 2).sum())
-        for m, v in zip(sset, mags):
-            w[m, k] = v
+        w[sset, k] = mags / np.sqrt((mags ** 2).sum())
     return w
 
 
 def benchmark_allocation(scenario, rng, weight_mode, context=None):
     """Benchmark arms: fixed weights, Algorithm-2 power control only, with
-    the same scheduler and equal-split bandwidth."""
+    the same scheduler and equal-split bandwidth. Returns (allocation,
+    sum rate); when the rate floors are unattainable the allocation keeps
+    its starting powers and is marked infeasible, with its margin phi."""
     if context is None:
         context = scenario.rate_context
     cfg = scenario.config
@@ -624,6 +629,9 @@ def benchmark_allocation(scenario, rng, weight_mode, context=None):
     alloc = equal_split_allocation(scenario, groups=sched.groups,
                                    powers=powers, weights=weights,
                                    feasible=sched.feasible)
-    alloc, _ = optimize_power_weights(scenario, alloc, context,
-                                      optimize_weights=False)
+    try:
+        alloc, _ = optimize_power_weights(scenario, alloc, context,
+                                          optimize_weights=False)
+    except (InfeasibleError, GpInfeasibleError) as err:
+        alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
     return alloc, sum_rate(scenario, alloc, context)

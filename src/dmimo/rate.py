@@ -30,7 +30,8 @@ class AllocationState:
 
     groups[i] lists the users of sub-band i; bandwidths[i] is B_i in Hz;
     powers[k] is the uplink data power; weights[m, k] the combining weight
-    (zero for satellites outside M_k).
+    (zero for satellites outside M_k). phi is the rate floors' feasibility
+    margin where a feasibility check ran (below 1: unattainable).
     """
 
     groups: list
@@ -38,6 +39,7 @@ class AllocationState:
     powers: np.ndarray
     weights: np.ndarray
     feasible: bool = True
+    phi: float = np.inf
 
     def band_of(self, k):
         for i, g in enumerate(self.groups):
@@ -52,6 +54,7 @@ class AllocationState:
             powers=self.powers.copy(),
             weights=self.weights.copy(),
             feasible=self.feasible,
+            phi=self.phi,
         )
 
 
@@ -82,22 +85,19 @@ def equal_split_allocation(scenario, num_bands=None, groups=None,
 def equal_weights(scenario):
     K, M = scenario.num_users, scenario.num_satellites
     w = np.zeros((M, K))
-    for k in range(K):
-        sset = scenario.serving_sets[k]
-        for m in sset:
-            w[m, k] = 1.0 / np.sqrt(len(sset))
+    for k, sset in enumerate(scenario.serving_sets):
+        w[sorted(sset), k] = 1.0 / np.sqrt(len(sset))
     return w
 
 
 def normalize_weights(scenario, weights):
     """Rescale each user's weights to unit squared norm over M_k."""
     w = weights.copy()
-    for k in range(scenario.num_users):
-        sset = sorted(scenario.serving_sets[k])
+    for k, sset in enumerate(scenario.serving_sets):
+        sset = sorted(sset)
         nrm = np.sqrt(sum(w[m, k] ** 2 for m in sset))
         if nrm > 0:
-            for m in sset:
-                w[m, k] /= nrm
+            w[sset, k] /= nrm
     return w
 
 
@@ -124,59 +124,61 @@ class RateContext:
     q3[m, k, k'] = tau p^p tr(R' R Psi R)
     tmat[m, k, k'] = tr(R_k Psi_k R_k')          (real, >= 0)
     smat[m, k, k'] = sqrt(Kbar a Kbar' a') hbar^H hbar'   (complex)
+    q = q1 + q2 + q3
+    serving[m, k] = 1 where m serves k, else 0
+    cohort[k, k'] = k' != k shares k's pilot
 
-    Built from ``scenario.estimation_stats``. Callers use
-    ``scenario.rate_context``, so statistics and context are built once per
-    scenario. The context keeps no reference to its scenario: the scenario
-    caches it, and a back-reference would make a cycle that only the
-    cyclic garbage collector frees.
+    Built from ``scenario.estimation_stats`` one satellite at a time, the
+    traces as tr(A B) = sum(A * B^T): O(M K^2 N^2) past the filters R Psi.
+    Callers use ``scenario.rate_context``, so it is built once per
+    scenario. It keeps no reference to its scenario: the scenario caches
+    it, and a back-reference would make a cycle only the cyclic garbage
+    collector frees.
     """
 
     def __init__(self, scenario):
-        cfg = scenario.config
         M, K, N = (scenario.num_satellites, scenario.num_users,
                    scenario.num_antennas)
         stats = scenario.estimation_stats
         self.stats = stats
-        tau, pp = cfg.pilot_length, cfg.pilot_power
         self.gamma = np.zeros((M, K))
-        self.q1 = np.zeros((M, K, K))
-        self.q2 = np.zeros((M, K, K))
-        self.q3 = np.zeros((M, K, K))
-        self.tmat = np.zeros((M, K, K))
+        self.q1, self.q2, self.q3, self.tmat = np.zeros((4, M, K, K))
         self.smat = np.zeros((M, K, K), dtype=complex)
-        los_amp = np.zeros((M, K))  # sqrt(Kbar a)
         for m in range(M):
-            for k in range(K):
-                link = scenario.link(m, k)
-                los_amp[m, k] = np.sqrt(link.rician * link.rician_scale)
-                c = stats[(m, k)].est_cov
-                self.gamma[m, k] = float(np.trace(c).real) \
-                    + link.rician * link.rician_scale * N
-        for m in range(M):
-            for k in range(K):
-                ck = stats[(m, k)].est_cov
-                psik = stats[(m, k)].psi
-                rk = stats[(m, k)].R
-                rk_psik = rk @ psik
-                hbar_k = scenario.link(m, k).los_vector
-                for kp in range(K):
-                    lkp = scenario.link(m, kp)
-                    rkp = stats[(m, kp)].R
-                    hbar_kp = lkp.los_vector
-                    self.q1[m, k, kp] = float(
-                        (hbar_kp.conj() @ ck @ hbar_kp).real
-                    ) * lkp.rician * lkp.rician_scale
-                    self.q2[m, k, kp] = float(
-                        (hbar_k.conj() @ rkp @ hbar_k).real
-                    ) * scenario.link(m, k).rician \
-                        * scenario.link(m, k).rician_scale
-                    self.q3[m, k, kp] = float(np.trace(rkp @ ck).real)
-                    self.tmat[m, k, kp] = float(
-                        np.trace(rk_psik @ rkp).real
-                    )
-                    self.smat[m, k, kp] = los_amp[m, k] * los_amp[m, kp] \
-                        * (hbar_k.conj() @ hbar_kp)
+            links = [scenario.link(m, k) for k in range(K)]
+            st = [stats[(m, k)] for k in range(K)]
+            los = np.array([lk.rician * lk.rician_scale for lk in links])
+            hbar = np.array([lk.los_vector for lk in links])
+            # row k' holds R_k'^T, so tr(X R_k') = sum(X * R_k'^T)
+            rt = np.array([s.R.T for s in st])
+            c = np.array([s.est_cov for s in st])
+            self.gamma[m] = np.trace(c, axis1=1, axis2=2).real + los * N
+            c_h = (c.reshape(K * N, N) @ hbar.T).reshape(K, N, K)
+            self.q1[m] = np.einsum("jn,knj->kj", hbar.conj(), c_h).real * los
+            self.q3[m] = _real_traces(c, rt)
+            # hbar^H R' hbar = hbar^T R'^T conj(hbar)
+            rt_h = (rt.reshape(K * N, N) @ hbar.conj().T).reshape(K, N, K)
+            self.q2[m] = np.einsum("kn,jnk->kj", hbar, rt_h).real \
+                * los[:, None]
+            for k, s in enumerate(st):  # R_k Psi_k reuses c's buffer
+                np.matmul(s.R, s.psi, out=c[k])
+            self.tmat[m] = _real_traces(c, rt)
+            amp = np.sqrt(los)
+            self.smat[m] = amp[:, None] * amp[None, :] \
+                * (hbar.conj() @ hbar.T)
+        self.q = self.q1 + self.q2 + self.q3
+        self.serving = np.zeros((M, K))
+        for k, sset in enumerate(scenario.serving_sets):
+            self.serving[sorted(sset), k] = 1.0
+        pilot = np.asarray(scenario.pilots.pilot_index)
+        self.cohort = np.equal.outer(pilot, pilot) & ~np.eye(K, dtype=bool)
+
+
+def _real_traces(x, rt):
+    """Re tr(X_k R_k') for every (k, k'), from the stack x of X_k and the
+    stack rt of R_k'^T: one product over the flattened matrices."""
+    x, rt = x.reshape(len(x), -1), rt.reshape(len(rt), -1)
+    return (x @ rt.T).real if np.iscomplexobj(rt) else x.real @ rt.T
 
 
 def sinr_lower_bound(scenario, allocation, k, context=None):
@@ -229,24 +231,66 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
                      rate_lb=bw * np.log2(1.0 + sinr))
 
 
-def user_terms(scenario, allocation, context=None):
-    """Every scheduled user's SinrTerms, keyed by user in group order.
+@dataclass(frozen=True)
+class SinrArrays:
+    """Every user's closed-form bound from one evaluation. Entries of
+    unscheduled users are zero: no rate and no interference."""
 
-    Summing their ``rate_lb`` in this order gives ``sum_rate`` exactly.
-    """
+    users: list  # scheduled users, in group order
+    sinr: np.ndarray  # (K,)
+    rate: np.ndarray  # (K,) bit/s
+    numerator: np.ndarray  # (K,)
+    i_noise: np.ndarray  # (K,)
+    # interference[k, k'] = p_k' (i1 + i2 + i3) for k' in k's band (k' = k
+    # is the leakage term), zero elsewhere
+    interference: np.ndarray
+
+    @property
+    def sum_rate(self):
+        """The scheduled users' rates added in group order."""
+        return sum(self.rate[self.users])
+
+
+def sinr_all(scenario, allocation, context=None):
+    """``sinr_lower_bound`` for every user at once: the sums over the
+    serving sets become masked sums over all M satellites."""
     if context is None:
         context = scenario.rate_context
-    return {k: sinr_lower_bound(scenario, allocation, k, context)
-            for g in allocation.groups for k in g}
+    tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
+    K = scenario.num_users
+    band = np.full(K, -1)
+    for i, g in enumerate(allocation.groups):
+        band[g] = i
+    scheduled = band >= 0
+    bw = np.where(scheduled, np.asarray(allocation.bandwidths)[band], 0.0)
+    sigma = np.array([scenario.subband_noise(b)
+                      for b in allocation.bandwidths])[band]
+    w = allocation.weights * context.serving
+    p = allocation.powers
+
+    ds = (w * context.gamma).sum(axis=0)
+    numerator = np.where(scheduled, p * ds ** 2, 0.0)
+    i_noise = np.where(scheduled, (w ** 2 * context.gamma).sum(axis=0)
+                       * sigma, 0.0)
+    i1 = np.einsum("mk,mkj->kj", w ** 2, context.q)
+    s = np.einsum("mk,mkj->kj", w, context.smat)
+    t = np.einsum("mk,mkj->kj", w, context.tmat)
+    i2 = np.abs(s) ** 2 * ~np.eye(K, dtype=bool)
+    i3 = (2.0 * tau * np.sqrt(pp * pp) * t * s.real
+          + tau ** 2 * pp * pp * t ** 2) * context.cohort
+    co_band = (band[:, None] == band[None, :]) & scheduled[:, None]
+    interference = np.where(co_band, p * (i1 + i2 + i3), 0.0)
+    sinr = numerator / np.maximum(i_noise + interference.sum(axis=1),
+                                  DENOM_FLOOR)
+    return SinrArrays(
+        users=[k for g in allocation.groups for k in g], sinr=sinr,
+        rate=bw * np.log2(1.0 + sinr), numerator=numerator, i_noise=i_noise,
+        interference=interference,
+    )
 
 
 def sum_rate(scenario, allocation, context=None):
-    if context is None:
-        context = scenario.rate_context
-    return sum(
-        sinr_lower_bound(scenario, allocation, k, context).rate_lb
-        for g in allocation.groups for k in g
-    )
+    return sinr_all(scenario, allocation, context).sum_rate
 
 
 def sinr_los_limit(scenario, allocation, k):
@@ -373,12 +417,11 @@ def _user_terms(scenario, allocation, k, h, hhat, rng, context):
                np.abs(np.sqrt(p[k]) * g[:, k] - ds_closed) ** 2),
         "noise": (closed.i_noise, np.abs(n_k) ** 2),
     }
-    cohort = set(scenario.pilots.cohort(k))
     for kp in group:
         if kp == k:
             continue
         cf = p[kp] * (closed.i1[kp] + closed.i2[kp])
-        if kp in cohort:
+        if kp in closed.i3:  # kp shares k's pilot
             cf += p[kp] * closed.i3[kp]
         term_samples[f"ui:{kp}"] = (cf,
                                     np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2)

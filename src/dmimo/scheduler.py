@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rate import equal_split_allocation, sinr_lower_bound, user_terms
+from .rate import equal_split_allocation, sinr_all
 
 L_MAX = 100
 EXHAUSTIVE_GUARD = 10
@@ -124,22 +124,19 @@ def validate_schedule(schedule, num_users, num_bands, capacity):
     return len(schedule.groups) <= num_bands
 
 
-def _floored_sum_rate(terms, requirement):
-    """Sum of the users' rate_lb in the order given, as ``sum_rate`` adds
-    them, or None at the first user below a positive rate requirement.
-    Given a generator, an infeasible partition stops at that user."""
-    rates = []
-    for t in terms:
-        if requirement > 0 and t.rate_lb < requirement:
-            return None
-        rates.append(t.rate_lb)
-    return sum(rates)
+def _floored_sum_rate(res, requirement):
+    """The scheduled users' rates of the SinrArrays `res` summed in group
+    order, as ``sum_rate`` adds them, or None when a user misses a positive
+    rate requirement."""
+    if requirement > 0 and (res.rate[res.users] < requirement).any():
+        return None
+    return res.sum_rate
 
 
 @dataclass(frozen=True)
 class PartitionScore:
-    """One partition under equal-split bandwidth, from one closed-form SINR
-    pass per user.
+    """One partition under equal-split bandwidth, from one ``sinr_all``
+    evaluation.
 
     sum_rate: the users' rates summed in group order, or None when a user
     misses the rate requirement.
@@ -157,20 +154,15 @@ def score_partition(scenario, groups, powers, weights, context):
     """PartitionScore of `groups` at the given powers and weights."""
     alloc = equal_split_allocation(scenario, groups=groups, powers=powers,
                                    weights=weights)
-    terms = user_terms(scenario, alloc, context)
-    worst, worst_sinr = None, np.inf
-    for k, t in terms.items():
-        if t.sinr_lb < worst_sinr:
-            worst_sinr, worst = t.sinr_lb, k
-    t = terms[worst]
+    res = sinr_all(scenario, alloc, context)
+    worst = min(res.users, key=lambda k: res.sinr[k])
     interferer = max(
-        sorted(t.i2),  # co-band users other than worst
-        key=lambda kp: powers[kp] * (t.i1[kp] + t.i2[kp] + t.i3.get(kp, 0.0)),
-        default=None,
+        sorted(kp for kp in alloc.groups[alloc.band_of(worst)]
+               if kp != worst),
+        key=lambda kp: res.interference[worst, kp], default=None,
     )
     return PartitionScore(
-        sum_rate=_floored_sum_rate(terms.values(),
-                                   scenario.config.rate_requirement),
+        sum_rate=_floored_sum_rate(res, scenario.config.rate_requirement),
         worst=worst, interferer=interferer,
     )
 
@@ -290,11 +282,8 @@ def exhaustive_schedule(scenario, powers, weights, num_bands=None,
     for groups in enumerate_partitions(K, num_bands, capacity):
         alloc = equal_split_allocation(scenario, groups=groups,
                                        powers=powers, weights=weights)
-        rate = _floored_sum_rate(
-            (sinr_lower_bound(scenario, alloc, k, context)
-             for g in alloc.groups for k in g),
-            cfg.rate_requirement,
-        )
+        rate = _floored_sum_rate(sinr_all(scenario, alloc, context),
+                                 cfg.rate_requirement)
         if rate is not None and rate > best_rate:
             best_rate = rate
             best = Schedule(groups=groups, colors_used=len(groups),

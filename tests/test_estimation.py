@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,13 @@ def test_scenario_caches_estimation_stats(default_scenario):
         for name in ("R", "psi", "est_cov", "err_cov"):
             assert np.array_equal(getattr(cached[key], name),
                                   getattr(st, name))
+
+
+def test_err_cov_is_formed_on_access(default_scenario):
+    st = default_scenario.estimation_stats[(0, 0)]
+    assert [f.name for f in dataclasses.fields(st)] == ["R", "psi",
+                                                        "est_cov"]
+    assert np.array_equal(st.err_cov, st.R - st.est_cov)
 
 
 def test_estimate_batch_defaults_to_cached_stats(default_scenario):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import dmimo.optimizer
 from conftest import make_scenario
+from dmimo.config import SystemConfig
+from dmimo.gp import GpInfeasibleError
 from dmimo.optimizer import (
     InfeasibleError,
     alternating_optimize,
@@ -30,10 +32,11 @@ from dmimo.rate import (
     RateContext,
     equal_split_allocation,
     equal_weights,
+    sinr_all,
     sinr_lower_bound,
     sum_rate,
 )
-from dmimo.scenario import Scenario
+from dmimo.scenario import Scenario, build_scenario
 from dmimo.scheduler import schedule_users
 
 LN2 = math.log(2.0)
@@ -238,6 +241,25 @@ def test_sca_keeps_iterate_when_step_lowers_rate(default_scenario,
     assert out.weights == pytest.approx(alloc.weights, abs=1e-15)
 
 
+def test_sca_keeps_iterate_when_gp_infeasible(default_scenario, monkeypatch):
+    sc = default_scenario
+    solve = dmimo.optimizer.solve_gp
+    calls = []
+
+    def fail_second(problem, x0):
+        calls.append(x0)
+        if len(calls) == 2:
+            raise GpInfeasibleError("no feasible point found")
+        return solve(problem, x0)
+
+    monkeypatch.setattr(dmimo.optimizer, "solve_gp", fail_second)
+    out, trace = optimize_power_weights(sc, equal_split_allocation(sc),
+                                        eps=0.0)
+    assert trace.stop_reason == "gp_infeasible"
+    assert trace.iterations == 1
+    assert sum_rate(sc, out) == trace.objectives[-1]
+
+
 @functools.cache
 def _rows_scenario(seed):
     return make_scenario(seed=seed, num_users=6, num_satellites=4,
@@ -431,3 +453,44 @@ def test_benchmark_arms_run(default_scenario):
         assert np.all(alloc.powers <= sc.config.max_power + 1e-12)
     with pytest.raises(ValueError):
         benchmark_allocation(sc, np.random.default_rng(3), "nope")
+
+
+# The benchmark's ao-small system (K=8, four satellites in clusters of three,
+# four sub-bands of three users, six pilots) with a floor no schedule meets.
+AO_SMALL_UNATTAINABLE = SystemConfig(
+    num_users=8, num_satellites=4, cluster_size=3, num_subbands=4,
+    subband_capacity=3, pilot_length=6, max_power=0.2,
+    rate_requirement=1.5e5)
+
+
+@pytest.mark.parametrize("seed, phi", [(1007, 0.6076), (1008, 0.5407)])
+def test_unattainable_floor_is_reported(seed, phi):
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(AO_SMALL_UNATTAINABLE,
+                        np.random.default_rng(scenario_ss))
+    res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    assert not res.feasible and not res.allocation.feasible
+    assert res.phi == res.allocation.phi == pytest.approx(phi, abs=1e-4)
+    assert res.round_rates == []
+    assert res.sum_rate == sum_rate(sc, res.allocation)
+    assert sorted(k for g in res.allocation.groups for k in g) == \
+        list(range(8))
+    rates = sinr_all(sc, res.allocation).rate
+    assert rates.min() < AO_SMALL_UNATTAINABLE.rate_requirement
+    for mode in ("equal", "estimate"):
+        alloc, rate = benchmark_allocation(
+            sc, np.random.default_rng(estimation_ss), mode)
+        assert not alloc.feasible and alloc.phi < 1.0
+        assert rate == sum_rate(sc, alloc)
+
+
+def test_attainable_floor_reports_margin(default_scenario):
+    sc = default_scenario
+    floored = Scenario(config=sc.config.replace(rate_requirement=5e4),
+                       links=sc.links, pilots=sc.pilots,
+                       serving_sets=sc.serving_sets)
+    res = alternating_optimize(floored, np.random.default_rng(1))
+    assert res.feasible and res.phi >= 1.0
+    assert sinr_all(floored, res.allocation).rate.min() >= 5e4 * (1 - 1e-9)
+    res = alternating_optimize(sc, np.random.default_rng(1))
+    assert res.feasible and res.phi == math.inf

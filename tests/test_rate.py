@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, manual_link, manual_scenario
-from dmimo.config import SystemConfig
+from dmimo.config import CorrelationModel, SystemConfig
+from dmimo.scenario import Scenario
 from dmimo.rate import (
     AllocationState,
     ContractError,
@@ -19,6 +21,7 @@ from dmimo.rate import (
     monte_carlo_terms,
     monte_carlo_users,
     normalize_weights,
+    sinr_all,
     sinr_los_limit,
     sinr_lower_bound,
     sum_rate,
@@ -350,3 +353,129 @@ def test_cached_rate_context_makes_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# --- batched RateContext build and sinr_all ---------------------------------
+
+
+def _loop_rate_context(scenario):
+    """RateContext's arrays built entry by entry, one Python iteration per
+    (m, k, k') with the traces as full matrix products. Reference for the
+    batched build."""
+    M, K, N = (scenario.num_satellites, scenario.num_users,
+               scenario.num_antennas)
+    stats = scenario.estimation_stats
+    gamma = np.zeros((M, K))
+    q1, q2, q3, tmat = (np.zeros((M, K, K)) for _ in range(4))
+    smat = np.zeros((M, K, K), dtype=complex)
+    for m in range(M):
+        for k in range(K):
+            lk = scenario.link(m, k)
+            ck, rk, psik = (stats[(m, k)].est_cov, stats[(m, k)].R,
+                            stats[(m, k)].psi)
+            gamma[m, k] = float(np.trace(ck).real) \
+                + lk.rician * lk.rician_scale * N
+            for kp in range(K):
+                lkp = scenario.link(m, kp)
+                rkp = stats[(m, kp)].R
+                hk, hkp = lk.los_vector, lkp.los_vector
+                q1[m, k, kp] = float((hkp.conj() @ ck @ hkp).real) \
+                    * lkp.rician * lkp.rician_scale
+                q2[m, k, kp] = float((hk.conj() @ rkp @ hk).real) \
+                    * lk.rician * lk.rician_scale
+                q3[m, k, kp] = float(np.trace(rkp @ ck).real)
+                tmat[m, k, kp] = float(np.trace(rk @ psik @ rkp).real)
+                smat[m, k, kp] = np.sqrt(lk.rician * lk.rician_scale) \
+                    * np.sqrt(lkp.rician * lkp.rician_scale) \
+                    * (hk.conj() @ hkp)
+    return {"gamma": gamma, "q1": q1, "q2": q2, "q3": q3, "tmat": tmat,
+            "smat": smat}
+
+
+def _with_complex_correlation(sc):
+    """`sc` with one complex Hermitian positive-definite correlation on
+    every link."""
+    n = sc.num_antennas
+    a = np.random.default_rng(n).standard_normal((n, 2 * n)).view(complex)
+    corr = a @ a.conj().T / n + np.eye(n)
+    links = tuple(tuple(dataclasses.replace(link, corr=corr) for link in row)
+                  for row in sc.links)
+    return Scenario(config=sc.config, links=links, pilots=sc.pilots,
+                    serving_sets=sc.serving_sets)
+
+
+@pytest.mark.parametrize("side", [4, 10])
+@pytest.mark.parametrize("correlation", ["identity", "exponential",
+                                         "complex"])
+def test_batched_context_matches_loop(side, correlation):
+    model = CorrelationModel("exponential", 0.7) \
+        if correlation == "exponential" else CorrelationModel()
+    sc = make_scenario(seed=side, num_users=6, pilot_length=2,
+                       num_subbands=2, subband_capacity=6,
+                       antennas_x=side, antennas_y=side, correlation=model)
+    if correlation == "complex":
+        sc = _with_complex_correlation(sc)
+        assert np.iscomplexobj(sc.estimation_stats[(0, 0)].R)
+    assert max(len(sc.pilots.cohort(k)) for k in range(6)) > 1
+    ctx = RateContext(sc)
+    for name, ref in _loop_rate_context(sc).items():
+        got = getattr(ctx, name)
+        assert got.shape == ref.shape and got.dtype == ref.dtype, name
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    np.testing.assert_array_equal(ctx.q, ctx.q1 + ctx.q2 + ctx.q3)
+
+
+def _close(got, ref, rel=1e-12):
+    return abs(got - ref) <= rel * abs(ref)
+
+
+@given(st.integers(min_value=0, max_value=2**16),
+       st.integers(min_value=2, max_value=6),
+       st.integers(min_value=1, max_value=3),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_sinr_all_matches_reference(seed, K, M, data):
+    sc = make_scenario(
+        seed=seed, num_users=K, num_satellites=M,
+        cluster_size=data.draw(st.integers(min_value=1, max_value=M)),
+        pilot_length=data.draw(st.integers(min_value=1, max_value=K)),
+        num_subbands=1, subband_capacity=K, antennas_x=2, antennas_y=2,
+    )
+    # band per user; -1 leaves the user unscheduled
+    bands = data.draw(st.lists(st.integers(min_value=-1, max_value=K - 1),
+                               min_size=K, max_size=K)
+                      .filter(lambda b: max(b) >= 0))
+    groups = [g for g in ([k for k in range(K) if bands[k] == i]
+                          for i in range(K)) if g]
+    rng = np.random.default_rng(seed)
+    alloc = AllocationState(
+        groups=groups,
+        bandwidths=list(rng.uniform(0.05, 1.0, len(groups))
+                        * sc.config.total_bandwidth),
+        powers=rng.uniform(0.0, 1.0, K) * sc.config.max_power,
+        weights=normalize_weights(sc, equal_weights(sc)
+                                  * rng.uniform(0.1, 1.0, (M, K))),
+    )
+    res = sinr_all(sc, alloc)
+    assert res.users == [k for g in groups for k in g]
+    for k in range(K):
+        if bands[k] < 0:
+            assert res.sinr[k] == res.rate[k] == 0.0
+            assert not res.interference[k].any()
+            assert not res.interference[:, k].any()
+            continue
+        ref = sinr_lower_bound(sc, alloc, k)
+        assert _close(res.sinr[k], ref.sinr_lb)
+        assert _close(res.rate[k], ref.rate_lb)
+        assert _close(res.numerator[k], ref.numerator)
+        assert _close(res.i_noise[k], ref.i_noise)
+        for kp in range(K):
+            if kp not in ref.i1:
+                assert res.interference[k, kp] == 0.0
+                continue
+            power = alloc.powers[kp] * (ref.i1[kp] + ref.i2.get(kp, 0.0)
+                                        + ref.i3.get(kp, 0.0))
+            assert _close(res.interference[k, kp], power), (k, kp)
+    assert res.sum_rate == sum_rate(sc, alloc)
+    assert _close(res.sum_rate, sum(sinr_lower_bound(sc, alloc, k).rate_lb
+                                    for g in groups for k in g))
