@@ -30,7 +30,13 @@ class EstimationStats:
 
     R: np.ndarray  # channel covariance
     psi: np.ndarray  # regularized inverse for the cohort
-    est_cov: np.ndarray  # C = tau p R Psi R
+    rpsi: np.ndarray  # R Psi, the estimator's filter up to sqrt(tau p)
+    tau_p: float  # tau p, pilot length times pilot power
+
+    @property
+    def est_cov(self):
+        """C = tau p R Psi R, formed on access rather than stored."""
+        return self.tau_p * (self.rpsi @ self.R)
 
     @property
     def err_cov(self):
@@ -40,7 +46,8 @@ class EstimationStats:
 
 def scenario_estimation_stats(scenario, sigma2=None):
     """EstimationStats for every (m, k), cohort inverses computed once."""
-    M, K = scenario.num_satellites, scenario.num_users
+    M, K, N = (scenario.num_satellites, scenario.num_users,
+               scenario.num_antennas)
     cfg = scenario.config
     if sigma2 is None:
         sigma2 = scenario.fullband_noise
@@ -58,8 +65,11 @@ def scenario_estimation_stats(scenario, sigma2=None):
                 )
             psi = psi_by_pilot[t]
             R = scenario.link(m, k).covariance
-            est_cov = tau * cfg.pilot_power * (R @ psi @ R)
-            out[(m, k)] = EstimationStats(R=R, psi=psi, est_cov=est_cov)
+            # R Psi allocated before R's complex copy: no hole in the heap
+            rpsi = np.empty((N, N), dtype=complex)
+            np.matmul(R, psi, out=rpsi)
+            out[(m, k)] = EstimationStats(R=R, psi=psi, rpsi=rpsi,
+                                          tau_p=tau * cfg.pilot_power)
     return out
 
 
@@ -97,7 +107,7 @@ def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
                     resid[t] += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
             own_mean = np.sqrt(link.rician * link.rician_scale) \
                 * link.los_vector
-            filt = sqrt_tp * (stats[(m, k)].R @ stats[(m, k)].psi)
+            filt = sqrt_tp * stats[(m, k)].rpsi
             hhat[:, m, k, :] = own_mean[None] + resid[t] @ filt.T
     return hhat, noise
 

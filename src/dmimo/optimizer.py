@@ -411,6 +411,8 @@ def _min_bandwidth(a, b, c, req, total):
         raise InfeasibleError("rate floor unattainable within total bandwidth")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: neither can move again
         if rate_vs_bandwidth(mid, a, b, c) >= req:
             hi = mid
         else:

@@ -151,7 +151,9 @@ class RateContext:
             hbar = np.array([lk.los_vector for lk in links])
             # row k' holds R_k'^T, so tr(X R_k') = sum(X * R_k'^T)
             rt = np.array([s.R.T for s in st])
-            c = np.array([s.est_cov for s in st])
+            c = np.empty((K, N, N), dtype=complex)
+            for k, s in enumerate(st):
+                c[k] = s.est_cov
             self.gamma[m] = np.trace(c, axis1=1, axis2=2).real + los * N
             c_h = (c.reshape(K * N, N) @ hbar.T).reshape(K, N, K)
             self.q1[m] = np.einsum("jn,knj->kj", hbar.conj(), c_h).real * los
@@ -161,7 +163,7 @@ class RateContext:
             self.q2[m] = np.einsum("kn,jnk->kj", hbar, rt_h).real \
                 * los[:, None]
             for k, s in enumerate(st):  # R_k Psi_k reuses c's buffer
-                np.matmul(s.R, s.psi, out=c[k])
+                c[k] = s.rpsi
             self.tmat[m] = _real_traces(c, rt)
             amp = np.sqrt(los)
             self.smat[m] = amp[:, None] * amp[None, :] \
@@ -251,42 +253,72 @@ class SinrArrays:
         return sum(self.rate[self.users])
 
 
-def sinr_all(scenario, allocation, context=None):
-    """``sinr_lower_bound`` for every user at once: the sums over the
-    serving sets become masked sums over all M satellites."""
+@dataclass(frozen=True)
+class PairTerms:
+    """``sinr_all``'s terms at fixed powers and weights, as if all users
+    shared one band."""
+
+    signal: np.ndarray  # (K,) p_k ds_k^2, the numerator
+    noise_gain: np.ndarray  # (K,) sum_m w^2 Gamma: i_noise per unit sigma_i
+    # interference[k, k'] = p_k' (i1 + i2 + i3), k' = k the leakage term
+    interference: np.ndarray
+
+
+def pair_terms(scenario, powers, weights, context=None):
+    """PairTerms at `powers` and `weights`: the sums over the serving sets
+    become masked sums over all M satellites."""
     if context is None:
         context = scenario.rate_context
     tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
     K = scenario.num_users
-    band = np.full(K, -1)
-    for i, g in enumerate(allocation.groups):
-        band[g] = i
-    scheduled = band >= 0
-    bw = np.where(scheduled, np.asarray(allocation.bandwidths)[band], 0.0)
-    sigma = np.array([scenario.subband_noise(b)
-                      for b in allocation.bandwidths])[band]
-    w = allocation.weights * context.serving
-    p = allocation.powers
+    w = weights * context.serving
+    p = np.asarray(powers, dtype=float)
 
     ds = (w * context.gamma).sum(axis=0)
-    numerator = np.where(scheduled, p * ds ** 2, 0.0)
-    i_noise = np.where(scheduled, (w ** 2 * context.gamma).sum(axis=0)
-                       * sigma, 0.0)
     i1 = np.einsum("mk,mkj->kj", w ** 2, context.q)
     s = np.einsum("mk,mkj->kj", w, context.smat)
     t = np.einsum("mk,mkj->kj", w, context.tmat)
     i2 = np.abs(s) ** 2 * ~np.eye(K, dtype=bool)
     i3 = (2.0 * tau * np.sqrt(pp * pp) * t * s.real
           + tau ** 2 * pp * pp * t ** 2) * context.cohort
+    return PairTerms(signal=p * ds ** 2,
+                     noise_gain=(w ** 2 * context.gamma).sum(axis=0),
+                     interference=p * (i1 + i2 + i3))
+
+
+def sinr_in_bands(scenario, terms, groups, bandwidths=None):
+    """SinrArrays of the sub-bands `groups` from the PairTerms `terms`, at
+    `bandwidths` (default: the total split equally over the groups)."""
+    if bandwidths is None:
+        bandwidths = [scenario.config.total_bandwidth
+                      / max(len(groups), 1)] * len(groups)
+    band = [-1] * scenario.num_users
+    for i, g in enumerate(groups):
+        for k in g:
+            band[k] = i
+    band = np.array(band)
+    scheduled = band >= 0
+    bw = np.where(scheduled, np.asarray(bandwidths)[band], 0.0)
+    sigma = np.array([scenario.subband_noise(b) for b in bandwidths])[band]
+    numerator = np.where(scheduled, terms.signal, 0.0)
+    i_noise = np.where(scheduled, terms.noise_gain * sigma, 0.0)
     co_band = (band[:, None] == band[None, :]) & scheduled[:, None]
-    interference = np.where(co_band, p * (i1 + i2 + i3), 0.0)
+    interference = np.where(co_band, terms.interference, 0.0)
     sinr = numerator / np.maximum(i_noise + interference.sum(axis=1),
                                   DENOM_FLOOR)
     return SinrArrays(
-        users=[k for g in allocation.groups for k in g], sinr=sinr,
+        users=[k for g in groups for k in g], sinr=sinr,
         rate=bw * np.log2(1.0 + sinr), numerator=numerator, i_noise=i_noise,
         interference=interference,
     )
+
+
+def sinr_all(scenario, allocation, context=None):
+    """``sinr_lower_bound`` for every user at once."""
+    terms = pair_terms(scenario, allocation.powers, allocation.weights,
+                       context)
+    return sinr_in_bands(scenario, terms, allocation.groups,
+                         allocation.bandwidths)
 
 
 def sum_rate(scenario, allocation, context=None):

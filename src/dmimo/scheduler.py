@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rate import equal_split_allocation, sinr_all
+from .rate import equal_weights, pair_terms, sinr_in_bands
 
 L_MAX = 100
 EXHAUSTIVE_GUARD = 10
@@ -19,35 +19,20 @@ class DegenerateInputError(ValueError):
     pass
 
 
-def correlation_factor(scenario, estimates, k, kp):
-    """Symmetric alignment factor between two users' estimated channels.
-
-    estimates: (M, K, N) array of hhat vectors. Each quotient's numerator
-    is taken in modulus so the factor is a real scalar.
-    """
-    rho = 0.0
-    for a, b in ((k, kp), (kp, k)):
-        sset = sorted(scenario.serving_sets[a])
-        num = sum(estimates[m, a].conj() @ estimates[m, b] for m in sset)
-        den = sum(
-            float((estimates[m, a].conj() @ estimates[m, a]).real)
-            for m in sset
-        )
-        if den <= 0:
-            raise DegenerateInputError("zero-norm channel estimate")
-        rho += abs(num) / den
-    return float(rho)
-
-
 def correlation_matrix_rho(scenario, estimates):
-    """K x K symmetric matrix of correlation factors, zero diagonal."""
+    """K x K symmetric correlation factors, zero diagonal: with a[k, k'] the
+    sum of hhat_{m,k}^H hhat_{m,k'} over k's serving set, the factor is
+    |a[k, k']| / a[k, k] + |a[k', k]| / a[k', k']. estimates: (M, K, N)."""
     K = scenario.num_users
-    rho = np.zeros((K, K))
-    for k in range(K):
-        for kp in range(k + 1, K):
-            rho[k, kp] = rho[kp, k] = correlation_factor(
-                scenario, estimates, k, kp
-            )
+    serving = equal_weights(scenario) > 0
+    a = np.einsum("mkn,mjn->kj", serving[:, :, None] * estimates.conj(),
+                  estimates)
+    norms = a.diagonal().real
+    if K > 1 and (norms <= 0).any():
+        raise DegenerateInputError("zero-norm channel estimate")
+    ratio = np.abs(a) / norms[:, None]
+    rho = ratio + ratio.T
+    np.fill_diagonal(rho, 0.0)
     return rho
 
 
@@ -69,6 +54,13 @@ class Schedule:
     groups: list  # disjoint user lists covering all users
     colors_used: int
     feasible: bool = True
+    # schedule_users' loop; hit_l_max: it ran, or would run, to L_MAX
+    iterations: int = 0
+    escalations: int = 0
+    edges_added: int = 0
+    colorings: int = 0
+    partitions_scored: int = 0
+    hit_l_max: bool = False
 
 
 def dsatur_color(adjacency, capacity):
@@ -78,32 +70,29 @@ def dsatur_color(adjacency, capacity):
     """
     adj = np.asarray(adjacency)
     n = adj.shape[0]
-    degree = adj.sum(axis=1)
+    rows = adj.tolist()
+    degree = adj.sum(axis=1).tolist()
     color = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
+    key = [(0, d, -v) for v, d in enumerate(degree)]  # selection order
     class_size = []
+    uncolored = list(range(n))
     for _ in range(n):
-        best = None
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            key = (len(neighbor_colors[v]), degree[v], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        v = best[1]
+        v = max(uncolored, key=key.__getitem__)
+        uncolored.remove(v)
         c = 0
-        while True:
-            if c >= len(class_size):
-                class_size.append(0)
-            if c not in neighbor_colors[v] and class_size[c] < capacity:
-                break
+        while c < len(class_size) and (c in neighbor_colors[v]
+                                       or class_size[c] >= capacity):
             c += 1
+        if c == len(class_size):
+            class_size.append(0)
         color[v] = c
         class_size[c] += 1
-        for u in range(n):
-            if adj[v, u] and color[u] < 0:
+        for u in uncolored:
+            if rows[v][u] and c not in neighbor_colors[u]:
                 neighbor_colors[u].add(c)
-    n_colors = max(color) + 1
+                key[u] = (len(neighbor_colors[u]), degree[u], -u)
+    n_colors = len(class_size)
     groups = [[v for v in range(n) if color[v] == c] for c in range(n_colors)]
     return groups, n_colors
 
@@ -135,8 +124,7 @@ def _floored_sum_rate(res, requirement):
 
 @dataclass(frozen=True)
 class PartitionScore:
-    """One partition under equal-split bandwidth, from one ``sinr_all``
-    evaluation.
+    """One partition under equal-split bandwidth.
 
     sum_rate: the users' rates summed in group order, or None when a user
     misses the rate requirement.
@@ -150,17 +138,15 @@ class PartitionScore:
     interferer: int | None
 
 
-def score_partition(scenario, groups, powers, weights, context):
-    """PartitionScore of `groups` at the given powers and weights."""
-    alloc = equal_split_allocation(scenario, groups=groups, powers=powers,
-                                   weights=weights)
-    res = sinr_all(scenario, alloc, context)
-    worst = min(res.users, key=lambda k: res.sinr[k])
-    interferer = max(
-        sorted(kp for kp in alloc.groups[alloc.band_of(worst)]
-               if kp != worst),
-        key=lambda kp: res.interference[worst, kp], default=None,
-    )
+def score_partition(scenario, groups, terms):
+    """PartitionScore of `groups` from the PairTerms `terms`."""
+    res = sinr_in_bands(scenario, terms, groups)
+    sinr = res.sinr.tolist()
+    worst = min(res.users, key=sinr.__getitem__)
+    row = res.interference[worst].tolist()
+    group = next(g for g in groups if worst in g)
+    interferer = max(sorted(kp for kp in group if kp != worst),
+                     key=row.__getitem__, default=None)
     return PartitionScore(
         sum_rate=_floored_sum_rate(res, scenario.config.rate_requirement),
         worst=worst, interferer=interferer,
@@ -178,7 +164,9 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
 
     The loop revisits graphs and partitions, so each coloring is kept by
     adjacency and each partition's score by its groups; both are pure
-    functions of those keys within one call.
+    functions of those keys within one call. Once no correlation lies in
+    [threshold, max), each escalation rebuilds the same graph and the loop
+    repeats itself: it stops at the second such rebuild.
     """
     cfg = scenario.config
     K = scenario.num_users
@@ -188,8 +176,7 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
         capacity = cfg.subband_capacity
     if num_bands * capacity < K:
         raise ValueError("no feasible partition: I * N_max < K")
-    if context is None:
-        context = scenario.rate_context
+    terms = pair_terms(scenario, powers, weights, context)
 
     colorings = {}
     scores = {}
@@ -203,8 +190,7 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
     def score(groups):
         key = tuple(tuple(g) for g in groups)
         if key not in scores:
-            scores[key] = score_partition(scenario, groups, powers, weights,
-                                          context)
+            scores[key] = score_partition(scenario, groups, terms)
         return scores[key]
 
     rho = correlation_matrix_rho(scenario, estimates)
@@ -217,29 +203,42 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
 
     best = None
     best_rate = -np.inf
-    for _ in range(L_MAX):
+    escalations = edges_added = 0
+    hit_l_max = True
+    cycle = None  # (groups, n_c) at each iteration since the repeat began
+    for it in range(L_MAX):
+        if cycle is not None:
+            cycle.append((groups, n_c))
         if n_c > num_bands:
+            escalations += 1
             threshold = (threshold + rho_max) / 2.0
             graph = ConflictGraph.from_threshold(rho, threshold)
             groups, n_c = color(graph.adjacency)
+            if cycle:  # the loop repeats `cycle` from here: end as it would
+                groups, n_c = cycle[(L_MAX - 1 - it) % len(cycle)]
+                break
+            if not ((rho >= threshold) & (rho < rho_max)).any():
+                cycle = []
             continue
         sc = score(groups)
         if sc.sum_rate is not None and sc.sum_rate > best_rate:
             best_rate = sc.sum_rate
-            best = Schedule(groups=[list(g) for g in groups],
-                            colors_used=n_c, feasible=True)
-        if sc.interferer is None:
-            break  # worst user already alone in its band
+            best = groups, n_c
         worst_k, kp = sc.worst, sc.interferer
-        if graph.adjacency[worst_k, kp]:
-            break  # no monotone edit left at this threshold
+        # worst user alone in its band, or no monotone edit left
+        if kp is None or graph.adjacency[worst_k, kp]:
+            hit_l_max = False
+            break
         graph.adjacency[worst_k, kp] = graph.adjacency[kp, worst_k] = 1
+        edges_added += 1
         groups, n_c = color(graph.adjacency)
 
-    if best is not None:
-        return best
-    return Schedule(groups=[list(g) for g in groups], colors_used=n_c,
-                    feasible=False)
+    groups, n_c = best or (groups, n_c)
+    return Schedule(
+        groups=[list(g) for g in groups], colors_used=n_c,
+        feasible=best is not None, iterations=it + 1, escalations=escalations,
+        edges_added=edges_added, colorings=len(colorings),
+        partitions_scored=len(scores), hit_l_max=hit_l_max)
 
 
 def _partitions(items, max_blocks, capacity):
@@ -276,13 +275,10 @@ def exhaustive_schedule(scenario, powers, weights, num_bands=None,
         num_bands = cfg.num_subbands
     if capacity is None:
         capacity = cfg.subband_capacity
-    if context is None:
-        context = scenario.rate_context
+    terms = pair_terms(scenario, powers, weights, context)
     best, best_rate = None, -np.inf
     for groups in enumerate_partitions(K, num_bands, capacity):
-        alloc = equal_split_allocation(scenario, groups=groups,
-                                       powers=powers, weights=weights)
-        rate = _floored_sum_rate(sinr_all(scenario, alloc, context),
+        rate = _floored_sum_rate(sinr_in_bands(scenario, terms, groups),
                                  cfg.rate_requirement)
         if rate is not None and rate > best_rate:
             best_rate = rate

@@ -144,15 +144,23 @@ def test_scenario_caches_estimation_stats(default_scenario):
     fresh = scenario_estimation_stats(sc)
     assert cached.keys() == fresh.keys()
     for key, st in fresh.items():
-        for name in ("R", "psi", "est_cov", "err_cov"):
+        for name in ("R", "psi", "rpsi", "tau_p", "est_cov", "err_cov"):
             assert np.array_equal(getattr(cached[key], name),
                                   getattr(st, name))
 
 
 def test_err_cov_is_formed_on_access(default_scenario):
+    """Only R, Psi, the filter R Psi and tau p are stored; C and E are
+    formed on access, with C's arithmetic that of tau p R Psi R."""
+    cfg = default_scenario.config
     st = default_scenario.estimation_stats[(0, 0)]
-    assert [f.name for f in dataclasses.fields(st)] == ["R", "psi",
-                                                        "est_cov"]
+    assert [f.name for f in dataclasses.fields(st)] == ["R", "psi", "rpsi",
+                                                        "tau_p"]
+    assert st.tau_p == cfg.pilot_length * cfg.pilot_power
+    assert np.array_equal(st.rpsi, st.R @ st.psi)
+    assert np.array_equal(st.est_cov,
+                          cfg.pilot_length * cfg.pilot_power
+                          * (st.R @ st.psi @ st.R))
     assert np.array_equal(st.err_cov, st.R - st.est_cov)
 
 

@@ -21,6 +21,7 @@ from dmimo.optimizer import (
     monomial_bound,
     optimize_bandwidth,
     optimize_power_weights,
+    _min_bandwidth,
     rate_vs_bandwidth,
     rate_vs_bandwidth_prime,
     rate_vs_bandwidth_second,
@@ -366,6 +367,28 @@ def symmetric_two_band_scenario():
                     pilots=sc.pilots, serving_sets=tuple(sets))
 
 
+def _min_bandwidth_reference(a, b, c, req, total):
+    """The floor bisection run for all of its 200 iterations."""
+    lo, hi = 0.0, total
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if rate_vs_bandwidth(mid, a, b, c) >= req:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_min_bandwidth_stops_without_moving_the_result():
+    rng = np.random.default_rng(11)
+    total = 1e6
+    for _ in range(300):
+        a, b, c = 10.0 ** rng.uniform(-14, -8, 3)
+        req = rng.uniform(0.01, 1.0) * rate_vs_bandwidth(total, a, b, c)
+        assert _min_bandwidth(a, b, c, req, total) == \
+            _min_bandwidth_reference(a, b, c, req, total)
+
+
 def test_bandwidth_symmetric_equal_split():
     sc = symmetric_two_band_scenario()
     ctx = RateContext(sc)
@@ -494,3 +517,41 @@ def test_attainable_floor_reports_margin(default_scenario):
     assert sinr_all(floored, res.allocation).rate.min() >= 5e4 * (1 - 1e-9)
     res = alternating_optimize(sc, np.random.default_rng(1))
     assert res.feasible and res.phi == math.inf
+
+
+# The benchmark experiment's K=8 system (harness.run_benchmark at seed 0):
+# per seed, the groups and sum rate of the alternating optimization and of
+# the equal-weight and estimate-weight benchmark arms, as computed before
+# the scheduler scored partitions from one interference table per call.
+GOLDEN_AO = [
+    (([[0, 2], [3, 6], [1, 7], [4, 5]], 868882.0084159614),
+     ([[0, 2], [3, 6], [1, 7], [4, 5]], 866464.2394323557),
+     ([[0, 2], [3, 6], [1, 7], [4, 5]], 866444.1393049555)),
+    (([[1, 2], [4, 5, 7], [0, 3, 6]], 873409.4093667413),
+     ([[1, 2], [4, 5, 7], [0, 3, 6]], 870270.9177190213),
+     ([[1, 2], [4, 5, 7], [0, 3, 6]], 870231.015785986)),
+    (([[0, 7], [2, 3, 4], [1, 5, 6]], 920416.7355867573),
+     ([[0, 7], [2, 3, 4], [1, 5, 6]], 917118.3606276),
+     ([[0, 7], [2, 3, 4], [1, 5, 6]], 917103.1303237763)),
+]
+
+
+def test_ao_outputs_match_golden():
+    from dmimo.harness import _cluster_config
+
+    cfg = _cluster_config(SystemConfig(), 8, pilot_length=6,
+                          subband_capacity=3, max_power=0.2)
+    # run_benchmark seeds K users at seed + K
+    children = np.random.SeedSequence(0 + 8).spawn(2 * len(GOLDEN_AO))
+    for s, golden in enumerate(GOLDEN_AO):
+        sc = build_scenario(cfg, np.random.default_rng(children[2 * s]))
+        est_ss = children[2 * s + 1]
+        ao = alternating_optimize(sc, np.random.default_rng(est_ss))
+        got = [(ao.allocation.groups, ao.sum_rate)]
+        for mode in ("equal", "estimate"):
+            alloc, rate = benchmark_allocation(
+                sc, np.random.default_rng(est_ss), mode)
+            got.append((alloc.groups, rate))
+        for (groups, rate), (want_groups, want_rate) in zip(got, golden):
+            assert groups == want_groups, s
+            assert rate == pytest.approx(want_rate, rel=1e-12, abs=0), s

@@ -11,14 +11,16 @@ from dmimo.config import SystemConfig
 from dmimo.estimation import estimate_batch
 from dmimo.channel import sample_channel_batch
 from dmimo.optimizer import estimate_magnitude_weights, scheduling_estimates
+from dmimo.harness import _cluster_config
 from dmimo.rate import RateContext, equal_weights, sinr_lower_bound, sum_rate
-from dmimo.rate import AllocationState
+from dmimo.rate import (AllocationState, equal_split_allocation, pair_terms,
+                        sinr_all, sinr_in_bands)
 from dmimo.scenario import build_scenario
 from dmimo.scheduler import (
+    L_MAX,
     ConflictGraph,
     DegenerateInputError,
     Schedule,
-    correlation_factor,
     correlation_matrix_rho,
     dsatur_color,
     enumerate_partitions,
@@ -33,6 +35,27 @@ def fake_estimates(sc, rng):
     h, _ = sample_channel_batch(sc, rng, 1)
     hhat, _ = estimate_batch(sc, h, rng)
     return hhat[0]
+
+
+def correlation_factor(scenario, estimates, k, kp):
+    """Symmetric alignment factor between two users' estimated channels,
+    one pair at a time: the reference for correlation_matrix_rho.
+
+    estimates: (M, K, N) array of hhat vectors. Each quotient's numerator
+    is taken in modulus so the factor is a real scalar.
+    """
+    rho = 0.0
+    for a, b in ((k, kp), (kp, k)):
+        sset = sorted(scenario.serving_sets[a])
+        num = sum(estimates[m, a].conj() @ estimates[m, b] for m in sset)
+        den = sum(
+            float((estimates[m, a].conj() @ estimates[m, a]).real)
+            for m in sset
+        )
+        if den <= 0:
+            raise DegenerateInputError("zero-norm channel estimate")
+        rho += abs(num) / den
+    return float(rho)
 
 
 def test_correlation_identical_users(default_scenario):
@@ -86,6 +109,28 @@ def test_correlation_zero_norm_rejected(default_scenario):
     )
     with pytest.raises(DegenerateInputError):
         correlation_factor(sc, est, 0, 1)
+    with pytest.raises(DegenerateInputError):
+        correlation_matrix_rho(sc, est)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_correlation_matrix_matches_pair_loop(seed):
+    """The array form against correlation_factor, pair by pair, on the
+    schedule-compare system (K=8) and a larger antenna array (N=100)."""
+    for cfg in (_cluster_config(SystemConfig(), 8, pilot_length=6,
+                                subband_capacity=3),
+                SystemConfig(num_users=6, num_satellites=4, cluster_size=2,
+                             pilot_length=4, antennas_x=10, antennas_y=10)):
+        rng = np.random.default_rng(seed)
+        sc = build_scenario(cfg, rng)
+        est = scheduling_estimates(sc, rng)
+        rho = correlation_matrix_rho(sc, est)
+        K = sc.num_users
+        ref = np.array([[correlation_factor(sc, est, k, kp) if k != kp
+                         else 0.0 for kp in range(K)] for k in range(K)])
+        np.testing.assert_allclose(rho, ref, rtol=1e-12, atol=0)
+        assert np.array_equal(rho, rho.T)
+        assert np.all(np.diag(rho) == 0)
 
 
 def _proper(adj, groups):
@@ -128,6 +173,52 @@ def test_dsatur_random_graphs_proper_and_bounded():
         groups_c, _ = dsatur_color(adj, capacity=cap)
         assert _proper(adj, groups_c)
         assert max(len(g) for g in groups_c) <= cap
+
+
+def _dsatur_reference(adjacency, capacity):
+    """DSatur as first written, with an O(n) scan of the adjacency matrix
+    per colored vertex: the reference for dsatur_color."""
+    adj = np.asarray(adjacency)
+    n = adj.shape[0]
+    degree = adj.sum(axis=1)
+    color = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    class_size = []
+    for _ in range(n):
+        best = None
+        for v in range(n):
+            if color[v] >= 0:
+                continue
+            key = (len(neighbor_colors[v]), degree[v], -v)
+            if best is None or key > best[0]:
+                best = (key, v)
+        v = best[1]
+        c = 0
+        while True:
+            if c >= len(class_size):
+                class_size.append(0)
+            if c not in neighbor_colors[v] and class_size[c] < capacity:
+                break
+            c += 1
+        color[v] = c
+        class_size[c] += 1
+        for u in range(n):
+            if adj[v, u] and color[u] < 0:
+                neighbor_colors[u].add(c)
+    n_colors = max(color) + 1
+    groups = [[v for v in range(n) if color[v] == c] for c in range(n_colors)]
+    return groups, n_colors
+
+
+def test_dsatur_matches_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(1, 17))
+        adj = (rng.random((n, n)) < rng.uniform(0.05, 0.9)).astype(int)
+        adj = np.triu(adj, 1)
+        adj = adj + adj.T
+        cap = int(rng.integers(1, n + 1))
+        assert dsatur_color(adj, cap) == _dsatur_reference(adj, cap)
 
 
 def test_conflict_graph_threshold():
@@ -373,9 +464,10 @@ def test_score_partition_matches_reference():
     per-user sinr_lower_bound calls."""
     sc, _, powers, weights = golden_instance(6, True, "equal", 0)
     req = sc.config.rate_requirement
+    pair = pair_terms(sc, powers, weights)
     feasible = 0
     for groups in enumerate_partitions(6, 4, 3):
-        score = score_partition(sc, groups, powers, weights, sc.rate_context)
+        score = score_partition(sc, groups, pair)
         bw = sc.config.total_bandwidth / len(groups)
         alloc = AllocationState(groups=groups,
                                 bandwidths=[bw] * len(groups),
@@ -399,3 +491,151 @@ def test_score_partition_matches_reference():
         else:
             assert score.interferer is None
     assert 0 < feasible < len(enumerate_partitions(6, 4, 3))
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_pair_terms_scores_equal_sinr_all(seed, data):
+    """Scoring from the per-call PairTerms gives exactly what sinr_all
+    gives on the equal-split allocation of the same partition."""
+    sc = make_scenario(seed=seed % 50, num_users=6, num_satellites=3,
+                       cluster_size=2, num_subbands=3, pilot_length=4,
+                       subband_capacity=3, rate_requirement=1.0e5)
+    rng = np.random.default_rng(seed)
+    powers = sc.config.max_power * rng.uniform(0.05, 1.0, sc.num_users)
+    weights = equal_weights(sc) * rng.uniform(0.2, 1.0, (
+        sc.num_satellites, sc.num_users))
+    parts = enumerate_partitions(6, 3, 3)
+    groups = parts[data.draw(st.integers(0, len(parts) - 1))]
+    terms = pair_terms(sc, powers, weights)
+    res = sinr_all(sc, equal_split_allocation(sc, groups=groups,
+                                              powers=powers,
+                                              weights=weights))
+    mine = sinr_in_bands(sc, terms, groups)  # equal split by default
+    for name in ("sinr", "rate", "numerator", "i_noise", "interference"):
+        assert np.array_equal(getattr(mine, name), getattr(res, name)), name
+    score = score_partition(sc, groups, terms)
+    floor = sc.config.rate_requirement
+    expected = None if (res.rate < floor).any() else res.sum_rate
+    assert score.sum_rate == expected
+    users = [k for g in groups for k in g]
+    assert score.worst == users[int(np.argmin(res.sinr[users]))]
+
+
+# --- the stop rule and the loop's diagnostics -------------------------------
+
+
+def _schedule_reference(scenario, estimates, powers, weights,
+                        num_bands=None, max_iter=L_MAX):
+    """The scheduling loop with neither memo nor stop rule, for max_iter
+    iterations: (Schedule, escalations, edges added, stopped by an edit)."""
+    cfg = scenario.config
+    K = scenario.num_users
+    num_bands = num_bands or cfg.num_subbands
+    terms = pair_terms(scenario, powers, weights)
+    rho = correlation_matrix_rho(scenario, estimates)
+    threshold = float(rho[~np.eye(K, dtype=bool)].mean())
+    rho_max = float(rho.max())
+    graph = ConflictGraph.from_threshold(rho, threshold)
+    groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+    best, best_rate = None, -np.inf
+    escalations = edges = 0
+    for _ in range(max_iter):
+        if n_c > num_bands:
+            escalations += 1
+            threshold = (threshold + rho_max) / 2.0
+            graph = ConflictGraph.from_threshold(rho, threshold)
+            groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+            continue
+        sc = score_partition(scenario, groups, terms)
+        if sc.sum_rate is not None and sc.sum_rate > best_rate:
+            best_rate = sc.sum_rate
+            best = Schedule(groups=[list(g) for g in groups],
+                            colors_used=n_c, feasible=True)
+        if sc.interferer is None or graph.adjacency[sc.worst, sc.interferer]:
+            return best or Schedule(groups, n_c, False), escalations, edges, \
+                True
+        graph.adjacency[sc.worst, sc.interferer] = 1
+        graph.adjacency[sc.interferer, sc.worst] = 1
+        edges += 1
+        groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+    return best or Schedule(groups, n_c, False), escalations, edges, False
+
+
+def _stop_rule_instances():
+    """(key, arguments, keyword arguments) of schedule_users: the golden
+    instances with four bands and with one band per user (where an edit
+    can leave the worst user alone, which stops the loop), plus the
+    ao-small benchmark system (the benchmark experiment's K=8 system)
+    without a floor and at an unattainable 1.5e5 bit/s floor."""
+    for key in GOLDEN_SCHEDULES:
+        yield key, golden_instance(*key), {}
+        yield key + ("K bands",), golden_instance(*key), {
+            "num_bands": key[0]}
+    for floor in (0.0, 1.5e5):
+        cfg = _cluster_config(SystemConfig(), 8, pilot_length=6,
+                              subband_capacity=3, max_power=0.2,
+                              rate_requirement=floor)
+        for seed in range(1011, 1017):
+            rng = np.random.default_rng(seed)
+            sc = build_scenario(cfg, rng)
+            est = scheduling_estimates(sc, rng)
+            for weights in (equal_weights(sc),
+                            estimate_magnitude_weights(sc, est)):
+                yield (floor, seed), (sc, est, np.full(8, cfg.max_power),
+                                      weights), {}
+
+
+def test_stop_rule_matches_full_loop():
+    infeasible = early = 0
+    for key, inst, kw in _stop_rule_instances():
+        sched = schedule_users(*inst, **kw)
+        ref, *_ = _schedule_reference(*inst, **kw)
+        assert (sched.groups, sched.colors_used, sched.feasible) == \
+            (ref.groups, ref.colors_used, ref.feasible), key
+        infeasible += not sched.feasible
+        early += sched.iterations < L_MAX
+    assert infeasible >= 10 and early >= 10
+
+
+def test_schedule_diagnostics_match_counters(monkeypatch):
+    colorings, scored, rebuilds = [], [], []
+    real_color, real_score = scheduler.dsatur_color, scheduler.score_partition
+    real_rebuild = ConflictGraph.from_threshold
+
+    def color(adjacency, capacity):
+        colorings.append(1)
+        return real_color(adjacency, capacity)
+
+    def score(scenario, groups, terms):
+        scored.append(1)
+        return real_score(scenario, groups, terms)
+
+    def rebuild(rho, threshold):
+        rebuilds.append(1)
+        return real_rebuild(rho, threshold)
+
+    hit = stopped = 0
+    for key, inst, kw in _stop_rule_instances():
+        monkeypatch.setattr(scheduler, "dsatur_color", color)
+        monkeypatch.setattr(scheduler, "score_partition", score)
+        monkeypatch.setattr(ConflictGraph, "from_threshold",
+                            staticmethod(rebuild))
+        colorings.clear(), scored.clear(), rebuilds.clear()
+        sched = schedule_users(*inst, **kw)
+        monkeypatch.undo()
+        assert sched.colorings == len(colorings), key
+        assert sched.partitions_scored == len(scored), key
+        assert sched.escalations == len(rebuilds) - 1, key
+        # the reference loop, cut where this one stopped, made the same
+        # escalations and edits
+        _, esc, edges, by_edit = _schedule_reference(
+            *inst, **kw, max_iter=sched.iterations)
+        assert (sched.escalations, sched.edges_added) == (esc, edges), key
+        assert sched.iterations == esc + edges + by_edit, key
+        # hit_l_max: the full loop is never stopped by an edit
+        *_, full_by_edit = _schedule_reference(*inst, **kw)
+        assert sched.hit_l_max == (not full_by_edit), key
+        hit += sched.hit_l_max
+        stopped += not sched.hit_l_max
+    assert hit and stopped
