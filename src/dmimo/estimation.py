@@ -29,7 +29,6 @@ class EstimationStats:
     """Second-order statistics of the MMSE estimate for one (m, k) link."""
 
     R: np.ndarray  # channel covariance
-    psi: np.ndarray  # regularized inverse for the cohort
     rpsi: np.ndarray  # R Psi, the estimator's filter up to sqrt(tau p)
     tau_p: float  # tau p, pilot length times pilot power
 
@@ -68,7 +67,7 @@ def scenario_estimation_stats(scenario, sigma2=None):
             # R Psi allocated before R's complex copy: no hole in the heap
             rpsi = np.empty((N, N), dtype=complex)
             np.matmul(R, psi, out=rpsi)
-            out[(m, k)] = EstimationStats(R=R, psi=psi, rpsi=rpsi,
+            out[(m, k)] = EstimationStats(R=R, rpsi=rpsi,
                                           tau_p=tau * cfg.pilot_power)
     return out
 
@@ -120,10 +119,15 @@ def _link_stats(scenario, m, k, sigma2):
     return scenario_estimation_stats(scenario, sigma2=sigma2)[(m, k)]
 
 
+def _err_trace(st):
+    """tr E from the diagonals of R and of tau p (R Psi) R alone: O(N^2)."""
+    diag = st.R.diagonal() - st.tau_p * np.einsum("ij,ji->i", st.rpsi, st.R)
+    return float(diag.sum().real)
+
+
 def mse(scenario, m, k, sigma2=None):
     """Estimation-error power tr(R - tau p R Psi R)."""
-    st = _link_stats(scenario, m, k, sigma2)
-    return float(np.trace(st.err_cov).real)
+    return _err_trace(_link_stats(scenario, m, k, sigma2))
 
 
 def nmse(scenario, m, k, sigma2=None):
@@ -132,4 +136,4 @@ def nmse(scenario, m, k, sigma2=None):
     tr_r = float(np.trace(st.R).real)
     if tr_r == 0.0:
         return 1.0
-    return float(np.trace(st.err_cov).real) / tr_r
+    return _err_trace(st) / tr_r

@@ -54,7 +54,7 @@ class Schedule:
     groups: list  # disjoint user lists covering all users
     colors_used: int
     feasible: bool = True
-    # schedule_users' loop; hit_l_max: it ran, or would run, to L_MAX
+    # schedule_users' loop; hit_l_max: it ran to L_MAX
     iterations: int = 0
     escalations: int = 0
     edges_added: int = 0
@@ -164,9 +164,7 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
 
     The loop revisits graphs and partitions, so each coloring is kept by
     adjacency and each partition's score by its groups; both are pure
-    functions of those keys within one call. Once no correlation lies in
-    [threshold, max), each escalation rebuilds the same graph and the loop
-    repeats itself: it stops at the second such rebuild.
+    functions of those keys within one call.
     """
     cfg = scenario.config
     K = scenario.num_users
@@ -205,20 +203,12 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
     best_rate = -np.inf
     escalations = edges_added = 0
     hit_l_max = True
-    cycle = None  # (groups, n_c) at each iteration since the repeat began
     for it in range(L_MAX):
-        if cycle is not None:
-            cycle.append((groups, n_c))
         if n_c > num_bands:
             escalations += 1
             threshold = (threshold + rho_max) / 2.0
             graph = ConflictGraph.from_threshold(rho, threshold)
             groups, n_c = color(graph.adjacency)
-            if cycle:  # the loop repeats `cycle` from here: end as it would
-                groups, n_c = cycle[(L_MAX - 1 - it) % len(cycle)]
-                break
-            if not ((rho >= threshold) & (rho < rho_max)).any():
-                cycle = []
             continue
         sc = score(groups)
         if sc.sum_rate is not None and sc.sum_rate > best_rate:

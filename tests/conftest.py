@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmimo.config import SystemConfig
+from dmimo.estimation import psi_matrix
 from dmimo.scenario import (
     LinkStats,
     PilotAssignment,
@@ -15,6 +16,15 @@ from dmimo.scenario import (
 def make_scenario(seed=0, **kw):
     cfg = SystemConfig(rng_seed=seed, **kw)
     return build_scenario(cfg, np.random.default_rng(seed))
+
+
+def cohort_psi(scenario, m, k):
+    """Psi of user k's pilot cohort at satellite m and the full-band noise
+    power, as the scenario's estimation statistics use it."""
+    cfg = scenario.config
+    covs = [scenario.link(m, j).covariance for j in scenario.pilots.cohort(k)]
+    return psi_matrix(covs, cfg.pilot_length, [cfg.pilot_power] * len(covs),
+                      scenario.fullband_noise)
 
 
 def manual_link(beta, rician, los, corr=None):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_scenario, manual_link, manual_scenario
+from conftest import cohort_psi, make_scenario, manual_link, manual_scenario
 from dmimo.channel import sample_channel_batch
 from dmimo.config import SystemConfig
 from dmimo.estimation import (
@@ -44,9 +44,10 @@ def test_nmse_scalar_hand_case(scalar_scenario):
 
 def test_estimation_stats_identities(default_scenario):
     stats = scenario_estimation_stats(default_scenario)
-    for st in stats.values():
+    for (m, k), st in stats.items():
         np.testing.assert_allclose(st.est_cov + st.err_cov, st.R, atol=1e-24)
-        np.testing.assert_allclose(st.psi, st.psi.conj().T, atol=1e-12)
+        psi = cohort_psi(default_scenario, m, k)
+        np.testing.assert_allclose(psi, psi.conj().T, atol=1e-12)
         for mat in (st.est_cov, st.err_cov):
             vals = np.linalg.eigvalsh(mat)
             assert vals.min() > -1e-24
@@ -144,23 +145,23 @@ def test_scenario_caches_estimation_stats(default_scenario):
     fresh = scenario_estimation_stats(sc)
     assert cached.keys() == fresh.keys()
     for key, st in fresh.items():
-        for name in ("R", "psi", "rpsi", "tau_p", "est_cov", "err_cov"):
+        for name in ("R", "rpsi", "tau_p", "est_cov", "err_cov"):
             assert np.array_equal(getattr(cached[key], name),
                                   getattr(st, name))
 
 
 def test_err_cov_is_formed_on_access(default_scenario):
-    """Only R, Psi, the filter R Psi and tau p are stored; C and E are
-    formed on access, with C's arithmetic that of tau p R Psi R."""
+    """Only R, the filter R Psi and tau p are stored; C and E are formed
+    on access, with C's arithmetic that of tau p R Psi R."""
     cfg = default_scenario.config
     st = default_scenario.estimation_stats[(0, 0)]
-    assert [f.name for f in dataclasses.fields(st)] == ["R", "psi", "rpsi",
-                                                        "tau_p"]
+    psi = cohort_psi(default_scenario, 0, 0)
+    assert [f.name for f in dataclasses.fields(st)] == ["R", "rpsi", "tau_p"]
     assert st.tau_p == cfg.pilot_length * cfg.pilot_power
-    assert np.array_equal(st.rpsi, st.R @ st.psi)
+    assert np.array_equal(st.rpsi, st.R @ psi)
     assert np.array_equal(st.est_cov,
                           cfg.pilot_length * cfg.pilot_power
-                          * (st.R @ st.psi @ st.R))
+                          * (st.R @ psi @ st.R))
     assert np.array_equal(st.err_cov, st.R - st.est_cov)
 
 
@@ -191,7 +192,7 @@ def _estimate_per_user(scenario, h_batch, noise, stats):
                 lj = scenario.link(m, j)
                 mean_j = np.sqrt(lj.rician * lj.rician_scale) * lj.los_vector
                 resid += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
-            filt = sqrt_tp * (stats[(m, k)].R @ stats[(m, k)].psi)
+            filt = sqrt_tp * (stats[(m, k)].R @ cohort_psi(scenario, m, k))
             hhat[:, m, k, :] = own_mean[None] + resid @ filt.T
     return hhat
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, manual_link, manual_scenario
+from conftest import cohort_psi, make_scenario, manual_link, manual_scenario
 from dmimo.config import CorrelationModel, SystemConfig
 from dmimo.scenario import Scenario
 from dmimo.rate import (
@@ -330,10 +330,10 @@ def test_rate_context_built_once_per_scenario(default_scenario):
     for name in names:
         assert np.array_equal(getattr(ctx, name), getattr(fresh, name))
     for (m, k), st in ctx.stats.items():
+        rpsi = st.R @ cohort_psi(sc, m, k)
         for kp in range(sc.num_users):
             rkp = ctx.stats[(m, kp)].R
-            assert ctx.tmat[m, k, kp] == float(
-                np.trace(st.R @ st.psi @ rkp).real)
+            assert ctx.tmat[m, k, kp] == float(np.trace(rpsi @ rkp).real)
     swept = sc.with_rician(50.0)
     assert swept.estimation_stats is not sc.estimation_stats
     assert swept.rate_context is not ctx
@@ -371,8 +371,8 @@ def _loop_rate_context(scenario):
     for m in range(M):
         for k in range(K):
             lk = scenario.link(m, k)
-            ck, rk, psik = (stats[(m, k)].est_cov, stats[(m, k)].R,
-                            stats[(m, k)].psi)
+            ck, rk = stats[(m, k)].est_cov, stats[(m, k)].R
+            psik = cohort_psi(scenario, m, k)
             gamma[m, k] = float(np.trace(ck).real) \
                 + lk.rician * lk.rician_scale * N
             for kp in range(K):

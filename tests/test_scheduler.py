@@ -65,10 +65,12 @@ def test_correlation_identical_users(default_scenario):
     # identical serving sets required for the rho=2 hand case
     if sc.serving_sets[0] == sc.serving_sets[1]:
         assert correlation_factor(sc, est, 0, 1) == pytest.approx(2.0)
+        assert correlation_matrix_rho(sc, est)[0, 1] == pytest.approx(2.0)
     clone = est.copy()
     clone[:, 1, :] = clone[:, 0, :]
     rho = correlation_factor(sc, clone, 0, 1)
     assert rho > 0
+    assert correlation_matrix_rho(sc, clone)[0, 1] == pytest.approx(rho)
 
 
 def test_correlation_clone_scenario():
@@ -83,6 +85,7 @@ def test_correlation_clone_scenario():
     sc = Scenario(config=sc.config, links=sc.links, pilots=sc.pilots,
                   serving_sets=tuple(sets))
     assert correlation_factor(sc, est, 0, 1) == pytest.approx(2.0)
+    assert correlation_matrix_rho(sc, est)[0, 1] == pytest.approx(2.0)
 
 
 def test_correlation_orthogonal_users(default_scenario):
@@ -92,6 +95,9 @@ def test_correlation_orthogonal_users(default_scenario):
     est[:, 0, 0] = 1.0
     est[:, 1, 1] = 1.0
     assert correlation_factor(sc, est, 0, 1) == pytest.approx(0.0)
+    est[:, 2:, 2] = 1.0  # the other users need nonzero estimates
+    rho = correlation_matrix_rho(sc, est)
+    assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0
 
 
 def test_correlation_symmetry(default_scenario):
@@ -522,13 +528,13 @@ def test_pair_terms_scores_equal_sinr_all(seed, data):
     assert score.worst == users[int(np.argmin(res.sinr[users]))]
 
 
-# --- the stop rule and the loop's diagnostics -------------------------------
+# --- the memoized loop and its diagnostics ----------------------------------
 
 
 def _schedule_reference(scenario, estimates, powers, weights,
                         num_bands=None, max_iter=L_MAX):
-    """The scheduling loop with neither memo nor stop rule, for max_iter
-    iterations: (Schedule, escalations, edges added, stopped by an edit)."""
+    """The scheduling loop without the memo, for max_iter iterations:
+    (Schedule, escalations, edges added, stopped by an edit)."""
     cfg = scenario.config
     K = scenario.num_users
     num_bands = num_bands or cfg.num_subbands
@@ -562,7 +568,7 @@ def _schedule_reference(scenario, estimates, powers, weights,
     return best or Schedule(groups, n_c, False), escalations, edges, False
 
 
-def _stop_rule_instances():
+def _schedule_instances():
     """(key, arguments, keyword arguments) of schedule_users: the golden
     instances with four bands and with one band per user (where an edit
     can leave the worst user alone, which stops the loop), plus the
@@ -586,9 +592,9 @@ def _stop_rule_instances():
                                       weights), {}
 
 
-def test_stop_rule_matches_full_loop():
+def test_memoized_loop_matches_reference():
     infeasible = early = 0
-    for key, inst, kw in _stop_rule_instances():
+    for key, inst, kw in _schedule_instances():
         sched = schedule_users(*inst, **kw)
         ref, *_ = _schedule_reference(*inst, **kw)
         assert (sched.groups, sched.colors_used, sched.feasible) == \
@@ -616,7 +622,7 @@ def test_schedule_diagnostics_match_counters(monkeypatch):
         return real_rebuild(rho, threshold)
 
     hit = stopped = 0
-    for key, inst, kw in _stop_rule_instances():
+    for key, inst, kw in _schedule_instances():
         monkeypatch.setattr(scheduler, "dsatur_color", color)
         monkeypatch.setattr(scheduler, "score_partition", score)
         monkeypatch.setattr(ConflictGraph, "from_threshold",
