@@ -57,12 +57,16 @@ class ChannelRealization:
 
 
 def complex_normal(rng, shape):
-    """i.i.d. CN(0, 1) samples: real/imag parts are N(0, 1/2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        / np.sqrt(2.0)
+    """i.i.d. CN(0, 1) samples: real, then imaginary parts, N(0, 1/2)."""
+    draw = rng.standard_normal((2, *shape))
+    draw *= 1.0 / np.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = draw
+    return out
 
 
-def _link_arrays(scenario):
+def link_arrays(scenario):
+    """(mean, scale): every link's LoS mean sqrt(Kbar a) hbar and sqrt(a)."""
     M, K, N = (scenario.num_satellites, scenario.num_users,
                scenario.num_antennas)
     mean = np.empty((M, K, N), dtype=complex)
@@ -80,7 +84,7 @@ def sample_channel(scenario, rng):
     """Draw one ChannelRealization for every (satellite, user) link."""
     M, K, N = (scenario.num_satellites, scenario.num_users,
                scenario.num_antennas)
-    mean, scale = _link_arrays(scenario)
+    mean, scale = link_arrays(scenario)
     htilde = complex_normal(rng, (M, K, N))
     colored = htilde
     if scenario.config.correlation.kind != "identity":
@@ -100,7 +104,7 @@ def sample_channel_batch(scenario, rng, trials):
     """
     M, K, N = (scenario.num_satellites, scenario.num_users,
                scenario.num_antennas)
-    mean, scale = _link_arrays(scenario)
+    mean, scale = link_arrays(scenario)
     htilde = complex_normal(rng, (trials, M, K, N))
     if scenario.config.correlation.kind == "identity":
         colored = htilde

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import complex_normal
+from .channel import complex_normal, link_arrays
 
 
 def psi_matrix(cohort_covs, tau, pilot_powers, sigma2):
@@ -18,7 +18,7 @@ def psi_matrix(cohort_covs, tau, pilot_powers, sigma2):
     if sigma2 <= 0:
         raise ValueError("noise power must be strictly positive")
     n = cohort_covs[0].shape[0]
-    acc = sigma2 * np.eye(n, dtype=complex)
+    acc = sigma2 * np.eye(n)
     for cov, p in zip(cohort_covs, pilot_powers):
         acc = acc + tau * p * cov
     return np.linalg.inv(acc)
@@ -44,30 +44,27 @@ class EstimationStats:
 
 
 def scenario_estimation_stats(scenario, sigma2=None):
-    """EstimationStats for every (m, k), cohort inverses computed once."""
-    M, K, N = (scenario.num_satellites, scenario.num_users,
-               scenario.num_antennas)
+    """EstimationStats for every (m, k), cohort inverses computed once.
+    The arrays keep the covariances' dtype: real for a real correlation."""
+    M, K = scenario.num_satellites, scenario.num_users
     cfg = scenario.config
     if sigma2 is None:
         sigma2 = scenario.fullband_noise
     tau = cfg.pilot_length
     out = {}
     for m in range(M):
+        covs = [scenario.link(m, k).covariance for k in range(K)]
         psi_by_pilot = {}
         for k in range(K):
             t = scenario.pilots.pilot_index[k]
             if t not in psi_by_pilot:
                 cohort = scenario.pilots.cohort(k)
-                covs = [scenario.link(m, j).covariance for j in cohort]
                 psi_by_pilot[t] = psi_matrix(
-                    covs, tau, [cfg.pilot_power] * len(covs), sigma2
+                    [covs[j] for j in cohort], tau,
+                    [cfg.pilot_power] * len(cohort), sigma2
                 )
-            psi = psi_by_pilot[t]
-            R = scenario.link(m, k).covariance
-            # R Psi allocated before R's complex copy: no hole in the heap
-            rpsi = np.empty((N, N), dtype=complex)
-            np.matmul(R, psi, out=rpsi)
-            out[(m, k)] = EstimationStats(R=R, rpsi=rpsi,
+            out[(m, k)] = EstimationStats(R=covs[k],
+                                          rpsi=covs[k] @ psi_by_pilot[t],
                                           tau_p=tau * cfg.pilot_power)
     return out
 
@@ -90,24 +87,19 @@ def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
         * complex_normal(rng, (T, M, tau, N))
     hhat = np.empty_like(h_batch)
     sqrt_tp = np.sqrt(tau * cfg.pilot_power)
+    mean, _ = link_arrays(scenario)
     for m in range(M):
         # centered observation of each pilot: its cohort's NLoS parts plus
         # pilot noise, shared by every user on that pilot
         resid = {}
         for k in range(K):
-            link = scenario.link(m, k)
             t = scenario.pilots.pilot_index[k]
             if t not in resid:
                 resid[t] = noise[:, m, t, :].copy()
                 for j in scenario.pilots.cohort(k):
-                    lj = scenario.link(m, j)
-                    mean_j = np.sqrt(lj.rician * lj.rician_scale) \
-                        * lj.los_vector
-                    resid[t] += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
-            own_mean = np.sqrt(link.rician * link.rician_scale) \
-                * link.los_vector
+                    resid[t] += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
             filt = sqrt_tp * stats[(m, k)].rpsi
-            hhat[:, m, k, :] = own_mean[None] + resid[t] @ filt.T
+            hhat[:, m, k, :] = mean[m, k] + resid[t] @ filt.T
     return hhat, noise
 
 
@@ -119,10 +111,17 @@ def _link_stats(scenario, m, k, sigma2):
     return scenario_estimation_stats(scenario, sigma2=sigma2)[(m, k)]
 
 
+def trace_sum(diag):
+    """Re of the sum over the last axis, added as complex numbers whatever
+    the dtype: numpy groups complex sums unlike real ones, and this keeps a
+    real matrix's trace bit-identical to that of its complex copy."""
+    return np.asarray(diag, dtype=complex).sum(axis=-1).real
+
+
 def _err_trace(st):
     """tr E from the diagonals of R and of tau p (R Psi) R alone: O(N^2)."""
     diag = st.R.diagonal() - st.tau_p * np.einsum("ij,ji->i", st.rpsi, st.R)
-    return float(diag.sum().real)
+    return float(trace_sum(diag))
 
 
 def mse(scenario, m, k, sigma2=None):

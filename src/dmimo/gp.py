@@ -12,6 +12,7 @@ program through one vector-valued constraint.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,24 +62,32 @@ class GpProblem:
                 or self.starts[-1] >= len(self.logs)):
             raise ValueError("starts must begin at 0 and give every "
                              "constraint at least one row")
+        # each row's constraint
+        self._segment = np.repeat(np.arange(len(self.starts)), np.diff(
+            np.append(self.starts, len(self.logs))))
 
     def lse(self, x):
         """Each constraint's log-sum-exp at x (<= 0 where satisfied)."""
-        return _segment_lse(self.logs + self.exps @ x, self.starts)[0]
+        return self.lse_softmax(x)[0]
 
-    def lse_jacobian(self, x):
-        """(lse, d lse / dx): each constraint's value and gradient."""
-        val, soft = _segment_lse(self.logs + self.exps @ x, self.starts)
-        return val, np.add.reduceat(soft[:, None] * self.exps, self.starts)
+    def lse_softmax(self, x):
+        """(lse, softmax): each constraint's log-sum-exp at x, and each
+        row's weight within its constraint."""
+        return _segment_lse(self.logs + self.exps @ x, self.starts,
+                            self._segment)
+
+    def jacobian(self, softmax):
+        """d lse / dx from ``lse_softmax``'s row weights at x."""
+        return np.add.reduceat(softmax[:, None] * self.exps, self.starts)
 
 
-def _segment_lse(z, starts):
-    """Log-sum-exp of each segment of z, and the within-segment softmax."""
-    counts = np.diff(np.append(starts, len(z)))
-    zmax = np.repeat(np.maximum.reduceat(z, starts), counts)
-    w = np.exp(z - zmax)
+def _segment_lse(z, starts, segment):
+    """Log-sum-exp of each segment of z, and the within-segment softmax;
+    segment[r] is row r's segment."""
+    zmax = np.maximum.reduceat(z, starts)
+    w = np.exp(z - zmax[segment])
     sums = np.add.reduceat(w, starts)
-    return zmax[starts] + np.log(sums), w / np.repeat(sums, counts)
+    return zmax + np.log(sums), w / sums[segment]
 
 
 def condense(logs, exps, x0):
@@ -87,7 +96,8 @@ def condense(logs, exps, x0):
 
     g(v) = sum u_t(v) >= prod (u_t(v) / eps_t)^{eps_t}, eps_t = u_t(x0)/g(x0).
     """
-    val, eps = _segment_lse(logs + exps @ x0, np.zeros(1, dtype=np.intp))
+    val, eps = _segment_lse(logs + exps @ x0, np.zeros(1, dtype=np.intp),
+                            np.zeros(len(logs), dtype=np.intp))
     e = eps @ exps
     return float(val[0] - e @ x0), e
 
@@ -106,17 +116,21 @@ def solve_gp(problem, x0, max_iter=300):
     GpInfeasibleError / GpUnboundedError on detection.
     """
     obj = problem.objective
+    # SLSQP asks for the constraints at a point, then for their Jacobian
+    # there (and revisits points): evaluate each distinct point once
+    at = functools.cache(lambda key: problem.lse_softmax(np.frombuffer(key)))
     res = minimize(
         lambda x: -obj @ x, np.asarray(x0, dtype=float), jac=lambda x: -obj,
         method="SLSQP",
-        constraints={"type": "ineq", "fun": lambda x: -problem.lse(x),
-                     "jac": lambda x: -problem.lse_jacobian(x)[1]},
+        constraints={"type": "ineq", "fun": lambda x: -at(x.tobytes())[0],
+                     "jac": lambda x: -problem.jacobian(at(x.tobytes())[1])},
         options={"maxiter": max_iter, "ftol": 1e-14},
     )
     x = res.x
     if not np.all(np.isfinite(x)) or np.abs(x).max() > 80.0:
         raise GpUnboundedError("iterates diverged; problem likely unbounded")
-    val, jac = problem.lse_jacobian(x)
+    val, soft = at(x.tobytes())
+    jac = problem.jacobian(soft)
     viol = val.max()
     if viol > 1e-6:
         raise GpInfeasibleError(

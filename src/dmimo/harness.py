@@ -91,14 +91,14 @@ def _fmt(v):
     return v
 
 
-def write_manifest(spec, extra=None):
+def write_manifest(spec, build, extra=None):
     manifest = {
         "experiment": spec.name,
         "seed": spec.seed,
         "trials": spec.trials,
         "paper_scale": spec.paper_scale,
         "config": spec.config.to_dict(),
-        "build": build_identifier(),
+        "build": build,
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -113,7 +113,7 @@ def write_manifest(spec, extra=None):
     return path
 
 
-def write_outputs(spec, header, rows, title, xlabel, ylabel, plots,
+def write_outputs(spec, build, header, rows, title, xlabel, ylabel, plots,
                   logx=False, extra=None):
     """Write the experiment's CSV, its gnuplot script and the manifest;
     returns the CSV path."""
@@ -121,7 +121,7 @@ def write_outputs(spec, header, rows, title, xlabel, ylabel, plots,
     write_csv(path, header, rows)
     write_plot_script(path.with_suffix(".gp"), path.name, title, xlabel,
                       ylabel, plots, logx)
-    write_manifest(spec, extra)
+    write_manifest(spec, build, extra)
     return path
 
 
@@ -195,7 +195,7 @@ def run_nmse_sweep(spec):
     header = ["seed", "build", "rician_factor", "mse_closed", "mse_mc",
               "mse_se", "nmse_closed", "nmse_mc", "nmse_se"]
     return write_outputs(
-        spec, header, rows,
+        spec, build, header, rows,
         "Channel estimation error vs Rician factor", "Rician factor",
         "error power",
         [("3:4", "MSE closed form"), ("3:5", "MSE Monte Carlo"),
@@ -233,7 +233,7 @@ def run_bound_validation(spec):
     header = ["seed", "build", "rician_factor", "rate_lb", "rate_mc",
               "rate_mc_se", "rate_bound_mc"]
     return write_outputs(
-        spec, header, rows,
+        spec, build, header, rows,
         "Achievable-rate bound vs Monte Carlo", "Rician factor",
         "sum rate (bit/s)",
         [("3:4", "closed-form lower bound"), ("3:5", "MC ergodic rate"),
@@ -295,7 +295,7 @@ def run_schedule_compare(spec):
     header = ["seed", "build", "num_users", "rate_heuristic",
               "rate_exhaustive", "rate_shared_band", "colors_used"]
     return write_outputs(
-        spec, header, rows,
+        spec, build, header, rows,
         "Scheduling: heuristic vs exhaustive", "number of users",
         "sum rate (bit/s)",
         [("3:4", "conflict-graph heuristic"), ("3:5", "exhaustive search"),
@@ -331,7 +331,7 @@ def run_convergence(spec):
     header = ["seed", "build", "num_antennas", "stage", "iteration",
               "objective"]
     return write_outputs(
-        spec, header, rows,
+        spec, build, header, rows,
         "Convergence of the alternating optimization stages", "iteration",
         "objective (bit/s)",
         [("5:(strcol(4) eq 'power-weights' ? $6 : 1/0)",
@@ -374,7 +374,7 @@ def run_benchmark(spec):
     header = ["seed", "build", "num_users", "arm", "mean_sum_rate",
               "mean_rate_per_user", "num_seeds"]
     return write_outputs(
-        spec, header, rows,
+        spec, build, header, rows,
         "Seed-averaged sum rate vs number of users", "number of users",
         "mean sum rate (bit/s)",
         [("3:(strcol(4) eq 'proposed' ? $5 : 1/0)", "proposed"),

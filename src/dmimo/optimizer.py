@@ -67,95 +67,10 @@ def monomial_bound(coeffs, anchors):
 # ---------------------------------------------------------------------------
 
 
-def _interference_quadratics(scenario, context, k, group):
-    """Per-interferer quadratic forms over the serving set of user k.
-
-    Returns (sset, {k': Q}) with w^T Q w the closed-form interference power
-    coefficient of p_{k'} (k' = k gives the leakage term). Entries of Q can
-    be negative (LoS cross products); the GP builder splits signs.
-    """
-    sset = sorted(scenario.serving_sets[k])
-    tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
-    mats = {}
-    for kp in group:
-        Q = np.diag(context.q[sset, k, kp])
-        if kp != k:
-            s = context.smat[sset, k, kp]
-            Q += np.real(np.outer(s, s.conj()))
-            if context.cohort[k, kp]:
-                t = context.tmat[sset, k, kp]
-                Q += tau * pp * (np.outer(s.real, t) + np.outer(t, s.real))
-                Q += tau * tau * pp * pp * np.outer(t, t)
-        mats[kp] = Q
-    return sset, mats
-
-
 def _weight_offsets(scenario):
     """User k's weights w_{m,k}, m in sorted(M_k), take the columns
     offsets[k] to offsets[k + 1] of the weight block."""
     return np.cumsum([0] + [len(s) for s in scenario.serving_sets])
-
-
-def _unit_rows(ncols, cols, exponent):
-    """One monomial row v_c^exponent (coefficient 1) per column c."""
-    e = np.zeros((len(cols), ncols))
-    e[np.arange(len(cols)), cols] = exponent
-    return e
-
-
-def _sinr_rows(scenario, context, allocation, k, group, sigma_i, x0,
-               wcols):
-    """Rows (logs, exps) of chi_k D_k(p, w) / N_k(p, w) <= 1, which encodes
-    chi_k <= SINR_k^LB.
-
-    Every nonzero entry Q[i, j] of user k's quadratic forms is a term
-    chi_k p_k' w_i w_j of chi_k D_k. Negative ones move to the right-hand
-    side, which is then condensed into a monomial at x0. With wcols None
-    the weights are the allocation's constants.
-    """
-    K = scenario.num_users
-    sset, mats = _interference_quadratics(scenario, context, k, group)
-    n = len(sset)
-    gamma = context.gamma[sset, k]
-    w = allocation.weights[sset, k]
-
-    # exponents shared by all terms of one interferer: chi_k w_i w_j
-    base = np.zeros((n * n, len(x0)))
-    base[:, k] = 1.0
-    noise_e = np.zeros((n, len(x0)))
-    noise_e[:, k] = 1.0
-    if wcols is not None:
-        rows = np.arange(n * n)
-        i, j = np.divmod(rows, n)
-        base[rows, wcols[i]] += 1.0
-        base[rows, wcols[j]] += 1.0
-        noise_e[np.arange(n), wcols] = 2.0
-    coeffs, exps = [], []
-    for kp, Q in mats.items():
-        e = base.copy()
-        e[:, K + kp] = 1.0
-        exps.append(e)
-        coeffs.append((Q if wcols is not None
-                       else Q * w[:, None] * w[None, :]).ravel())
-    coeffs.append(sigma_i * gamma if wcols is not None
-                  else sigma_i * gamma * w ** 2)
-    exps.append(noise_e)
-    c, e = np.concatenate(coeffs), np.vstack(exps)
-
-    # numerator monomial p_k (sum w Gamma)^2, bounded via AM-GM in w
-    num_e = np.zeros(len(x0))
-    num_e[K + k] = 1.0
-    if wcols is not None:
-        cnum, num_e[wcols] = monomial_bound(gamma, np.maximum(w, 1e-12))
-    else:
-        cnum = float((w * gamma).sum()) ** 2
-    num_log = math.log(cnum)
-    neg = c < 0
-    if neg.any():
-        num_log, num_e = condense(np.append(num_log, np.log(-c[neg])),
-                                  np.vstack([num_e, e[neg]]), x0)
-    pos = c > 0
-    return np.log(c[pos]) - num_log, e[pos] - num_e
 
 
 def _gp_rows(scenario, allocation, context, chi, optimize_weights,
@@ -170,6 +85,13 @@ def _gp_rows(scenario, allocation, context, chi, optimize_weights,
     requirement is set; then for every user p_k <= P_max and, with
     optimize_weights, sum_m w_{m,k}^2 <= 1.
 
+    chi_k <= SINR_k^LB is chi_k D_k(p, w) / N_k(p, w) <= 1. Each nonzero
+    entry Q[i, j] of ``context.quadratics[k, k']``, k' in k's group, is a
+    term chi_k p_k' w_i w_j of chi_k D_k; the noise terms chi_k sigma
+    Gamma_i w_i^2 follow. Without optimize_weights the weights are the
+    allocation's constants. Negative terms move to the numerator
+    p_k (sum w Gamma)^2, then condensed into a monomial at x0.
+
     Returns (x0, logs, exps, starts), x0 being the anchor in log domain.
     """
     K = scenario.num_users
@@ -179,30 +101,80 @@ def _gp_rows(scenario, allocation, context, chi, optimize_weights,
                    for k, s in enumerate(scenario.serving_sets)]
     x0 = np.log(np.concatenate(points))
     offsets = 2 * K + _weight_offsets(scenario)
-    wcols = [np.arange(offsets[k], offsets[k + 1]) for k in range(K)]
-    blocks = []
-    for i, group in enumerate(allocation.groups):
-        bw = allocation.bandwidths[i]
-        gamma_req = _rate_gamma(scenario, bw)
-        for k in group:
-            blocks.append(_sinr_rows(
-                scenario, context, allocation, k, group,
-                scenario.subband_noise(bw), x0,
-                wcols[k] if optimize_weights else None,
-            ))
-            if floors and gamma_req > 0:
-                blocks.append(([math.log(gamma_req)],
-                               _unit_rows(len(x0), [k], -1.0)))
-    for k in range(K):
-        blocks.append(([math.log(1.0 / scenario.config.max_power)],
-                       _unit_rows(len(x0), [K + k], 1.0)))
-        if optimize_weights:
-            blocks.append((np.zeros(len(wcols[k])),
-                           _unit_rows(len(x0), wcols[k], 2.0)))
-    sizes = [len(logs) for logs, _ in blocks]
-    return (x0, np.concatenate([logs for logs, _ in blocks]),
-            np.vstack([e for _, e in blocks]),
-            np.cumsum([0] + sizes[:-1]))
+    # Serving sets are padded to the largest, n, groups to the largest, G:
+    # a padded term's coefficient is zero, so its row is dropped.
+    Q = context.quadratics
+    n, size = Q.shape[-1], np.diff(offsets)
+    valid = np.arange(n) < size[:, None]
+    sat, wcol = np.zeros((2, K, n), dtype=np.intp)
+    sat[valid] = np.concatenate([sorted(s) for s in scenario.serving_sets])
+    wcol[valid] = np.arange(offsets[0], offsets[-1])
+    gamma = np.where(valid, context.gamma[sat, np.arange(K)[:, None]], 0.0)
+    w = np.where(valid, allocation.weights[sat, np.arange(K)[:, None]], 0.0)
+    G = max(len(g) for g in allocation.groups)
+    table = np.array([g + [-1] * (G - len(g)) for g in allocation.groups])
+    band, _ = np.nonzero(table >= 0)
+    users, mates = table[table >= 0], table[band]  # in group order
+    bws, U = [allocation.bandwidths[i] for i in band], len(users)
+
+    # User u's rows: n * n per group mate (Q row by row), n noise rows and
+    # a last one holding gamma_req, which becomes the rate floor.
+    q = np.where(mates[:, :, None, None] >= 0, Q[users[:, None], mates], 0.0)
+    noise = np.array([scenario.subband_noise(b) for b in bws])[:, None] \
+        * gamma[users]
+    if not optimize_weights:
+        wu = w[users][:, None]
+        q = q * wu[:, :, :, None] * wu[:, :, None, :]
+        noise = noise * w[users] ** 2
+    reqs = np.array([_rate_gamma(scenario, b) if floors else 0.0
+                     for b in bws])
+    c = np.concatenate([q.reshape(U, -1), noise, reqs[:, None]], axis=1)
+    e = np.zeros(c.shape + (len(x0),))
+    e[np.arange(U), :, users] = 1.0
+    e[np.arange(U), -1, users] = -1.0
+    uu = np.arange(U)[:, None]
+    e[uu, np.arange(G * n * n), np.repeat(K + mates, n * n, axis=1)] = 1.0
+    if optimize_weights:  # w_i w_j of each Q entry, w_i^2 of each noise row
+        for side in np.divmod(np.arange(n * n), n):
+            side = np.append(np.tile(side, G), np.arange(n))
+            e[uu, np.arange(len(side)), wcol[users][:, side]] += 1.0
+
+    num_log = np.empty(U)
+    num_e = np.zeros((U, len(x0)))
+    num_e[np.arange(U), K + users] = 1.0
+    for u, k in enumerate(users):
+        g, wk = gamma[k, :size[k]], w[k, :size[k]]
+        if optimize_weights:  # AM-GM bound on (sum w Gamma)^2
+            cnum, num_e[u, wcol[k, :size[k]]] = monomial_bound(
+                g, np.maximum(wk, 1e-12))
+        else:
+            cnum = float((wk * g).sum()) ** 2
+        num_log[u] = math.log(cnum)
+        neg = c[u] < 0
+        if neg.any():
+            num_log[u], num_e[u] = condense(
+                np.append(num_log[u], np.log(-c[u][neg])),
+                np.vstack([num_e[u], e[u][neg]]), x0)
+    pos = c > 0
+    kept, col = np.nonzero(pos)
+    floor = col == c.shape[1] - 1
+    logs, exps = np.log(c[pos]) - num_log[kept], e[pos] - num_e[kept]
+    logs[floor] = [math.log(r) for r in reqs[reqs > 0]]
+    exps[floor] = e[reqs > 0, -1]
+    # per user slot: its SINR constraint, then its floor if it has one
+    sizes = np.bincount(2 * kept + floor, minlength=2 * U)[
+        np.column_stack([np.ones(U, dtype=bool), reqs > 0]).ravel()]
+
+    # then per user k: the power cap p_k <= P_max and the weight norm
+    tail = np.column_stack([np.ones(K, dtype=bool), valid & optimize_weights])
+    cols = np.column_stack([K + np.arange(K), wcol])[tail]
+    unit_e = np.zeros((len(cols), len(x0)))
+    unit_e[np.arange(len(cols)), cols] = np.where(cols < 2 * K, 1.0, 2.0)
+    sizes = np.concatenate([sizes, np.column_stack(
+        [np.ones(K, dtype=np.intp), size])[:, :1 + optimize_weights].ravel()])
+    logs = np.concatenate([logs, np.where(
+        cols < 2 * K, math.log(1.0 / scenario.config.max_power), 0.0)])
+    return x0, logs, np.vstack([exps, unit_e]), np.cumsum(sizes) - sizes
 
 
 def _allocation_at(scenario, allocation, x, optimize_weights):
@@ -238,11 +210,7 @@ def feasibility_check(scenario, allocation, context=None,
     if context is None:
         context = scenario.rate_context
     K = scenario.num_users
-    gammas = {
-        k: _rate_gamma(scenario, allocation.bandwidths[i])
-        for i, g in enumerate(allocation.groups) for k in g
-    }
-    if all(v <= 0 for v in gammas.values()):
+    if scenario.config.rate_requirement <= 0:
         return math.inf, allocation.copy()
 
     x0, logs, exps, starts = _gp_rows(scenario, allocation, context,
@@ -250,8 +218,9 @@ def feasibility_check(scenario, allocation, context=None,
                                       floors=False)
     # chi_k = phi * gamma_k: fold the chi columns into one phi column
     log_gamma = np.zeros(K)
-    for k, g in gammas.items():
-        log_gamma[k] = math.log(g)
+    for i, g in enumerate(allocation.groups):
+        log_gamma[g] = math.log(_rate_gamma(scenario,
+                                            allocation.bandwidths[i]))
     chi = exps[:, :K]
     exps = np.hstack([chi.sum(axis=1, keepdims=True), exps[:, K:]])
     objective = np.zeros(exps.shape[1])

@@ -11,11 +11,12 @@ std(ddof=1) / sqrt(T), not from the users' separate standard errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import complex_normal, sample_channel_batch
-from .estimation import estimate_batch
+from .estimation import estimate_batch, trace_sum
 
 DENOM_FLOOR = 1e-30
 
@@ -151,10 +152,8 @@ class RateContext:
             hbar = np.array([lk.los_vector for lk in links])
             # row k' holds R_k'^T, so tr(X R_k') = sum(X * R_k'^T)
             rt = np.array([s.R.T for s in st])
-            c = np.empty((K, N, N), dtype=complex)
-            for k, s in enumerate(st):
-                c[k] = s.est_cov
-            self.gamma[m] = np.trace(c, axis1=1, axis2=2).real + los * N
+            c = np.array([s.est_cov for s in st])
+            self.gamma[m] = trace_sum(c.diagonal(axis1=1, axis2=2)) + los * N
             c_h = (c.reshape(K * N, N) @ hbar.T).reshape(K, N, K)
             self.q1[m] = np.einsum("jn,knj->kj", hbar.conj(), c_h).real * los
             self.q3[m] = _real_traces(c, rt)
@@ -162,9 +161,7 @@ class RateContext:
             rt_h = (rt.reshape(K * N, N) @ hbar.conj().T).reshape(K, N, K)
             self.q2[m] = np.einsum("kn,jnk->kj", hbar, rt_h).real \
                 * los[:, None]
-            for k, s in enumerate(st):  # R_k Psi_k reuses c's buffer
-                c[k] = s.rpsi
-            self.tmat[m] = _real_traces(c, rt)
+            self.tmat[m] = _real_traces(np.array([s.rpsi for s in st]), rt)
             amp = np.sqrt(los)
             self.smat[m] = amp[:, None] * amp[None, :] \
                 * (hbar.conj() @ hbar.T)
@@ -174,6 +171,31 @@ class RateContext:
             self.serving[sorted(sset), k] = 1.0
         pilot = np.asarray(scenario.pilots.pilot_index)
         self.cohort = np.equal.outer(pilot, pilot) & ~np.eye(K, dtype=bool)
+        tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
+        self._pilot_gains = (tau * pp, tau * tau * pp * pp)
+
+    @cached_property
+    def quadratics(self):
+        """(K, K, n, n): w^T Q w, Q = quadratics[k, k'][:n_k, :n_k], is the
+        coefficient of p_k' in user k's interference power (k' = k: leakage)
+        at k's weights w over sorted(M_k). Entries can be negative (LoS)."""
+        K = len(self.cohort)
+        ssets = [np.flatnonzero(col) for col in self.serving.T]
+        n = max(len(s) for s in ssets)
+        c1, c2 = self._pilot_gains
+        out = np.zeros((K, K, n, n))
+        for k, sset in enumerate(ssets):
+            for kp in range(K):
+                Q = np.diag(self.q[sset, k, kp])
+                if kp != k:
+                    s = self.smat[sset, k, kp]
+                    Q += np.real(np.outer(s, s.conj()))
+                    if self.cohort[k, kp]:
+                        t = self.tmat[sset, k, kp]
+                        Q += c1 * (np.outer(s.real, t) + np.outer(t, s.real))
+                        Q += c2 * np.outer(t, t)
+                out[k, kp, :len(sset), :len(sset)] = Q
+        return out
 
 
 def _real_traces(x, rt):

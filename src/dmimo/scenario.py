@@ -7,7 +7,7 @@ A built Scenario is immutable and deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -155,17 +155,8 @@ class Scenario:
 
     def with_rician(self, kbar):
         """Copy with every link's Rician factor replaced (for sweeps)."""
-        links = tuple(
-            tuple(
-                LinkStats(
-                    beta=l.beta, rician=float(kbar), elevation=l.elevation,
-                    azimuth=l.azimuth, distance=l.distance,
-                    los_vector=l.los_vector, corr=l.corr, corr_sqrt=l.corr_sqrt,
-                )
-                for l in row
-            )
-            for row in self.links
-        )
+        links = tuple(tuple(replace(link, rician=float(kbar)) for link in row)
+                      for row in self.links)
         return Scenario(config=self.config, links=links, pilots=self.pilots,
                         serving_sets=self.serving_sets)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario
 from dmimo.channel import (
+    complex_normal,
     correlation_matrix,
     hermitian_sqrt,
     sample_channel,
@@ -121,3 +122,24 @@ def test_realization_decomposition():
                 link.corr_sqrt @ real.nlos_draw[m, k]
             )
             np.testing.assert_allclose(rebuilt, real.h[m, k], atol=1e-12)
+
+
+def _complex_normal_reference(rng, shape):
+    """The two-draw formula: real parts, then imaginary parts, the sum
+    divided by sqrt(2)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 5), (3, 2, 16),
+                                   (6, 3, 5, 16)])
+@pytest.mark.parametrize("seed", range(5))
+def test_complex_normal_matches_two_draw_formula(shape, seed):
+    """Same values and sign bits as the reference, and the generator is
+    left at the same point of its stream."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = complex_normal(rng, shape)
+    ref = _complex_normal_reference(ref_rng, shape)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert rng.standard_normal() == ref_rng.standard_normal()

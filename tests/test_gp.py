@@ -3,6 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmimo.gp
+import dmimo.optimizer
+from conftest import make_scenario
+from dmimo.optimizer import build_sca_subproblem, feasibility_check
+from dmimo.rate import equal_split_allocation, sinr_all
+from dmimo.scenario import Scenario
 from dmimo.gp import (
     GpInfeasibleError,
     GpProblem,
@@ -62,7 +68,8 @@ def test_lse_jacobian_matches_finite_differences():
     p = GpProblem(objective=[1.0, 0.0, -1.0], logs=rng.normal(size=6),
                   exps=rng.normal(size=(6, 3)), starts=[0, 1, 4])
     x = rng.normal(size=3)
-    val, jac = p.lse_jacobian(x)
+    val, soft = p.lse_softmax(x)
+    jac = p.jacobian(soft)
     assert np.array_equal(val, p.lse(x))
     for c, (lo, hi) in enumerate([(0, 1), (1, 4), (4, 6)]):
         z = p.logs[lo:hi] + p.exps[lo:hi] @ x
@@ -132,3 +139,99 @@ def test_condense_underestimates(c1, c2, x):
     log_c, e = condense(logs, exps, np.zeros(1))
     assert np.exp(log_c + e @ np.log([x])) <= \
         posynomial(logs, exps, [x]) * (1 + 1e-9)
+
+
+def _solve_recorded(monkeypatch, problem, x0, memoized):
+    """solve_gp with its constraint callbacks recording each point they
+    are called at, and a count of the stacked log-sum-exp evaluations.
+    Without `memoized` the callbacks are replaced by ones evaluating the
+    problem afresh at every call."""
+    points, evaluations = set(), []
+    lse_softmax, minimize = GpProblem.lse_softmax, dmimo.gp.minimize
+
+    def counted(self, x):
+        evaluations.append(x.tobytes())
+        return lse_softmax(self, x)
+
+    def spy(fun, x, constraints, **kw):
+        fun_c, jac_c = constraints["fun"], constraints["jac"]
+        if not memoized:
+            fun_c = lambda x: -problem.lse(x)  # noqa: E731
+            jac_c = lambda x: -problem.jacobian(  # noqa: E731
+                problem.lse_softmax(x)[1])
+        recorded = dict(
+            constraints,
+            fun=lambda x: (points.add(x.tobytes()), fun_c(x))[1],
+            jac=lambda x: (points.add(x.tobytes()), jac_c(x))[1])
+        return minimize(fun, x, constraints=recorded, **kw)
+
+    monkeypatch.setattr(GpProblem, "lse_softmax", counted)
+    monkeypatch.setattr(dmimo.gp, "minimize", spy)
+    sol = solve_gp(problem, x0)
+    monkeypatch.undo()
+    return sol, points, evaluations
+
+
+def _captured_problems():
+    """SCA subproblems at the equal-split start (weights optimized, and
+    fixed), and a feasibility problem through feasibility_check."""
+    out = []
+    for seed in (3, 7):
+        sc = make_scenario(seed=seed)
+        alloc = equal_split_allocation(sc)
+        res = sinr_all(sc, alloc)
+        chi = np.ones(sc.num_users)
+        chi[res.users] = res.sinr[res.users]
+        for optimize in (True, False):
+            out.append(build_sca_subproblem(sc, alloc, sc.rate_context, chi,
+                                            optimize_weights=optimize))
+    return out
+
+
+def test_memoized_solve_matches_fresh_callbacks(monkeypatch):
+    """The shared evaluation changes no bit of the solution, and the
+    stacked log-sum-exp is evaluated once per distinct point."""
+    problems = _captured_problems()
+    sc = make_scenario(seed=3)
+    floored = Scenario(config=sc.config.replace(rate_requirement=2e5),
+                       links=sc.links, pilots=sc.pilots,
+                       serving_sets=sc.serving_sets)
+    captured = []
+    monkeypatch.setattr(dmimo.optimizer, "solve_gp",
+                        lambda p, x0: captured.append((p, x0)) or solve_gp(
+                            p, x0))
+    feasibility_check(floored, equal_split_allocation(floored))
+    monkeypatch.undo()
+    problems += captured
+    for problem, x0 in problems:
+        sol, points, evals = _solve_recorded(monkeypatch, problem, x0, True)
+        ref, ref_points, ref_evals = _solve_recorded(monkeypatch, problem,
+                                                     x0, False)
+        assert sol.x.tobytes() == ref.x.tobytes()
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        assert sol.kkt_residual == ref.kkt_residual
+        assert sol.max_violation == ref.max_violation
+        assert points == ref_points
+        assert len(evals) == len(set(evals)) == len(points)
+        assert len(ref_evals) > len(evals)
+
+
+def _segment_lse_reference(z, starts):
+    """Each segment's log-sum-exp and softmax, the segment maxima spread
+    back over the rows with np.repeat."""
+    counts = np.diff(np.append(starts, len(z)))
+    zmax = np.repeat(np.maximum.reduceat(z, starts), counts)
+    w = np.exp(z - zmax)
+    sums = np.add.reduceat(w, starts)
+    return zmax[starts] + np.log(sums), w / np.repeat(sums, counts)
+
+
+def test_lse_softmax_matches_repeat_reference():
+    """The per-row segment index gives the reference's bits."""
+    for problem, x0 in _captured_problems():
+        for x in (x0, x0 + 0.3, x0 - 0.2):
+            got = problem.lse_softmax(x)
+            ref = _segment_lse_reference(problem.logs + problem.exps @ x,
+                                         problem.starts)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import dmimo.harness
 from dmimo.config import SystemConfig
 from dmimo.harness import (
     ExperimentSpec,
@@ -152,3 +153,39 @@ def test_cli_config_roundtrip(tmp_path):
 def test_build_identifier_stable():
     assert build_identifier() == build_identifier()
     assert build_identifier()
+
+
+@pytest.mark.parametrize("name, trials, extras", [
+    ("nmse-sweep", 200, {}),
+    ("bound-validate", 200, {"rician_grid": (1.0,)}),
+    ("schedule-compare", 1, {"user_grid": (5,)}),
+    ("convergence", 1, {"antenna_grid": ((4, 4),)}),
+    ("benchmark", 1, {"user_grid": (6,)}),
+])
+def test_build_identifier_runs_once_per_experiment(name, trials, extras,
+                                                   tmp_path, monkeypatch):
+    """One git describe per experiment: its tag reaches both the CSV rows
+    and the manifest. The CSV bytes match a run without the counter, and
+    the manifests match apart from wall-clock timings."""
+    plain = run_experiment(spec_for(name, tmp_path / "plain", trials=trials,
+                                    **extras))
+    tag, calls = build_identifier(), []
+
+    def counted():
+        calls.append(tag)
+        return tag
+
+    monkeypatch.setattr(dmimo.harness, "build_identifier", counted)
+    path = run_experiment(spec_for(name, tmp_path / "counted", trials=trials,
+                                   **extras))
+    assert calls == [tag]
+    assert path.read_bytes() == plain.read_bytes()
+    rows = read_rows(path)
+    assert [r[rows[0].index("build")] for r in rows[1:]] == \
+        [tag] * (len(rows) - 1)
+    manifests = [json.loads((p.parent / "run-manifest.json").read_text())
+                 for p in (plain, path)]
+    assert manifests[1]["build"] == tag
+    for m in manifests:
+        m.pop("timings", None)  # wall-clock times differ between runs
+    assert manifests[0] == manifests[1]

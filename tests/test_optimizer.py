@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmimo.optimizer
-from conftest import make_scenario
+from conftest import make_scenario, manual_link, manual_scenario
 from dmimo.config import SystemConfig
-from dmimo.gp import GpInfeasibleError
+from dmimo.gp import GpInfeasibleError, condense
 from dmimo.optimizer import (
     InfeasibleError,
     alternating_optimize,
@@ -21,7 +21,9 @@ from dmimo.optimizer import (
     monomial_bound,
     optimize_bandwidth,
     optimize_power_weights,
+    _gp_rows,
     _min_bandwidth,
+    _rate_gamma,
     rate_vs_bandwidth,
     rate_vs_bandwidth_prime,
     rate_vs_bandwidth_second,
@@ -316,6 +318,195 @@ def test_sca_rows_bound_reference_sinr(seed, draw, optimize):
             # Conservative: the row is at least chi_k / SINR_k where that
             # is below 1, and violated wherever chi_k exceeds SINR_k.
             assert math.exp(lse[j]) >= min(ratio, 1.0) * (1 - 1e-9)
+
+
+# --- GP rows against the per-user reference --------------------------------
+
+
+def _reference_quadratics(scenario, context, k, group):
+    """User k's per-interferer quadratic forms over sorted(M_k), built per
+    call: {k': Q} with w^T Q w the interference power coefficient of
+    p_k'."""
+    sset = sorted(scenario.serving_sets[k])
+    tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
+    mats = {}
+    for kp in group:
+        Q = np.diag(context.q[sset, k, kp])
+        if kp != k:
+            s = context.smat[sset, k, kp]
+            Q += np.real(np.outer(s, s.conj()))
+            if context.cohort[k, kp]:
+                t = context.tmat[sset, k, kp]
+                Q += tau * pp * (np.outer(s.real, t) + np.outer(t, s.real))
+                Q += tau * tau * pp * pp * np.outer(t, t)
+        mats[kp] = Q
+    return sset, mats
+
+
+def _reference_unit_rows(ncols, cols, exponent):
+    e = np.zeros((len(cols), ncols))
+    e[np.arange(len(cols)), cols] = exponent
+    return e
+
+
+def _reference_sinr_rows(scenario, context, allocation, k, group, sigma_i,
+                         x0, wcols):
+    """User k's SINR rows, one block per interferer, then the noise."""
+    K = scenario.num_users
+    sset, mats = _reference_quadratics(scenario, context, k, group)
+    n = len(sset)
+    gamma = context.gamma[sset, k]
+    w = allocation.weights[sset, k]
+    base = np.zeros((n * n, len(x0)))
+    base[:, k] = 1.0
+    noise_e = np.zeros((n, len(x0)))
+    noise_e[:, k] = 1.0
+    if wcols is not None:
+        rows = np.arange(n * n)
+        i, j = np.divmod(rows, n)
+        base[rows, wcols[i]] += 1.0
+        base[rows, wcols[j]] += 1.0
+        noise_e[np.arange(n), wcols] = 2.0
+    coeffs, exps = [], []
+    for kp, Q in mats.items():
+        e = base.copy()
+        e[:, K + kp] = 1.0
+        exps.append(e)
+        coeffs.append((Q if wcols is not None
+                       else Q * w[:, None] * w[None, :]).ravel())
+    coeffs.append(sigma_i * gamma if wcols is not None
+                  else sigma_i * gamma * w ** 2)
+    exps.append(noise_e)
+    c, e = np.concatenate(coeffs), np.vstack(exps)
+    num_e = np.zeros(len(x0))
+    num_e[K + k] = 1.0
+    if wcols is not None:
+        cnum, num_e[wcols] = monomial_bound(gamma, np.maximum(w, 1e-12))
+    else:
+        cnum = float((w * gamma).sum()) ** 2
+    num_log = math.log(cnum)
+    neg = c < 0
+    if neg.any():
+        num_log, num_e = condense(np.append(num_log, np.log(-c[neg])),
+                                  np.vstack([num_e, e[neg]]), x0)
+    pos = c > 0
+    return np.log(c[pos]) - num_log, e[pos] - num_e
+
+
+def _reference_gp_rows(scenario, allocation, context, chi, optimize_weights,
+                       floors):
+    """The GP rows built one user and one constraint at a time: the
+    reference for ``optimizer._gp_rows``."""
+    K = scenario.num_users
+    points = [np.maximum(chi, 1e-30), allocation.powers]
+    if optimize_weights:
+        points += [np.maximum(allocation.weights[sorted(s), k], 1e-12)
+                   for k, s in enumerate(scenario.serving_sets)]
+    x0 = np.log(np.concatenate(points))
+    offsets = 2 * K + np.cumsum([0] + [len(s)
+                                       for s in scenario.serving_sets])
+    wcols = [np.arange(offsets[k], offsets[k + 1]) for k in range(K)]
+    blocks = []
+    for i, group in enumerate(allocation.groups):
+        bw = allocation.bandwidths[i]
+        gamma_req = _rate_gamma(scenario, bw)
+        for k in group:
+            blocks.append(_reference_sinr_rows(
+                scenario, context, allocation, k, group,
+                scenario.subband_noise(bw), x0,
+                wcols[k] if optimize_weights else None,
+            ))
+            if floors and gamma_req > 0:
+                blocks.append(([math.log(gamma_req)],
+                               _reference_unit_rows(len(x0), [k], -1.0)))
+    for k in range(K):
+        blocks.append(([math.log(1.0 / scenario.config.max_power)],
+                       _reference_unit_rows(len(x0), [K + k], 1.0)))
+        if optimize_weights:
+            blocks.append((np.zeros(len(wcols[k])),
+                           _reference_unit_rows(len(x0), wcols[k], 2.0)))
+    sizes = [len(logs) for logs, _ in blocks]
+    return (x0, np.concatenate([logs for logs, _ in blocks]),
+            np.vstack([e for _, e in blocks]),
+            np.cumsum([0] + sizes[:-1]))
+
+
+def _assert_rows_match(sc, alloc, chi):
+    """_gp_rows equals the reference bit for bit, with and without weight
+    columns and rate floors. Returns whether a scheduled user had a
+    negative (LoS cross) term."""
+    ctx = sc.rate_context
+    for optimize in (True, False):
+        for floors in (True, False):
+            got = _gp_rows(sc, alloc, ctx, chi, optimize, floors)
+            ref = _reference_gp_rows(sc, alloc, ctx, chi, optimize, floors)
+            for name, a, b in zip(("x0", "logs", "exps", "starts"), got,
+                                  ref):
+                assert a.shape == b.shape and np.array_equal(a, b), \
+                    (name, optimize, floors)
+    return any((_reference_quadratics(sc, ctx, k, g)[1][kp] < 0).any()
+               for g in alloc.groups for k in g for kp in g)
+
+
+def _sca_anchor(sc, alloc):
+    """chi at the allocation's SINR, as the SCA loop anchors it."""
+    chi = np.ones(sc.num_users)
+    res = sinr_all(sc, alloc)
+    chi[res.users] = np.maximum(res.sinr[res.users], 1e-30)
+    return chi
+
+
+@given(seed=st.integers(0, 2), draw=st.integers(0, 2 ** 32 - 1),
+       bands=st.integers(2, 4))
+@settings(max_examples=25, deadline=None)
+def test_gp_rows_match_per_user_reference(seed, draw, bands):
+    """SCA and feasibility rows (chi at the SINR, and chi = 1) at random
+    schedules, powers and weights, with a rate floor set."""
+    base = _rows_scenario(seed)
+    sc = Scenario(config=base.config.replace(rate_requirement=2e4),
+                  links=base.links, pilots=base.pilots,
+                  serving_sets=base.serving_sets)
+    K, M = sc.num_users, sc.num_satellites
+    rng = np.random.default_rng(draw)
+    groups = [sorted(g.tolist())
+              for g in np.array_split(rng.permutation(K), bands)]
+    weights = np.where(equal_weights(sc) > 0,
+                       rng.uniform(0.2, 1.0, (M, K)), 0.0)
+    powers = rng.uniform(0.1, 1.0, K) * sc.config.max_power
+    alloc = equal_split_allocation(sc, groups=groups, powers=powers,
+                                   weights=weights)
+    _assert_rows_match(sc, alloc, _sca_anchor(sc, alloc))
+    _assert_rows_match(sc, alloc, np.ones(K))
+
+
+def test_gp_rows_match_reference_on_negative_terms_and_infeasible():
+    """The benchmark's ao-small system at an unattainable floor, whose
+    rows carry negative LoS cross terms."""
+    scenario_ss, _ = np.random.SeedSequence(1007).spawn(2)
+    sc = build_scenario(AO_SMALL_UNATTAINABLE,
+                        np.random.default_rng(scenario_ss))
+    alloc = equal_split_allocation(sc)
+    assert feasibility_check(sc, alloc)[0] < 1.0
+    assert _assert_rows_match(sc, alloc, np.ones(sc.num_users))
+    assert _assert_rows_match(sc, alloc, _sca_anchor(sc, alloc))
+
+
+def test_gp_rows_match_reference_with_unequal_serving_sets():
+    """Serving sets of one, two and three satellites, two users sharing a
+    pilot, and LoS vectors whose cross products are negative."""
+    cfg = SystemConfig(num_satellites=3, num_users=4, antennas_x=2,
+                       antennas_y=1, num_subbands=2, pilot_length=3,
+                       cluster_size=1, subband_capacity=3,
+                       rate_requirement=1e4)
+    los = [[1.0, 1.0], [1.0, -1.0], [1.0, 1j], [-1.0, 1j]]
+    links = [[manual_link(1e-12 * (1 + m + k), 2.0 + m, los[(m + k) % 4])
+              for k in range(4)] for m in range(3)]
+    sc = manual_scenario(cfg, links, pilots=(0, 1, 0, 2),
+                         serving_sets=[{0}, {0, 1, 2}, {1, 2}, {2, 0}])
+    for groups in ([[0, 1, 2], [3]], [[3, 1], [2, 0]]):
+        alloc = equal_split_allocation(sc, groups=groups)
+        assert _assert_rows_match(sc, alloc, np.ones(4))
+        assert _assert_rows_match(sc, alloc, _sca_anchor(sc, alloc))
 
 
 # --- bandwidth stage -------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cohort_psi, make_scenario, manual_link, manual_scenario
 from dmimo.config import CorrelationModel, SystemConfig
+from dmimo.estimation import mse, nmse
 from dmimo.scenario import Scenario
 from dmimo.rate import (
     AllocationState,
@@ -423,6 +424,47 @@ def test_batched_context_matches_loop(side, correlation):
         assert got.shape == ref.shape and got.dtype == ref.dtype, name
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
     np.testing.assert_array_equal(ctx.q, ctx.q1 + ctx.q2 + ctx.q3)
+
+
+@pytest.mark.parametrize("correlation", ["identity", "exponential",
+                                         "complex"])
+def test_statistics_keep_the_covariance_dtype(correlation):
+    """Real covariances give real statistics, filters and cohort inverses;
+    a complex Hermitian correlation gives complex ones."""
+    model = CorrelationModel("exponential", 0.7) \
+        if correlation == "exponential" else CorrelationModel()
+    sc = make_scenario(seed=4, num_users=6, pilot_length=2, num_subbands=2,
+                       subband_capacity=6, correlation=model)
+    if correlation == "complex":
+        sc = _with_complex_correlation(sc)
+    want = np.complex128 if correlation == "complex" else np.float64
+    for (m, k), st in sc.estimation_stats.items():
+        assert cohort_psi(sc, m, k).dtype == want
+        for name in ("R", "rpsi", "est_cov", "err_cov"):
+            assert getattr(st, name).dtype == want, (name, m, k)
+    ctx = sc.rate_context
+    assert ctx.q.dtype == ctx.tmat.dtype == ctx.gamma.dtype == np.float64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_statistics_give_the_bits_of_complex_filters(seed):
+    """On identity-correlated systems the closed forms read the same bits
+    from real statistics as from the filters R Psi held as complex."""
+    sc = make_scenario(seed=seed, num_users=16, num_satellites=4,
+                       cluster_size=3, num_subbands=4, subband_capacity=4,
+                       pilot_length=6, antennas_x=10, antennas_y=10)
+    held = Scenario(config=sc.config, links=sc.links, pilots=sc.pilots,
+                    serving_sets=sc.serving_sets)
+    held.__dict__["estimation_stats"] = {  # what the cached property holds
+        key: dataclasses.replace(st, rpsi=st.rpsi.astype(complex))
+        for key, st in sc.estimation_stats.items()}
+    for name in ("gamma", "q", "tmat", "smat"):
+        assert np.array_equal(getattr(sc.rate_context, name),
+                              getattr(held.rate_context, name)), name
+    for m in range(sc.num_satellites):
+        for k in range(sc.num_users):
+            assert mse(sc, m, k) == mse(held, m, k)
+            assert nmse(sc, m, k) == nmse(held, m, k)
 
 
 def _close(got, ref, rel=1e-12):
