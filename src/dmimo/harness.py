@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import SystemConfig
@@ -102,6 +103,7 @@ def write_manifest(spec, build, extra=None):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
     if extra:

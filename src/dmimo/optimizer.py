@@ -502,7 +502,8 @@ class AoResult:
     """The best allocation and its feasibility margin phi. If the first
     round cannot meet the rate floors, ``feasible`` is False and the
     allocation is where that round stopped, phi that stage's margin
-    (nan if it measured none)."""
+    (nan if it measured none). schedules holds the scheduler's Schedule of
+    every round started, the one that stopped the loop included."""
 
     allocation: AllocationState
     sum_rate: float
@@ -511,6 +512,7 @@ class AoResult:
     bandwidth_iterations: int = 0
     feasible: bool = True
     phi: float = math.inf
+    schedules: list = field(default_factory=list)
 
 
 def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
@@ -533,9 +535,11 @@ def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
     trace = None
     bw_iters = 0
     round_rates = []
+    schedules = []
     for _ in range(max_rounds):
         sched = schedule_users(scenario, estimates, powers, weights,
                                context=context)
+        schedules.append(sched)
         alloc = equal_split_allocation(
             scenario, groups=sched.groups, powers=powers.copy(),
             weights=weights.copy(), feasible=sched.feasible,
@@ -550,7 +554,8 @@ def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
                 break  # the next round would repeat this schedule
             alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
             return AoResult(alloc, sum_rate(scenario, alloc, context),
-                            round_rates, feasible=False, phi=alloc.phi)
+                            round_rates, feasible=False, phi=alloc.phi,
+                            schedules=schedules)
         alloc = res.allocation
         bw_iters = res.iterations
         rate = sum_rate(scenario, alloc, context)
@@ -565,7 +570,8 @@ def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
         prev_rate = rate
     return AoResult(allocation=best, sum_rate=best_rate,
                     round_rates=round_rates, sca_trace=trace,
-                    bandwidth_iterations=bw_iters, phi=best.phi)
+                    bandwidth_iterations=bw_iters, phi=best.phi,
+                    schedules=schedules)
 
 
 def estimate_magnitude_weights(scenario, estimates):

@@ -320,10 +320,11 @@ def sinr_in_bands(scenario, terms, groups, bandwidths=None):
             band[k] = i
     band = np.array(band)
     scheduled = band >= 0
-    bw = np.where(scheduled, np.asarray(bandwidths)[band], 0.0)
-    sigma = np.array([scenario.subband_noise(b) for b in bandwidths])[band]
+    # per band, then the zero that an unscheduled user (band -1) reads
+    bw = np.array([*bandwidths, 0.0])[band]
+    sigma = np.array([*map(scenario.subband_noise, bandwidths), 0.0])[band]
     numerator = np.where(scheduled, terms.signal, 0.0)
-    i_noise = np.where(scheduled, terms.noise_gain * sigma, 0.0)
+    i_noise = terms.noise_gain * sigma
     co_band = (band[:, None] == band[None, :]) & scheduled[:, None]
     interference = np.where(co_band, terms.interference, 0.0)
     sinr = numerator / np.maximum(i_noise + interference.sum(axis=1),

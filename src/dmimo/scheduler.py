@@ -5,28 +5,34 @@ exhaustive-search oracle for small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rate import equal_weights, pair_terms, sinr_in_bands
+from .rate import pair_terms, sinr_in_bands
 
 L_MAX = 100
 EXHAUSTIVE_GUARD = 10
+
+# RateContext -> (colorings by (adjacency bytes, capacity), Schedules by
+# schedule_users' inputs); weak keys, so an entry dies with its context.
+_MEMO = weakref.WeakKeyDictionary()
 
 
 class DegenerateInputError(ValueError):
     pass
 
 
-def correlation_matrix_rho(scenario, estimates):
+def correlation_matrix_rho(scenario, estimates, context=None):
     """K x K symmetric correlation factors, zero diagonal: with a[k, k'] the
     sum of hhat_{m,k}^H hhat_{m,k'} over k's serving set, the factor is
     |a[k, k']| / a[k, k] + |a[k', k]| / a[k', k']. estimates: (M, K, N)."""
+    if context is None:
+        context = scenario.rate_context
     K = scenario.num_users
-    serving = equal_weights(scenario) > 0
-    a = np.einsum("mkn,mjn->kj", serving[:, :, None] * estimates.conj(),
-                  estimates)
+    a = np.einsum("mkn,mjn->kj", context.serving[:, :, None]
+                  * estimates.conj(), estimates)
     norms = a.diagonal().real
     if K > 1 and (norms <= 0).any():
         raise DegenerateInputError("zero-norm channel estimate")
@@ -44,7 +50,7 @@ class ConflictGraph:
     @staticmethod
     def from_threshold(rho, threshold):
         # exactly-zero correlation never conflicts, even at threshold zero
-        adj = ((rho >= threshold) & (rho > 0)).astype(int)
+        adj = ((rho >= threshold) & (rho > 0)).astype(np.uint8)
         np.fill_diagonal(adj, 0)
         return ConflictGraph(rho=rho, adjacency=adj)
 
@@ -58,6 +64,7 @@ class Schedule:
     iterations: int = 0
     escalations: int = 0
     edges_added: int = 0
+    # distinct graphs colored, computed or from the RateContext's memo
     colorings: int = 0
     partitions_scored: int = 0
     hit_l_max: bool = False
@@ -162,9 +169,10 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
     conflict edge between the worst-SINR user and its strongest co-band
     interferer. Keeps the best feasible grouping by sum rate.
 
-    The loop revisits graphs and partitions, so each coloring is kept by
-    adjacency and each partition's score by its groups; both are pure
-    functions of those keys within one call.
+    Partition scores are kept by groups for the call; for the RateContext's
+    life, colorings by (adjacency, capacity) and Schedules by (config,
+    bands, capacity, rho, powers, weights). All are pure functions of those
+    keys.
     """
     cfg = scenario.config
     K = scenario.num_users
@@ -174,24 +182,35 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
         capacity = cfg.subband_capacity
     if num_bands * capacity < K:
         raise ValueError("no feasible partition: I * N_max < K")
+    if context is None:
+        context = scenario.rate_context
+    colorings, schedules = _MEMO.setdefault(context, ({}, {}))
+    # the loop reads the estimates only through rho, a K x K key
+    rho = correlation_matrix_rho(scenario, estimates, context)
+    call = (cfg, num_bands, capacity) + tuple(
+        (a.shape, a.dtype.str, a.tobytes())
+        for a in map(np.asarray, (rho, powers, weights)))
+    if call in schedules:
+        sched = schedules[call]
+        return replace(sched, groups=[list(g) for g in sched.groups])
     terms = pair_terms(scenario, powers, weights, context)
-
-    colorings = {}
+    graphs = set()
     scores = {}
 
     def color(adjacency):
-        key = adjacency.tobytes()
+        key = adjacency.tobytes(), capacity
+        graphs.add(key)
         if key not in colorings:
-            colorings[key] = dsatur_color(adjacency, capacity)
+            groups, n_c = dsatur_color(adjacency, capacity)
+            # immutable: later calls share it, and it keys the score memo
+            colorings[key] = tuple(map(tuple, groups)), n_c
         return colorings[key]
 
     def score(groups):
-        key = tuple(tuple(g) for g in groups)
-        if key not in scores:
-            scores[key] = score_partition(scenario, groups, terms)
-        return scores[key]
+        if groups not in scores:
+            scores[groups] = score_partition(scenario, groups, terms)
+        return scores[groups]
 
-    rho = correlation_matrix_rho(scenario, estimates)
     off = rho[~np.eye(K, dtype=bool)]
     threshold = float(off.mean()) if off.size else 0.0
     rho_max = float(rho.max()) if off.size else 0.0
@@ -224,11 +243,12 @@ def schedule_users(scenario, estimates, powers, weights, num_bands=None,
         groups, n_c = color(graph.adjacency)
 
     groups, n_c = best or (groups, n_c)
-    return Schedule(
-        groups=[list(g) for g in groups], colors_used=n_c,
+    schedules[call] = Schedule(
+        groups=groups, colors_used=n_c,
         feasible=best is not None, iterations=it + 1, escalations=escalations,
-        edges_added=edges_added, colorings=len(colorings),
+        edges_added=edges_added, colorings=len(graphs),
         partitions_scored=len(scores), hit_l_max=hit_l_max)
+    return replace(schedules[call], groups=[list(g) for g in groups])
 
 
 def _partitions(items, max_blocks, capacity):

@@ -59,6 +59,7 @@ def test_nmse_sweep_outputs(tmp_path):
     manifest = json.loads((tmp_path / "run-manifest.json").read_text())
     assert manifest["experiment"] == "nmse-sweep"
     assert manifest["seed"] == 5
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
 
 
 def test_bound_validate_outputs(tmp_path):
@@ -116,6 +117,13 @@ def test_benchmark_outputs(tmp_path):
     header, data = rows[0], rows[1:]
     arms = {r[header.index("arm")] for r in data}
     assert arms == {"proposed", "benchmark1", "benchmark2"}
+    # every column but the build tag, as written before the scheduler kept
+    # colorings and schedules per RateContext
+    build = header.index("build")
+    assert [r[:build] + r[build + 1:] for r in data] == [
+        ["5", "6", "proposed", "686589.735983", "114431.622664", "2"],
+        ["5", "6", "benchmark1", "685437.164682", "114239.527447", "2"],
+        ["5", "6", "benchmark2", "685466.724975", "114244.454163", "2"]]
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -40,7 +40,7 @@ from dmimo.rate import (
     sum_rate,
 )
 from dmimo.scenario import Scenario, build_scenario
-from dmimo.scheduler import schedule_users
+from dmimo.scheduler import Schedule, schedule_users, validate_schedule
 
 LN2 = math.log(2.0)
 
@@ -708,6 +708,32 @@ def test_attainable_floor_reports_margin(default_scenario):
     assert sinr_all(floored, res.allocation).rate.min() >= 5e4 * (1 - 1e-9)
     res = alternating_optimize(sc, np.random.default_rng(1))
     assert res.feasible and res.phi == math.inf
+
+
+@pytest.mark.parametrize("floor, seed", [(0.0, 1007), (0.0, 1008),
+                                         (1.5e5, 1007)])
+def test_ao_result_keeps_one_schedule_per_round(floor, seed):
+    """One well-formed Schedule per round started; the first is the
+    equal-weight arm's schedule, and the allocation keeps one of them."""
+    cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=floor)
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    rounds = len(res.round_rates)
+    assert len(res.schedules) in (rounds, rounds + 1)
+    assert res.feasible == (rounds > 0)
+    for sched in res.schedules:
+        assert isinstance(sched, Schedule) and sched.iterations >= 1
+        assert sorted(k for g in sched.groups for k in g) == list(range(8))
+        assert not sched.feasible or validate_schedule(
+            sched, 8, cfg.num_subbands, cfg.subband_capacity)
+    fresh = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    est = scheduling_estimates(fresh, np.random.default_rng(estimation_ss))
+    assert res.schedules[0] == schedule_users(
+        fresh, est, np.full(8, cfg.max_power), equal_weights(fresh))
+    assert res.allocation.groups in [s.groups for s in res.schedules]
+    if not res.feasible:
+        assert len(res.schedules) == 1
 
 
 # The benchmark experiment's K=8 system (harness.run_benchmark at seed 0):

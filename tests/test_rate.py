@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import cohort_psi, make_scenario, manual_link, manual_scenario
 from dmimo.config import CorrelationModel, SystemConfig
 from dmimo.estimation import mse, nmse
-from dmimo.scenario import Scenario
+from dmimo.scenario import DomainError, Scenario
 from dmimo.rate import (
     AllocationState,
     ContractError,
@@ -310,6 +310,15 @@ def test_engine_closed_forms_match_decomposition(seed, K, M, data):
         assert {n: t[0] for n, t in rep.terms.items()} == expected
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_sinr_all_rejects_a_non_positive_bandwidth(default_scenario, bad):
+    sc = default_scenario
+    alloc = equal_split_allocation(sc)
+    alloc.bandwidths[-1] = bad
+    with pytest.raises(DomainError):
+        sinr_all(sc, alloc)
+
+
 def test_sum_rate_aggregates(default_scenario):
     sc = default_scenario
     ctx = RateContext(sc)
@@ -503,6 +512,7 @@ def test_sinr_all_matches_reference(seed, K, M, data):
     for k in range(K):
         if bands[k] < 0:
             assert res.sinr[k] == res.rate[k] == 0.0
+            assert res.numerator[k] == res.i_noise[k] == 0.0
             assert not res.interference[k].any()
             assert not res.interference[:, k].any()
             continue

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -534,7 +536,8 @@ def test_pair_terms_scores_equal_sinr_all(seed, data):
 def _schedule_reference(scenario, estimates, powers, weights,
                         num_bands=None, max_iter=L_MAX):
     """The scheduling loop without the memo, for max_iter iterations:
-    (Schedule, escalations, edges added, stopped by an edit)."""
+    (Schedule, escalations, edges added, the distinct adjacencies colored
+    as bytes, stopped by an edit)."""
     cfg = scenario.config
     K = scenario.num_users
     num_bands = num_bands or cfg.num_subbands
@@ -543,6 +546,7 @@ def _schedule_reference(scenario, estimates, powers, weights,
     threshold = float(rho[~np.eye(K, dtype=bool)].mean())
     rho_max = float(rho.max())
     graph = ConflictGraph.from_threshold(rho, threshold)
+    graphs = {graph.adjacency.tobytes()}
     groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
     best, best_rate = None, -np.inf
     escalations = edges = 0
@@ -551,6 +555,7 @@ def _schedule_reference(scenario, estimates, powers, weights,
             escalations += 1
             threshold = (threshold + rho_max) / 2.0
             graph = ConflictGraph.from_threshold(rho, threshold)
+            graphs.add(graph.adjacency.tobytes())
             groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
             continue
         sc = score_partition(scenario, groups, terms)
@@ -560,36 +565,70 @@ def _schedule_reference(scenario, estimates, powers, weights,
                             colors_used=n_c, feasible=True)
         if sc.interferer is None or graph.adjacency[sc.worst, sc.interferer]:
             return best or Schedule(groups, n_c, False), escalations, edges, \
-                True
+                graphs, True
         graph.adjacency[sc.worst, sc.interferer] = 1
         graph.adjacency[sc.interferer, sc.worst] = 1
         edges += 1
+        graphs.add(graph.adjacency.tobytes())
         groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
-    return best or Schedule(groups, n_c, False), escalations, edges, False
+    return best or Schedule(groups, n_c, False), escalations, edges, graphs, \
+        False
+
+
+def _ao_small_system(floor, seed):
+    """A freshly built (scenario, estimates, powers, {arm: weights}) of the
+    ao-small benchmark system (the benchmark experiment's K=8 system) at
+    the rate floor `floor`."""
+    cfg = _cluster_config(SystemConfig(), 8, pilot_length=6,
+                          subband_capacity=3, max_power=0.2,
+                          rate_requirement=floor)
+    rng = np.random.default_rng(seed)
+    sc = build_scenario(cfg, rng)
+    est = scheduling_estimates(sc, rng)
+    return sc, est, np.full(8, cfg.max_power), {
+        "equal": equal_weights(sc),
+        "estimate": estimate_magnitude_weights(sc, est)}
+
+
+def _golden_system(num_users, floored, seed):
+    """golden_instance's scenario, estimates and powers, freshly built, with
+    the weights of both arms."""
+    sc, est, powers, weights = golden_instance(num_users, floored, "equal",
+                                               seed)
+    return sc, est, powers, {
+        "equal": weights, "estimate": estimate_magnitude_weights(sc, est)}
 
 
 def _schedule_instances():
     """(key, arguments, keyword arguments) of schedule_users: the golden
     instances with four bands and with one band per user (where an edit
     can leave the worst user alone, which stops the loop), plus the
-    ao-small benchmark system (the benchmark experiment's K=8 system)
-    without a floor and at an unattainable 1.5e5 bit/s floor."""
+    ao-small benchmark system without a floor and at an unattainable
+    1.5e5 bit/s floor, both weight arms on one scenario."""
     for key in GOLDEN_SCHEDULES:
         yield key, golden_instance(*key), {}
         yield key + ("K bands",), golden_instance(*key), {
             "num_bands": key[0]}
     for floor in (0.0, 1.5e5):
-        cfg = _cluster_config(SystemConfig(), 8, pilot_length=6,
-                              subband_capacity=3, max_power=0.2,
-                              rate_requirement=floor)
         for seed in range(1011, 1017):
-            rng = np.random.default_rng(seed)
-            sc = build_scenario(cfg, rng)
-            est = scheduling_estimates(sc, rng)
-            for weights in (equal_weights(sc),
-                            estimate_magnitude_weights(sc, est)):
-                yield (floor, seed), (sc, est, np.full(8, cfg.max_power),
-                                      weights), {}
+            sc, est, powers, arms = _ao_small_system(floor, seed)
+            for weights in arms.values():
+                yield (floor, seed), (sc, est, powers, weights), {}
+
+
+def _arm_systems():
+    """(key, build, keyword arguments) of every _schedule_instances system:
+    build() returns a freshly built (scenario, estimates, powers,
+    {arm: weights})."""
+    golden = sorted({(n, floored, seed)
+                     for n, floored, _, seed in GOLDEN_SCHEDULES})
+    for key in golden:
+        for kw in ({}, {"num_bands": key[0]}):
+            yield key, (lambda key=key: _golden_system(*key)), kw
+    for floor in (0.0, 1.5e5):
+        for seed in range(1011, 1017):
+            yield (floor, seed), \
+                (lambda f=floor, s=seed: _ao_small_system(f, s)), {}
 
 
 def test_memoized_loop_matches_reference():
@@ -605,12 +644,12 @@ def test_memoized_loop_matches_reference():
 
 
 def test_schedule_diagnostics_match_counters(monkeypatch):
-    colorings, scored, rebuilds = [], [], []
+    colored, scored, rebuilds = [], [], []
     real_color, real_score = scheduler.dsatur_color, scheduler.score_partition
     real_rebuild = ConflictGraph.from_threshold
 
     def color(adjacency, capacity):
-        colorings.append(1)
+        colored.append((np.asarray(adjacency).tobytes(), capacity))
         return real_color(adjacency, capacity)
 
     def score(scenario, groups, terms):
@@ -621,27 +660,120 @@ def test_schedule_diagnostics_match_counters(monkeypatch):
         rebuilds.append(1)
         return real_rebuild(rho, threshold)
 
+    # id(context) -> (context, DSatur inputs, graphs its calls colored,
+    # the calls' summed Schedule.colorings)
+    contexts = {}
     hit = stopped = 0
     for key, inst, kw in _schedule_instances():
         monkeypatch.setattr(scheduler, "dsatur_color", color)
         monkeypatch.setattr(scheduler, "score_partition", score)
         monkeypatch.setattr(ConflictGraph, "from_threshold",
                             staticmethod(rebuild))
-        colorings.clear(), scored.clear(), rebuilds.clear()
+        colored.clear(), scored.clear(), rebuilds.clear()
         sched = schedule_users(*inst, **kw)
         monkeypatch.undo()
-        assert sched.colorings == len(colorings), key
         assert sched.partitions_scored == len(scored), key
         assert sched.escalations == len(rebuilds) - 1, key
         # the reference loop, cut where this one stopped, made the same
-        # escalations and edits
-        _, esc, edges, by_edit = _schedule_reference(
+        # escalations and edits and colored the same distinct graphs
+        _, esc, edges, graphs, by_edit = _schedule_reference(
             *inst, **kw, max_iter=sched.iterations)
         assert (sched.escalations, sched.edges_added) == (esc, edges), key
         assert sched.iterations == esc + edges + by_edit, key
+        assert sched.colorings == len(graphs), key
+        ctx = inst[0].rate_context
+        entry = contexts.setdefault(id(ctx), [ctx, [], set(), 0])
+        entry[1] += colored
+        entry[2] |= {(g, inst[0].config.subband_capacity) for g in graphs}
+        entry[3] += sched.colorings
         # hit_l_max: the full loop is never stopped by an edit
         *_, full_by_edit = _schedule_reference(*inst, **kw)
         assert sched.hit_l_max == (not full_by_edit), key
         hit += sched.hit_l_max
         stopped += not sched.hit_l_max
     assert hit and stopped
+    # over all calls on one context, DSatur ran once per distinct
+    # (adjacency, capacity), and the second weight arm reused colorings
+    for _, ran, graphs, _ in contexts.values():
+        assert len(ran) == len(set(ran)) and set(ran) == graphs
+    assert any(len(ran) < total for _, ran, _, total in contexts.values())
+
+
+def test_shared_memo_matches_fresh_scenarios():
+    """Both weight arms on one context, each repeated, in both orders:
+    every Schedule equals that of a call on a freshly built scenario."""
+    for key, build, kw in _arm_systems():
+        fresh = {}
+        for arm in ("equal", "estimate"):
+            sc, est, powers, arms = build()
+            fresh[arm] = schedule_users(sc, est, powers, arms[arm], **kw)
+        for order in (("equal", "estimate"), ("estimate", "equal")):
+            sc, est, powers, arms = build()
+            for arm in order + order:
+                assert schedule_users(sc, est, powers, arms[arm], **kw) \
+                    == fresh[arm], (key, kw, order, arm)
+
+
+def test_shared_colorings_are_kept_per_capacity():
+    """Calls at several capacities on one context schedule as on freshly
+    built scenarios: a graph's coloring at one capacity is not reused at
+    another."""
+    for key in ((8, False, "equal", 0), (8, True, "estimate", 1)):
+        shared = golden_instance(*key)
+        for capacity in (3, 2, 8, 3):
+            got = schedule_users(*shared, capacity=capacity)
+            assert got == schedule_users(*golden_instance(*key),
+                                         capacity=capacity), (key, capacity)
+
+
+def test_shared_memo_tells_estimates_apart():
+    """Calls with other estimates, at the same powers and weights, on one
+    context schedule as on freshly built scenarios."""
+    for key in ((8, False, "equal", 0), (6, True, "equal", 1)):
+        sc, est, powers, weights = golden_instance(*key)
+        # the LoS part dominates drawn estimates, so unstructured ones
+        rng = np.random.default_rng(99)
+        draws = [est] + [rng.standard_normal(est.shape)
+                         + 1j * rng.standard_normal(est.shape)
+                         for _ in range(2)]
+        got = [schedule_users(sc, e, powers, weights) for e in draws + draws]
+        want = [schedule_users(golden_instance(*key)[0], e, powers, weights)
+                for e in draws]
+        assert got == want + want, key
+        assert len({repr(s) for s in want}) == len(want), key
+
+
+def test_repeated_call_returns_an_unaliased_copy(monkeypatch):
+    sc, est, powers, weights = golden_instance(8, True, "equal", 1)
+    first = schedule_users(sc, est, powers, weights)
+    want = Schedule(**{**vars(first),
+                       "groups": [list(g) for g in first.groups]})
+
+    def fail(*args):
+        raise AssertionError("a repeated call reached the loop")
+
+    monkeypatch.setattr(scheduler, "pair_terms", fail)
+    monkeypatch.setattr(scheduler, "dsatur_color", fail)
+    first.groups[0].append(99)
+    first.groups.append([42])
+    second = schedule_users(sc, est.copy(), powers.copy(), weights.copy())
+    assert second == want and second.groups is not first.groups
+    second.groups[0].clear()
+    assert schedule_users(sc, est, powers, weights) == want
+    # any other argument runs the loop
+    with pytest.raises(AssertionError, match="reached the loop"):
+        schedule_users(sc, est, powers, weights, num_bands=8)
+
+
+def test_schedule_memo_dies_with_its_scenario():
+    sc, est, powers, weights = golden_instance(6, False, "equal", 0)
+    schedule_users(sc, est, powers, weights)
+    held = len(scheduler._MEMO)
+    ref = weakref.ref(sc.rate_context)
+    gc.disable()
+    try:
+        del sc
+        assert ref() is None
+        assert len(scheduler._MEMO) == held - 1
+    finally:
+        gc.enable()
