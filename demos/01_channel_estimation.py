@@ -35,7 +35,7 @@ for kbar in (1.0, 5.0, 10.0, 50.0, 100.0, 1e4):
 
     # Monte Carlo: draw channels, run the estimator, measure the error
     h, _ = sample_channel_batch(sc, rng, trials)
-    hhat, _ = estimate_batch(sc, h, rng, stats=stats)
+    hhat, _ = estimate_batch(sc, h, rng)
     err = np.abs(h - hhat) ** 2
     mse_mc = err.sum(axis=3).mean()
     tr_r = np.mean([np.trace(stats[(m, k)].R).real

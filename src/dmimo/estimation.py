@@ -43,13 +43,13 @@ class EstimationStats:
         return self.R - self.est_cov
 
 
-def scenario_estimation_stats(scenario, sigma2=None):
-    """EstimationStats for every (m, k), cohort inverses computed once.
-    The arrays keep the covariances' dtype: real for a real correlation."""
+def scenario_estimation_stats(scenario):
+    """EstimationStats for every (m, k) at the full-band noise power of the
+    scenario's config, cohort inverses computed once. The arrays keep the
+    covariances' dtype: real for a real correlation."""
     M, K = scenario.num_satellites, scenario.num_users
     cfg = scenario.config
-    if sigma2 is None:
-        sigma2 = scenario.fullband_noise
+    sigma2 = scenario.fullband_noise
     tau = cfg.pilot_length
     out = {}
     for m in range(M):
@@ -69,21 +69,18 @@ def scenario_estimation_stats(scenario, sigma2=None):
     return out
 
 
-def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
-    """Vectorized estimates for a (T, M, K, N) channel batch.
+def estimate_batch(scenario, h_batch, rng):
+    """Vectorized estimates for a (T, M, K, N) channel batch, filtered by
+    the scenario's cached statistics.
 
-    Returns (hhat, pilot_noise) with hhat shaped like h_batch. Without
-    ``stats`` the scenario's cached statistics are used, unless ``sigma2``
-    asks for another noise power.
+    Returns (hhat, pilot_noise) with hhat shaped like h_batch.
     """
     cfg = scenario.config
     tau = cfg.pilot_length
     T, M, K, N = h_batch.shape
-    if stats is None:
-        stats = (scenario.estimation_stats if sigma2 is None
-                 else scenario_estimation_stats(scenario, sigma2=sigma2))
+    stats = scenario.estimation_stats
     # CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot)
-    noise = np.sqrt(scenario.fullband_noise if sigma2 is None else sigma2) \
+    noise = np.sqrt(scenario.fullband_noise) \
         * complex_normal(rng, (T, M, tau, N))
     hhat = np.empty_like(h_batch)
     sqrt_tp = np.sqrt(tau * cfg.pilot_power)
@@ -103,14 +100,6 @@ def estimate_batch(scenario, h_batch, rng, stats=None, sigma2=None):
     return hhat, noise
 
 
-def _link_stats(scenario, m, k, sigma2):
-    """Link (m, k)'s statistics at the full-band noise power, or at
-    sigma2 when given."""
-    if sigma2 is None:
-        return scenario.estimation_stats[(m, k)]
-    return scenario_estimation_stats(scenario, sigma2=sigma2)[(m, k)]
-
-
 def trace_sum(diag):
     """Re of the sum over the last axis, added as complex numbers whatever
     the dtype: numpy groups complex sums unlike real ones, and this keeps a
@@ -124,14 +113,14 @@ def _err_trace(st):
     return float(trace_sum(diag))
 
 
-def mse(scenario, m, k, sigma2=None):
+def mse(scenario, m, k):
     """Estimation-error power tr(R - tau p R Psi R)."""
-    return _err_trace(_link_stats(scenario, m, k, sigma2))
+    return _err_trace(scenario.estimation_stats[(m, k)])
 
 
-def nmse(scenario, m, k, sigma2=None):
+def nmse(scenario, m, k):
     """Normalized MSE in [0, 1]; the degenerate tr(R)=0 case reports 1."""
-    st = _link_stats(scenario, m, k, sigma2)
+    st = scenario.estimation_stats[(m, k)]
     tr_r = float(np.trace(st.R).real)
     if tr_r == 0.0:
         return 1.0

@@ -24,10 +24,9 @@ from .config import SystemConfig
 from .estimation import estimate_batch, mse, nmse
 from .channel import sample_channel_batch
 from .optimizer import (
+    InfeasibleError,
     alternating_optimize,
     benchmark_allocation,
-    optimize_bandwidth,
-    optimize_power_weights,
     scheduling_estimates,
 )
 from .rate import (
@@ -180,7 +179,7 @@ def run_nmse_sweep(spec):
         mse_cf = np.mean([mse(sc, m, k) for m in range(M) for k in range(K)])
         nmse_cf = np.mean([nmse(sc, m, k) for m in range(M) for k in range(K)])
         h, _ = sample_channel_batch(sc, rng, spec.trials)
-        hhat, _ = estimate_batch(sc, h, rng, stats=stats)
+        hhat, _ = estimate_batch(sc, h, rng)
         err = np.abs(h - hhat) ** 2  # (T, M, K, N)
         per_trial_mse = err.sum(axis=3).mean(axis=(1, 2))
         tr_r = np.mean([
@@ -307,8 +306,9 @@ def run_schedule_compare(spec):
 
 
 def run_convergence(spec):
-    """Iteration traces for the SCA power/weight loop and the bandwidth
-    water-filling stage, at two array sizes."""
+    """Iteration traces of the SCA power/weight loop and the bandwidth
+    water-filling stage in the alternating optimization's first round, at
+    two array sizes."""
     build = build_identifier()
     rows = []
     sizes = spec.extras.get("antenna_grid", ((8, 8), (10, 10)))
@@ -316,19 +316,16 @@ def run_convergence(spec):
         cfg = spec.config.replace(antennas_x=nx, antennas_y=ny)
         rng = np.random.default_rng(spec.seed)
         sc = build_scenario(cfg, rng)
-        ctx = sc.rate_context
-        powers = np.full(sc.num_users, cfg.max_power)
-        weights = equal_weights(sc)
-        estimates = scheduling_estimates(sc, rng)
-        sched = schedule_users(sc, estimates, powers, weights, context=ctx)
-        alloc = equal_split_allocation(sc, groups=sched.groups,
-                                       powers=powers, weights=weights)
-        alloc, trace = optimize_power_weights(sc, alloc, ctx)
+        ao = alternating_optimize(sc, rng, max_rounds=1)
+        first = ao.rounds[0]
+        if first.bandwidth is None:
+            raise InfeasibleError(
+                f"rate requirements unattainable (phi = "
+                f"{ao.allocation.phi:.4f})", ao.allocation.phi)
         n = nx * ny
-        for it, obj in enumerate(trace.objectives):
+        for it, obj in enumerate(first.sca.objectives):
             rows.append([spec.seed, build, n, "power-weights", it, obj])
-        res = optimize_bandwidth(sc, alloc, ctx)
-        for it, obj in enumerate(res.objective_trace, start=1):
+        for it, obj in enumerate(first.bandwidth.objective_trace, start=1):
             rows.append([spec.seed, build, n, "bandwidth", it, obj])
     header = ["seed", "build", "num_antennas", "stage", "iteration",
               "objective"]

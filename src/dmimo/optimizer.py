@@ -21,9 +21,12 @@ from .rate import (
     sinr_all,
     sum_rate,
 )
-from .scheduler import schedule_users
+from .scheduler import Schedule, schedule_users
 
 LN2 = math.log(2.0)
+# The alternating optimization stops after a round that gains less than this
+# fraction of its sum rate over the round before.
+EPS_OUTER = 1e-3
 
 
 class InfeasibleError(RuntimeError):
@@ -498,80 +501,76 @@ def scheduling_estimates(scenario, rng):
 
 
 @dataclass
+class AoRound:
+    """One round of the alternating optimization: the scheduler's Schedule,
+    the power stage's ScaTrace and the bandwidth stage's result, with the
+    sum rate it reached. A stage that found the rate floors unattainable
+    leaves its own and every later field None."""
+
+    schedule: Schedule
+    sca: ScaTrace | None = None
+    bandwidth: BandwidthResult | None = None
+    sum_rate: float | None = None
+
+
+@dataclass
 class AoResult:
-    """The best allocation and its feasibility margin phi. If the first
-    round cannot meet the rate floors, ``feasible`` is False and the
-    allocation is where that round stopped, phi that stage's margin
-    (nan if it measured none). schedules holds the scheduler's Schedule of
-    every round started, the one that stopped the loop included."""
+    """The best allocation, with one AoRound per round started, the one
+    that stopped the loop included. If the first round cannot meet the
+    rate floors, the allocation is where that round stopped, marked
+    infeasible with that stage's margin phi (nan if it measured none)."""
 
     allocation: AllocationState
     sum_rate: float
-    round_rates: list
-    sca_trace: ScaTrace | None = None
-    bandwidth_iterations: int = 0
-    feasible: bool = True
-    phi: float = math.inf
-    schedules: list = field(default_factory=list)
+    rounds: list
+
+    @property
+    def round_rates(self):
+        """The sum rate of every round that completed both stages."""
+        return [r.sum_rate for r in self.rounds if r.bandwidth is not None]
 
 
-def alternating_optimize(scenario, rng, eps_outer=1e-3, max_rounds=20,
-                         optimize_weights=True, weights=None,
-                         context=None):
+def alternating_optimize(scenario, rng, max_rounds=20, context=None):
     """Outer loop: scheduling -> power/weights -> bandwidth, keeping the
     best allocation observed."""
     if context is None:
         context = scenario.rate_context
-    cfg = scenario.config
-    K = scenario.num_users
     estimates = scheduling_estimates(scenario, rng)
-    if weights is None:
-        weights = equal_weights(scenario)
-    powers = np.full(K, cfg.max_power)
+    weights = equal_weights(scenario)
+    powers = np.full(scenario.num_users, scenario.config.max_power)
 
     best = None
     best_rate = -np.inf
     prev_rate = 0.0
-    trace = None
-    bw_iters = 0
-    round_rates = []
-    schedules = []
+    rounds = []
     for _ in range(max_rounds):
-        sched = schedule_users(scenario, estimates, powers, weights,
-                               context=context)
-        schedules.append(sched)
+        record = AoRound(schedule_users(scenario, estimates, powers, weights,
+                                        context=context))
+        rounds.append(record)
         alloc = equal_split_allocation(
-            scenario, groups=sched.groups, powers=powers.copy(),
-            weights=weights.copy(), feasible=sched.feasible,
+            scenario, groups=record.schedule.groups, powers=powers.copy(),
+            weights=weights.copy(),
         )
         try:
-            alloc, trace = optimize_power_weights(
-                scenario, alloc, context, optimize_weights=optimize_weights
-            )
-            res = optimize_bandwidth(scenario, alloc, context)
+            alloc, record.sca = optimize_power_weights(scenario, alloc,
+                                                       context)
+            record.bandwidth = optimize_bandwidth(scenario, alloc, context)
         except (InfeasibleError, GpInfeasibleError) as err:
             if best is not None:
                 break  # the next round would repeat this schedule
             alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
-            return AoResult(alloc, sum_rate(scenario, alloc, context),
-                            round_rates, feasible=False, phi=alloc.phi,
-                            schedules=schedules)
-        alloc = res.allocation
-        bw_iters = res.iterations
-        rate = sum_rate(scenario, alloc, context)
-        round_rates.append(rate)
+            return AoResult(alloc, sum_rate(scenario, alloc, context), rounds)
+        alloc = record.bandwidth.allocation
+        rate = record.sum_rate = sum_rate(scenario, alloc, context)
         if rate > best_rate:
             best_rate = rate
             best = alloc
         powers = alloc.powers.copy()
         weights = alloc.weights.copy()
-        if prev_rate > 0 and (rate - prev_rate) / rate < eps_outer:
+        if prev_rate > 0 and (rate - prev_rate) / rate < EPS_OUTER:
             break
         prev_rate = rate
-    return AoResult(allocation=best, sum_rate=best_rate,
-                    round_rates=round_rates, sca_trace=trace,
-                    bandwidth_iterations=bw_iters, phi=best.phi,
-                    schedules=schedules)
+    return AoResult(allocation=best, sum_rate=best_rate, rounds=rounds)
 
 
 def estimate_magnitude_weights(scenario, estimates):
@@ -604,8 +603,7 @@ def benchmark_allocation(scenario, rng, weight_mode, context=None):
     sched = schedule_users(scenario, estimates, powers, weights,
                            context=context)
     alloc = equal_split_allocation(scenario, groups=sched.groups,
-                                   powers=powers, weights=weights,
-                                   feasible=sched.feasible)
+                                   powers=powers, weights=weights)
     try:
         alloc, _ = optimize_power_weights(scenario, alloc, context,
                                           optimize_weights=False)

@@ -59,28 +59,22 @@ class AllocationState:
         )
 
 
-def equal_split_allocation(scenario, num_bands=None, groups=None,
-                           powers=None, weights=None, feasible=True):
+def equal_split_allocation(scenario, groups=None, powers=None, weights=None):
     """Allocation with the bandwidth split equally over the occupied bands;
-    powers default to max power and weights to equal norm over each
-    serving set."""
+    groups default to users dealt round-robin over the sub-bands, powers
+    to max power and weights to equal norm over each serving set."""
     cfg = scenario.config
-    K, M = scenario.num_users, scenario.num_satellites
-    if num_bands is None:
-        num_bands = cfg.num_subbands
     if groups is None:
-        groups = [[] for _ in range(num_bands)]
-        for k in range(K):
-            groups[k % num_bands].append(k)
-        groups = [g for g in groups if g]
+        groups = [list(range(i, scenario.num_users, cfg.num_subbands))
+                  for i in range(cfg.num_subbands)]
     if powers is None:
-        powers = np.full(K, cfg.max_power)
+        powers = np.full(scenario.num_users, cfg.max_power)
     if weights is None:
         weights = equal_weights(scenario)
     bw = [cfg.total_bandwidth / max(len(groups), 1)] * len(groups)
     return AllocationState(groups=[list(g) for g in groups], bandwidths=bw,
                            powers=np.asarray(powers, dtype=float),
-                           weights=weights, feasible=feasible)
+                           weights=weights)
 
 
 def equal_weights(scenario):
@@ -141,7 +135,6 @@ class RateContext:
         M, K, N = (scenario.num_satellites, scenario.num_users,
                    scenario.num_antennas)
         stats = scenario.estimation_stats
-        self.stats = stats
         self.gamma = np.zeros((M, K))
         self.q1, self.q2, self.q3, self.tmat = np.zeros((4, M, K, K))
         self.smat = np.zeros((M, K, K), dtype=complex)
@@ -310,7 +303,8 @@ def pair_terms(scenario, powers, weights, context=None):
 
 def sinr_in_bands(scenario, terms, groups, bandwidths=None):
     """SinrArrays of the sub-bands `groups` from the PairTerms `terms`, at
-    `bandwidths` (default: the total split equally over the groups)."""
+    `bandwidths` (default: the total split equally over the groups). A band
+    given no bandwidth has no noise, and its users rate 0."""
     if bandwidths is None:
         bandwidths = [scenario.config.total_bandwidth
                       / max(len(groups), 1)] * len(groups)
@@ -426,7 +420,7 @@ def monte_carlo_users(scenario, allocation, trials, rng, context=None,
         raise ContractError("each user may be requested once")
 
     h, _ = sample_channel_batch(scenario, rng, trials)
-    hhat, _ = estimate_batch(scenario, h, rng, stats=context.stats)
+    hhat, _ = estimate_batch(scenario, h, rng)
     reports = {}
     sum_samples = np.zeros(trials)
     for k in users:

@@ -21,9 +21,10 @@ class DomainError(ValueError):
 
 
 def noise_power(bandwidth, config):
-    """Thermal noise power in W over the given bandwidth."""
-    if bandwidth <= 0:
-        raise DomainError("bandwidth must be strictly positive")
+    """Thermal noise power in W over the given bandwidth; a band given no
+    bandwidth has none."""
+    if bandwidth < 0:
+        raise DomainError("bandwidth must be nonnegative")
     return bandwidth * config.noise_density
 
 

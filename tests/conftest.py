@@ -13,6 +13,12 @@ from dmimo.scenario import (
 )
 
 
+# Config fields that make the full-band noise power exactly 1:
+# k_B T_0 10^(N_dB/10) B = 1 * 1 * 1 * 1.
+UNIT_NOISE = dict(boltzmann=1.0, noise_temperature=1.0, total_bandwidth=1.0,
+                  noise_figure_db=0.0)
+
+
 def make_scenario(seed=0, **kw):
     cfg = SystemConfig(rng_seed=seed, **kw)
     return build_scenario(cfg, np.random.default_rng(seed))
@@ -51,11 +57,11 @@ def manual_scenario(config, links, pilots, serving_sets):
 def scalar_scenario():
     """N=1, M=1, two users sharing one pilot; user 1 contributes nothing
     (beta=0), so user 0's statistics reduce to the scalar hand case
-    R=1, tau=1, p^p=1."""
+    R=1, tau=1, p^p=1, sigma^2=1."""
     cfg = SystemConfig(
         num_satellites=1, num_users=2, antennas_x=1, antennas_y=1,
         num_subbands=1, pilot_length=1, pilot_power=1.0, cluster_size=1,
-        subband_capacity=2,
+        subband_capacity=2, **UNIT_NOISE,
     )
     links = [[manual_link(2.0, 1.0, [1.0]), manual_link(0.0, 1.0, [1.0])]]
     return manual_scenario(cfg, links, pilots=(0, 0),

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_scenario, manual_link, manual_scenario
+from conftest import UNIT_NOISE, make_scenario, manual_link, manual_scenario
 from dmimo.config import SystemConfig
 from dmimo.estimation import mse, nmse
 from dmimo.gp import GpProblem, solve_gp
@@ -129,28 +129,34 @@ def test_criterion_03_estimation_statistics():
         assert all(b > a for a, b in zip(nmses, nmses[1:]))
         assert nmses[-1] > 0.99
 
-        # vanishing-noise limit with dedicated pilots
+        # vanishing-noise limit with dedicated pilots, at 1e-8 of the
+        # default noise temperature
         sc = make_scenario(seed=11, pilot_length=5, pilot_power=1.0)
-        sc = Scenario(config=sc.config, links=sc.links,
-                      pilots=PilotAssignment(pilot_index=tuple(range(K))),
-                      serving_sets=sc.serving_sets)
+        cfg = sc.config
+        quiet = Scenario(config=cfg.replace(
+                             noise_temperature=cfg.noise_temperature * 1e-8),
+                         links=sc.links,
+                         pilots=PilotAssignment(pilot_index=tuple(range(K))),
+                         serving_sets=sc.serving_sets)
+        assert quiet.fullband_noise == pytest.approx(sc.fullband_noise * 1e-8)
+        sc = quiet
         assert all(len(sc.pilots.cohort(k)) == 1 for k in range(K))
         sc = sc.with_rician(1.0)
-        sigma2 = sc.fullband_noise * 1e-8
         for m in range(M):
             for k in range(K):
-                assert nmse(sc, m, k, sigma2=sigma2) < 1e-6
+                assert nmse(sc, m, k) < 1e-6
 
         # scalar hand case: R=1, tau=1, p^p=1, sigma^2=1 -> NMSE exactly 1/2
         cfg = SystemConfig(
             num_satellites=1, num_users=2, antennas_x=1, antennas_y=1,
             num_subbands=1, pilot_length=1, pilot_power=1.0, cluster_size=1,
-            subband_capacity=2,
+            subband_capacity=2, **UNIT_NOISE,
         )
         links = [[manual_link(2.0, 1.0, [1.0]), manual_link(0.0, 1.0, [1.0])]]
         hand = manual_scenario(cfg, links, pilots=(0, 0),
                                serving_sets=[{0}, {0}])
-        assert nmse(hand, 0, 0, sigma2=1.0) == pytest.approx(0.5, abs=1e-12)
+        assert hand.fullband_noise == 1.0
+        assert nmse(hand, 0, 0) == pytest.approx(0.5, abs=1e-12)
 
     _report(3, body)
 
@@ -481,9 +487,11 @@ def test_criterion_10_benchmark(tmp_path):
 def test_criterion_11_determinism(tmp_path):
     def body():
         extras = {"nmse-sweep": {}, "bound-validate": {},
-                  "schedule-compare": {}, "benchmark": {"user_grid": (6,)}}
+                  "schedule-compare": {}, "convergence": {},
+                  "benchmark": {"user_grid": (6,)}}
         for name, trials in (("nmse-sweep", 500), ("bound-validate", 200),
-                             ("schedule-compare", 1), ("benchmark", 2)):
+                             ("schedule-compare", 1), ("convergence", 1),
+                             ("benchmark", 2)):
             outs = []
             for tag in ("a", "b"):
                 d = tmp_path / f"{name}-{tag}"

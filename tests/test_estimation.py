@@ -3,8 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import cohort_psi, make_scenario, manual_link, manual_scenario
-from dmimo.channel import sample_channel_batch
+from conftest import (
+    UNIT_NOISE,
+    cohort_psi,
+    make_scenario,
+    manual_link,
+    manual_scenario,
+)
+from dmimo.channel import complex_normal, sample_channel_batch
 from dmimo.config import SystemConfig
 from dmimo.estimation import (
     estimate_batch,
@@ -38,8 +44,9 @@ def test_psi_rejects_zero_noise():
 
 def test_nmse_scalar_hand_case(scalar_scenario):
     # R=1, tau=1, p^p=1, sigma^2=1 -> Psi=1/2, NMSE=(1-1/2)/1=0.5
-    assert nmse(scalar_scenario, 0, 0, sigma2=1.0) == pytest.approx(0.5)
-    assert mse(scalar_scenario, 0, 0, sigma2=1.0) == pytest.approx(0.5)
+    assert scalar_scenario.fullband_noise == 1.0
+    assert nmse(scalar_scenario, 0, 0) == pytest.approx(0.5)
+    assert mse(scalar_scenario, 0, 0) == pytest.approx(0.5)
 
 
 def test_estimation_stats_identities(default_scenario):
@@ -59,17 +66,20 @@ def test_perfect_estimation_limit():
     sc = make_scenario(seed=11, num_users=3, pilot_length=3,
                        num_subbands=2, subband_capacity=3,
                        pilot_power=1.0, rician_override=1.0)
-    # force orthogonal pilots
+    # force orthogonal pilots, at 1e-8 of the default noise temperature
     from dmimo.scenario import PilotAssignment, Scenario
-    sc = Scenario(config=sc.config, links=sc.links,
-                  pilots=PilotAssignment((0, 1, 2)),
-                  serving_sets=sc.serving_sets)
-    sigma2 = sc.fullband_noise * 1e-8
+    cfg = sc.config
+    quiet = Scenario(config=cfg.replace(
+                         noise_temperature=cfg.noise_temperature * 1e-8),
+                     links=sc.links, pilots=PilotAssignment((0, 1, 2)),
+                     serving_sets=sc.serving_sets)
+    assert quiet.fullband_noise == pytest.approx(sc.fullband_noise * 1e-8)
+    sc = quiet
     for m in range(sc.num_satellites):
         for k in range(sc.num_users):
-            assert nmse(sc, m, k, sigma2=sigma2) < 1e-6
+            assert nmse(sc, m, k) < 1e-6
     h, _ = sample_channel_batch(sc, np.random.default_rng(0), 4)
-    hhat, _ = estimate_batch(sc, h, np.random.default_rng(1), sigma2=sigma2)
+    hhat, _ = estimate_batch(sc, h, np.random.default_rng(1))
     rel = np.linalg.norm(hhat - h) / np.linalg.norm(h)
     assert rel < 1e-3
 
@@ -78,7 +88,7 @@ def test_estimate_second_moment_matches_C():
     sc = make_scenario(seed=5)
     stats = scenario_estimation_stats(sc)
     h, _ = sample_channel_batch(sc, np.random.default_rng(2), 20000)
-    hhat, _ = estimate_batch(sc, h, np.random.default_rng(3), stats=stats)
+    hhat, _ = estimate_batch(sc, h, np.random.default_rng(3))
     m, k = 0, 1
     link = sc.link(m, k)
     mean = np.sqrt(link.rician * link.rician_scale) * link.los_vector
@@ -95,9 +105,8 @@ def test_estimate_second_moment_matches_C():
 
 def test_mmse_orthogonality():
     sc = make_scenario(seed=6)
-    stats = scenario_estimation_stats(sc)
     h, _ = sample_channel_batch(sc, np.random.default_rng(4), 20000)
-    hhat, _ = estimate_batch(sc, h, np.random.default_rng(5), stats=stats)
+    hhat, _ = estimate_batch(sc, h, np.random.default_rng(5))
     m, k = 1, 2
     err = h[:, m, k, :] - hhat[:, m, k, :]
     link = sc.link(m, k)
@@ -131,11 +140,11 @@ def test_nmse_degenerate_zero_covariance():
     cfg = SystemConfig(
         num_satellites=1, num_users=2, antennas_x=1, antennas_y=1,
         num_subbands=1, pilot_length=1, pilot_power=1.0, cluster_size=1,
-        subband_capacity=2,
+        subband_capacity=2, **UNIT_NOISE,
     )
     links = [[manual_link(0.0, 1.0, [1.0]), manual_link(0.0, 1.0, [1.0])]]
     sc = manual_scenario(cfg, links, pilots=(0, 1), serving_sets=[{0}, {0}])
-    assert nmse(sc, 0, 0, sigma2=1.0) == 1.0
+    assert nmse(sc, 0, 0) == 1.0
 
 
 def test_scenario_caches_estimation_stats(default_scenario):
@@ -166,13 +175,20 @@ def test_err_cov_is_formed_on_access(default_scenario):
 
 
 def test_estimate_batch_defaults_to_cached_stats(default_scenario):
+    """The estimator filters with the scenario's cached statistics, which
+    equal freshly computed ones, and draws its pilot noise at the full-band
+    noise power."""
     sc = default_scenario
+    cached = sc.estimation_stats
     h, _ = sample_channel_batch(sc, np.random.default_rng(0), 8)
     hhat, noise = estimate_batch(sc, h, np.random.default_rng(1))
-    ref, ref_noise = estimate_batch(sc, h, np.random.default_rng(1),
-                                    stats=scenario_estimation_stats(sc))
+    assert sc.estimation_stats is cached
+    ref = _estimate_per_user(sc, h, noise, scenario_estimation_stats(sc))
     assert np.array_equal(hhat, ref)
-    assert np.array_equal(noise, ref_noise)
+    cfg = sc.config
+    shape = (8, sc.num_satellites, cfg.pilot_length, sc.num_antennas)
+    assert np.array_equal(noise, np.sqrt(sc.fullband_noise) * complex_normal(
+        np.random.default_rng(1), shape))
 
 
 def _estimate_per_user(scenario, h_batch, noise, stats):

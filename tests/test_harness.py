@@ -6,6 +6,7 @@ import pytest
 
 import dmimo.harness
 from dmimo.config import SystemConfig
+from dmimo.optimizer import InfeasibleError
 from dmimo.harness import (
     ExperimentSpec,
     build_identifier,
@@ -108,6 +109,44 @@ def test_convergence_outputs(tmp_path):
         series.setdefault(key, []).append(float(r[header.index("objective")]))
     for vals in series.values():
         assert all(b >= a - 1e-8 * abs(a) for a, b in zip(vals, vals[1:]))
+
+
+# convergence.csv at seed 0 on the default 8x8 and 10x10 arrays, every
+# column but the build tag, as written when the experiment still called the
+# stages itself rather than reading the alternating optimization's first
+# round
+GOLDEN_CONVERGENCE = [
+    ["0", "64", "power-weights", "0", "1391835.39446"],
+    ["0", "64", "power-weights", "1", "1394331.8884"],
+    ["0", "64", "bandwidth", "1", "1402433.772"],
+    ["0", "64", "bandwidth", "2", "1402433.77805"],
+    ["0", "64", "bandwidth", "3", "1402433.77805"],
+    ["0", "64", "bandwidth", "4", "1402433.77805"],
+    ["0", "100", "power-weights", "0", "1978962.89346"],
+    ["0", "100", "power-weights", "1", "1987100.22813"],
+    ["0", "100", "bandwidth", "1", "2000134.83922"],
+    ["0", "100", "bandwidth", "2", "2000134.85795"],
+    ["0", "100", "bandwidth", "3", "2000134.85795"],
+    ["0", "100", "bandwidth", "4", "2000134.85795"],
+]
+
+
+def test_convergence_matches_golden(tmp_path):
+    path = run_experiment(spec_for("convergence", tmp_path, trials=1, seed=0))
+    rows = read_rows(path)
+    build = rows[0].index("build")
+    assert [r[:build] + r[build + 1:] for r in rows[1:]] == GOLDEN_CONVERGENCE
+
+
+def test_convergence_stops_at_an_unattainable_floor(tmp_path):
+    cfg = SystemConfig(rate_requirement=5e5)
+    spec = ExperimentSpec(name="convergence", config=cfg, seed=5, trials=1,
+                          out_dir=tmp_path,
+                          extras={"antenna_grid": ((4, 4),)})
+    with pytest.raises(InfeasibleError) as err:
+        run_experiment(spec)
+    assert err.value.phi == pytest.approx(0.0949, abs=1e-4)
+    assert not (tmp_path / "convergence.csv").exists()
 
 
 def test_benchmark_outputs(tmp_path):

@@ -1,5 +1,7 @@
 import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,9 +685,12 @@ def test_unattainable_floor_is_reported(seed, phi):
     sc = build_scenario(AO_SMALL_UNATTAINABLE,
                         np.random.default_rng(scenario_ss))
     res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
-    assert not res.feasible and not res.allocation.feasible
-    assert res.phi == res.allocation.phi == pytest.approx(phi, abs=1e-4)
+    assert not res.allocation.feasible
+    assert res.allocation.phi == pytest.approx(phi, abs=1e-4)
     assert res.round_rates == []
+    [first] = res.rounds
+    assert (first.sca, first.bandwidth, first.sum_rate) == (None, None, None)
+    assert res.allocation.groups == first.schedule.groups
     assert res.sum_rate == sum_rate(sc, res.allocation)
     assert sorted(k for g in res.allocation.groups for k in g) == \
         list(range(8))
@@ -704,36 +709,137 @@ def test_attainable_floor_reports_margin(default_scenario):
                        links=sc.links, pilots=sc.pilots,
                        serving_sets=sc.serving_sets)
     res = alternating_optimize(floored, np.random.default_rng(1))
-    assert res.feasible and res.phi >= 1.0
+    assert res.allocation.feasible and res.allocation.phi >= 1.0
     assert sinr_all(floored, res.allocation).rate.min() >= 5e4 * (1 - 1e-9)
     res = alternating_optimize(sc, np.random.default_rng(1))
-    assert res.feasible and res.phi == math.inf
+    assert res.allocation.feasible and res.allocation.phi == math.inf
 
 
 @pytest.mark.parametrize("floor, seed", [(0.0, 1007), (0.0, 1008),
                                          (1.5e5, 1007)])
 def test_ao_result_keeps_one_schedule_per_round(floor, seed):
-    """One well-formed Schedule per round started; the first is the
-    equal-weight arm's schedule, and the allocation keeps one of them."""
+    """One well-formed round record per round started, only the last left
+    unfinished; the first schedule is the equal-weight arm's, and the
+    allocation is the best completed round's."""
     cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=floor)
     scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
     sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
     res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
-    rounds = len(res.round_rates)
-    assert len(res.schedules) in (rounds, rounds + 1)
-    assert res.feasible == (rounds > 0)
-    for sched in res.schedules:
+    done = len(res.round_rates)
+    assert len(res.rounds) in (done, done + 1)
+    assert [r.bandwidth is not None for r in res.rounds] == \
+        [True] * done + [False] * (len(res.rounds) - done)
+    assert res.allocation.feasible == (done > 0)
+    for r in res.rounds:
+        sched = r.schedule
         assert isinstance(sched, Schedule) and sched.iterations >= 1
         assert sorted(k for g in sched.groups for k in g) == list(range(8))
         assert not sched.feasible or validate_schedule(
             sched, 8, cfg.num_subbands, cfg.subband_capacity)
+        if r.bandwidth is not None:
+            assert r.sca.objectives and r.sca.stop_reason in (
+                "converged", "no_improvement", "gp_infeasible", "max_iter")
+            assert r.bandwidth.allocation.groups == sched.groups
+            assert r.sum_rate == sum_rate(sc, r.bandwidth.allocation)
     fresh = build_scenario(cfg, np.random.default_rng(scenario_ss))
     est = scheduling_estimates(fresh, np.random.default_rng(estimation_ss))
-    assert res.schedules[0] == schedule_users(
+    assert res.rounds[0].schedule == schedule_users(
         fresh, est, np.full(8, cfg.max_power), equal_weights(fresh))
-    assert res.allocation.groups in [s.groups for s in res.schedules]
-    if not res.feasible:
-        assert len(res.schedules) == 1
+    assert res.allocation.groups in [r.schedule.groups for r in res.rounds]
+    if res.allocation.feasible:
+        best = max(res.rounds[:done], key=lambda r: r.sum_rate)
+        assert res.allocation is best.bandwidth.allocation
+        assert res.sum_rate == best.sum_rate
+    else:
+        assert len(res.rounds) == 1
+
+
+def _hand_wired_first_round(scenario, rng):
+    """The first round's stages called one by one, as the convergence
+    experiment once did: schedule at max power and equal weights, split the
+    band equally, run SCA on powers and weights, then the bandwidth stage.
+    Reference for the round records of alternating_optimize."""
+    ctx = scenario.rate_context
+    powers = np.full(scenario.num_users, scenario.config.max_power)
+    weights = equal_weights(scenario)
+    estimates = scheduling_estimates(scenario, rng)
+    sched = schedule_users(scenario, estimates, powers, weights, context=ctx)
+    alloc = equal_split_allocation(scenario, groups=sched.groups,
+                                   powers=powers, weights=weights)
+    alloc, trace = optimize_power_weights(scenario, alloc, ctx)
+    return sched, trace, optimize_bandwidth(scenario, alloc, ctx)
+
+
+@pytest.mark.parametrize("max_power", [0.2, 20.0])
+def test_first_round_matches_hand_wired_stages(max_power):
+    """Round 0's Schedule, SCA objectives and bandwidth trace equal, bit for
+    bit, the stages called by hand on a freshly built copy of the system;
+    at 20 W SCA runs more than one iterate."""
+    systems = [(SystemConfig(antennas_x=8, antennas_y=8), 0),
+               (SystemConfig(), 3),
+               (AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0), 1012)]
+    iterates = []
+    for cfg, seed in systems:
+        cfg = cfg.replace(max_power=max_power)
+        rng = np.random.default_rng(seed)
+        sc = build_scenario(cfg, rng)
+        first = alternating_optimize(sc, rng, max_rounds=1).rounds[0]
+        rng = np.random.default_rng(seed)
+        sched, trace, bw = _hand_wired_first_round(build_scenario(cfg, rng),
+                                                   rng)
+        assert first.schedule == sched
+        assert [x.hex() for x in first.sca.objectives] == \
+            [x.hex() for x in trace.objectives]
+        assert first.sca.stop_reason == trace.stop_reason
+        assert [x.hex() for x in first.bandwidth.objective_trace] == \
+            [x.hex() for x in bw.objective_trace]
+        assert first.bandwidth.allocation.bandwidths == \
+            bw.allocation.bandwidths
+        assert (first.bandwidth.iterations, first.bandwidth.kkt_residual) \
+            == (bw.iterations, bw.kkt_residual)
+        iterates.append(first.sca.iterations)
+    if max_power > 1:
+        assert max(iterates) > 1
+
+
+def _benchmark_checks():
+    """benchmarks/checks.py: plain-code checks of the partition, capacity,
+    bandwidth simplex (B >= 0), power caps, unit-norm weights, rate floors
+    and the reported sum rate."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "checks.py"
+    spec = importlib.util.spec_from_file_location("benchmark_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Interference-limited instances of the ao-small system (no floor) on which
+# the bandwidth stage gives some band no bandwidth.
+@pytest.mark.parametrize("seed, max_power", [(1012, 20.0), (1013, 200.0)])
+def test_zero_bandwidth_band_does_not_stop_the_loop(seed, max_power):
+    """Water-filling may give an interference-limited band nothing; its
+    users then rate 0 and the loop goes on. Every allocation keeps its
+    invariants, with B >= 0, and the AO beats the equal-weight arm."""
+    cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0,
+                                        max_power=max_power)
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    assert len(res.round_rates) == len(res.rounds) > 1
+    zeroed = [r for r in res.rounds
+              if 0.0 in r.bandwidth.allocation.bandwidths]
+    assert zeroed
+    for r in zeroed:
+        alloc = r.bandwidth.allocation
+        rate = sinr_all(sc, alloc).rate
+        for g, b in zip(alloc.groups, alloc.bandwidths):
+            assert np.all(rate[g] == 0.0) == (b == 0.0)
+    arms = {mode: benchmark_allocation(
+                sc, np.random.default_rng(estimation_ss), mode)
+            for mode in ("equal", "estimate")}
+    assert _benchmark_checks().check_ao_item(sc, res, arms) == []
+    assert res.allocation.feasible
+    assert res.sum_rate >= arms["equal"][1]
 
 
 # The benchmark experiment's K=8 system (harness.run_benchmark at seed 0):

@@ -310,13 +310,36 @@ def test_engine_closed_forms_match_decomposition(seed, K, M, data):
         assert {n: t[0] for n, t in rep.terms.items()} == expected
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_sinr_all_rejects_a_non_positive_bandwidth(default_scenario, bad):
+def test_sinr_all_rejects_a_negative_bandwidth(default_scenario):
     sc = default_scenario
     alloc = equal_split_allocation(sc)
-    alloc.bandwidths[-1] = bad
+    alloc.bandwidths[-1] = -1.0
+    for evaluate in (sinr_all, sum_rate):
+        with pytest.raises(DomainError):
+            evaluate(sc, alloc)
     with pytest.raises(DomainError):
-        sinr_all(sc, alloc)
+        sinr_lower_bound(sc, alloc, alloc.groups[-1][0])
+
+
+def test_zero_bandwidth_band_has_rate_zero(default_scenario):
+    """A band given no bandwidth has no noise and its users rate 0, the
+    limit of B log2(1 + a / (b B + c)) as B -> 0; the other bands keep
+    their rates, and the scalar reference agrees."""
+    sc = default_scenario
+    ctx = RateContext(sc)
+    alloc = equal_split_allocation(sc)
+    before = sinr_all(sc, alloc, ctx)
+    alloc.bandwidths = [sc.config.total_bandwidth, 0.0]
+    res = sinr_all(sc, alloc, ctx)
+    zero, kept = alloc.groups[1], alloc.groups[0]
+    assert np.all(res.rate[zero] == 0.0) and np.all(res.i_noise[zero] == 0.0)
+    assert np.all(np.isfinite(res.sinr)) and np.all(res.rate[kept] > 0)
+    assert np.all(res.rate[kept] > before.rate[kept])
+    assert sum_rate(sc, alloc, ctx) == res.sum_rate == sum(res.rate[kept])
+    for k in zero:
+        ref = sinr_lower_bound(sc, alloc, k, ctx)
+        assert ref.rate_lb == 0.0 and ref.i_noise == 0.0
+        assert ref.sinr_lb == pytest.approx(res.sinr[k], rel=1e-12)
 
 
 def test_sum_rate_aggregates(default_scenario):
@@ -334,15 +357,15 @@ def test_rate_context_built_once_per_scenario(default_scenario):
     sc = default_scenario
     ctx = sc.rate_context
     assert sc.rate_context is ctx
-    assert ctx.stats is sc.estimation_stats
     fresh = RateContext(sc)
     names = ("gamma", "q1", "q2", "q3", "tmat", "smat")
     for name in names:
         assert np.array_equal(getattr(ctx, name), getattr(fresh, name))
-    for (m, k), st in ctx.stats.items():
+    stats = sc.estimation_stats
+    for (m, k), st in stats.items():
         rpsi = st.R @ cohort_psi(sc, m, k)
         for kp in range(sc.num_users):
-            rkp = ctx.stats[(m, kp)].R
+            rkp = stats[(m, kp)].R
             assert ctx.tmat[m, k, kp] == float(np.trace(rpsi @ rkp).real)
     swept = sc.with_rician(50.0)
     assert swept.estimation_stats is not sc.estimation_stats

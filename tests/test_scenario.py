@@ -33,9 +33,10 @@ def test_noise_power_linear_in_bandwidth():
     assert noise_power(2e6, CFG) == pytest.approx(2.0 * noise_power(1e6, CFG))
 
 
-def test_noise_power_rejects_nonpositive():
+def test_noise_power_rejects_negative():
+    assert noise_power(0.0, CFG) == 0.0
     with pytest.raises(DomainError):
-        noise_power(0.0, CFG)
+        noise_power(-1.0, CFG)
 
 
 def test_path_gain_reference_distance():
