@@ -23,11 +23,10 @@ trials = 2000
 print(f"{'Kbar':>6} {'bound':>14} {'Monte Carlo':>14} {'rel gap':>9}")
 for kbar in (1.0, 5.0, 10.0, 20.0, 50.0, 100.0):
     sc = base.with_rician(kbar)
-    ctx = sc.rate_context
     alloc = equal_split_allocation(sc, groups=[list(range(K))])
-    lb = sum_rate(sc, alloc, ctx)
+    lb = sum_rate(sc, alloc)
     rng = np.random.default_rng(99)
-    mc = monte_carlo_users(sc, alloc, trials, rng, ctx).sum_rate
+    mc = monte_carlo_users(sc, alloc, trials, rng).sum_rate
     print(f"{kbar:>6g} {lb:>14.1f} {mc:>14.1f} {(mc - lb) / mc:>9.4f}")
 
 print()

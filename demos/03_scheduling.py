@@ -23,7 +23,6 @@ cfg = SystemConfig(num_users=6, num_satellites=3, cluster_size=2,
                    max_power=10.0, pilot_power=10.0)
 rng = np.random.default_rng(2003)
 sc = build_scenario(cfg, rng)
-ctx = sc.rate_context
 powers = np.full(sc.num_users, cfg.max_power)
 weights = equal_weights(sc)
 estimates = scheduling_estimates(sc, rng)
@@ -39,16 +38,16 @@ def rate_of(groups):
     bw = cfg.total_bandwidth / len(groups)
     return sum_rate(sc, AllocationState(
         groups=[list(g) for g in groups], bandwidths=[bw] * len(groups),
-        powers=powers, weights=weights), ctx)
+        powers=powers, weights=weights))
 
 
-sched = schedule_users(sc, estimates, powers, weights, context=ctx)
-opt = exhaustive_schedule(sc, powers, weights, context=ctx)
+sched = schedule_users(sc, estimates, powers, weights)
+opt = exhaustive_schedule(sc, powers, weights)
 shared = [list(range(sc.num_users))]
 
 print("heuristic groups: ", sched.groups, f" rate {rate_of(sched.groups):.0f}")
 print("exhaustive groups:", opt.groups, f" rate {rate_of(opt.groups):.0f}")
-print("all share band:   ", shared, f" rate {sum_rate(sc, AllocationState(groups=shared, bandwidths=[cfg.total_bandwidth], powers=powers, weights=weights), ctx):.0f}")
+print("all share band:   ", shared, f" rate {sum_rate(sc, AllocationState(groups=shared, bandwidths=[cfg.total_bandwidth], powers=powers, weights=weights)):.0f}")
 print()
 print("The heuristic tracks the exhaustive optimum at a fraction of the")
 print("cost, and both beat leaving every user in one full-band group.")

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+# SLSQP's iteration limit
+MAX_ITER = 300
+
 
 class GpError(RuntimeError):
     pass
@@ -111,7 +114,7 @@ class GpSolution:
     iterations: int
 
 
-def solve_gp(problem, x0, max_iter=300):
+def solve_gp(problem, x0):
     """Solve from the log-domain start x0. Returns a GpSolution; raises
     GpInfeasibleError / GpUnboundedError on detection.
     """
@@ -124,7 +127,7 @@ def solve_gp(problem, x0, max_iter=300):
         method="SLSQP",
         constraints={"type": "ineq", "fun": lambda x: -at(x.tobytes())[0],
                      "jac": lambda x: -problem.jacobian(at(x.tobytes())[1])},
-        options={"maxiter": max_iter, "ftol": 1e-14},
+        options={"maxiter": MAX_ITER, "ftol": 1e-14},
     )
     x = res.x
     if not np.all(np.isfinite(x)) or np.abs(x).max() > 80.0:

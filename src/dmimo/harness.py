@@ -219,10 +219,9 @@ def run_bound_validation(spec):
     rows = []
     for kbar, rng in zip(grid, rngs):
         sc = base.with_rician(kbar)
-        ctx = sc.rate_context
         alloc = equal_split_allocation(sc, groups=[list(range(sc.num_users))])
-        lb = sum_rate(sc, alloc, ctx)
-        mc = monte_carlo_users(sc, alloc, spec.trials, rng, ctx)
+        lb = sum_rate(sc, alloc)
+        mc = monte_carlo_users(sc, alloc, spec.trials, rng)
         # bound recomputed from MC term estimates (consistency channel)
         bound_mc = 0.0
         for k, rep in mc.users.items():
@@ -267,28 +266,27 @@ def run_schedule_compare(spec):
                            spec.paper_scale)
         rng = np.random.default_rng(spec.seed + K)
         sc = build_scenario(cfg, rng)
-        ctx = sc.rate_context
         powers = np.full(K, cfg.max_power)
         weights = equal_weights(sc)
         estimates = scheduling_estimates(sc, rng)
 
         t0 = time.perf_counter()
-        sched = schedule_users(sc, estimates, powers, weights, context=ctx)
+        sched = schedule_users(sc, estimates, powers, weights)
         t_alg = time.perf_counter() - t0
         alloc = equal_split_allocation(sc, groups=sched.groups,
                                        powers=powers, weights=weights)
-        r_alg = sum_rate(sc, alloc, ctx)
+        r_alg = sum_rate(sc, alloc)
 
         t0 = time.perf_counter()
-        opt = exhaustive_schedule(sc, powers, weights, context=ctx)
+        opt = exhaustive_schedule(sc, powers, weights)
         t_opt = time.perf_counter() - t0
         opt_alloc = equal_split_allocation(sc, groups=opt.groups,
                                            powers=powers, weights=weights)
-        r_opt = sum_rate(sc, opt_alloc, ctx)
+        r_opt = sum_rate(sc, opt_alloc)
 
         shared = equal_split_allocation(sc, groups=[list(range(K))],
                                         powers=powers, weights=weights)
-        r_base = sum_rate(sc, shared, ctx)
+        r_base = sum_rate(sc, shared)
         rows.append([spec.seed, build, K, r_alg, r_opt, r_base,
                      sched.colors_used])
         timings.append({"num_users": K, "time_heuristic_s": t_alg,

@@ -24,9 +24,15 @@ from .rate import (
 from .scheduler import Schedule, schedule_users
 
 LN2 = math.log(2.0)
-# The alternating optimization stops after a round that gains less than this
-# fraction of its sum rate over the round before.
+# The alternating optimization stops after a round that gains less than
+# EPS_OUTER of its sum rate over the round before; the SCA loop after a GP
+# step that gains less than EPS_SCA, or after MAX_ITER_SCA steps.
 EPS_OUTER = 1e-3
+EPS_SCA = 0.01
+MAX_ITER_SCA = 30
+# The bandwidth stage's dual search stops once the bandwidths it spends are
+# within this fraction of the total.
+TOL_BANDWIDTH = 1e-10
 
 
 class InfeasibleError(RuntimeError):
@@ -76,8 +82,7 @@ def _weight_offsets(scenario):
     return np.cumsum([0] + [len(s) for s in scenario.serving_sets])
 
 
-def _gp_rows(scenario, allocation, context, chi, optimize_weights,
-             floors):
+def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     """The stacked GP rows of the power/weight problem, anchored at
     (allocation, chi).
 
@@ -89,10 +94,10 @@ def _gp_rows(scenario, allocation, context, chi, optimize_weights,
     optimize_weights, sum_m w_{m,k}^2 <= 1.
 
     chi_k <= SINR_k^LB is chi_k D_k(p, w) / N_k(p, w) <= 1. Each nonzero
-    entry Q[i, j] of ``context.quadratics[k, k']``, k' in k's group, is a
-    term chi_k p_k' w_i w_j of chi_k D_k; the noise terms chi_k sigma
-    Gamma_i w_i^2 follow. Without optimize_weights the weights are the
-    allocation's constants. Negative terms move to the numerator
+    entry Q[i, j] of ``scenario.rate_context.quadratics[k, k']``, k' in
+    k's group, is a term chi_k p_k' w_i w_j of chi_k D_k; the noise terms
+    chi_k sigma Gamma_i w_i^2 follow. Without optimize_weights the weights
+    are the allocation's constants. Negative terms move to the numerator
     p_k (sum w Gamma)^2, then condensed into a monomial at x0.
 
     Returns (x0, logs, exps, starts), x0 being the anchor in log domain.
@@ -104,6 +109,7 @@ def _gp_rows(scenario, allocation, context, chi, optimize_weights,
                    for k, s in enumerate(scenario.serving_sets)]
     x0 = np.log(np.concatenate(points))
     offsets = 2 * K + _weight_offsets(scenario)
+    context = scenario.rate_context
     # Serving sets are padded to the largest, n, groups to the largest, G:
     # a padded term's coefficient is zero, so its row is dropped.
     Q = context.quadratics
@@ -196,34 +202,39 @@ def _allocation_at(scenario, allocation, x, optimize_weights):
 
 
 def _rate_gamma(scenario, bandwidth):
+    """The SINR 2^(r_req / B) - 1 that meets the rate floor on a band of
+    bandwidth B; inf where that overflows a float."""
     req = scenario.config.rate_requirement
     if req <= 0:
         return 0.0
-    return 2.0 ** (req / bandwidth) - 1.0
+    try:
+        return 2.0 ** (req / bandwidth) - 1.0
+    except OverflowError:
+        return math.inf
 
 
-def feasibility_check(scenario, allocation, context=None,
-                      optimize_weights=True):
+def feasibility_check(scenario, allocation, optimize_weights=True):
     """Solve the rate-requirement feasibility problem.
 
     Returns (phi, allocation) where phi >= 1 means the requirements are
     attainable; the returned allocation carries the maximizing powers and
-    weights. With zero requirements phi is unbounded and reported as inf.
+    weights. With zero requirements phi is unbounded and reported as inf;
+    a floor that needs an SINR beyond float range gives phi = 0 and a copy
+    of the allocation.
     """
-    if context is None:
-        context = scenario.rate_context
     K = scenario.num_users
     if scenario.config.rate_requirement <= 0:
         return math.inf, allocation.copy()
-
-    x0, logs, exps, starts = _gp_rows(scenario, allocation, context,
-                                      np.ones(K), optimize_weights,
-                                      floors=False)
-    # chi_k = phi * gamma_k: fold the chi columns into one phi column
     log_gamma = np.zeros(K)
     for i, g in enumerate(allocation.groups):
-        log_gamma[g] = math.log(_rate_gamma(scenario,
-                                            allocation.bandwidths[i]))
+        gamma = _rate_gamma(scenario, allocation.bandwidths[i])
+        if math.isinf(gamma):
+            return 0.0, allocation.copy()
+        log_gamma[g] = math.log(gamma)
+
+    x0, logs, exps, starts = _gp_rows(scenario, allocation, np.ones(K),
+                                      optimize_weights, floors=False)
+    # chi_k = phi * gamma_k: fold the chi columns into one phi column
     chi = exps[:, :K]
     exps = np.hstack([chi.sum(axis=1, keepdims=True), exps[:, K:]])
     objective = np.zeros(exps.shape[1])
@@ -237,15 +248,14 @@ def feasibility_check(scenario, allocation, context=None,
         scenario, allocation, sol.x[1:], optimize_weights)
 
 
-def build_sca_subproblem(scenario, allocation, context, chi,
-                         optimize_weights=True):
+def build_sca_subproblem(scenario, allocation, chi, optimize_weights=True):
     """One SCA iteration's GP, anchored at (allocation, chi).
 
     Maximizes prod chi_k^psi_hat with psi_hat = psi_k B_i / B, subject to the
     SINR, power-cap, weight-norm, and rate-floor constraints laid out as in
     ``_gp_rows``. Returns (problem, x0), x0 the anchor in log domain.
     """
-    x0, logs, exps, starts = _gp_rows(scenario, allocation, context, chi,
+    x0, logs, exps, starts = _gp_rows(scenario, allocation, chi,
                                       optimize_weights, floors=True)
     objective = np.zeros(len(x0))
     for i, group in enumerate(allocation.groups):
@@ -259,7 +269,7 @@ def build_sca_subproblem(scenario, allocation, context, chi,
 @dataclass
 class ScaTrace:
     objectives: list = field(default_factory=list)
-    # Why the loop stopped: "converged" (relative gain below eps),
+    # Why the loop stopped: "converged" (relative gain below EPS_SCA),
     # "no_improvement" (a GP step lowered the sum rate, so the previous
     # iterate was kept), "gp_infeasible" (the solver found no feasible
     # point, so the previous iterate was kept) or "max_iter".
@@ -270,24 +280,21 @@ class ScaTrace:
         return max(len(self.objectives) - 1, 0)
 
 
-def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
-                           max_iter=30, optimize_weights=True):
+def optimize_power_weights(scenario, allocation, optimize_weights=True):
     """SCA + GP loop for transmit powers and combining weights.
 
     Starts from max power (and the feasibility solution when requirements
     are active), iterates tangent surrogates with AM-GM weight bounds, and
-    stops when the relative sum-rate gain drops below eps. Weights are
+    stops when the relative sum-rate gain drops below EPS_SCA. Weights are
     renormalized to unit squared norm on exit. Returns (allocation, trace),
     the allocation carrying the feasibility margin phi; raises
     InfeasibleError with phi when the requirements are unattainable.
     """
-    if context is None:
-        context = scenario.rate_context
     cfg = scenario.config
     work = allocation.copy()
     work.powers = np.full(scenario.num_users, cfg.max_power)
     if cfg.rate_requirement > 0:
-        phi, seeded = feasibility_check(scenario, work, context,
+        phi, seeded = feasibility_check(scenario, work,
                                         optimize_weights=optimize_weights)
         if phi < 1.0:
             raise InfeasibleError(
@@ -299,14 +306,14 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
 
     # One SINR evaluation per iterate gives both its objective (the sum
     # rate, in sum_rate's order) and the next iteration's anchor chi.
-    res = sinr_all(scenario, work, context)
+    res = sinr_all(scenario, work)
     trace = ScaTrace()
     trace.objectives.append(res.sum_rate)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER_SCA):
         chi = np.ones(scenario.num_users)
         chi[res.users] = np.maximum(res.sinr[res.users], 1e-30)
         problem, x0 = build_sca_subproblem(
-            scenario, work, context, chi, optimize_weights=optimize_weights
+            scenario, work, chi, optimize_weights=optimize_weights
         )
         try:
             sol = solve_gp(problem, x0)
@@ -315,7 +322,7 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
             break
         cand = _allocation_at(scenario, work, sol.x[scenario.num_users:],
                               optimize_weights)
-        cand_res = sinr_all(scenario, cand, context)
+        cand_res = sinr_all(scenario, cand)
         obj = cand_res.sum_rate
         if obj < trace.objectives[-1]:
             trace.stop_reason = "no_improvement"
@@ -323,7 +330,7 @@ def optimize_power_weights(scenario, allocation, context=None, eps=0.01,
         work, res = cand, cand_res
         trace.objectives.append(obj)
         prev, cur = trace.objectives[-2], trace.objectives[-1]
-        if cur > 0 and (cur - prev) / cur < eps:
+        if cur > 0 and (cur - prev) / cur < EPS_SCA:
             trace.stop_reason = "converged"
             break
     return work, trace
@@ -350,10 +357,10 @@ def rate_vs_bandwidth_second(x, a, b, c):
         / (LN2 * u * u * (u + a) ** 2)
 
 
-def bandwidth_coefficients(scenario, allocation, context=None):
+def bandwidth_coefficients(scenario, allocation):
     """Per-user (a, b, c): desired power, noise-per-Hz factor, and
     bandwidth-independent interference-plus-leakage power."""
-    res = sinr_all(scenario, allocation, context)
+    res = sinr_all(scenario, allocation)
     c = res.interference.sum(axis=1)
     coeffs = {}
     for i, group in enumerate(allocation.groups):
@@ -392,18 +399,16 @@ def _min_bandwidth(a, b, c, req, total):
     return hi
 
 
-def optimize_bandwidth(scenario, allocation, context=None, tol=1e-10):
+def optimize_bandwidth(scenario, allocation):
     """Concave bandwidth allocation by water-filling on the dual variable.
 
     The objective is separable per band with strictly increasing concave
     summands, so the full bandwidth is spent and the optimum satisfies
     g_i'(B_i) = mu off the rate floors. mu is found by safeguarded Newton.
     """
-    if context is None:
-        context = scenario.rate_context
     total = scenario.config.total_bandwidth
     req = scenario.config.rate_requirement
-    coeffs = bandwidth_coefficients(scenario, allocation, context)
+    coeffs = bandwidth_coefficients(scenario, allocation)
     bands = list(range(len(allocation.groups)))
     floors = [max([0.0] + [_min_bandwidth(*coeffs[k], req, total)
                            for k in group]) for group in allocation.groups]
@@ -464,7 +469,7 @@ def optimize_bandwidth(scenario, allocation, context=None, tol=1e-10):
             mu_lo = mu
         else:
             mu_hi = mu
-        if abs(e) <= tol * total:
+        if abs(e) <= TOL_BANDWIDTH * total:
             break
         # Newton on the dual: d(excess)/dmu = sum 1/g'' over unclamped bands
         slope = sum(1.0 / gpp(i, x[i]) for i in bands
@@ -530,11 +535,9 @@ class AoResult:
         return [r.sum_rate for r in self.rounds if r.bandwidth is not None]
 
 
-def alternating_optimize(scenario, rng, max_rounds=20, context=None):
+def alternating_optimize(scenario, rng, max_rounds=20):
     """Outer loop: scheduling -> power/weights -> bandwidth, keeping the
     best allocation observed."""
-    if context is None:
-        context = scenario.rate_context
     estimates = scheduling_estimates(scenario, rng)
     weights = equal_weights(scenario)
     powers = np.full(scenario.num_users, scenario.config.max_power)
@@ -544,24 +547,22 @@ def alternating_optimize(scenario, rng, max_rounds=20, context=None):
     prev_rate = 0.0
     rounds = []
     for _ in range(max_rounds):
-        record = AoRound(schedule_users(scenario, estimates, powers, weights,
-                                        context=context))
+        record = AoRound(schedule_users(scenario, estimates, powers, weights))
         rounds.append(record)
         alloc = equal_split_allocation(
             scenario, groups=record.schedule.groups, powers=powers.copy(),
             weights=weights.copy(),
         )
         try:
-            alloc, record.sca = optimize_power_weights(scenario, alloc,
-                                                       context)
-            record.bandwidth = optimize_bandwidth(scenario, alloc, context)
+            alloc, record.sca = optimize_power_weights(scenario, alloc)
+            record.bandwidth = optimize_bandwidth(scenario, alloc)
         except (InfeasibleError, GpInfeasibleError) as err:
             if best is not None:
                 break  # the next round would repeat this schedule
             alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
-            return AoResult(alloc, sum_rate(scenario, alloc, context), rounds)
+            return AoResult(alloc, sum_rate(scenario, alloc), rounds)
         alloc = record.bandwidth.allocation
-        rate = record.sum_rate = sum_rate(scenario, alloc, context)
+        rate = record.sum_rate = sum_rate(scenario, alloc)
         if rate > best_rate:
             best_rate = rate
             best = alloc
@@ -584,13 +585,11 @@ def estimate_magnitude_weights(scenario, estimates):
     return w
 
 
-def benchmark_allocation(scenario, rng, weight_mode, context=None):
+def benchmark_allocation(scenario, rng, weight_mode):
     """Benchmark arms: fixed weights, Algorithm-2 power control only, with
     the same scheduler and equal-split bandwidth. Returns (allocation,
     sum rate); when the rate floors are unattainable the allocation keeps
     its starting powers and is marked infeasible, with its margin phi."""
-    if context is None:
-        context = scenario.rate_context
     cfg = scenario.config
     estimates = scheduling_estimates(scenario, rng)
     if weight_mode == "equal":
@@ -600,13 +599,12 @@ def benchmark_allocation(scenario, rng, weight_mode, context=None):
     else:
         raise ValueError(f"unknown benchmark weight mode {weight_mode!r}")
     powers = np.full(scenario.num_users, cfg.max_power)
-    sched = schedule_users(scenario, estimates, powers, weights,
-                           context=context)
+    sched = schedule_users(scenario, estimates, powers, weights)
     alloc = equal_split_allocation(scenario, groups=sched.groups,
                                    powers=powers, weights=weights)
     try:
-        alloc, _ = optimize_power_weights(scenario, alloc, context,
+        alloc, _ = optimize_power_weights(scenario, alloc,
                                           optimize_weights=False)
     except (InfeasibleError, GpInfeasibleError) as err:
         alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
-    return alloc, sum_rate(scenario, alloc, context)
+    return alloc, sum_rate(scenario, alloc)

@@ -1,5 +1,5 @@
-"""Closed-form achievable-rate lower bound with maximum-ratio combining,
-its pure-LoS limit, and one Monte Carlo engine for every expectation term.
+"""Closed-form achievable-rate lower bound with maximum-ratio combining, and
+one Monte Carlo engine for every expectation term.
 
 The engine (``monte_carlo_users``) draws the channel, its pilot noise and
 MMSE estimates once, and returns every requested user's terms and ergodic
@@ -125,10 +125,13 @@ class RateContext:
 
     Built from ``scenario.estimation_stats`` one satellite at a time, the
     traces as tr(A B) = sum(A * B^T): O(M K^2 N^2) past the filters R Psi.
-    Callers use ``scenario.rate_context``, so it is built once per
-    scenario. It keeps no reference to its scenario: the scenario caches
-    it, and a back-reference would make a cycle only the cyclic garbage
-    collector frees.
+    Every stage reads ``scenario.rate_context``, so it is built once per
+    scenario; only the evaluators ``pair_terms``, ``sinr_all``,
+    ``sum_rate`` and ``sinr_lower_bound`` also take one as an argument,
+    for a recomputation from a freshly built context. It keeps no
+    reference to its scenario: the scenario caches it, and a
+    back-reference would make a cycle only the cyclic garbage collector
+    frees.
     """
 
     def __init__(self, scenario):
@@ -342,36 +345,6 @@ def sum_rate(scenario, allocation, context=None):
     return sinr_all(scenario, allocation, context).sum_rate
 
 
-def sinr_los_limit(scenario, allocation, k):
-    """Pure-LoS SINR limit: estimation terms vanish, Kbar a -> beta."""
-    band = allocation.band_of(k)
-    group = allocation.groups[band]
-    bw = allocation.bandwidths[band]
-    sigma_i = scenario.subband_noise(bw)
-    sset = sorted(scenario.serving_sets[k])
-    w = allocation.weights[:, k]
-    p = allocation.powers
-    N = scenario.num_antennas
-    num = p[k] * N ** 2 * sum(
-        w[m] * scenario.link(m, k).beta for m in sset
-    ) ** 2
-    denom = sum(
-        w[m] ** 2 * N * sigma_i * scenario.link(m, k).beta for m in sset
-    )
-    for kp in group:
-        if kp == k:
-            continue
-        s = sum(
-            w[m]
-            * np.sqrt(scenario.link(m, k).beta * scenario.link(m, kp).beta)
-            * (scenario.link(m, k).los_vector.conj()
-               @ scenario.link(m, kp).los_vector)
-            for m in sset
-        )
-        denom += p[kp] * abs(s) ** 2
-    return num / max(denom, DENOM_FLOOR)
-
-
 @dataclass(frozen=True)
 class McTermReport:
     """Monte Carlo estimates for one user of a shared draw."""
@@ -399,8 +372,7 @@ class McResult:
     sum_rate_se: float
 
 
-def monte_carlo_users(scenario, allocation, trials, rng, context=None,
-                      users=None):
+def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     """Estimate |DS|^2, E|LS|^2, E|UI|^2, E|N|^2 and the ergodic rate of
     each user in `users` (default: every scheduled user) by simulation.
 
@@ -412,8 +384,6 @@ def monte_carlo_users(scenario, allocation, trials, rng, context=None,
     """
     if trials < 100:
         raise ContractError("need at least 100 trials")
-    if context is None:
-        context = scenario.rate_context
     if users is None:
         users = [k for g in allocation.groups for k in g]
     if len(set(users)) != len(users):
@@ -424,8 +394,7 @@ def monte_carlo_users(scenario, allocation, trials, rng, context=None,
     reports = {}
     sum_samples = np.zeros(trials)
     for k in users:
-        reports[k], rates = _user_terms(scenario, allocation, k, h, hhat,
-                                        rng, context)
+        reports[k], rates = _user_terms(scenario, allocation, k, h, hhat, rng)
         sum_samples += rates
     mean, se = _mean_se(sum_samples)
     return McResult(users=reports, sum_rate=mean, sum_rate_se=se)
@@ -437,7 +406,7 @@ def _mean_se(samples):
             float(samples.std(ddof=1) / np.sqrt(len(samples))))
 
 
-def _user_terms(scenario, allocation, k, h, hhat, rng, context):
+def _user_terms(scenario, allocation, k, h, hhat, rng):
     """User k's McTermReport and per-trial rates from a shared draw."""
     trials = h.shape[0]
     band = allocation.band_of(k)
@@ -458,7 +427,7 @@ def _user_terms(scenario, allocation, k, h, hhat, rng, context):
     )
     n_k = np.einsum("tmn,m,tmn->t", hh_k.conj(), wv, noise)
 
-    closed = sinr_lower_bound(scenario, allocation, k, context)
+    closed = sinr_lower_bound(scenario, allocation, k)
     ds_closed = np.sqrt(p[k]) * closed.ds
     # name -> (closed form, per-trial power samples)
     term_samples = {
@@ -493,13 +462,13 @@ def _user_terms(scenario, allocation, k, h, hhat, rng, context):
 # names up, so they stay until the benchmark traces monte_carlo_users.
 
 
-def monte_carlo_terms(scenario, allocation, k, trials, rng, context=None):
+def monte_carlo_terms(scenario, allocation, k, trials, rng):
     """User k's report alone: ``monte_carlo_users`` with ``users=(k,)``."""
-    return monte_carlo_users(scenario, allocation, trials, rng, context,
+    return monte_carlo_users(scenario, allocation, trials, rng,
                              users=(k,)).users[k]
 
 
-def ergodic_rate_mc(scenario, allocation, k, trials, rng, context=None):
+def ergodic_rate_mc(scenario, allocation, k, trials, rng):
     """User k's (rate_mean, rate_se) in bit/s, from ``monte_carlo_terms``."""
-    rep = monte_carlo_terms(scenario, allocation, k, trials, rng, context)
+    rep = monte_carlo_terms(scenario, allocation, k, trials, rng)
     return rep.rate, rep.rate_se

@@ -15,8 +15,9 @@ from .rate import pair_terms, sinr_in_bands
 L_MAX = 100
 EXHAUSTIVE_GUARD = 10
 
-# RateContext -> (colorings by (adjacency bytes, capacity), Schedules by
-# schedule_users' inputs); weak keys, so an entry dies with its context.
+# RateContext -> (colorings by adjacency bytes, Schedules by (rho, powers,
+# weights)); a context belongs to one scenario, so to one config. Weak
+# keys, so an entry dies with its context.
 _MEMO = weakref.WeakKeyDictionary()
 
 
@@ -24,14 +25,12 @@ class DegenerateInputError(ValueError):
     pass
 
 
-def correlation_matrix_rho(scenario, estimates, context=None):
+def correlation_matrix_rho(scenario, estimates):
     """K x K symmetric correlation factors, zero diagonal: with a[k, k'] the
     sum of hhat_{m,k}^H hhat_{m,k'} over k's serving set, the factor is
     |a[k, k']| / a[k, k] + |a[k', k]| / a[k', k']. estimates: (M, K, N)."""
-    if context is None:
-        context = scenario.rate_context
     K = scenario.num_users
-    a = np.einsum("mkn,mjn->kj", context.serving[:, :, None]
+    a = np.einsum("mkn,mjn->kj", scenario.rate_context.serving[:, :, None]
                   * estimates.conj(), estimates)
     norms = a.diagonal().real
     if K > 1 and (norms <= 0).any():
@@ -160,45 +159,37 @@ def score_partition(scenario, groups, terms):
     )
 
 
-def schedule_users(scenario, estimates, powers, weights, num_bands=None,
-                   capacity=None, context=None):
-    """Iterative conflict-graph scheduling.
+def schedule_users(scenario, estimates, powers, weights):
+    """Iterative conflict-graph scheduling into the config's I sub-bands of
+    at most N_max users each.
 
     Starts from the mean off-diagonal correlation as threshold; escalates the
     threshold while the coloring needs more than I colors, otherwise adds a
     conflict edge between the worst-SINR user and its strongest co-band
     interferer. Keeps the best feasible grouping by sum rate.
 
-    Partition scores are kept by groups for the call; for the RateContext's
-    life, colorings by (adjacency, capacity) and Schedules by (config,
-    bands, capacity, rho, powers, weights). All are pure functions of those
-    keys.
+    Partition scores are kept by groups for the call; for the life of
+    ``scenario.rate_context``, colorings by adjacency and Schedules by
+    (rho, powers, weights). All are pure functions of those keys and the
+    scenario.
     """
     cfg = scenario.config
     K = scenario.num_users
-    if num_bands is None:
-        num_bands = cfg.num_subbands
-    if capacity is None:
-        capacity = cfg.subband_capacity
-    if num_bands * capacity < K:
-        raise ValueError("no feasible partition: I * N_max < K")
-    if context is None:
-        context = scenario.rate_context
-    colorings, schedules = _MEMO.setdefault(context, ({}, {}))
+    num_bands, capacity = cfg.num_subbands, cfg.subband_capacity
+    colorings, schedules = _MEMO.setdefault(scenario.rate_context, ({}, {}))
     # the loop reads the estimates only through rho, a K x K key
-    rho = correlation_matrix_rho(scenario, estimates, context)
-    call = (cfg, num_bands, capacity) + tuple(
-        (a.shape, a.dtype.str, a.tobytes())
-        for a in map(np.asarray, (rho, powers, weights)))
+    rho = correlation_matrix_rho(scenario, estimates)
+    call = tuple((a.shape, a.dtype.str, a.tobytes())
+                 for a in map(np.asarray, (rho, powers, weights)))
     if call in schedules:
         sched = schedules[call]
         return replace(sched, groups=[list(g) for g in sched.groups])
-    terms = pair_terms(scenario, powers, weights, context)
+    terms = pair_terms(scenario, powers, weights)
     graphs = set()
     scores = {}
 
     def color(adjacency):
-        key = adjacency.tobytes(), capacity
+        key = adjacency.tobytes()
         graphs.add(key)
         if key not in colorings:
             groups, n_c = dsatur_color(adjacency, capacity)
@@ -274,18 +265,15 @@ def enumerate_partitions(num_users, max_blocks, capacity):
     ]
 
 
-def exhaustive_schedule(scenario, powers, weights, num_bands=None,
-                        capacity=None, context=None):
-    """Brute-force optimal grouping under equal-split bandwidth."""
+def exhaustive_schedule(scenario, powers, weights):
+    """Brute-force optimal grouping under equal-split bandwidth, into the
+    config's sub-bands and capacity."""
     cfg = scenario.config
     K = scenario.num_users
     if K > EXHAUSTIVE_GUARD:
         raise ValueError(f"exhaustive search refused for K > {EXHAUSTIVE_GUARD}")
-    if num_bands is None:
-        num_bands = cfg.num_subbands
-    if capacity is None:
-        capacity = cfg.subband_capacity
-    terms = pair_terms(scenario, powers, weights, context)
+    num_bands, capacity = cfg.num_subbands, cfg.subband_capacity
+    terms = pair_terms(scenario, powers, weights)
     best, best_rate = None, -np.inf
     for groups in enumerate_partitions(K, num_bands, capacity):
         rate = _floored_sum_rate(sinr_in_bands(scenario, terms, groups),

@@ -26,7 +26,6 @@ from dmimo.optimizer import (
 )
 from dmimo.rate import (
     AllocationState,
-    RateContext,
     equal_split_allocation,
     equal_weights,
     monte_carlo_users,
@@ -63,11 +62,10 @@ def test_criterion_01_term_equivalence():
             alloc = equal_split_allocation(
                 sc, groups=[list(range(sc.num_users))]
             )
-            ctx = RateContext(sc)
             rng = np.random.default_rng(900 + seed)
             # a draw per user keeps the users' three-sigma checks independent
             for k in range(sc.num_users):
-                rep = monte_carlo_users(sc, alloc, trials, rng, ctx,
+                rep = monte_carlo_users(sc, alloc, trials, rng,
                                         users=(k,)).users[k]
                 # |DS|^2: the MC mean's error propagates through |.|^2
                 se = math.sqrt(rep.terms["ls"][0] / trials)
@@ -94,12 +92,11 @@ def test_criterion_02_bound_validity():
         lbs, gaps = {}, {}
         for kbar, rng in zip(grid, rngs):
             sc = base.with_rician(kbar)
-            ctx = RateContext(sc)
             alloc = equal_split_allocation(
                 sc, groups=[list(range(sc.num_users))]
             )
-            lb = sum_rate(sc, alloc, ctx)
-            res = monte_carlo_users(sc, alloc, trials, rng, ctx)
+            lb = sum_rate(sc, alloc)
+            res = monte_carlo_users(sc, alloc, trials, rng)
             mc = res.sum_rate
             assert lb <= mc + 3 * res.sum_rate_se, kbar
             lbs[kbar] = lb
@@ -176,27 +173,26 @@ def test_criterion_04_scheduler_gap():
                 pilot_length=max(K - 2, 2), max_power=10.0,
                 pilot_power=10.0,
             )
-            ctx = RateContext(sc)
             powers = np.full(K, sc.config.max_power)
             weights = equal_weights(sc)
             est = scheduling_estimates(
                 sc, np.random.default_rng(2000 + seed)
             )
-            sched = schedule_users(sc, est, powers, weights, context=ctx)
+            sched = schedule_users(sc, est, powers, weights)
             assert validate_schedule(sched, K, I, cap)
             bw = sc.config.total_bandwidth / len(sched.groups)
             alg = sum_rate(sc, AllocationState(
                 groups=sched.groups, bandwidths=[bw] * len(sched.groups),
-                powers=powers, weights=weights), ctx)
-            opt = exhaustive_schedule(sc, powers, weights, context=ctx)
+                powers=powers, weights=weights))
+            opt = exhaustive_schedule(sc, powers, weights)
             bwo = sc.config.total_bandwidth / len(opt.groups)
             best = sum_rate(sc, AllocationState(
                 groups=opt.groups, bandwidths=[bwo] * len(opt.groups),
-                powers=powers, weights=weights), ctx)
+                powers=powers, weights=weights))
             shared = sum_rate(sc, AllocationState(
                 groups=[list(range(K))],
                 bandwidths=[sc.config.total_bandwidth],
-                powers=powers, weights=weights), ctx)
+                powers=powers, weights=weights))
             assert shared <= alg * (1 + 1e-9), seed
             assert alg <= best * (1 + 1e-9), seed
             ratios.append(alg / best)
@@ -273,13 +269,13 @@ def test_criterion_06_surrogate_bounds():
 # -- 7. GP solver vs dense grid search --------------------------------------
 
 
-def _linear_sinr_coeffs(sc, alloc, ctx):
+def _linear_sinr_coeffs(sc, alloc):
     """Per-user (numerator, noise, {k': denom coeff}) at unit powers."""
     unit = alloc.copy()
     unit.powers = np.ones(sc.num_users)
     out = {}
     for k in range(sc.num_users):
-        t = sinr_lower_bound(sc, unit, k, ctx)
+        t = sinr_lower_bound(sc, unit, k)
         d = {kp: t.i1[kp] + t.i2.get(kp, 0.0) + t.i3.get(kp, 0.0)
              for kp in t.i1}
         out[k] = (t.numerator, t.i_noise, d)
@@ -310,13 +306,12 @@ def test_criterion_07_gp_oracle():
             sc = make_scenario(seed=700 + seed, num_satellites=1,
                                num_users=3, cluster_size=1, num_subbands=1,
                                pilot_length=2, subband_capacity=3)
-            ctx = RateContext(sc)
             alloc = equal_split_allocation(sc, groups=[[0, 1, 2]])
-            solved, _ = optimize_power_weights(sc, alloc, ctx,
+            solved, _ = optimize_power_weights(sc, alloc,
                                                optimize_weights=False)
-            got = sum_rate(sc, solved, ctx)
+            got = sum_rate(sc, solved)
 
-            coeffs = _linear_sinr_coeffs(sc, alloc, ctx)
+            coeffs = _linear_sinr_coeffs(sc, alloc)
             pmax = sc.config.max_power
             axis = np.logspace(math.log10(pmax * 1e-3), math.log10(pmax),
                                grid_n)
@@ -333,11 +328,11 @@ def test_criterion_07_gp_oracle():
 
             # linear-domain constraint satisfaction at the returned point
             chi = np.array([
-                sinr_lower_bound(sc, solved, k, ctx).sinr_lb
+                sinr_lower_bound(sc, solved, k).sinr_lb
                 for k in range(3)
             ])
             problem, x0 = build_sca_subproblem(
-                sc, solved, ctx, chi, optimize_weights=False
+                sc, solved, chi, optimize_weights=False
             )
             # every posynomial constraint g(v) <= 1 + 1e-6 at the anchor
             assert problem.lse(x0).max() <= math.log1p(1e-6)
@@ -354,17 +349,16 @@ def test_criterion_08_sca_convergence():
             sc = make_scenario(seed=seed, num_users=6, num_satellites=4,
                                cluster_size=3, num_subbands=4,
                                pilot_length=4, subband_capacity=3)
-            ctx = RateContext(sc)
             powers = np.full(sc.num_users, sc.config.max_power)
             weights = equal_weights(sc)
             est = scheduling_estimates(sc, np.random.default_rng(seed))
-            sched = schedule_users(sc, est, powers, weights, context=ctx)
+            sched = schedule_users(sc, est, powers, weights)
             bw = sc.config.total_bandwidth / len(sched.groups)
             alloc = AllocationState(
                 groups=sched.groups, bandwidths=[bw] * len(sched.groups),
                 powers=powers, weights=weights,
             )
-            _, trace = optimize_power_weights(sc, alloc, ctx, eps=0.01)
+            _, trace = optimize_power_weights(sc, alloc)
             objs = trace.objectives
             assert all(b >= a - 1e-8 * abs(a)
                        for a, b in zip(objs, objs[1:]))
@@ -407,14 +401,13 @@ def test_criterion_09_bandwidth_stage():
         sym = Scenario(config=sc.config,
                        links=tuple(tuple(r) for r in links),
                        pilots=sc.pilots, serving_sets=tuple(sets))
-        ctx = RateContext(sym)
         alloc = AllocationState(
             groups=[[0], [1]],
             bandwidths=[sym.config.total_bandwidth / 2] * 2,
             powers=np.full(3, sym.config.max_power),
             weights=equal_weights(sym),
         )
-        res = optimize_bandwidth(sym, alloc, ctx)
+        res = optimize_bandwidth(sym, alloc)
         assert res.allocation.bandwidths[0] == pytest.approx(
             sym.config.total_bandwidth / 2,
             abs=1e-8 * sym.config.total_bandwidth,
@@ -422,27 +415,25 @@ def test_criterion_09_bandwidth_stage():
 
         for seed in range(50):
             sc = make_scenario(seed=800 + seed)
-            ctx = RateContext(sc)
             alloc = equal_split_allocation(sc)
-            base = sum_rate(sc, alloc, ctx)
-            res = optimize_bandwidth(sc, alloc, ctx)
-            assert sum_rate(sc, res.allocation, ctx) >= base * (1 - 1e-9)
+            base = sum_rate(sc, alloc)
+            res = optimize_bandwidth(sc, alloc)
+            assert sum_rate(sc, res.allocation) >= base * (1 - 1e-9)
             assert res.kkt_residual <= 1e-8
 
         sc = make_scenario(seed=31, num_users=6, num_satellites=4,
                            cluster_size=3, num_subbands=4, pilot_length=4,
                            subband_capacity=3)
-        ctx = RateContext(sc)
         powers = np.full(sc.num_users, sc.config.max_power)
         weights = equal_weights(sc)
         est = scheduling_estimates(sc, np.random.default_rng(31))
-        sched = schedule_users(sc, est, powers, weights, context=ctx)
+        sched = schedule_users(sc, est, powers, weights)
         bw = sc.config.total_bandwidth / len(sched.groups)
         alloc = AllocationState(
             groups=sched.groups, bandwidths=[bw] * len(sched.groups),
             powers=powers, weights=weights,
         )
-        res = optimize_bandwidth(sc, alloc, ctx)
+        res = optimize_bandwidth(sc, alloc)
         assert res.iterations <= 5
         assert res.kkt_residual <= 1e-8
 

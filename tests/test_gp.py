@@ -183,7 +183,7 @@ def _captured_problems():
         chi = np.ones(sc.num_users)
         chi[res.users] = res.sinr[res.users]
         for optimize in (True, False):
-            out.append(build_sca_subproblem(sc, alloc, sc.rate_context, chi,
+            out.append(build_sca_subproblem(sc, alloc, chi,
                                             optimize_weights=optimize))
     return out
 

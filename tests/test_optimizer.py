@@ -34,7 +34,6 @@ from dmimo.optimizer import (
 )
 from dmimo.rate import (
     AllocationState,
-    RateContext,
     equal_split_allocation,
     equal_weights,
     sinr_all,
@@ -161,8 +160,7 @@ def test_feasibility_boundary_and_violation():
 
 def test_power_weights_monotone(default_scenario):
     sc = default_scenario
-    ctx = RateContext(sc)
-    alloc, trace = optimize_power_weights(sc, equal_split_allocation(sc), ctx)
+    alloc, trace = optimize_power_weights(sc, equal_split_allocation(sc))
     objs = trace.objectives
     assert all(b >= a - 1e-8 * abs(a) for a, b in zip(objs, objs[1:]))
     # weights renormalized on exit
@@ -174,7 +172,6 @@ def test_power_weights_monotone(default_scenario):
 
 def test_power_weights_single_user_max_power():
     sc = single_user_scenario()
-    ctx = RateContext(sc)
     w = np.zeros((1, 2))
     w[0, 0] = 1.0
     w[0, 1] = 1.0
@@ -182,7 +179,7 @@ def test_power_weights_single_user_max_power():
         groups=[[0]], bandwidths=[sc.config.total_bandwidth],
         powers=np.full(2, sc.config.max_power), weights=w,
     )
-    out, _ = optimize_power_weights(sc, alloc, ctx)
+    out, _ = optimize_power_weights(sc, alloc)
     assert out.powers[0] == pytest.approx(sc.config.max_power, rel=1e-6)
 
 
@@ -194,34 +191,35 @@ def fig5_style_scenario(seed=31, nx=4, ny=4):
 
 def test_power_weights_converges_quickly():
     sc = fig5_style_scenario()
-    ctx = RateContext(sc)
     rng = np.random.default_rng(7)
     est = scheduling_estimates(sc, rng)
     powers = np.full(sc.num_users, sc.config.max_power)
     weights = equal_weights(sc)
-    sched = schedule_users(sc, est, powers, weights, context=ctx)
+    sched = schedule_users(sc, est, powers, weights)
     bw = sc.config.total_bandwidth / len(sched.groups)
     alloc = AllocationState(
         groups=sched.groups, bandwidths=[bw] * len(sched.groups),
         powers=powers, weights=weights,
     )
-    _, trace = optimize_power_weights(sc, alloc, ctx)
+    _, trace = optimize_power_weights(sc, alloc)
     assert trace.iterations <= 10
     objs = trace.objectives
     assert all(b >= a - 1e-8 * abs(a) for a, b in zip(objs, objs[1:]))
 
 
-def test_sca_trace_records_stop_reason(default_scenario):
+def test_sca_trace_records_stop_reason(default_scenario, monkeypatch):
     sc = default_scenario
     alloc = equal_split_allocation(sc)
-    _, trace = optimize_power_weights(sc, alloc, eps=0.01)
+    assert dmimo.optimizer.EPS_SCA == 0.01
+    _, trace = optimize_power_weights(sc, alloc)
     assert trace.stop_reason == "converged"
     objs = trace.objectives
     assert (objs[-1] - objs[-2]) / objs[-1] < 0.01
     # eps = 0 never converges, so the loop runs out of iterations
+    monkeypatch.setattr(dmimo.optimizer, "EPS_SCA", 0.0)
     for max_iter in (0, 1, 2):
-        _, trace = optimize_power_weights(sc, alloc, eps=0.0,
-                                          max_iter=max_iter)
+        monkeypatch.setattr(dmimo.optimizer, "MAX_ITER_SCA", max_iter)
+        _, trace = optimize_power_weights(sc, alloc)
         assert trace.stop_reason == "max_iter"
         assert trace.iterations == max_iter
 
@@ -258,8 +256,8 @@ def test_sca_keeps_iterate_when_gp_infeasible(default_scenario, monkeypatch):
         return solve(problem, x0)
 
     monkeypatch.setattr(dmimo.optimizer, "solve_gp", fail_second)
-    out, trace = optimize_power_weights(sc, equal_split_allocation(sc),
-                                        eps=0.0)
+    monkeypatch.setattr(dmimo.optimizer, "EPS_SCA", 0.0)
+    out, trace = optimize_power_weights(sc, equal_split_allocation(sc))
     assert trace.stop_reason == "gp_infeasible"
     assert trace.iterations == 1
     assert sum_rate(sc, out) == trace.objectives[-1]
@@ -293,7 +291,7 @@ def test_sca_rows_bound_reference_sinr(seed, draw, optimize):
     chi = np.ones(K)
     for k in order:
         chi[k] = sinr_lower_bound(sc, alloc, k, ctx).sinr_lb
-    problem, x0 = build_sca_subproblem(sc, alloc, ctx, chi,
+    problem, x0 = build_sca_subproblem(sc, alloc, chi,
                                        optimize_weights=optimize)
 
     # columns: chi_k, p_k, then each user's weights over sorted(M_k)
@@ -440,7 +438,7 @@ def _assert_rows_match(sc, alloc, chi):
     ctx = sc.rate_context
     for optimize in (True, False):
         for floors in (True, False):
-            got = _gp_rows(sc, alloc, ctx, chi, optimize, floors)
+            got = _gp_rows(sc, alloc, chi, optimize, floors)
             ref = _reference_gp_rows(sc, alloc, ctx, chi, optimize, floors)
             for name, a, b in zip(("x0", "logs", "exps", "starts"), got,
                                   ref):
@@ -584,14 +582,13 @@ def test_min_bandwidth_stops_without_moving_the_result():
 
 def test_bandwidth_symmetric_equal_split():
     sc = symmetric_two_band_scenario()
-    ctx = RateContext(sc)
     w = equal_weights(sc)
     alloc = AllocationState(
         groups=[[0], [1]],
         bandwidths=[sc.config.total_bandwidth / 2] * 2,
         powers=np.full(3, sc.config.max_power), weights=w,
     )
-    res = optimize_bandwidth(sc, alloc, ctx)
+    res = optimize_bandwidth(sc, alloc)
     half = sc.config.total_bandwidth / 2
     assert res.allocation.bandwidths[0] == pytest.approx(
         half, abs=1e-8 * sc.config.total_bandwidth
@@ -602,11 +599,10 @@ def test_bandwidth_symmetric_equal_split():
 def test_bandwidth_beats_equal_split():
     for seed in range(10):
         sc = make_scenario(seed=seed)
-        ctx = RateContext(sc)
         alloc = equal_split_allocation(sc)
-        base = sum_rate(sc, alloc, ctx)
-        res = optimize_bandwidth(sc, alloc, ctx)
-        assert sum_rate(sc, res.allocation, ctx) >= base - 1e-9 * base
+        base = sum_rate(sc, alloc)
+        res = optimize_bandwidth(sc, alloc)
+        assert sum_rate(sc, res.allocation) >= base - 1e-9 * base
         assert res.kkt_residual <= 1e-8
         assert sum(res.allocation.bandwidths) == pytest.approx(
             sc.config.total_bandwidth
@@ -615,8 +611,7 @@ def test_bandwidth_beats_equal_split():
 
 def test_bandwidth_objective_trace_monotone(default_scenario):
     sc = default_scenario
-    ctx = RateContext(sc)
-    res = optimize_bandwidth(sc, equal_split_allocation(sc), ctx)
+    res = optimize_bandwidth(sc, equal_split_allocation(sc))
     t = res.objective_trace
     assert all(b >= a for a, b in zip(t, t[1:]))
     assert res.iterations <= 5
@@ -627,9 +622,8 @@ def test_bandwidth_infeasible_floors():
     cfg = sc.config.replace(rate_requirement=1e9)  # far above capacity
     sc = Scenario(config=cfg, links=sc.links, pilots=sc.pilots,
                   serving_sets=sc.serving_sets)
-    ctx = RateContext(sc)
     with pytest.raises(InfeasibleError):
-        optimize_bandwidth(sc, equal_split_allocation(sc), ctx)
+        optimize_bandwidth(sc, equal_split_allocation(sc))
 
 
 def test_bandwidth_coefficients_positive(default_scenario):
@@ -644,9 +638,8 @@ def test_bandwidth_coefficients_positive(default_scenario):
 
 def test_alternating_optimize_improves(default_scenario):
     sc = default_scenario
-    ctx = RateContext(sc)
-    base = sum_rate(sc, equal_split_allocation(sc), ctx)
-    res = alternating_optimize(sc, np.random.default_rng(1), context=ctx)
+    base = sum_rate(sc, equal_split_allocation(sc))
+    res = alternating_optimize(sc, np.random.default_rng(1))
     assert res.sum_rate >= base - 1e-9 * base
     assert res.sum_rate == pytest.approx(max(res.round_rates))
     assert res.allocation.feasible
@@ -715,6 +708,26 @@ def test_attainable_floor_reports_margin(default_scenario):
     assert res.allocation.feasible and res.allocation.phi == math.inf
 
 
+def test_floor_beyond_float_range_is_unattainable():
+    """A floor whose SINR target 2^(r / B) - 1 overflows a float has margin
+    phi = 0: the AO and both arms return an allocation marked infeasible
+    rather than raising OverflowError."""
+    sc = build_scenario(SystemConfig(rate_requirement=1e9),
+                        np.random.default_rng(5))
+    alloc = equal_split_allocation(sc)
+    assert _rate_gamma(sc, alloc.bandwidths[0]) == math.inf
+    phi, out = feasibility_check(sc, alloc)
+    assert phi == 0.0 and np.array_equal(out.powers, alloc.powers)
+    res = alternating_optimize(sc, np.random.default_rng(5))
+    assert not res.allocation.feasible and res.allocation.phi == 0.0
+    assert res.round_rates == [] and len(res.rounds) == 1
+    assert res.sum_rate == sum_rate(sc, res.allocation)
+    for mode in ("equal", "estimate"):
+        alloc, rate = benchmark_allocation(sc, np.random.default_rng(5), mode)
+        assert not alloc.feasible and alloc.phi == 0.0
+        assert rate == sum_rate(sc, alloc)
+
+
 @pytest.mark.parametrize("floor, seed", [(0.0, 1007), (0.0, 1008),
                                          (1.5e5, 1007)])
 def test_ao_result_keeps_one_schedule_per_round(floor, seed):
@@ -759,15 +772,14 @@ def _hand_wired_first_round(scenario, rng):
     experiment once did: schedule at max power and equal weights, split the
     band equally, run SCA on powers and weights, then the bandwidth stage.
     Reference for the round records of alternating_optimize."""
-    ctx = scenario.rate_context
     powers = np.full(scenario.num_users, scenario.config.max_power)
     weights = equal_weights(scenario)
     estimates = scheduling_estimates(scenario, rng)
-    sched = schedule_users(scenario, estimates, powers, weights, context=ctx)
+    sched = schedule_users(scenario, estimates, powers, weights)
     alloc = equal_split_allocation(scenario, groups=sched.groups,
                                    powers=powers, weights=weights)
-    alloc, trace = optimize_power_weights(scenario, alloc, ctx)
-    return sched, trace, optimize_bandwidth(scenario, alloc, ctx)
+    alloc, trace = optimize_power_weights(scenario, alloc)
+    return sched, trace, optimize_bandwidth(scenario, alloc)
 
 
 @pytest.mark.parametrize("max_power", [0.2, 20.0])
@@ -834,6 +846,27 @@ def test_zero_bandwidth_band_does_not_stop_the_loop(seed, max_power):
         rate = sinr_all(sc, alloc).rate
         for g, b in zip(alloc.groups, alloc.bandwidths):
             assert np.all(rate[g] == 0.0) == (b == 0.0)
+    arms = {mode: benchmark_allocation(
+                sc, np.random.default_rng(estimation_ss), mode)
+            for mode in ("equal", "estimate")}
+    assert _benchmark_checks().check_ao_item(sc, res, arms) == []
+    assert res.allocation.feasible
+    assert res.sum_rate >= arms["equal"][1]
+
+
+@given(max_power=st.floats(min_value=0.2, max_value=200.0),
+       seed=st.integers(min_value=1011, max_value=1018))
+@settings(max_examples=8, deadline=None)
+def test_ao_holds_its_invariants_at_any_power(max_power, seed):
+    """From the noise-limited 0.2 W to the interference-limited 200 W on the
+    ao-small system (no floor), the AO and both arms return allocations
+    that pass the benchmark's checks, with B >= 0, and the AO's sum rate is
+    at least the equal-weight arm's on the same stream."""
+    cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0,
+                                        max_power=max_power)
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
     arms = {mode: benchmark_allocation(
                 sc, np.random.default_rng(estimation_ss), mode)
             for mode in ("equal", "estimate")}

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -14,7 +15,7 @@ from dmimo.estimation import estimate_batch
 from dmimo.channel import sample_channel_batch
 from dmimo.optimizer import estimate_magnitude_weights, scheduling_estimates
 from dmimo.harness import _cluster_config
-from dmimo.rate import RateContext, equal_weights, sinr_lower_bound, sum_rate
+from dmimo.rate import equal_weights, sinr_lower_bound, sum_rate
 from dmimo.rate import (AllocationState, equal_split_allocation, pair_terms,
                         sinr_all, sinr_in_bands)
 from dmimo.scenario import build_scenario
@@ -281,21 +282,20 @@ def test_schedule_users_zero_conflicts():
 def test_schedule_vs_exhaustive():
     sc = make_scenario(seed=8, num_users=6, num_satellites=3, cluster_size=2,
                        num_subbands=3, pilot_length=5, subband_capacity=2)
-    ctx = RateContext(sc)
     powers = np.full(sc.num_users, sc.config.max_power)
     weights = equal_weights(sc)
     est = fake_estimates(sc, np.random.default_rng(4))
-    sched = schedule_users(sc, est, powers, weights, context=ctx)
+    sched = schedule_users(sc, est, powers, weights)
     assert validate_schedule(sched, 6, 3, 2)
     bw_a = sc.config.total_bandwidth / len(sched.groups)
     alg = sum_rate(sc, AllocationState(
         groups=sched.groups, bandwidths=[bw_a] * len(sched.groups),
-        powers=powers, weights=weights), ctx)
-    opt = exhaustive_schedule(sc, powers, weights, context=ctx)
+        powers=powers, weights=weights))
+    opt = exhaustive_schedule(sc, powers, weights)
     bw_o = sc.config.total_bandwidth / len(opt.groups)
     best = sum_rate(sc, AllocationState(
         groups=opt.groups, bandwidths=[bw_o] * len(opt.groups),
-        powers=powers, weights=weights), ctx)
+        powers=powers, weights=weights))
     assert alg <= best + 1e-6
     assert alg >= 0.5 * best
 
@@ -312,10 +312,9 @@ def test_exhaustive_separates_clones():
     # interference
     sc = make_scenario(seed=3, num_users=3, num_subbands=2, pilot_length=2,
                        subband_capacity=3)
-    ctx = RateContext(sc)
     powers = np.full(3, sc.config.max_power)
     weights = equal_weights(sc)
-    opt = exhaustive_schedule(sc, powers, weights, context=ctx)
+    opt = exhaustive_schedule(sc, powers, weights)
     assert validate_schedule(opt, 3, 2, 3)
     assert opt.feasible
 
@@ -534,13 +533,12 @@ def test_pair_terms_scores_equal_sinr_all(seed, data):
 
 
 def _schedule_reference(scenario, estimates, powers, weights,
-                        num_bands=None, max_iter=L_MAX):
+                        max_iter=L_MAX):
     """The scheduling loop without the memo, for max_iter iterations:
     (Schedule, escalations, edges added, the distinct adjacencies colored
     as bytes, stopped by an edit)."""
     cfg = scenario.config
     K = scenario.num_users
-    num_bands = num_bands or cfg.num_subbands
     terms = pair_terms(scenario, powers, weights)
     rho = correlation_matrix_rho(scenario, estimates)
     threshold = float(rho[~np.eye(K, dtype=bool)].mean())
@@ -551,7 +549,7 @@ def _schedule_reference(scenario, estimates, powers, weights,
     best, best_rate = None, -np.inf
     escalations = edges = 0
     for _ in range(max_iter):
-        if n_c > num_bands:
+        if n_c > cfg.num_subbands:
             escalations += 1
             threshold = (threshold + rho_max) / 2.0
             graph = ConflictGraph.from_threshold(rho, threshold)
@@ -599,43 +597,60 @@ def _golden_system(num_users, floored, seed):
         "equal": weights, "estimate": estimate_magnitude_weights(sc, est)}
 
 
+def _with_config(scenario, **kw):
+    """`scenario` on the same links, pilots and serving sets, under its
+    config changed by kw; it builds its own RateContext."""
+    return dataclasses.replace(scenario, config=scenario.config.replace(**kw))
+
+
+def _weak_user(system):
+    """A (scenario, estimates, powers, ...) system on K - 1 sub-bands, the
+    most the config allows, with its middle user at a tenth of the power.
+    Edits then leave that worst user alone in a band, which stops the loop
+    before L_MAX; at full power, no golden instance stops so."""
+    sc, est, powers, *rest = system
+    powers = powers.copy()
+    powers[sc.num_users // 2] *= 0.1
+    return (_with_config(sc, num_subbands=sc.num_users - 1), est, powers,
+            *rest)
+
+
 def _schedule_instances():
-    """(key, arguments, keyword arguments) of schedule_users: the golden
-    instances with four bands and with one band per user (where an edit
-    can leave the worst user alone, which stops the loop), plus the
-    ao-small benchmark system without a floor and at an unattainable
-    1.5e5 bit/s floor, both weight arms on one scenario."""
+    """(key, arguments) of schedule_users: the golden instances, as they
+    are and with a weak user (where an edit can leave the worst user
+    alone, which stops the loop), plus the ao-small benchmark system
+    without a floor and at an unattainable 1.5e5 bit/s floor, both weight
+    arms on one scenario."""
     for key in GOLDEN_SCHEDULES:
-        yield key, golden_instance(*key), {}
-        yield key + ("K bands",), golden_instance(*key), {
-            "num_bands": key[0]}
+        yield key, golden_instance(*key)
+        yield key + ("weak user",), _weak_user(golden_instance(*key))
     for floor in (0.0, 1.5e5):
         for seed in range(1011, 1017):
             sc, est, powers, arms = _ao_small_system(floor, seed)
             for weights in arms.values():
-                yield (floor, seed), (sc, est, powers, weights), {}
+                yield (floor, seed), (sc, est, powers, weights)
 
 
 def _arm_systems():
-    """(key, build, keyword arguments) of every _schedule_instances system:
-    build() returns a freshly built (scenario, estimates, powers,
-    {arm: weights})."""
+    """(key, build) of every _schedule_instances system: build() returns a
+    freshly built (scenario, estimates, powers, {arm: weights})."""
     golden = sorted({(n, floored, seed)
                      for n, floored, _, seed in GOLDEN_SCHEDULES})
     for key in golden:
-        for kw in ({}, {"num_bands": key[0]}):
-            yield key, (lambda key=key: _golden_system(*key)), kw
+        yield key, (lambda key=key: _golden_system(*key))
+        yield key + ("weak user",), \
+            (lambda key=key: _weak_user(_golden_system(*key)))
     for floor in (0.0, 1.5e5):
         for seed in range(1011, 1017):
             yield (floor, seed), \
-                (lambda f=floor, s=seed: _ao_small_system(f, s)), {}
+                (lambda f=floor, s=seed: _ao_small_system(f, s))
 
 
 def test_memoized_loop_matches_reference():
     infeasible = early = 0
-    for key, inst, kw in _schedule_instances():
-        sched = schedule_users(*inst, **kw)
-        ref, *_ = _schedule_reference(*inst, **kw)
+    for key, inst in _schedule_instances():
+        sched = schedule_users(*inst)
+        ref, *_ = _schedule_reference(*inst)
         assert (sched.groups, sched.colors_used, sched.feasible) == \
             (ref.groups, ref.colors_used, ref.feasible), key
         infeasible += not sched.feasible
@@ -664,20 +679,20 @@ def test_schedule_diagnostics_match_counters(monkeypatch):
     # the calls' summed Schedule.colorings)
     contexts = {}
     hit = stopped = 0
-    for key, inst, kw in _schedule_instances():
+    for key, inst in _schedule_instances():
         monkeypatch.setattr(scheduler, "dsatur_color", color)
         monkeypatch.setattr(scheduler, "score_partition", score)
         monkeypatch.setattr(ConflictGraph, "from_threshold",
                             staticmethod(rebuild))
         colored.clear(), scored.clear(), rebuilds.clear()
-        sched = schedule_users(*inst, **kw)
+        sched = schedule_users(*inst)
         monkeypatch.undo()
         assert sched.partitions_scored == len(scored), key
         assert sched.escalations == len(rebuilds) - 1, key
         # the reference loop, cut where this one stopped, made the same
         # escalations and edits and colored the same distinct graphs
         _, esc, edges, graphs, by_edit = _schedule_reference(
-            *inst, **kw, max_iter=sched.iterations)
+            *inst, max_iter=sched.iterations)
         assert (sched.escalations, sched.edges_added) == (esc, edges), key
         assert sched.iterations == esc + edges + by_edit, key
         assert sched.colorings == len(graphs), key
@@ -687,7 +702,7 @@ def test_schedule_diagnostics_match_counters(monkeypatch):
         entry[2] |= {(g, inst[0].config.subband_capacity) for g in graphs}
         entry[3] += sched.colorings
         # hit_l_max: the full loop is never stopped by an edit
-        *_, full_by_edit = _schedule_reference(*inst, **kw)
+        *_, full_by_edit = _schedule_reference(*inst)
         assert sched.hit_l_max == (not full_by_edit), key
         hit += sched.hit_l_max
         stopped += not sched.hit_l_max
@@ -702,28 +717,33 @@ def test_schedule_diagnostics_match_counters(monkeypatch):
 def test_shared_memo_matches_fresh_scenarios():
     """Both weight arms on one context, each repeated, in both orders:
     every Schedule equals that of a call on a freshly built scenario."""
-    for key, build, kw in _arm_systems():
+    for key, build in _arm_systems():
         fresh = {}
         for arm in ("equal", "estimate"):
             sc, est, powers, arms = build()
-            fresh[arm] = schedule_users(sc, est, powers, arms[arm], **kw)
+            fresh[arm] = schedule_users(sc, est, powers, arms[arm])
         for order in (("equal", "estimate"), ("estimate", "equal")):
             sc, est, powers, arms = build()
             for arm in order + order:
-                assert schedule_users(sc, est, powers, arms[arm], **kw) \
-                    == fresh[arm], (key, kw, order, arm)
+                assert schedule_users(sc, est, powers, arms[arm]) \
+                    == fresh[arm], (key, order, arm)
 
 
 def test_shared_colorings_are_kept_per_capacity():
-    """Calls at several capacities on one context schedule as on freshly
-    built scenarios: a graph's coloring at one capacity is not reused at
+    """Scenarios that share links and differ only in sub-band capacity,
+    the first called again after the others, schedule as on freshly built
+    scenarios: a graph's coloring at one capacity is not reused at
     another."""
     for key in ((8, False, "equal", 0), (8, True, "estimate", 1)):
-        shared = golden_instance(*key)
+        sc, *args = golden_instance(*key)
+        shared = {}
         for capacity in (3, 2, 8, 3):
-            got = schedule_users(*shared, capacity=capacity)
-            assert got == schedule_users(*golden_instance(*key),
-                                         capacity=capacity), (key, capacity)
+            scenario = shared.setdefault(
+                capacity, _with_config(sc, subband_capacity=capacity))
+            fresh, *_ = golden_instance(*key)
+            assert schedule_users(scenario, *args) == schedule_users(
+                _with_config(fresh, subband_capacity=capacity), *args), \
+                (key, capacity)
 
 
 def test_shared_memo_tells_estimates_apart():
@@ -762,7 +782,7 @@ def test_repeated_call_returns_an_unaliased_copy(monkeypatch):
     assert schedule_users(sc, est, powers, weights) == want
     # any other argument runs the loop
     with pytest.raises(AssertionError, match="reached the loop"):
-        schedule_users(sc, est, powers, weights, num_bands=8)
+        schedule_users(sc, est, 0.5 * powers, weights)
 
 
 def test_schedule_memo_dies_with_its_scenario():
