@@ -24,27 +24,35 @@ def steering_vector(elevation, azimuth, nx, ny, spacing_ratio):
 
 
 def correlation_matrix(model, n, r=0.0):
-    """Antenna correlation Delta and its Hermitian PSD square root.
-
-    'identity' returns I_N; 'exponential' returns Delta[i,j] = r^|i-j|.
-    """
+    """Antenna correlation Delta: I_N for 'identity', Delta[i,j] = r^|i-j|
+    for 'exponential'."""
     if model == "identity":
-        eye = np.eye(n)
-        return eye, eye.copy()
+        return np.eye(n)
     if model != "exponential":
         raise ValueError(f"unknown correlation model {model!r}")
     if not (0.0 <= r < 1.0):
         raise ValueError("exponential correlation requires 0 <= r < 1")
     idx = np.arange(n)
-    delta = r ** np.abs(np.subtract.outer(idx, idx))
-    return delta, hermitian_sqrt(delta)
+    return r ** np.abs(np.subtract.outer(idx, idx))
 
 
-def hermitian_sqrt(mat):
-    """PSD square root via eigendecomposition (valid for singular inputs)."""
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+@dataclass(frozen=True)
+class Correlation:
+    """Delta = U diag(lam) U^H from one eigh. Every covariance a Delta is
+    diagonal in the basis U, and ``sqrt`` = U diag(sqrt lam) U^H colours
+    the samplers' draws (None when Delta = I: they stay as drawn)."""
+
+    basis: np.ndarray  # U, N x N unitary
+    eigvals: np.ndarray  # lam, clipped at 0 (valid for singular Delta)
+    sqrt: np.ndarray | None
+
+    @classmethod
+    def of(cls, delta):
+        vals, vecs = np.linalg.eigh(delta)
+        vals = np.clip(vals, 0.0, None)
+        if np.array_equal(delta, np.eye(len(delta))):
+            return cls(vecs, vals, None)
+        return cls(vecs, vals, (vecs * np.sqrt(vals)) @ vecs.conj().T)
 
 
 @dataclass(frozen=True)
@@ -67,33 +75,28 @@ def complex_normal(rng, shape):
 
 def link_arrays(scenario):
     """(mean, scale): every link's LoS mean sqrt(Kbar a) hbar and sqrt(a)."""
-    M, K, N = (scenario.num_satellites, scenario.num_users,
-               scenario.num_antennas)
-    mean = np.empty((M, K, N), dtype=complex)
-    scale = np.empty((M, K))
-    for m in range(M):
-        for k in range(K):
-            link = scenario.link(m, k)
-            a = link.rician_scale
-            mean[m, k] = np.sqrt(link.rician * a) * link.los_vector
-            scale[m, k] = np.sqrt(a)
-    return mean, scale
+    a = scenario.link_array("rician_scale")
+    kbar_a = scenario.link_array("rician") * a
+    return (np.sqrt(kbar_a)[:, :, None] * scenario.link_array("los_vector"),
+            np.sqrt(a))
+
+
+def _colored(scenario, htilde):
+    """Delta^(1/2) htilde over the last axis, with the scenario's one
+    square root; htilde itself when Delta = I."""
+    root = scenario.correlation.sqrt
+    if root is None:
+        return htilde
+    return np.einsum("ij,...j->...i", root, htilde)
 
 
 def sample_channel(scenario, rng):
     """Draw one ChannelRealization for every (satellite, user) link."""
-    M, K, N = (scenario.num_satellites, scenario.num_users,
-               scenario.num_antennas)
     mean, scale = link_arrays(scenario)
-    htilde = complex_normal(rng, (M, K, N))
-    colored = htilde
-    if scenario.config.correlation.kind != "identity":
-        colored = np.empty_like(htilde)
-        for m in range(M):
-            for k in range(K):
-                colored[m, k] = scenario.link(m, k).corr_sqrt @ htilde[m, k]
-    return ChannelRealization(los_part=mean, nlos_draw=htilde,
-                              h=mean + scale[:, :, None] * colored)
+    htilde = complex_normal(rng, mean.shape)
+    return ChannelRealization(
+        los_part=mean, nlos_draw=htilde,
+        h=mean + scale[:, :, None] * _colored(scenario, htilde))
 
 
 def sample_channel_batch(scenario, rng, trials):
@@ -102,16 +105,7 @@ def sample_channel_batch(scenario, rng, trials):
     Returns (h, htilde) with shape (trials, M, K, N); h composes the Rician
     model with the scenario's correlation applied.
     """
-    M, K, N = (scenario.num_satellites, scenario.num_users,
-               scenario.num_antennas)
     mean, scale = link_arrays(scenario)
-    htilde = complex_normal(rng, (trials, M, K, N))
-    if scenario.config.correlation.kind == "identity":
-        colored = htilde
-    else:
-        colored = np.einsum(
-            "ij,tmkj->tmki",
-            scenario.link(0, 0).corr_sqrt, htilde,
-        )
-    h = mean[None] + scale[None, :, :, None] * colored
+    htilde = complex_normal(rng, (trials, *mean.shape))
+    h = mean[None] + scale[None, :, :, None] * _colored(scenario, htilde)
     return h, htilde

@@ -140,6 +140,8 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be strictly positive")
         if self.rate_requirement < 0:
             raise ConfigError("rate requirement must be nonnegative")
+        if not self.noise_density * self.total_bandwidth > 0:
+            raise ConfigError("full-band noise must be strictly positive")
 
     @property
     def num_antennas(self):

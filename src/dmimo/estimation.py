@@ -1,7 +1,9 @@
 """MMSE channel estimation under pilot contamination.
 
-Estimation always uses the full aggregate bandwidth's noise power; sub-band
-noise only enters data detection.
+Every link's covariance is R_{m,k} = a_{m,k} Delta with the scenario's one
+Delta = U diag(lam) U^H, so R, Psi, R Psi and C are all diagonal in U and
+are kept as their eigenvalues. Estimation always uses the full aggregate
+bandwidth's noise power; sub-band noise only enters data detection.
 """
 
 from __future__ import annotations
@@ -13,60 +15,42 @@ import numpy as np
 from .channel import complex_normal, link_arrays
 
 
-def psi_matrix(cohort_covs, tau, pilot_powers, sigma2):
-    """Inverse of (sum_j tau p_j R_j + sigma^2 I) over the pilot cohort."""
-    if sigma2 <= 0:
-        raise ValueError("noise power must be strictly positive")
-    n = cohort_covs[0].shape[0]
-    acc = sigma2 * np.eye(n)
-    for cov, p in zip(cohort_covs, pilot_powers):
-        acc = acc + tau * p * cov
-    return np.linalg.inv(acc)
-
-
 @dataclass(frozen=True)
 class EstimationStats:
-    """Second-order statistics of the MMSE estimate for one (m, k) link."""
+    """Second-order statistics of every link's MMSE estimate, as spectra in
+    the basis U. Psi inverts sigma^2 I + tau p sum_j R_j over user k's
+    pilot cohort j, so R Psi has eigenvalues
+    a lam / (sigma^2 + tau p lam sum_j a_j)."""
 
-    R: np.ndarray  # channel covariance
-    rpsi: np.ndarray  # R Psi, the estimator's filter up to sqrt(tau p)
+    basis: np.ndarray  # U, N x N
+    cov: np.ndarray  # (M, K, N) eigenvalues a lam of R
+    filt: np.ndarray  # (M, K, N) eigenvalues of the filter R Psi
     tau_p: float  # tau p, pilot length times pilot power
 
     @property
     def est_cov(self):
-        """C = tau p R Psi R, formed on access rather than stored."""
-        return self.tau_p * (self.rpsi @ self.R)
+        """Eigenvalues of C = tau p R Psi R, formed on access."""
+        return self.tau_p * (self.filt * self.cov)
 
     @property
     def err_cov(self):
-        """E = R - C, formed on access rather than stored."""
-        return self.R - self.est_cov
+        """Eigenvalues of E = R - C, formed on access."""
+        return self.cov - self.est_cov
 
 
 def scenario_estimation_stats(scenario):
-    """EstimationStats for every (m, k) at the full-band noise power of the
-    scenario's config, cohort inverses computed once. The arrays keep the
-    covariances' dtype: real for a real correlation."""
-    M, K = scenario.num_satellites, scenario.num_users
+    """EstimationStats of the scenario at the full-band noise power of its
+    config."""
     cfg = scenario.config
-    sigma2 = scenario.fullband_noise
-    tau = cfg.pilot_length
-    out = {}
-    for m in range(M):
-        covs = [scenario.link(m, k).covariance for k in range(K)]
-        psi_by_pilot = {}
-        for k in range(K):
-            t = scenario.pilots.pilot_index[k]
-            if t not in psi_by_pilot:
-                cohort = scenario.pilots.cohort(k)
-                psi_by_pilot[t] = psi_matrix(
-                    [covs[j] for j in cohort], tau,
-                    [cfg.pilot_power] * len(cohort), sigma2
-                )
-            out[(m, k)] = EstimationStats(R=covs[k],
-                                          rpsi=covs[k] @ psi_by_pilot[t],
-                                          tau_p=tau * cfg.pilot_power)
-    return out
+    corr = scenario.correlation
+    a = scenario.link_array("rician_scale")
+    pilot = np.asarray(scenario.pilots.pilot_index)
+    load = a @ np.equal.outer(pilot, pilot)  # sum of a_j over k's cohort
+    tau_p = cfg.pilot_length * cfg.pilot_power
+    cov = a[:, :, None] * corr.eigvals
+    filt = cov / (scenario.fullband_noise
+                  + tau_p * load[:, :, None] * corr.eigvals)
+    return EstimationStats(basis=corr.basis, cov=cov, filt=filt, tau_p=tau_p)
 
 
 def estimate_batch(scenario, h_batch, rng):
@@ -79,6 +63,7 @@ def estimate_batch(scenario, h_batch, rng):
     tau = cfg.pilot_length
     T, M, K, N = h_batch.shape
     stats = scenario.estimation_stats
+    u = stats.basis
     # CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot)
     noise = np.sqrt(scenario.fullband_noise) \
         * complex_normal(rng, (T, M, tau, N))
@@ -87,7 +72,8 @@ def estimate_batch(scenario, h_batch, rng):
     mean, _ = link_arrays(scenario)
     for m in range(M):
         # centered observation of each pilot: its cohort's NLoS parts plus
-        # pilot noise, shared by every user on that pilot
+        # pilot noise, shared by every user on that pilot and rotated into
+        # U once
         resid = {}
         for k in range(K):
             t = scenario.pilots.pilot_index[k]
@@ -95,33 +81,20 @@ def estimate_batch(scenario, h_batch, rng):
                 resid[t] = noise[:, m, t, :].copy()
                 for j in scenario.pilots.cohort(k):
                     resid[t] += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
-            filt = sqrt_tp * stats[(m, k)].rpsi
-            hhat[:, m, k, :] = mean[m, k] + resid[t] @ filt.T
+                resid[t] = resid[t] @ u.conj()
+            filt = sqrt_tp * stats.filt[m, k]
+            hhat[:, m, k, :] = mean[m, k] + (resid[t] * filt) @ u.T
     return hhat, noise
-
-
-def trace_sum(diag):
-    """Re of the sum over the last axis, added as complex numbers whatever
-    the dtype: numpy groups complex sums unlike real ones, and this keeps a
-    real matrix's trace bit-identical to that of its complex copy."""
-    return np.asarray(diag, dtype=complex).sum(axis=-1).real
-
-
-def _err_trace(st):
-    """tr E from the diagonals of R and of tau p (R Psi) R alone: O(N^2)."""
-    diag = st.R.diagonal() - st.tau_p * np.einsum("ij,ji->i", st.rpsi, st.R)
-    return float(trace_sum(diag))
 
 
 def mse(scenario, m, k):
     """Estimation-error power tr(R - tau p R Psi R)."""
-    return _err_trace(scenario.estimation_stats[(m, k)])
+    return float(scenario.estimation_stats.err_cov[m, k].sum())
 
 
 def nmse(scenario, m, k):
     """Normalized MSE in [0, 1]; the degenerate tr(R)=0 case reports 1."""
-    st = scenario.estimation_stats[(m, k)]
-    tr_r = float(np.trace(st.R).real)
+    tr_r = float(scenario.estimation_stats.cov[m, k].sum())
     if tr_r == 0.0:
         return 1.0
-    return _err_trace(st) / tr_r
+    return mse(scenario, m, k) / tr_r

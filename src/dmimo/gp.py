@@ -130,7 +130,11 @@ def solve_gp(problem, x0):
         options={"maxiter": MAX_ITER, "ftol": 1e-14},
     )
     x = res.x
-    if not np.all(np.isfinite(x)) or np.abs(x).max() > 80.0:
+    # Only the objective's variables signal unboundedness: a variable the
+    # objective ignores may drift along a flat direction of the constraints
+    # (a user's combining weights, whose scale no SINR sees) at no gain.
+    if (not np.all(np.isfinite(x))
+            or np.abs(x[obj != 0]).max(initial=0.0) > 80.0):
         raise GpUnboundedError("iterates diverged; problem likely unbounded")
     val, soft = at(x.tobytes())
     jac = problem.jacobian(soft)

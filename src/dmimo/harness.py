@@ -175,17 +175,13 @@ def run_nmse_sweep(spec):
     for kbar, rng in zip(grid, rngs):
         sc = base.with_rician(kbar)
         M, K = sc.num_satellites, sc.num_users
-        stats = sc.estimation_stats
         mse_cf = np.mean([mse(sc, m, k) for m in range(M) for k in range(K)])
         nmse_cf = np.mean([nmse(sc, m, k) for m in range(M) for k in range(K)])
         h, _ = sample_channel_batch(sc, rng, spec.trials)
         hhat, _ = estimate_batch(sc, h, rng)
         err = np.abs(h - hhat) ** 2  # (T, M, K, N)
         per_trial_mse = err.sum(axis=3).mean(axis=(1, 2))
-        tr_r = np.mean([
-            np.trace(stats[(m, k)].R).real
-            for m in range(M) for k in range(K)
-        ])
+        tr_r = np.mean(sc.estimation_stats.cov.sum(axis=2))
         rows.append([
             spec.seed, build, kbar,
             float(mse_cf), float(per_trial_mse.mean()),

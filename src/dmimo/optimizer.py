@@ -481,6 +481,15 @@ def optimize_bandwidth(scenario, allocation):
             mu = 0.5 * (mu_lo + mu_hi)
 
     bws = [band_bw(i, mu) for i in bands]
+    excess = sum(bws) - total
+    if excess > TOL_BANDWIDTH * total:
+        # The dual stalled at float resolution (a wide band's g' is too
+        # flat for band_bw to place it finer) with bandwidth overspent:
+        # take it from the bands above their floors, since the rescale
+        # below would push the bands at their floors under them.
+        free = sum(b for i, b in enumerate(bws) if b > floors[i])
+        bws = [b - excess * b / free if b > floors[i] else b
+               for i, b in enumerate(bws)]
     scale = total / sum(bws)  # absorb residual into an exact simplex point
     bws = [b * scale for b in bws]
     out = allocation.copy()

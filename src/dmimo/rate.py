@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_normal, sample_channel_batch
-from .estimation import estimate_batch, trace_sum
+from .estimation import estimate_batch
 
 DENOM_FLOOR = 1e-30
 
@@ -123,9 +123,9 @@ class RateContext:
     serving[m, k] = 1 where m serves k, else 0
     cohort[k, k'] = k' != k shares k's pilot
 
-    Built from ``scenario.estimation_stats`` one satellite at a time, the
-    traces as tr(A B) = sum(A * B^T): O(M K^2 N^2) past the filters R Psi.
-    Every stage reads ``scenario.rate_context``, so it is built once per
+    Built from the spectra of ``scenario.estimation_stats`` in the basis U
+    and from |U^H hbar|^2, every trace a sum over N eigenvalues. Every
+    stage reads ``scenario.rate_context``, so it is built once per
     scenario; only the evaluators ``pair_terms``, ``sinr_all``,
     ``sum_rate`` and ``sinr_lower_bound`` also take one as an argument,
     for a recomputation from a freshly built context. It keeps no
@@ -137,30 +137,20 @@ class RateContext:
     def __init__(self, scenario):
         M, K, N = (scenario.num_satellites, scenario.num_users,
                    scenario.num_antennas)
-        stats = scenario.estimation_stats
-        self.gamma = np.zeros((M, K))
-        self.q1, self.q2, self.q3, self.tmat = np.zeros((4, M, K, K))
-        self.smat = np.zeros((M, K, K), dtype=complex)
-        for m in range(M):
-            links = [scenario.link(m, k) for k in range(K)]
-            st = [stats[(m, k)] for k in range(K)]
-            los = np.array([lk.rician * lk.rician_scale for lk in links])
-            hbar = np.array([lk.los_vector for lk in links])
-            # row k' holds R_k'^T, so tr(X R_k') = sum(X * R_k'^T)
-            rt = np.array([s.R.T for s in st])
-            c = np.array([s.est_cov for s in st])
-            self.gamma[m] = trace_sum(c.diagonal(axis1=1, axis2=2)) + los * N
-            c_h = (c.reshape(K * N, N) @ hbar.T).reshape(K, N, K)
-            self.q1[m] = np.einsum("jn,knj->kj", hbar.conj(), c_h).real * los
-            self.q3[m] = _real_traces(c, rt)
-            # hbar^H R' hbar = hbar^T R'^T conj(hbar)
-            rt_h = (rt.reshape(K * N, N) @ hbar.conj().T).reshape(K, N, K)
-            self.q2[m] = np.einsum("kn,jnk->kj", hbar, rt_h).real \
-                * los[:, None]
-            self.tmat[m] = _real_traces(np.array([s.rpsi for s in st]), rt)
-            amp = np.sqrt(los)
-            self.smat[m] = amp[:, None] * amp[None, :] \
-                * (hbar.conj() @ hbar.T)
+        st = scenario.estimation_stats
+        los = scenario.link_array("rician") \
+            * scenario.link_array("rician_scale")
+        hbar = scenario.link_array("los_vector")
+        proj = np.abs(hbar @ st.basis.conj()) ** 2  # |U^H hbar|^2
+        cov, c = st.cov, st.est_cov
+        self.gamma = c.sum(axis=2) + los * N
+        self.q1 = np.einsum("mkn,mjn->mkj", c, proj) * los[:, None, :]
+        self.q2 = np.einsum("mjn,mkn->mkj", cov, proj) * los[:, :, None]
+        self.q3 = np.einsum("mkn,mjn->mkj", c, cov)
+        self.tmat = np.einsum("mkn,mjn->mkj", st.filt, cov)
+        amp = np.sqrt(los)
+        self.smat = amp[:, :, None] * amp[:, None, :] \
+            * (hbar.conj() @ hbar.transpose(0, 2, 1))
         self.q = self.q1 + self.q2 + self.q3
         self.serving = np.zeros((M, K))
         for k, sset in enumerate(scenario.serving_sets):
@@ -192,13 +182,6 @@ class RateContext:
                         Q += c2 * np.outer(t, t)
                 out[k, kp, :len(sset), :len(sset)] = Q
         return out
-
-
-def _real_traces(x, rt):
-    """Re tr(X_k R_k') for every (k, k'), from the stack x of X_k and the
-    stack rt of R_k'^T: one product over the flattened matrices."""
-    x, rt = x.reshape(len(x), -1), rt.reshape(len(rt), -1)
-    return (x @ rt.T).real if np.iscomplexobj(rt) else x.real @ rt.T
 
 
 def sinr_lower_bound(scenario, allocation, k, context=None):

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import EARTH_RADIUS, SPEED_OF_LIGHT, ConfigError, SystemConfig
-from .channel import correlation_matrix, steering_vector
+from .channel import Correlation, correlation_matrix, steering_vector
 
 
 class DomainError(ValueError):
@@ -66,18 +66,11 @@ class LinkStats:
     azimuth: float  # rad
     distance: float  # m
     los_vector: np.ndarray  # length N, unit-modulus entries
-    corr: np.ndarray  # Delta, N x N
-    corr_sqrt: np.ndarray  # Hermitian PSD square root of Delta
 
     @property
     def rician_scale(self):
-        """a = beta / (rician + 1)."""
+        """a = beta / (rician + 1); the link's covariance is R = a Delta."""
         return self.beta / (self.rician + 1.0)
-
-    @property
-    def covariance(self):
-        """R = a * Delta."""
-        return self.rician_scale * self.corr
 
 
 @dataclass(frozen=True)
@@ -104,9 +97,10 @@ def assign_pilots_random(num_users, pilot_length, rng):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One problem instance. Its estimation statistics and RateContext are
-    built on first use and kept for the scenario's lifetime; a scenario
-    made by ``with_rician`` or the constructor builds its own."""
+    """One problem instance. Its antenna correlation, estimation statistics
+    and RateContext are built on first use and kept for the scenario's
+    lifetime; a scenario made by ``with_rician`` or the constructor builds
+    its own."""
 
     config: SystemConfig
     links: tuple  # links[m][k] -> LinkStats
@@ -128,6 +122,11 @@ class Scenario:
     def link(self, m, k):
         return self.links[m][k]
 
+    def link_array(self, name):
+        """Every link's attribute `name` as one (M, K, ...) array."""
+        return np.array([[getattr(lk, name) for lk in row]
+                         for row in self.links])
+
     def subband_noise(self, bandwidth):
         return noise_power(bandwidth, self.config)
 
@@ -136,15 +135,19 @@ class Scenario:
         """Noise power over the aggregate bandwidth, used for estimation."""
         return noise_power(self.config.total_bandwidth, self.config)
 
-    def betas(self, k):
-        return np.array([self.links[m][k].beta for m in range(self.num_satellites)])
+    @cached_property
+    def correlation(self):
+        """The Correlation of the config's Delta, shared by every link."""
+        cfg = self.config
+        return Correlation.of(correlation_matrix(
+            cfg.correlation.kind, cfg.num_antennas, cfg.correlation.r))
 
     # Estimation and rate sit above this module, so they are imported on
     # first use rather than at module level.
 
     @cached_property
     def estimation_stats(self):
-        """EstimationStats for every (m, k) at the full-band noise power."""
+        """The EstimationStats of every link at the full-band noise power."""
         from .estimation import scenario_estimation_stats
         return scenario_estimation_stats(self)
 
@@ -172,9 +175,6 @@ def build_scenario(config, rng=None):
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     M, K = config.num_satellites, config.num_users
-    corr, corr_sqrt = correlation_matrix(
-        config.correlation.kind, config.num_antennas, config.correlation.r
-    )
     table = config.rician_table
     rows = []
     for m in range(M):
@@ -195,8 +195,7 @@ def build_scenario(config, rng=None):
                                   config.antenna_spacing_ratio)
             row.append(
                 LinkStats(beta=beta, rician=kbar, elevation=elev, azimuth=azim,
-                          distance=dist, los_vector=los, corr=corr,
-                          corr_sqrt=corr_sqrt)
+                          distance=dist, los_vector=los)
             )
         rows.append(tuple(row))
     links = tuple(rows)

@@ -1,10 +1,13 @@
 import math
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from dmimo.channel import Correlation, correlation_matrix
 from dmimo.config import SystemConfig
-from dmimo.estimation import psi_matrix
 from dmimo.scenario import (
     LinkStats,
     PilotAssignment,
@@ -19,28 +22,129 @@ UNIT_NOISE = dict(boltzmann=1.0, noise_temperature=1.0, total_bandwidth=1.0,
                   noise_figure_db=0.0)
 
 
+# The system of the benchmark's ao-paper-floor workload: N = 100, K = 16
+# and a 5e4 bit/s rate floor.
+AO_PAPER_FLOOR = SystemConfig(
+    num_users=16, num_satellites=4, cluster_size=3, num_subbands=4,
+    subband_capacity=4, pilot_length=14, max_power=0.2, rate_requirement=5e4,
+    antennas_x=10, antennas_y=10)
+
+
 def make_scenario(seed=0, **kw):
     cfg = SystemConfig(rng_seed=seed, **kw)
     return build_scenario(cfg, np.random.default_rng(seed))
+
+
+@dataclass(frozen=True)
+class DeltaScenario(Scenario):
+    """A scenario whose links share the correlation `delta` in place of the
+    config's (for a complex Hermitian Delta, which no config gives)."""
+
+    delta: np.ndarray = None
+
+    @cached_property
+    def correlation(self):
+        return Correlation.of(self.delta)
+
+
+def with_correlation(scenario, delta):
+    """`scenario` with every link's correlation set to `delta`."""
+    return DeltaScenario(config=scenario.config, links=scenario.links,
+                         pilots=scenario.pilots,
+                         serving_sets=scenario.serving_sets, delta=delta)
+
+
+def complex_delta(n):
+    """A complex Hermitian positive-definite N x N correlation."""
+    a = np.random.default_rng(n).standard_normal((n, 2 * n)).view(complex)
+    return a @ a.conj().T / n + np.eye(n)
+
+
+def dense_delta(scenario):
+    """The scenario's Delta as a dense matrix, from its definition."""
+    if isinstance(scenario, DeltaScenario):
+        return scenario.delta
+    cfg = scenario.config
+    return correlation_matrix(cfg.correlation.kind, cfg.num_antennas,
+                              cfg.correlation.r)
+
+
+# The dense MMSE statistics, each an N x N matrix per link: the reference
+# for the spectra of dmimo.estimation.EstimationStats.
+
+
+def psi_matrix(cohort_covs, tau, pilot_powers, sigma2):
+    """Inverse of (sum_j tau p_j R_j + sigma^2 I) over the pilot cohort."""
+    if sigma2 <= 0:
+        raise ValueError("noise power must be strictly positive")
+    n = cohort_covs[0].shape[0]
+    acc = sigma2 * np.eye(n)
+    for cov, p in zip(cohort_covs, pilot_powers):
+        acc = acc + tau * p * cov
+    return np.linalg.inv(acc)
 
 
 def cohort_psi(scenario, m, k):
     """Psi of user k's pilot cohort at satellite m and the full-band noise
     power, as the scenario's estimation statistics use it."""
     cfg = scenario.config
-    covs = [scenario.link(m, j).covariance for j in scenario.pilots.cohort(k)]
+    delta = dense_delta(scenario)
+    covs = [scenario.link(m, j).rician_scale * delta
+            for j in scenario.pilots.cohort(k)]
     return psi_matrix(covs, cfg.pilot_length, [cfg.pilot_power] * len(covs),
                       scenario.fullband_noise)
 
 
-def manual_link(beta, rician, los, corr=None):
-    n = len(los)
-    if corr is None:
-        corr = np.eye(n)
+DenseStats = namedtuple("DenseStats", "R rpsi C E")
+
+
+def dense_stats(scenario, m, k):
+    """Link (m, k)'s covariance R = a Delta, filter R Psi, estimate
+    covariance C = tau p R Psi R and error covariance E = R - C."""
+    cfg = scenario.config
+    r = scenario.link(m, k).rician_scale * dense_delta(scenario)
+    rpsi = r @ cohort_psi(scenario, m, k)
+    c = cfg.pilot_length * cfg.pilot_power * (rpsi @ r)
+    return DenseStats(R=r, rpsi=rpsi, C=c, E=r - c)
+
+
+def dense_rate_context(scenario):
+    """RateContext's arrays built entry by entry from the dense statistics,
+    one Python iteration per (m, k, k') with the traces as full matrix
+    products."""
+    M, K, N = (scenario.num_satellites, scenario.num_users,
+               scenario.num_antennas)
+    gamma = np.zeros((M, K))
+    q1, q2, q3, tmat = (np.zeros((M, K, K)) for _ in range(4))
+    smat = np.zeros((M, K, K), dtype=complex)
+    for m in range(M):
+        dense = [dense_stats(scenario, m, k) for k in range(K)]
+        for k in range(K):
+            lk = scenario.link(m, k)
+            ck, rpsik = dense[k].C, dense[k].rpsi
+            gamma[m, k] = float(np.trace(ck).real) \
+                + lk.rician * lk.rician_scale * N
+            for kp in range(K):
+                lkp = scenario.link(m, kp)
+                rkp = dense[kp].R
+                hk, hkp = lk.los_vector, lkp.los_vector
+                q1[m, k, kp] = float((hkp.conj() @ ck @ hkp).real) \
+                    * lkp.rician * lkp.rician_scale
+                q2[m, k, kp] = float((hk.conj() @ rkp @ hk).real) \
+                    * lk.rician * lk.rician_scale
+                q3[m, k, kp] = float(np.trace(rkp @ ck).real)
+                tmat[m, k, kp] = float(np.trace(rpsik @ rkp).real)
+                smat[m, k, kp] = np.sqrt(lk.rician * lk.rician_scale) \
+                    * np.sqrt(lkp.rician * lkp.rician_scale) \
+                    * (hk.conj() @ hkp)
+    return {"gamma": gamma, "q1": q1, "q2": q2, "q3": q3, "tmat": tmat,
+            "smat": smat}
+
+
+def manual_link(beta, rician, los):
     return LinkStats(
         beta=beta, rician=rician, elevation=math.radians(30.0),
         azimuth=0.0, distance=550e3, los_vector=np.asarray(los, dtype=complex),
-        corr=corr, corr_sqrt=corr.copy(),
     )
 
 

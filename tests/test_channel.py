@@ -3,15 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import (
+    complex_delta,
+    dense_delta,
+    make_scenario,
+    with_correlation,
+)
 from dmimo.channel import (
+    Correlation,
     complex_normal,
     correlation_matrix,
-    hermitian_sqrt,
     sample_channel,
     sample_channel_batch,
     steering_vector,
 )
+from dmimo.config import CorrelationModel
 
 
 def test_steering_vector_hand_case():
@@ -37,20 +43,29 @@ def test_steering_vector_zero_elevation_xaxis():
 
 
 def test_correlation_identity():
-    delta, root = correlation_matrix("identity", 4)
-    np.testing.assert_array_equal(delta, np.eye(4))
-    np.testing.assert_array_equal(root, np.eye(4))
+    """eigh returns exactly I and ones for the identity, so its spectra are
+    the covariances' scales themselves; the draws need no colouring."""
+    for n in (1, 4, 16, 64, 100):
+        delta = correlation_matrix("identity", n)
+        np.testing.assert_array_equal(delta, np.eye(n))
+        corr = Correlation.of(delta)
+        np.testing.assert_array_equal(corr.basis, np.eye(n))
+        np.testing.assert_array_equal(corr.eigvals, np.ones(n))
+        assert corr.sqrt is None
 
 
 def test_correlation_exponential_zero_ratio():
-    delta, _ = correlation_matrix("exponential", 3, 0.0)
+    delta = correlation_matrix("exponential", 3, 0.0)
     np.testing.assert_array_equal(delta, np.eye(3))
 
 
 def test_correlation_exponential_sqrt():
-    delta, root = correlation_matrix("exponential", 2, 0.5)
+    delta = correlation_matrix("exponential", 2, 0.5)
     np.testing.assert_allclose(delta, [[1, 0.5], [0.5, 1]])
-    np.testing.assert_allclose(root @ root, delta, atol=1e-12)
+    corr = Correlation.of(delta)
+    np.testing.assert_allclose(corr.sqrt @ corr.sqrt, delta, atol=1e-12)
+    np.testing.assert_allclose((corr.basis * corr.eigvals)
+                               @ corr.basis.conj().T, delta, atol=1e-12)
 
 
 def test_correlation_rejects_bad_ratio():
@@ -60,7 +75,7 @@ def test_correlation_rejects_bad_ratio():
 
 def test_hermitian_sqrt_singular():
     m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    r = hermitian_sqrt(m)
+    r = Correlation.of(m).sqrt
     np.testing.assert_allclose(r @ r, m, atol=1e-12)
 
 
@@ -101,7 +116,7 @@ def test_channel_moments_match_statistics():
     centered = h[:, m, k, :] - mean
     emp_cov_diag = (np.abs(centered) ** 2).mean(axis=0)
     np.testing.assert_allclose(
-        emp_cov_diag, np.diag(link.covariance).real, rtol=0.05
+        emp_cov_diag, link.rician_scale * np.diag(dense_delta(sc)), rtol=0.05
     )
 
 
@@ -113,15 +128,26 @@ def test_sampling_deterministic():
 
 
 def test_realization_decomposition():
-    sc = make_scenario(seed=4)
-    real = sample_channel(sc, np.random.default_rng(9))
-    for m in range(sc.num_satellites):
-        for k in range(sc.num_users):
-            link = sc.link(m, k)
-            rebuilt = real.los_part[m, k] + np.sqrt(link.rician_scale) * (
-                link.corr_sqrt @ real.nlos_draw[m, k]
-            )
-            np.testing.assert_allclose(rebuilt, real.h[m, k], atol=1e-12)
+    """h = LoS part + sqrt(a) Delta^(1/2) htilde, with the Delta^(1/2) of
+    the dense Delta, on identity, exponential and complex correlation."""
+    plain = make_scenario(seed=4)
+    for sc in (plain, make_scenario(seed=4, correlation=CorrelationModel(
+                   "exponential", 0.7)),
+               with_correlation(plain, complex_delta(plain.num_antennas))):
+        vals, vecs = np.linalg.eigh(dense_delta(sc))
+        root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        real = sample_channel(sc, np.random.default_rng(9))
+        for m in range(sc.num_satellites):
+            for k in range(sc.num_users):
+                link = sc.link(m, k)
+                rebuilt = real.los_part[m, k] + np.sqrt(link.rician_scale) \
+                    * (root @ real.nlos_draw[m, k])
+                np.testing.assert_allclose(rebuilt, real.h[m, k],
+                                           rtol=1e-12, atol=0)
+        # the batch sampler colours the same draw with the same root
+        h, htilde = sample_channel_batch(sc, np.random.default_rng(9), 1)
+        assert np.array_equal(htilde[0], real.nlos_draw)
+        assert np.array_equal(h[0], real.h)
 
 
 def _complex_normal_reference(rng, shape):

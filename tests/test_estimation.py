@@ -2,23 +2,32 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    AO_PAPER_FLOOR,
     UNIT_NOISE,
     cohort_psi,
+    complex_delta,
+    dense_rate_context,
+    dense_stats,
     make_scenario,
     manual_link,
     manual_scenario,
+    psi_matrix,
+    with_correlation,
 )
-from dmimo.channel import complex_normal, sample_channel_batch
-from dmimo.config import SystemConfig
+from dmimo.channel import complex_normal, link_arrays, sample_channel_batch
+from dmimo.config import ConfigError, CorrelationModel, SystemConfig
 from dmimo.estimation import (
     estimate_batch,
     mse,
     nmse,
-    psi_matrix,
     scenario_estimation_stats,
 )
+from dmimo.rate import RateContext
+from dmimo.scenario import PilotAssignment, Scenario, build_scenario
 
 
 def test_psi_scalar_single_user():
@@ -38,7 +47,13 @@ def test_psi_noise_dominated_limit():
 
 
 def test_psi_rejects_zero_noise():
-    with pytest.raises(ValueError):
+    """Psi needs sigma^2 > 0, so a config whose full-band noise power
+    underflows to 0 is rejected when it is made."""
+    with pytest.raises(ConfigError, match="noise"):
+        SystemConfig(boltzmann=1e-200, noise_temperature=1e-200)
+    tiny = make_scenario(boltzmann=1e-150, noise_temperature=1e-150)
+    assert tiny.fullband_noise > 0.0
+    with pytest.raises(ValueError):  # the dense reference's own check
         psi_matrix([np.eye(1)], 1, [1.0], 0.0)
 
 
@@ -50,15 +65,16 @@ def test_nmse_scalar_hand_case(scalar_scenario):
 
 
 def test_estimation_stats_identities(default_scenario):
-    stats = scenario_estimation_stats(default_scenario)
-    for (m, k), st in stats.items():
-        np.testing.assert_allclose(st.est_cov + st.err_cov, st.R, atol=1e-24)
-        psi = cohort_psi(default_scenario, m, k)
-        np.testing.assert_allclose(psi, psi.conj().T, atol=1e-12)
-        for mat in (st.est_cov, st.err_cov):
-            vals = np.linalg.eigvalsh(mat)
-            assert vals.min() > -1e-24
-        assert np.trace(st.err_cov).real <= np.trace(st.R).real + 1e-24
+    sc = default_scenario
+    st = scenario_estimation_stats(sc)
+    np.testing.assert_allclose(st.est_cov + st.err_cov, st.cov, atol=1e-24)
+    for spectrum in (st.cov, st.filt, st.est_cov, st.err_cov):
+        assert spectrum.min() > -1e-24
+    assert np.all(st.err_cov.sum(axis=2) <= st.cov.sum(axis=2) + 1e-24)
+    for m in range(sc.num_satellites):
+        for k in range(sc.num_users):
+            psi = cohort_psi(sc, m, k)
+            np.testing.assert_allclose(psi, psi.conj().T, atol=1e-12)
 
 
 def test_perfect_estimation_limit():
@@ -94,7 +110,7 @@ def test_estimate_second_moment_matches_C():
     mean = np.sqrt(link.rician * link.rician_scale) * link.los_vector
     centered = hhat[:, m, k, :] - mean
     emp = (np.abs(centered) ** 2).sum(axis=1)
-    closed = np.trace(stats[(m, k)].est_cov).real
+    closed = stats.est_cov[m, k].sum()
     se = emp.std(ddof=1) / np.sqrt(len(emp))
     assert abs(emp.mean() - closed) < 3 * se
     # estimator is unbiased: empirical mean matches the LoS mean
@@ -147,31 +163,35 @@ def test_nmse_degenerate_zero_covariance():
     assert nmse(sc, 0, 0) == 1.0
 
 
+STATS_ARRAYS = ("basis", "cov", "filt", "tau_p", "est_cov", "err_cov")
+
+
 def test_scenario_caches_estimation_stats(default_scenario):
     sc = default_scenario
     cached = sc.estimation_stats
     assert sc.estimation_stats is cached
     fresh = scenario_estimation_stats(sc)
-    assert cached.keys() == fresh.keys()
-    for key, st in fresh.items():
-        for name in ("R", "rpsi", "tau_p", "est_cov", "err_cov"):
-            assert np.array_equal(getattr(cached[key], name),
-                                  getattr(st, name))
+    for name in STATS_ARRAYS:
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name))
 
 
 def test_err_cov_is_formed_on_access(default_scenario):
-    """Only R, the filter R Psi and tau p are stored; C and E are formed
-    on access, with C's arithmetic that of tau p R Psi R."""
+    """Only the basis U, the spectra of R and of the filter R Psi, and
+    tau p are stored; C and E are formed on access, C as tau p (R Psi) R.
+    The filter equals the dense R Psi rotated into U."""
     cfg = default_scenario.config
-    st = default_scenario.estimation_stats[(0, 0)]
-    psi = cohort_psi(default_scenario, 0, 0)
-    assert [f.name for f in dataclasses.fields(st)] == ["R", "rpsi", "tau_p"]
+    st = default_scenario.estimation_stats
+    assert [f.name for f in dataclasses.fields(st)] == [
+        "basis", "cov", "filt", "tau_p"]
     assert st.tau_p == cfg.pilot_length * cfg.pilot_power
-    assert np.array_equal(st.rpsi, st.R @ psi)
-    assert np.array_equal(st.est_cov,
-                          cfg.pilot_length * cfg.pilot_power
-                          * (st.R @ psi @ st.R))
-    assert np.array_equal(st.err_cov, st.R - st.est_cov)
+    assert np.array_equal(st.est_cov, st.tau_p * (st.filt * st.cov))
+    assert np.array_equal(st.err_cov, st.cov - st.est_cov)
+    u = st.basis
+    for m in range(default_scenario.num_satellites):
+        for k in range(default_scenario.num_users):
+            ref = u.conj().T @ dense_stats(default_scenario, m, k).rpsi @ u
+            got = np.diag(st.filt[m, k])
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_estimate_batch_defaults_to_cached_stats(default_scenario):
@@ -193,9 +213,11 @@ def test_estimate_batch_defaults_to_cached_stats(default_scenario):
 
 def _estimate_per_user(scenario, h_batch, noise, stats):
     """The estimator written per (m, k): each user rebuilds its pilot's
-    centered observation. Reference for estimate_batch."""
+    centered observation, rotates it into U, scales it by its filter's
+    spectrum and rotates it back. Reference for estimate_batch."""
     cfg = scenario.config
     sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
+    u = stats.basis
     hhat = np.empty_like(h_batch)
     for m in range(scenario.num_satellites):
         for k in range(scenario.num_users):
@@ -208,8 +230,8 @@ def _estimate_per_user(scenario, h_batch, noise, stats):
                 lj = scenario.link(m, j)
                 mean_j = np.sqrt(lj.rician * lj.rician_scale) * lj.los_vector
                 resid += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
-            filt = sqrt_tp * (stats[(m, k)].R @ cohort_psi(scenario, m, k))
-            hhat[:, m, k, :] = own_mean[None] + resid @ filt.T
+            scaled = (resid @ u.conj()) * (sqrt_tp * stats.filt[m, k])
+            hhat[:, m, k, :] = own_mean[None] + scaled @ u.T
     return hhat
 
 
@@ -222,3 +244,105 @@ def test_estimate_batch_matches_per_user_reference(users, pilots):
     hhat, noise = estimate_batch(sc, h, np.random.default_rng(1))
     ref = _estimate_per_user(sc, h, noise, sc.estimation_stats)
     assert np.array_equal(hhat, ref)
+
+
+def _close(got, ref, rel=1e-12):
+    """Every entry within rel of the reference's largest magnitude."""
+    return np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@given(correlation=st.sampled_from(["identity", "exponential", "complex"]),
+       r=st.floats(min_value=0.0, max_value=0.99),
+       side=st.sampled_from([1, 4, 10]),
+       num_users=st.integers(min_value=4, max_value=6),
+       num_satellites=st.integers(min_value=1, max_value=2),
+       quiet=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=30, deadline=None)
+def test_spectral_statistics_match_dense_reference(
+        correlation, r, side, num_users, num_satellites, quiet, seed):
+    """On identity, exponential and complex Hermitian correlation at
+    N = 1, 16 and 100, with every pilot shared by at least two users, the
+    spectral statistics give the RateContext, MSE, NMSE and estimates of
+    the dense MMSE reference. A quiet system (noise at 1e-4) is limited by
+    pilot contamination rather than by noise."""
+    model = CorrelationModel("exponential", r) \
+        if correlation == "exponential" else CorrelationModel()
+    tau = num_users // 2
+    cfg = SystemConfig(
+        num_users=num_users, num_satellites=num_satellites, cluster_size=1,
+        num_subbands=2, subband_capacity=num_users, pilot_length=tau,
+        antennas_x=side, antennas_y=side, correlation=model,
+        noise_temperature=290.0 * (1e-4 if quiet else 1.0), rng_seed=seed)
+    built = build_scenario(cfg)
+    sc = Scenario(config=cfg, links=built.links,
+                  pilots=PilotAssignment(tuple(k % tau
+                                               for k in range(num_users))),
+                  serving_sets=built.serving_sets)
+    if correlation == "complex":
+        sc = with_correlation(sc, complex_delta(sc.num_antennas))
+    assert min(len(sc.pilots.cohort(k)) for k in range(num_users)) >= 2
+
+    ctx = RateContext(sc)
+    for name, ref in dense_rate_context(sc).items():
+        assert _close(getattr(ctx, name), ref), name
+
+    M, K = sc.num_satellites, sc.num_users
+    dense = [[dense_stats(sc, m, k) for k in range(K)] for m in range(M)]
+    tr_e = np.array([[np.trace(d.E).real for d in row] for row in dense])
+    tr_r = np.array([[np.trace(d.R).real for d in row] for row in dense])
+    assert _close(np.array([[mse(sc, m, k) for k in range(K)]
+                            for m in range(M)]), tr_e)
+    assert _close(np.array([[nmse(sc, m, k) for k in range(K)]
+                            for m in range(M)]), tr_e / tr_r)
+
+    h, _ = sample_channel_batch(sc, np.random.default_rng(seed), 2)
+    hhat, noise = estimate_batch(sc, h, np.random.default_rng(seed + 1))
+    mean, _ = link_arrays(sc)
+    sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
+    for m in range(M):
+        for k in range(K):
+            resid = noise[:, m, sc.pilots.pilot_index[k], :] + sum(
+                sqrt_tp * (h[:, m, j, :] - mean[m, j])
+                for j in sc.pilots.cohort(k))
+            ref = resid @ (sqrt_tp * dense[m][k].rpsi).T
+            assert _close(hhat[:, m, k, :] - mean[m, k], ref), (m, k)
+
+
+def test_statistics_are_spectra_without_inverses(monkeypatch):
+    """At paper scale (N = 100, K = 16) the statistics and the RateContext
+    are built from one eigendecomposition of Delta and no matrix inverse:
+    every statistic is an (M, K, N) spectrum, the basis U is their only
+    N x N array, and no RateContext array has an axis of length N."""
+    eighs = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        eighs.append(a.shape)
+        return real_eigh(a)
+
+    def inv(a):
+        raise AssertionError("the statistics invert no matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    for model in (CorrelationModel(), CorrelationModel("exponential", 0.5)):
+        eighs.clear()
+        sc = build_scenario(AO_PAPER_FLOOR.replace(correlation=model),
+                            np.random.default_rng(0))
+        M, K, N = sc.num_satellites, sc.num_users, sc.num_antennas
+        st = sc.estimation_stats
+        ctx = sc.rate_context
+        h, _ = sample_channel_batch(sc, np.random.default_rng(1), 2)
+        estimate_batch(sc, h, np.random.default_rng(2))
+        assert eighs == [(N, N)]
+        shapes = {name: getattr(st, name).shape
+                  for name in ("basis", "cov", "filt", "est_cov", "err_cov")}
+        assert shapes == {"basis": (N, N), "cov": (M, K, N),
+                          "filt": (M, K, N), "est_cov": (M, K, N),
+                          "err_cov": (M, K, N)}
+        arrays = {name: a for name, a in vars(ctx).items()
+                  if isinstance(a, np.ndarray)}
+        assert {"gamma", "q", "tmat", "smat"} <= arrays.keys()
+        assert all(N not in a.shape for a in arrays.values()), {
+            name: a.shape for name, a in arrays.items()}

@@ -5,11 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dmimo.optimizer
-from conftest import make_scenario, manual_link, manual_scenario
+from conftest import (
+    AO_PAPER_FLOOR,
+    make_scenario,
+    manual_link,
+    manual_scenario,
+)
 from dmimo.config import SystemConfig
 from dmimo.gp import GpInfeasibleError, condense
 from dmimo.optimizer import (
@@ -864,6 +869,30 @@ def test_ao_holds_its_invariants_at_any_power(max_power, seed):
     at least the equal-weight arm's on the same stream."""
     cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0,
                                         max_power=max_power)
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    arms = {mode: benchmark_allocation(
+                sc, np.random.default_rng(estimation_ss), mode)
+            for mode in ("equal", "estimate")}
+    assert _benchmark_checks().check_ao_item(sc, res, arms) == []
+    assert res.allocation.feasible
+    assert res.sum_rate >= arms["equal"][1]
+
+
+@given(max_power=st.floats(min_value=0.2, max_value=200.0),
+       seed=st.integers(min_value=1011, max_value=1018))
+@settings(max_examples=2, deadline=None)
+# SLSQP drifts a user's weights along their free scale to ~e^-150
+@example(max_power=46.0, seed=1014)
+# the bandwidth dual stalls at float resolution with bandwidth overspent
+@example(max_power=120.0, seed=1012)
+def test_ao_holds_its_invariants_on_the_paper_floor_system(max_power, seed):
+    """The same property on the ao-paper-floor system (N = 100, K = 16,
+    5e4 bit/s floor): the AO and both arms pass the benchmark's checks,
+    the AO meets the floor, and its sum rate is at least the equal-weight
+    arm's on the same stream."""
+    cfg = AO_PAPER_FLOOR.replace(max_power=max_power)
     scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
     sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
     res = alternating_optimize(sc, np.random.default_rng(estimation_ss))

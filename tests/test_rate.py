@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import weakref
@@ -8,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cohort_psi, make_scenario, manual_link, manual_scenario
+from conftest import (
+    complex_delta,
+    dense_rate_context,
+    dense_stats,
+    make_scenario,
+    with_correlation,
+)
 from dmimo.config import CorrelationModel, SystemConfig
-from dmimo.estimation import mse, nmse
-from dmimo.scenario import DomainError, Scenario
+from dmimo.scenario import DomainError
 from dmimo.rate import (
     DENOM_FLOOR,
     AllocationState,
@@ -389,12 +393,9 @@ def test_rate_context_built_once_per_scenario(default_scenario):
     names = ("gamma", "q1", "q2", "q3", "tmat", "smat")
     for name in names:
         assert np.array_equal(getattr(ctx, name), getattr(fresh, name))
-    stats = sc.estimation_stats
-    for (m, k), st in stats.items():
-        rpsi = st.R @ cohort_psi(sc, m, k)
-        for kp in range(sc.num_users):
-            rkp = stats[(m, kp)].R
-            assert ctx.tmat[m, k, kp] == float(np.trace(rpsi @ rkp).real)
+    # tr(R Psi R') from the dense statistics
+    ref = dense_rate_context(sc)["tmat"]
+    assert np.abs(ctx.tmat - ref).max() <= 1e-12 * np.abs(ref).max()
     swept = sc.with_rician(50.0)
     assert swept.estimation_stats is not sc.estimation_stats
     assert swept.rate_context is not ctx
@@ -419,52 +420,6 @@ def test_cached_rate_context_makes_no_reference_cycle():
 # --- batched RateContext build and sinr_all ---------------------------------
 
 
-def _loop_rate_context(scenario):
-    """RateContext's arrays built entry by entry, one Python iteration per
-    (m, k, k') with the traces as full matrix products. Reference for the
-    batched build."""
-    M, K, N = (scenario.num_satellites, scenario.num_users,
-               scenario.num_antennas)
-    stats = scenario.estimation_stats
-    gamma = np.zeros((M, K))
-    q1, q2, q3, tmat = (np.zeros((M, K, K)) for _ in range(4))
-    smat = np.zeros((M, K, K), dtype=complex)
-    for m in range(M):
-        for k in range(K):
-            lk = scenario.link(m, k)
-            ck, rk = stats[(m, k)].est_cov, stats[(m, k)].R
-            psik = cohort_psi(scenario, m, k)
-            gamma[m, k] = float(np.trace(ck).real) \
-                + lk.rician * lk.rician_scale * N
-            for kp in range(K):
-                lkp = scenario.link(m, kp)
-                rkp = stats[(m, kp)].R
-                hk, hkp = lk.los_vector, lkp.los_vector
-                q1[m, k, kp] = float((hkp.conj() @ ck @ hkp).real) \
-                    * lkp.rician * lkp.rician_scale
-                q2[m, k, kp] = float((hk.conj() @ rkp @ hk).real) \
-                    * lk.rician * lk.rician_scale
-                q3[m, k, kp] = float(np.trace(rkp @ ck).real)
-                tmat[m, k, kp] = float(np.trace(rk @ psik @ rkp).real)
-                smat[m, k, kp] = np.sqrt(lk.rician * lk.rician_scale) \
-                    * np.sqrt(lkp.rician * lkp.rician_scale) \
-                    * (hk.conj() @ hkp)
-    return {"gamma": gamma, "q1": q1, "q2": q2, "q3": q3, "tmat": tmat,
-            "smat": smat}
-
-
-def _with_complex_correlation(sc):
-    """`sc` with one complex Hermitian positive-definite correlation on
-    every link."""
-    n = sc.num_antennas
-    a = np.random.default_rng(n).standard_normal((n, 2 * n)).view(complex)
-    corr = a @ a.conj().T / n + np.eye(n)
-    links = tuple(tuple(dataclasses.replace(link, corr=corr) for link in row)
-                  for row in sc.links)
-    return Scenario(config=sc.config, links=links, pilots=sc.pilots,
-                    serving_sets=sc.serving_sets)
-
-
 @pytest.mark.parametrize("side", [4, 10])
 @pytest.mark.parametrize("correlation", ["identity", "exponential",
                                          "complex"])
@@ -475,11 +430,11 @@ def test_batched_context_matches_loop(side, correlation):
                        num_subbands=2, subband_capacity=6,
                        antennas_x=side, antennas_y=side, correlation=model)
     if correlation == "complex":
-        sc = _with_complex_correlation(sc)
-        assert np.iscomplexobj(sc.estimation_stats[(0, 0)].R)
+        sc = with_correlation(sc, complex_delta(sc.num_antennas))
+        assert np.iscomplexobj(sc.estimation_stats.basis)
     assert max(len(sc.pilots.cohort(k)) for k in range(6)) > 1
     ctx = RateContext(sc)
-    for name, ref in _loop_rate_context(sc).items():
+    for name, ref in dense_rate_context(sc).items():
         got = getattr(ctx, name)
         assert got.shape == ref.shape and got.dtype == ref.dtype, name
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
@@ -489,42 +444,22 @@ def test_batched_context_matches_loop(side, correlation):
 @pytest.mark.parametrize("correlation", ["identity", "exponential",
                                          "complex"])
 def test_statistics_keep_the_covariance_dtype(correlation):
-    """Real covariances give real statistics, filters and cohort inverses;
-    a complex Hermitian correlation gives complex ones."""
+    """The basis U keeps Delta's dtype, as the dense Psi does: real for a
+    real correlation, complex for a complex Hermitian one. The spectra and
+    the RateContext are real whatever Delta is."""
     model = CorrelationModel("exponential", 0.7) \
         if correlation == "exponential" else CorrelationModel()
     sc = make_scenario(seed=4, num_users=6, pilot_length=2, num_subbands=2,
                        subband_capacity=6, correlation=model)
     if correlation == "complex":
-        sc = _with_complex_correlation(sc)
+        sc = with_correlation(sc, complex_delta(sc.num_antennas))
     want = np.complex128 if correlation == "complex" else np.float64
-    for (m, k), st in sc.estimation_stats.items():
-        assert cohort_psi(sc, m, k).dtype == want
-        for name in ("R", "rpsi", "est_cov", "err_cov"):
-            assert getattr(st, name).dtype == want, (name, m, k)
+    st = sc.estimation_stats
+    assert st.basis.dtype == dense_stats(sc, 0, 0).rpsi.dtype == want
+    for name in ("cov", "filt", "est_cov", "err_cov"):
+        assert getattr(st, name).dtype == np.float64, name
     ctx = sc.rate_context
     assert ctx.q.dtype == ctx.tmat.dtype == ctx.gamma.dtype == np.float64
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_real_statistics_give_the_bits_of_complex_filters(seed):
-    """On identity-correlated systems the closed forms read the same bits
-    from real statistics as from the filters R Psi held as complex."""
-    sc = make_scenario(seed=seed, num_users=16, num_satellites=4,
-                       cluster_size=3, num_subbands=4, subband_capacity=4,
-                       pilot_length=6, antennas_x=10, antennas_y=10)
-    held = Scenario(config=sc.config, links=sc.links, pilots=sc.pilots,
-                    serving_sets=sc.serving_sets)
-    held.__dict__["estimation_stats"] = {  # what the cached property holds
-        key: dataclasses.replace(st, rpsi=st.rpsi.astype(complex))
-        for key, st in sc.estimation_stats.items()}
-    for name in ("gamma", "q", "tmat", "smat"):
-        assert np.array_equal(getattr(sc.rate_context, name),
-                              getattr(held.rate_context, name)), name
-    for m in range(sc.num_satellites):
-        for k in range(sc.num_users):
-            assert mse(sc, m, k) == mse(held, m, k)
-            assert nmse(sc, m, k) == nmse(held, m, k)
 
 
 def _close(got, ref, rel=1e-12):

@@ -115,7 +115,7 @@ def test_table_one_configuration_accepted():
 def test_serving_set_optimality(default_scenario):
     sc = default_scenario
     for k in range(sc.num_users):
-        betas = sc.betas(k)
+        betas = sc.link_array("beta")[:, k]
         inside = [betas[m] for m in sc.serving_sets[k]]
         outside = [betas[m] for m in range(sc.num_satellites)
                    if m not in sc.serving_sets[k]]
