@@ -34,7 +34,10 @@ for kbar in (1.0, 5.0, 10.0, 50.0, 100.0, 1e4):
     mse_cf = np.mean([mse(sc, m, k) for m in range(M) for k in range(K)])
     nmse_cf = np.mean([nmse(sc, m, k) for m in range(M) for k in range(K)])
 
-    # Monte Carlo: draw channels, run the estimator, measure the error
+    # Monte Carlo: draw channels, run the estimator, measure the error.
+    # Draws and estimates are in the coordinates of the eigenbasis U of the
+    # antenna correlation, where every covariance is diagonal; |h - hhat|^2
+    # is the same in any orthonormal basis, so the error needs no rotation.
     h, _ = sample_channel_batch(sc, rng, trials)
     hhat, _ = estimate_batch(sc, h, rng)
     err = np.abs(h - hhat) ** 2

@@ -1,5 +1,7 @@
 """Rician channel synthesis: UPA steering vectors, antenna correlation, and
-random realizations h = sqrt(a) (sqrt(Kbar) hbar + Delta^{1/2} htilde).
+random realizations h = sqrt(a) (sqrt(Kbar) hbar + Delta^{1/2} htilde),
+drawn in the eigenbasis U of Delta, where Delta^{1/2} is diagonal. Every
+consumer of a draw is invariant under one common unitary.
 """
 
 from __future__ import annotations
@@ -39,27 +41,22 @@ def correlation_matrix(model, n, r=0.0):
 @dataclass(frozen=True)
 class Correlation:
     """Delta = U diag(lam) U^H from one eigh. Every covariance a Delta is
-    diagonal in the basis U, and ``sqrt`` = U diag(sqrt lam) U^H colours
-    the samplers' draws (None when Delta = I: they stay as drawn)."""
+    diagonal in the basis U, so channels are drawn and estimated in U's
+    coordinates."""
 
     basis: np.ndarray  # U, N x N unitary
     eigvals: np.ndarray  # lam, clipped at 0 (valid for singular Delta)
-    sqrt: np.ndarray | None
 
     @classmethod
     def of(cls, delta):
         vals, vecs = np.linalg.eigh(delta)
-        vals = np.clip(vals, 0.0, None)
-        if np.array_equal(delta, np.eye(len(delta))):
-            return cls(vecs, vals, None)
-        return cls(vecs, vals, (vecs * np.sqrt(vals)) @ vecs.conj().T)
+        return cls(vecs, np.clip(vals, 0.0, None))
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of all h_{m,k}; LoS and scattered parts kept separately."""
+    """One draw of all h_{m,k}, in U's coordinates."""
 
-    los_part: np.ndarray  # (M, K, N) deterministic sqrt(Kbar a) hbar
     nlos_draw: np.ndarray  # (M, K, N) the raw CN(0, I) htilde draw
     h: np.ndarray  # (M, K, N) composed channel
 
@@ -74,38 +71,29 @@ def complex_normal(rng, shape):
 
 
 def link_arrays(scenario):
-    """(mean, scale): every link's LoS mean sqrt(Kbar a) hbar and sqrt(a)."""
+    """(mean, scale), both (M, K, N) in U's coordinates: every link's LoS
+    mean sqrt(Kbar a) U^H hbar and the square roots sqrt(a lam) of its
+    covariance's eigenvalues."""
+    corr = scenario.correlation
     a = scenario.link_array("rician_scale")
     kbar_a = scenario.link_array("rician") * a
-    return (np.sqrt(kbar_a)[:, :, None] * scenario.link_array("los_vector"),
-            np.sqrt(a))
-
-
-def _colored(scenario, htilde):
-    """Delta^(1/2) htilde over the last axis, with the scenario's one
-    square root; htilde itself when Delta = I."""
-    root = scenario.correlation.sqrt
-    if root is None:
-        return htilde
-    return np.einsum("ij,...j->...i", root, htilde)
+    hbar = scenario.link_array("los_vector") @ corr.basis.conj()
+    return (np.sqrt(kbar_a)[:, :, None] * hbar,
+            np.sqrt(a)[:, :, None] * np.sqrt(corr.eigvals))
 
 
 def sample_channel(scenario, rng):
-    """Draw one ChannelRealization for every (satellite, user) link."""
-    mean, scale = link_arrays(scenario)
-    htilde = complex_normal(rng, mean.shape)
-    return ChannelRealization(
-        los_part=mean, nlos_draw=htilde,
-        h=mean + scale[:, :, None] * _colored(scenario, htilde))
+    """One ChannelRealization: ``sample_channel_batch`` at one trial."""
+    h, htilde = sample_channel_batch(scenario, rng, 1)
+    return ChannelRealization(nlos_draw=htilde[0], h=h[0])
 
 
 def sample_channel_batch(scenario, rng, trials):
     """Vectorized draw used by Monte Carlo loops.
 
-    Returns (h, htilde) with shape (trials, M, K, N); h composes the Rician
-    model with the scenario's correlation applied.
+    Returns (h, htilde) with shape (trials, M, K, N), in U's coordinates:
+    h = mean + scale htilde with ``link_arrays``' mean and scale.
     """
     mean, scale = link_arrays(scenario)
     htilde = complex_normal(rng, (trials, *mean.shape))
-    h = mean[None] + scale[None, :, :, None] * _colored(scenario, htilde)
-    return h, htilde
+    return mean + scale * htilde, htilde

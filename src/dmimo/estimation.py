@@ -18,11 +18,10 @@ from .channel import complex_normal, link_arrays
 @dataclass(frozen=True)
 class EstimationStats:
     """Second-order statistics of every link's MMSE estimate, as spectra in
-    the basis U. Psi inverts sigma^2 I + tau p sum_j R_j over user k's
-    pilot cohort j, so R Psi has eigenvalues
-    a lam / (sigma^2 + tau p lam sum_j a_j)."""
+    the basis U of ``scenario.correlation``. Psi inverts
+    sigma^2 I + tau p sum_j R_j over user k's pilot cohort j, so R Psi has
+    eigenvalues a lam / (sigma^2 + tau p lam sum_j a_j)."""
 
-    basis: np.ndarray  # U, N x N
     cov: np.ndarray  # (M, K, N) eigenvalues a lam of R
     filt: np.ndarray  # (M, K, N) eigenvalues of the filter R Psi
     tau_p: float  # tau p, pilot length times pilot power
@@ -50,40 +49,38 @@ def scenario_estimation_stats(scenario):
     cov = a[:, :, None] * corr.eigvals
     filt = cov / (scenario.fullband_noise
                   + tau_p * load[:, :, None] * corr.eigvals)
-    return EstimationStats(basis=corr.basis, cov=cov, filt=filt, tau_p=tau_p)
+    return EstimationStats(cov=cov, filt=filt, tau_p=tau_p)
 
 
 def estimate_batch(scenario, h_batch, rng):
-    """Vectorized estimates for a (T, M, K, N) channel batch, filtered by
-    the scenario's cached statistics.
+    """Vectorized estimates for a (T, M, K, N) channel batch in U's
+    coordinates, where every user's filter R Psi is the elementwise product
+    with its spectrum ``filt``.
 
     Returns (hhat, pilot_noise) with hhat shaped like h_batch.
     """
     cfg = scenario.config
-    tau = cfg.pilot_length
     T, M, K, N = h_batch.shape
-    stats = scenario.estimation_stats
-    u = stats.basis
-    # CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot)
+    # CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot); the
+    # law is the same in U's coordinates as in the antennas'
     noise = np.sqrt(scenario.fullband_noise) \
-        * complex_normal(rng, (T, M, tau, N))
+        * complex_normal(rng, (T, M, cfg.pilot_length, N))
     hhat = np.empty_like(h_batch)
-    sqrt_tp = np.sqrt(tau * cfg.pilot_power)
+    sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
+    filt = sqrt_tp * scenario.estimation_stats.filt
     mean, _ = link_arrays(scenario)
+    pilots = scenario.pilots
+    cohorts = dict.fromkeys(map(pilots.cohort, range(K)))  # one per pilot
     for m in range(M):
-        # centered observation of each pilot: its cohort's NLoS parts plus
-        # pilot noise, shared by every user on that pilot and rotated into
-        # U once
-        resid = {}
-        for k in range(K):
-            t = scenario.pilots.pilot_index[k]
-            if t not in resid:
-                resid[t] = noise[:, m, t, :].copy()
-                for j in scenario.pilots.cohort(k):
-                    resid[t] += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
-                resid[t] = resid[t] @ u.conj()
-            filt = sqrt_tp * stats.filt[m, k]
-            hhat[:, m, k, :] = mean[m, k] + (resid[t] * filt) @ u.T
+        for cohort in cohorts:
+            # centred observation of the cohort's pilot: its users'
+            # scattered parts plus pilot noise, shared by all of them
+            obs = noise[:, m, pilots.pilot_index[cohort[0]], :].copy()
+            for j in cohort:
+                obs += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
+            for k in cohort:
+                np.multiply(obs, filt[m, k], out=hhat[:, m, k, :])
+                hhat[:, m, k, :] += mean[m, k]
     return hhat, noise
 
 

@@ -30,6 +30,7 @@ from .optimizer import (
     scheduling_estimates,
 )
 from .rate import (
+    MIN_TRIALS,
     equal_split_allocation,
     equal_weights,
     monte_carlo_users,
@@ -58,8 +59,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        # the Monte Carlo engine's floor; two samples for a standard error
+        floor = {"bound-validate": MIN_TRIALS, "nmse-sweep": 2}.get(
+            self.name, 1)
+        if self.trials < floor:
+            raise ValueError(f"{self.name} needs trials >= {floor}")
         self.out_dir = Path(self.out_dir)
 
 
@@ -342,8 +346,7 @@ def run_benchmark(spec):
     for K in grid:
         cfg = _paper_scale(
             _cluster_config(spec.config, K, pilot_length=K - 2,
-                            subband_capacity=max(-(-K // 4), 3),
-                            max_power=0.2),
+                            subband_capacity=max(-(-K // 4), 3)),
             spec.paper_scale)
         totals = {"proposed": [], "benchmark1": [], "benchmark2": []}
         children = np.random.SeedSequence(spec.seed + K).spawn(2 * seeds)
@@ -422,10 +425,13 @@ def main(argv=None):
     trials = args.trials
     if trials is None:
         trials = DEFAULT_TRIALS[args.experiment]
-    spec = ExperimentSpec(
-        name=args.experiment, config=config, seed=args.seed, trials=trials,
-        out_dir=args.out, paper_scale=args.paper_scale,
-    )
+    try:
+        spec = ExperimentSpec(
+            name=args.experiment, config=config, seed=args.seed,
+            trials=trials, out_dir=args.out, paper_scale=args.paper_scale,
+        )
+    except ValueError as err:
+        parser.error(str(err))
     path = run_experiment(spec)
     print(path)
     return 0

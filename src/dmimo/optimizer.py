@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import sample_channel
+from .channel import sample_channel_batch
 from .estimation import estimate_batch
 from .gp import (GpInfeasibleError, GpProblem, GpUnboundedError, condense,
                  solve_gp)
@@ -508,9 +508,9 @@ def optimize_bandwidth(scenario, allocation):
 
 
 def scheduling_estimates(scenario, rng):
-    """One seeded channel realization's MMSE estimates (M, K, N)."""
-    real = sample_channel(scenario, rng)
-    hhat, _ = estimate_batch(scenario, real.h[None], rng)
+    """One seeded realization's MMSE estimates (M, K, N) in U's coordinates."""
+    h, _ = sample_channel_batch(scenario, rng, 1)
+    hhat, _ = estimate_batch(scenario, h, rng)
     return hhat[0]
 
 

@@ -19,6 +19,7 @@ from .channel import complex_normal, sample_channel_batch
 from .estimation import estimate_batch
 
 DENOM_FLOOR = 1e-30
+MIN_TRIALS = 100  # the fewest trials monte_carlo_users accepts
 
 
 class ContractError(ValueError):
@@ -141,7 +142,7 @@ class RateContext:
         los = scenario.link_array("rician") \
             * scenario.link_array("rician_scale")
         hbar = scenario.link_array("los_vector")
-        proj = np.abs(hbar @ st.basis.conj()) ** 2  # |U^H hbar|^2
+        proj = np.abs(hbar @ scenario.correlation.basis.conj()) ** 2
         cov, c = st.cov, st.est_cov
         self.gamma = c.sum(axis=2) + los * N
         self.q1 = np.einsum("mkn,mjn->mkj", c, proj) * los[:, None, :]
@@ -365,8 +366,8 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     is the deterministic |DS|^2; leakage, interference, and noise powers
     are instantaneous per realization.
     """
-    if trials < 100:
-        raise ContractError("need at least 100 trials")
+    if trials < MIN_TRIALS:
+        raise ContractError(f"need at least {MIN_TRIALS} trials")
     if users is None:
         users = [k for g in allocation.groups for k in g]
     if len(set(users)) != len(users):

@@ -108,6 +108,46 @@ def dense_stats(scenario, m, k):
     return DenseStats(R=r, rpsi=rpsi, C=c, E=r - c)
 
 
+# The Monte Carlo path in antenna coordinates, Delta^(1/2) colouring each
+# draw and every link's dense R Psi filtering its estimate: the reference
+# for dmimo's sampler and estimator, which work in the basis U.
+
+
+def los_mean(scenario):
+    """Every link's LoS mean sqrt(Kbar a) hbar, (M, K, N)."""
+    kbar_a = scenario.link_array("rician") \
+        * scenario.link_array("rician_scale")
+    return np.sqrt(kbar_a)[:, :, None] * scenario.link_array("los_vector")
+
+
+def reference_channel(scenario, z):
+    """The channels sqrt(Kbar a) hbar + sqrt(a) Delta^(1/2) z of the
+    CN(0, I) draw z, shaped (..., M, K, N)."""
+    vals, vecs = np.linalg.eigh(dense_delta(scenario))
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    scale = np.sqrt(scenario.link_array("rician_scale"))[:, :, None]
+    return los_mean(scenario) \
+        + scale * np.einsum("ij,...j->...i", root, z)
+
+
+def reference_estimates(scenario, h, noise):
+    """MMSE estimates of the channels h (T, M, K, N) from the despread pilot
+    noise (T, M, tau, N): each link's LoS mean plus sqrt(tau p) times its
+    dense R Psi applied to the centred observation of its user's pilot."""
+    cfg = scenario.config
+    sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
+    mean = los_mean(scenario)
+    hhat = np.empty_like(h)
+    for m in range(scenario.num_satellites):
+        for k in range(scenario.num_users):
+            obs = noise[:, m, scenario.pilots.pilot_index[k], :] + sum(
+                sqrt_tp * (h[:, m, j, :] - mean[m, j])
+                for j in scenario.pilots.cohort(k))
+            filt = sqrt_tp * dense_stats(scenario, m, k).rpsi
+            hhat[:, m, k, :] = mean[m, k] + obs @ filt.T
+    return hhat
+
+
 def dense_rate_context(scenario):
     """RateContext's arrays built entry by entry from the dense statistics,
     one Python iteration per (m, k, k') with the traces as full matrix

@@ -9,8 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import UNIT_NOISE, make_scenario, manual_link, manual_scenario
-from dmimo.config import SystemConfig
+from conftest import (
+    UNIT_NOISE,
+    complex_delta,
+    make_scenario,
+    manual_link,
+    manual_scenario,
+    with_correlation,
+)
+from dmimo.config import CorrelationModel, SystemConfig
 from dmimo.estimation import mse, nmse
 from dmimo.gp import GpProblem, solve_gp
 from dmimo.harness import ExperimentSpec, run_experiment
@@ -73,6 +80,41 @@ def test_criterion_01_term_equivalence():
                 assert abs(rep.ds_mc - rep.ds_closed) <= tol
                 for name, (closed, mc, term_se) in rep.terms.items():
                     assert abs(closed - mc) <= 3 * term_se, (seed, k, name)
+
+    _report(1, body)
+
+
+def test_criterion_01_term_equivalence_correlated():
+    """Criterion 1 and the bound's validity under exponential (r = 0.7) and
+    complex Hermitian correlation, each user's terms from one shared draw
+    per scenario: 4 SE per check keeps the family of about 280 checks at
+    a Bonferroni level near 2%."""
+    def body():
+        trials = 4000
+        for seed in range(4):
+            plain = make_scenario(seed=100 + seed, num_users=5,
+                                  pilot_length=3, cluster_size=2,
+                                  subband_capacity=5)
+            exponential = make_scenario(
+                seed=100 + seed, num_users=5, pilot_length=3, cluster_size=2,
+                subband_capacity=5,
+                correlation=CorrelationModel("exponential", 0.7))
+            for sc in (exponential, with_correlation(
+                    plain, complex_delta(plain.num_antennas))):
+                alloc = equal_split_allocation(
+                    sc, groups=[list(range(sc.num_users))])
+                res = monte_carlo_users(sc, alloc, trials,
+                                        np.random.default_rng(900 + seed))
+                assert sum_rate(sc, alloc) <= res.sum_rate \
+                    + 3 * res.sum_rate_se, seed
+                for k, rep in res.users.items():
+                    se = math.sqrt(rep.terms["ls"][0] / trials)
+                    tol = 2.0 * math.sqrt(rep.ds_closed) * 4 * se \
+                        + (4 * se) ** 2
+                    assert abs(rep.ds_mc - rep.ds_closed) <= tol, (seed, k)
+                    for name, (closed, mc, term_se) in rep.terms.items():
+                        assert abs(closed - mc) <= 4 * term_se, \
+                            (seed, k, name)
 
     _report(1, body)
 

@@ -7,6 +7,7 @@ from conftest import (
     complex_delta,
     dense_delta,
     make_scenario,
+    reference_channel,
     with_correlation,
 )
 from dmimo.channel import (
@@ -42,16 +43,27 @@ def test_steering_vector_zero_elevation_xaxis():
         np.testing.assert_allclose(v, np.ones(4), atol=1e-12)
 
 
+def _assert_eigendecomposition(corr, delta):
+    """U is unitary and U diag(lam) U^H = Delta, at 1e-12."""
+    u = corr.basis
+    n = len(delta)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
+    np.testing.assert_allclose((u * corr.eigvals) @ u.conj().T, delta,
+                               atol=1e-12)
+
+
 def test_correlation_identity():
     """eigh returns exactly I and ones for the identity, so its spectra are
-    the covariances' scales themselves; the draws need no colouring."""
+    the covariances' scales themselves and U's coordinates are the
+    antennas'."""
     for n in (1, 4, 16, 64, 100):
         delta = correlation_matrix("identity", n)
         np.testing.assert_array_equal(delta, np.eye(n))
         corr = Correlation.of(delta)
         np.testing.assert_array_equal(corr.basis, np.eye(n))
         np.testing.assert_array_equal(corr.eigvals, np.ones(n))
-        assert corr.sqrt is None
+        np.testing.assert_array_equal(
+            (corr.basis * corr.eigvals) @ corr.basis.conj().T, delta)
 
 
 def test_correlation_exponential_zero_ratio():
@@ -59,13 +71,14 @@ def test_correlation_exponential_zero_ratio():
     np.testing.assert_array_equal(delta, np.eye(3))
 
 
-def test_correlation_exponential_sqrt():
+def test_correlation_exponential_eigendecomposition():
     delta = correlation_matrix("exponential", 2, 0.5)
     np.testing.assert_allclose(delta, [[1, 0.5], [0.5, 1]])
     corr = Correlation.of(delta)
-    np.testing.assert_allclose(corr.sqrt @ corr.sqrt, delta, atol=1e-12)
-    np.testing.assert_allclose((corr.basis * corr.eigvals)
-                               @ corr.basis.conj().T, delta, atol=1e-12)
+    np.testing.assert_allclose(corr.eigvals, [0.5, 1.5], atol=1e-12)
+    _assert_eigendecomposition(corr, delta)
+    delta = correlation_matrix("exponential", 100, 0.7)
+    _assert_eigendecomposition(Correlation.of(delta), delta)
 
 
 def test_correlation_rejects_bad_ratio():
@@ -73,10 +86,15 @@ def test_correlation_rejects_bad_ratio():
         correlation_matrix("exponential", 3, 1.0)
 
 
-def test_hermitian_sqrt_singular():
+def test_correlation_singular_eigendecomposition():
+    """A singular Delta's zero eigenvalue, which eigh may return slightly
+    negative, is clipped at 0, so the samplers' scales sqrt(a lam) are
+    real."""
     m = np.array([[1.0, 1.0], [1.0, 1.0]])
-    r = Correlation.of(m).sqrt
-    np.testing.assert_allclose(r @ r, m, atol=1e-12)
+    corr = Correlation.of(m)
+    assert np.all(corr.eigvals >= 0.0)
+    np.testing.assert_allclose(corr.eigvals, [0.0, 2.0], atol=1e-12)
+    _assert_eigendecomposition(corr, m)
 
 
 def test_pure_los_limit():
@@ -128,26 +146,26 @@ def test_sampling_deterministic():
 
 
 def test_realization_decomposition():
-    """h = LoS part + sqrt(a) Delta^(1/2) htilde, with the Delta^(1/2) of
-    the dense Delta, on identity, exponential and complex correlation."""
+    """Drawn in U's coordinates and rotated back by U, every link's h is
+    the antenna-coordinate reference sqrt(Kbar a) hbar + sqrt(a)
+    Delta^(1/2) U z of the same CN(0, I) draw z, at 1e-12 of the link's
+    largest entry, on identity, exponential and complex correlation; at
+    Delta = I it is the reference bit for bit. ``sample_channel`` is the
+    batch sampler's one-trial draw."""
     plain = make_scenario(seed=4)
     for sc in (plain, make_scenario(seed=4, correlation=CorrelationModel(
                    "exponential", 0.7)),
                with_correlation(plain, complex_delta(plain.num_antennas))):
-        vals, vecs = np.linalg.eigh(dense_delta(sc))
-        root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        u = sc.correlation.basis
+        h, z = sample_channel_batch(sc, np.random.default_rng(9), 1)
+        got, ref = h @ u.T, reference_channel(sc, z @ u.T)
+        assert np.all(np.abs(got - ref).max(axis=-1)
+                      <= 1e-12 * np.abs(ref).max(axis=-1))
+        if sc is plain:
+            assert np.array_equal(got, ref)
         real = sample_channel(sc, np.random.default_rng(9))
-        for m in range(sc.num_satellites):
-            for k in range(sc.num_users):
-                link = sc.link(m, k)
-                rebuilt = real.los_part[m, k] + np.sqrt(link.rician_scale) \
-                    * (root @ real.nlos_draw[m, k])
-                np.testing.assert_allclose(rebuilt, real.h[m, k],
-                                           rtol=1e-12, atol=0)
-        # the batch sampler colours the same draw with the same root
-        h, htilde = sample_channel_batch(sc, np.random.default_rng(9), 1)
-        assert np.array_equal(htilde[0], real.nlos_draw)
-        assert np.array_equal(h[0], real.h)
+        assert np.array_equal(real.nlos_draw, z[0])
+        assert np.array_equal(real.h, h[0])
 
 
 def _complex_normal_reference(rng, shape):

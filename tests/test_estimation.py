@@ -12,10 +12,13 @@ from conftest import (
     complex_delta,
     dense_rate_context,
     dense_stats,
+    los_mean,
     make_scenario,
     manual_link,
     manual_scenario,
     psi_matrix,
+    reference_channel,
+    reference_estimates,
     with_correlation,
 )
 from dmimo.channel import complex_normal, link_arrays, sample_channel_batch
@@ -163,7 +166,7 @@ def test_nmse_degenerate_zero_covariance():
     assert nmse(sc, 0, 0) == 1.0
 
 
-STATS_ARRAYS = ("basis", "cov", "filt", "tau_p", "est_cov", "err_cov")
+STATS_ARRAYS = ("cov", "filt", "tau_p", "est_cov", "err_cov")
 
 
 def test_scenario_caches_estimation_stats(default_scenario):
@@ -176,17 +179,17 @@ def test_scenario_caches_estimation_stats(default_scenario):
 
 
 def test_err_cov_is_formed_on_access(default_scenario):
-    """Only the basis U, the spectra of R and of the filter R Psi, and
-    tau p are stored; C and E are formed on access, C as tau p (R Psi) R.
-    The filter equals the dense R Psi rotated into U."""
+    """Only the spectra of R and of the filter R Psi, and tau p, are
+    stored; C and E are formed on access, C as tau p (R Psi) R. The filter
+    equals the dense R Psi rotated into the correlation's basis U."""
     cfg = default_scenario.config
     st = default_scenario.estimation_stats
     assert [f.name for f in dataclasses.fields(st)] == [
-        "basis", "cov", "filt", "tau_p"]
+        "cov", "filt", "tau_p"]
     assert st.tau_p == cfg.pilot_length * cfg.pilot_power
     assert np.array_equal(st.est_cov, st.tau_p * (st.filt * st.cov))
     assert np.array_equal(st.err_cov, st.cov - st.est_cov)
-    u = st.basis
+    u = default_scenario.correlation.basis
     for m in range(default_scenario.num_satellites):
         for k in range(default_scenario.num_users):
             ref = u.conj().T @ dense_stats(default_scenario, m, k).rpsi @ u
@@ -212,26 +215,22 @@ def test_estimate_batch_defaults_to_cached_stats(default_scenario):
 
 
 def _estimate_per_user(scenario, h_batch, noise, stats):
-    """The estimator written per (m, k): each user rebuilds its pilot's
-    centered observation, rotates it into U, scales it by its filter's
-    spectrum and rotates it back. Reference for estimate_batch."""
+    """The estimator written per (m, k) in U's coordinates: each user
+    rebuilds its pilot's centered observation and scales it by its
+    filter's spectrum. Reference for estimate_batch's loop over pilot
+    cohorts."""
     cfg = scenario.config
     sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
-    u = stats.basis
+    mean, _ = link_arrays(scenario)
     hhat = np.empty_like(h_batch)
     for m in range(scenario.num_satellites):
         for k in range(scenario.num_users):
-            link = scenario.link(m, k)
             t = scenario.pilots.pilot_index[k]
-            own_mean = np.sqrt(link.rician * link.rician_scale) \
-                * link.los_vector
             resid = noise[:, m, t, :].copy()
             for j in scenario.pilots.cohort(k):
-                lj = scenario.link(m, j)
-                mean_j = np.sqrt(lj.rician * lj.rician_scale) * lj.los_vector
-                resid += sqrt_tp * (h_batch[:, m, j, :] - mean_j[None])
-            scaled = (resid @ u.conj()) * (sqrt_tp * stats.filt[m, k])
-            hhat[:, m, k, :] = own_mean[None] + scaled @ u.T
+                resid += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
+            hhat[:, m, k, :] = mean[m, k] \
+                + resid * (sqrt_tp * stats.filt[m, k])
     return hhat
 
 
@@ -263,8 +262,11 @@ def test_spectral_statistics_match_dense_reference(
         correlation, r, side, num_users, num_satellites, quiet, seed):
     """On identity, exponential and complex Hermitian correlation at
     N = 1, 16 and 100, with every pilot shared by at least two users, the
-    spectral statistics give the RateContext, MSE, NMSE and estimates of
-    the dense MMSE reference. A quiet system (noise at 1e-4) is limited by
+    spectral statistics give the RateContext, MSE and NMSE of the dense
+    MMSE reference. The channels and estimates, drawn in U's coordinates
+    and rotated back by U, are the antenna-coordinate reference's for the
+    draw U z and the pilot noise U n; at Delta = I the channels are the
+    reference's bit for bit. A quiet system (noise at 1e-4) is limited by
     pilot contamination rather than by noise."""
     model = CorrelationModel("exponential", r) \
         if correlation == "exponential" else CorrelationModel()
@@ -296,24 +298,27 @@ def test_spectral_statistics_match_dense_reference(
     assert _close(np.array([[nmse(sc, m, k) for k in range(K)]
                             for m in range(M)]), tr_e / tr_r)
 
-    h, _ = sample_channel_batch(sc, np.random.default_rng(seed), 2)
+    h, z = sample_channel_batch(sc, np.random.default_rng(seed), 2)
     hhat, noise = estimate_batch(sc, h, np.random.default_rng(seed + 1))
-    mean, _ = link_arrays(sc)
-    sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
+    u = sc.correlation.basis
+    h_ref = reference_channel(sc, z @ u.T)
+    assert _close(h @ u.T, h_ref)
+    if correlation == "identity":
+        assert np.array_equal(h @ u.T, h_ref)
+    # the estimates' centred parts, each link's against its own largest
+    got = hhat @ u.T - los_mean(sc)
+    ref = reference_estimates(sc, h_ref, noise @ u.T) - los_mean(sc)
     for m in range(M):
         for k in range(K):
-            resid = noise[:, m, sc.pilots.pilot_index[k], :] + sum(
-                sqrt_tp * (h[:, m, j, :] - mean[m, j])
-                for j in sc.pilots.cohort(k))
-            ref = resid @ (sqrt_tp * dense[m][k].rpsi).T
-            assert _close(hhat[:, m, k, :] - mean[m, k], ref), (m, k)
+            assert _close(got[:, m, k, :], ref[:, m, k, :]), (m, k)
 
 
 def test_statistics_are_spectra_without_inverses(monkeypatch):
     """At paper scale (N = 100, K = 16) the statistics and the RateContext
     are built from one eigendecomposition of Delta and no matrix inverse:
-    every statistic is an (M, K, N) spectrum, the basis U is their only
-    N x N array, and no RateContext array has an axis of length N."""
+    every statistic is an (M, K, N) spectrum, the correlation's basis U is
+    the only N x N array, and no RateContext array has an axis of
+    length N."""
     eighs = []
     real_eigh = np.linalg.eigh
 
@@ -336,11 +341,11 @@ def test_statistics_are_spectra_without_inverses(monkeypatch):
         h, _ = sample_channel_batch(sc, np.random.default_rng(1), 2)
         estimate_batch(sc, h, np.random.default_rng(2))
         assert eighs == [(N, N)]
+        assert sc.correlation.basis.shape == (N, N)
         shapes = {name: getattr(st, name).shape
-                  for name in ("basis", "cov", "filt", "est_cov", "err_cov")}
-        assert shapes == {"basis": (N, N), "cov": (M, K, N),
-                          "filt": (M, K, N), "est_cov": (M, K, N),
-                          "err_cov": (M, K, N)}
+                  for name in ("cov", "filt", "est_cov", "err_cov")}
+        assert shapes == {"cov": (M, K, N), "filt": (M, K, N),
+                          "est_cov": (M, K, N), "err_cov": (M, K, N)}
         arrays = {name: a for name, a in vars(ctx).items()
                   if isinstance(a, np.ndarray)}
         assert {"gamma", "q", "tmat", "smat"} <= arrays.keys()

@@ -1,5 +1,6 @@
 import csv
 import json
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import dmimo.harness
 from dmimo.config import SystemConfig
 from dmimo.optimizer import InfeasibleError
+from dmimo.rate import MIN_TRIALS
 from dmimo.harness import (
     ExperimentSpec,
     build_identifier,
@@ -35,6 +37,29 @@ def test_spec_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentSpec(name="nmse-sweep", config=SystemConfig(), seed=0,
                        trials=0, out_dir=tmp_path)
+    # the fewest trials each experiment's estimators can use: the Monte
+    # Carlo engine's floor, and two for a standard error
+    for name, floor in (("bound-validate", MIN_TRIALS), ("nmse-sweep", 2),
+                        ("schedule-compare", 1), ("convergence", 1),
+                        ("benchmark", 1)):
+        with pytest.raises(ValueError, match=f"trials >= {floor}"):
+            ExperimentSpec(name=name, config=SystemConfig(), seed=0,
+                           trials=floor - 1, out_dir=tmp_path)
+        ExperimentSpec(name=name, config=SystemConfig(), seed=0,
+                       trials=floor, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("name, trials", [("bound-validate", 50),
+                                          ("nmse-sweep", 1)])
+def test_cli_rejects_unusable_trials(name, trials, tmp_path, capsys):
+    """Too few trials end in a usage error before the output directory is
+    made, not in a traceback or a nan standard error."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "--trials", str(trials), "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "needs trials >=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_write_csv_rfc4180(tmp_path):
@@ -138,6 +163,62 @@ def test_convergence_matches_golden(tmp_path):
     assert [r[:build] + r[build + 1:] for r in rows[1:]] == GOLDEN_CONVERGENCE
 
 
+# The Monte Carlo experiments' CSVs at seed 13, every column but the build
+# tag, as written when the samplers still coloured each draw in antenna
+# coordinates; the same at 1 and 2 BLAS threads
+GOLDEN_MC = {
+    "nmse-sweep": (500, [
+        ["13", "1", "2.70922873124e-15", "2.71281256367e-15",
+         "7.75435669976e-18", "0.996814527356", "0.998133125872",
+         "0.00285308332596"],
+        ["13", "5", "9.0499650504e-16", "9.07043331638e-16",
+         "2.68792388314e-18", "0.998934102219", "1.00119338288",
+         "0.00296692728077"],
+        ["13", "10", "4.93873628028e-16", "4.93882923596e-16",
+         "1.40369222767e-18", "0.999418093725", "0.999436902203",
+         "0.00284055541231"],
+        ["13", "20", "2.58767396687e-16", "2.566895817e-16",
+         "7.08327692699e-19", "0.999695039832", "0.991667824353",
+         "0.00273647951466"],
+        ["13", "50", "1.0657039663e-16", "1.06679181782e-16",
+         "3.31063742542e-19", "0.999874387601", "1.00089504096",
+         "0.00310613610469"],
+        ["13", "100", "5.38161209002e-17", "5.37071585441e-17",
+         "1.54113954682e-19", "0.999936564856", "0.997911977129",
+         "0.00286353189014"],
+        ["13", "1000", "5.43030792779e-18", "5.43212671258e-18",
+         "1.56608307467e-20", "0.999993598794", "1.00032852879",
+         "0.00288394888584"],
+        ["13", "10000", "5.43522602603e-19", "5.44276952872e-19",
+         "1.54923253044e-21", "0.999999359297", "1.00138724966",
+         "0.00285035347272"],
+    ]),
+    "bound-validate": (200, [
+        ["13", "1", "3305100.86686", "3570623.81078", "33213.7110487",
+         "3312034.52792"],
+        ["13", "5", "3552459.28435", "3685570.01652", "23854.4416991",
+         "3546184.96153"],
+        ["13", "10", "3615067.89555", "3740743.99907", "22401.8074714",
+         "3629884.42489"],
+        ["13", "20", "3652890.10184", "3759853.71217", "18712.1919162",
+         "3668453.51871"],
+        ["13", "50", "3678241.77178", "3803458.0895", "18325.0253134",
+         "3717299.29082"],
+        ["13", "100", "3687196.21034", "3794932.722", "17626.7492052",
+         "3706851.60068"],
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MC))
+def test_mc_experiments_match_golden(name, tmp_path):
+    trials, golden = GOLDEN_MC[name]
+    path = run_experiment(spec_for(name, tmp_path, trials=trials, seed=13))
+    rows = read_rows(path)
+    build = rows[0].index("build")
+    assert [r[:build] + r[build + 1:] for r in rows[1:]] == golden
+
+
 def test_convergence_stops_at_an_unattainable_floor(tmp_path):
     cfg = SystemConfig(rate_requirement=5e5)
     spec = ExperimentSpec(name="convergence", config=cfg, seed=5, trials=1,
@@ -163,6 +244,27 @@ def test_benchmark_outputs(tmp_path):
         ["5", "6", "proposed", "686589.735983", "114431.622664", "2"],
         ["5", "6", "benchmark1", "685437.164682", "114239.527447", "2"],
         ["5", "6", "benchmark2", "685466.724975", "114244.454163", "2"]]
+
+
+def test_benchmark_reads_the_config_power(tmp_path, monkeypatch):
+    """Every arm of the benchmark experiment runs at the config's power."""
+    seen = []
+
+    def proposed(scenario, rng):
+        seen.append(("proposed", scenario.config.max_power))
+        return types.SimpleNamespace(sum_rate=1.0)
+
+    def fixed_weights(scenario, rng, kind):
+        seen.append((kind, scenario.config.max_power))
+        return None, 1.0
+
+    monkeypatch.setattr(dmimo.harness, "alternating_optimize", proposed)
+    monkeypatch.setattr(dmimo.harness, "benchmark_allocation", fixed_weights)
+    spec = ExperimentSpec(name="benchmark", config=SystemConfig(max_power=2.0),
+                          seed=0, trials=2, out_dir=tmp_path,
+                          extras={"user_grid": (6, 8)})
+    run_experiment(spec)
+    assert seen == [("proposed", 2.0), ("equal", 2.0), ("estimate", 2.0)] * 4
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -431,7 +431,7 @@ def test_batched_context_matches_loop(side, correlation):
                        antennas_x=side, antennas_y=side, correlation=model)
     if correlation == "complex":
         sc = with_correlation(sc, complex_delta(sc.num_antennas))
-        assert np.iscomplexobj(sc.estimation_stats.basis)
+        assert np.iscomplexobj(sc.correlation.basis)
     assert max(len(sc.pilots.cohort(k)) for k in range(6)) > 1
     ctx = RateContext(sc)
     for name, ref in dense_rate_context(sc).items():
@@ -455,7 +455,8 @@ def test_statistics_keep_the_covariance_dtype(correlation):
         sc = with_correlation(sc, complex_delta(sc.num_antennas))
     want = np.complex128 if correlation == "complex" else np.float64
     st = sc.estimation_stats
-    assert st.basis.dtype == dense_stats(sc, 0, 0).rpsi.dtype == want
+    assert sc.correlation.basis.dtype == dense_stats(sc, 0, 0).rpsi.dtype \
+        == want
     for name in ("cov", "filt", "est_cov", "err_cov"):
         assert getattr(st, name).dtype == np.float64, name
     ctx = sc.rate_context
