@@ -75,10 +75,9 @@ def link_arrays(scenario):
     mean sqrt(Kbar a) U^H hbar and the square roots sqrt(a lam) of its
     covariance's eigenvalues."""
     corr = scenario.correlation
-    a = scenario.link_array("rician_scale")
-    kbar_a = scenario.link_array("rician") * a
-    hbar = scenario.link_array("los_vector") @ corr.basis.conj()
-    return (np.sqrt(kbar_a)[:, :, None] * hbar,
+    a = scenario.rician_scale
+    hbar = scenario.los @ corr.basis.conj()
+    return (np.sqrt(scenario.rician * a)[:, :, None] * hbar,
             np.sqrt(a)[:, :, None] * np.sqrt(corr.eigvals))
 
 

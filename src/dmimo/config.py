@@ -8,7 +8,7 @@ lookup table are linear (not dB).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 EARTH_RADIUS = 6371e3  # m
@@ -172,6 +172,9 @@ class SystemConfig:
     @staticmethod
     def from_dict(d):
         d = dict(d)
+        unknown = sorted(set(d) - {f.name for f in fields(SystemConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         corr = d.pop("correlation", None)
         if corr is not None:
             d["correlation"] = CorrelationModel(

@@ -42,9 +42,8 @@ def scenario_estimation_stats(scenario):
     config."""
     cfg = scenario.config
     corr = scenario.correlation
-    a = scenario.link_array("rician_scale")
-    pilot = np.asarray(scenario.pilots.pilot_index)
-    load = a @ np.equal.outer(pilot, pilot)  # sum of a_j over k's cohort
+    a = scenario.rician_scale
+    load = a @ scenario.cohort  # sum of a_j over k's cohort
     tau_p = cfg.pilot_length * cfg.pilot_power
     cov = a[:, :, None] * corr.eigvals
     filt = cov / (scenario.fullband_noise
@@ -70,12 +69,12 @@ def estimate_batch(scenario, h_batch, rng):
     filt = sqrt_tp * scenario.estimation_stats.filt
     mean, _ = link_arrays(scenario)
     pilots = scenario.pilots
-    cohorts = dict.fromkeys(map(pilots.cohort, range(K)))  # one per pilot
     for m in range(M):
-        for cohort in cohorts:
-            # centred observation of the cohort's pilot: its users'
-            # scattered parts plus pilot noise, shared by all of them
-            obs = noise[:, m, pilots.pilot_index[cohort[0]], :].copy()
+        for t in np.unique(pilots):
+            # centred observation of pilot t: its cohort's scattered parts
+            # plus pilot noise, shared by all of them
+            cohort = np.flatnonzero(pilots == t)
+            obs = noise[:, m, t, :].copy()
             for j in cohort:
                 obs += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
             for k in cohort:

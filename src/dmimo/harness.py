@@ -68,11 +68,13 @@ class ExperimentSpec:
 
 
 def build_identifier():
-    """git-describe-style build tag, falling back to the package version."""
+    """git-describe-style build tag of the checkout that holds this package,
+    whatever the working directory; the package version outside one."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
             capture_output=True, text=True, timeout=10,
+            cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
@@ -337,6 +339,25 @@ def run_convergence(spec):
     )
 
 
+def benchmark_arm_rates(config, K, seed, seeds):
+    """Per system s < seeds of the benchmark experiment's stream for K users
+    (`config` sets the rest), the sum rates of the proposed AO and of the
+    equal-weight and estimate-norm-weight arms."""
+    cfg = _cluster_config(config, K, pilot_length=K - 2,
+                          subband_capacity=max(-(-K // 4), 3))
+    children = np.random.SeedSequence(seed + K).spawn(2 * seeds)
+    for s in range(seeds):
+        sc = build_scenario(cfg, np.random.default_rng(children[2 * s]))
+        # every arm replays the same estimation stream for fairness
+        est_ss = children[2 * s + 1]
+        ao = alternating_optimize(sc, np.random.default_rng(est_ss))
+        _, r1 = benchmark_allocation(sc, np.random.default_rng(est_ss),
+                                     "equal")
+        _, r2 = benchmark_allocation(sc, np.random.default_rng(est_ss),
+                                     "estimate")
+        yield ao.sum_rate, r1, r2
+
+
 def run_benchmark(spec):
     """Seed-averaged sum rate: proposed AO vs the two fixed-weight arms."""
     build = build_identifier()
@@ -344,28 +365,11 @@ def run_benchmark(spec):
     seeds = spec.trials
     rows = []
     for K in grid:
-        cfg = _paper_scale(
-            _cluster_config(spec.config, K, pilot_length=K - 2,
-                            subband_capacity=max(-(-K // 4), 3)),
-            spec.paper_scale)
-        totals = {"proposed": [], "benchmark1": [], "benchmark2": []}
-        children = np.random.SeedSequence(spec.seed + K).spawn(2 * seeds)
-        for s in range(seeds):
-            sc = build_scenario(cfg, np.random.default_rng(children[2 * s]))
-            # every arm replays the same estimation stream for fairness
-            est_ss = children[2 * s + 1]
-            ao = alternating_optimize(sc, np.random.default_rng(est_ss))
-            totals["proposed"].append(ao.sum_rate)
-            _, r1 = benchmark_allocation(
-                sc, np.random.default_rng(est_ss), "equal"
-            )
-            totals["benchmark1"].append(r1)
-            _, r2 = benchmark_allocation(
-                sc, np.random.default_rng(est_ss), "estimate"
-            )
-            totals["benchmark2"].append(r2)
-        for arm in ("proposed", "benchmark1", "benchmark2"):
-            mean = float(np.mean(totals[arm]))
+        rates = benchmark_arm_rates(
+            _paper_scale(spec.config, spec.paper_scale), K, spec.seed, seeds)
+        arms = ("proposed", "benchmark1", "benchmark2")
+        for arm, arm_rates in zip(arms, zip(*rates)):
+            mean = float(np.mean(arm_rates))
             rows.append([spec.seed, build, K, arm, mean, mean / K, seeds])
     header = ["seed", "build", "num_users", "arm", "mean_sum_rate",
               "mean_rate_per_user", "num_seeds"]
@@ -418,10 +422,11 @@ def main(argv=None):
         p.add_argument("--paper-scale", action="store_true",
                        help="run with a 10x10 (N=100) antenna array")
     args = parser.parse_args(argv)
-    if args.config is not None:
-        config = SystemConfig.from_json(args.config)
-    else:
-        config = SystemConfig()
+    try:
+        config = (SystemConfig() if args.config is None
+                  else SystemConfig.from_json(args.config))
+    except (OSError, ValueError) as err:  # ConfigError, bad JSON included
+        parser.error(f"--config {args.config}: {err}")
     trials = args.trials
     if trials is None:
         trials = DEFAULT_TRIALS[args.experiment]

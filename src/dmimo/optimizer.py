@@ -77,8 +77,8 @@ def monomial_bound(coeffs, anchors):
 
 
 def _weight_offsets(scenario):
-    """User k's weights w_{m,k}, m in sorted(M_k), take the columns
-    offsets[k] to offsets[k + 1] of the weight block."""
+    """User k's weights w_{m,k}, m in M_k in increasing order, take the
+    columns offsets[k] to offsets[k + 1] of the weight block."""
     return np.cumsum([0] + [len(s) for s in scenario.serving_sets])
 
 
@@ -105,7 +105,7 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     K = scenario.num_users
     points = [np.maximum(chi, 1e-30), allocation.powers]
     if optimize_weights:
-        points += [np.maximum(allocation.weights[sorted(s), k], 1e-12)
+        points += [np.maximum(allocation.weights[s, k], 1e-12)
                    for k, s in enumerate(scenario.serving_sets)]
     x0 = np.log(np.concatenate(points))
     offsets = 2 * K + _weight_offsets(scenario)
@@ -116,7 +116,7 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     n, size = Q.shape[-1], np.diff(offsets)
     valid = np.arange(n) < size[:, None]
     sat, wcol = np.zeros((2, K, n), dtype=np.intp)
-    sat[valid] = np.concatenate([sorted(s) for s in scenario.serving_sets])
+    sat[valid] = np.concatenate(scenario.serving_sets)
     wcol[valid] = np.arange(offsets[0], offsets[-1])
     gamma = np.where(valid, context.gamma[sat, np.arange(K)[:, None]], 0.0)
     w = np.where(valid, allocation.weights[sat, np.arange(K)[:, None]], 0.0)
@@ -196,7 +196,7 @@ def _allocation_at(scenario, allocation, x, optimize_weights):
     if optimize_weights:
         offsets = K + _weight_offsets(scenario)
         for k, s in enumerate(scenario.serving_sets):
-            out.weights[sorted(s), k] = np.exp(x[offsets[k]:offsets[k + 1]])
+            out.weights[s, k] = np.exp(x[offsets[k]:offsets[k + 1]])
     out.weights = normalize_weights(scenario, out.weights)
     return out
 
@@ -588,7 +588,7 @@ def estimate_magnitude_weights(scenario, estimates):
     M, K = scenario.num_satellites, scenario.num_users
     w = np.zeros((M, K))
     for k in range(K):
-        sset = sorted(scenario.serving_sets[k])
+        sset = scenario.serving_sets[k]
         mags = np.array([np.linalg.norm(estimates[m, k]) for m in sset])
         w[sset, k] = mags / np.sqrt((mags ** 2).sum())
     return w

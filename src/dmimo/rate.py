@@ -82,7 +82,7 @@ def equal_weights(scenario):
     K, M = scenario.num_users, scenario.num_satellites
     w = np.zeros((M, K))
     for k, sset in enumerate(scenario.serving_sets):
-        w[sorted(sset), k] = 1.0 / np.sqrt(len(sset))
+        w[sset, k] = 1.0 / np.sqrt(len(sset))
     return w
 
 
@@ -90,7 +90,6 @@ def normalize_weights(scenario, weights):
     """Rescale each user's weights to unit squared norm over M_k."""
     w = weights.copy()
     for k, sset in enumerate(scenario.serving_sets):
-        sset = sorted(sset)
         nrm = np.sqrt(sum(w[m, k] ** 2 for m in sset))
         if nrm > 0:
             w[sset, k] /= nrm
@@ -139,9 +138,8 @@ class RateContext:
         M, K, N = (scenario.num_satellites, scenario.num_users,
                    scenario.num_antennas)
         st = scenario.estimation_stats
-        los = scenario.link_array("rician") \
-            * scenario.link_array("rician_scale")
-        hbar = scenario.link_array("los_vector")
+        los = scenario.rician * scenario.rician_scale
+        hbar = scenario.los
         proj = np.abs(hbar @ scenario.correlation.basis.conj()) ** 2
         cov, c = st.cov, st.est_cov
         self.gamma = c.sum(axis=2) + los * N
@@ -155,9 +153,8 @@ class RateContext:
         self.q = self.q1 + self.q2 + self.q3
         self.serving = np.zeros((M, K))
         for k, sset in enumerate(scenario.serving_sets):
-            self.serving[sorted(sset), k] = 1.0
-        pilot = np.asarray(scenario.pilots.pilot_index)
-        self.cohort = np.equal.outer(pilot, pilot) & ~np.eye(K, dtype=bool)
+            self.serving[sset, k] = 1.0
+        self.cohort = scenario.cohort & ~np.eye(K, dtype=bool)
         tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
         self._pilot_gains = (tau * pp, tau * tau * pp * pp)
 
@@ -165,7 +162,8 @@ class RateContext:
     def quadratics(self):
         """(K, K, n, n): w^T Q w, Q = quadratics[k, k'][:n_k, :n_k], is the
         coefficient of p_k' in user k's interference power (k' = k: leakage)
-        at k's weights w over sorted(M_k). Entries can be negative (LoS)."""
+        at k's weights w over M_k in increasing order. Entries can be
+        negative (LoS)."""
         K = len(self.cohort)
         ssets = [np.flatnonzero(col) for col in self.serving.T]
         n = max(len(s) for s in ssets)
@@ -194,11 +192,10 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
     group = allocation.groups[band]
     bw = allocation.bandwidths[band]
     sigma_i = scenario.subband_noise(bw)
-    sset = sorted(scenario.serving_sets[k])
+    sset = scenario.serving_sets[k]
     w = allocation.weights[:, k]
     p = allocation.powers
     tau, pp = cfg.pilot_length, cfg.pilot_power
-    cohort = set(scenario.pilots.cohort(k))
 
     ds = float(sum(w[m] * context.gamma[m, k] for m in sset))
     numerator = p[k] * ds ** 2
@@ -220,7 +217,7 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
             term2 = float(abs(s) ** 2)
             i2[kp] = term2
             denom += p[kp] * term2
-            if kp in cohort:
+            if scenario.cohort[k, kp]:
                 t = float(sum(w[m] * context.tmat[m, k, kp] for m in sset))
                 term3 = (
                     2.0 * tau * np.sqrt(pp * pp) * t * float(s.real)
@@ -397,7 +394,7 @@ def _user_terms(scenario, allocation, k, h, hhat, rng):
     group = allocation.groups[band]
     bw = allocation.bandwidths[band]
     sigma_i = scenario.subband_noise(bw)
-    sset = sorted(scenario.serving_sets[k])
+    sset = scenario.serving_sets[k]
     w = allocation.weights[:, k]
     p = allocation.powers
 

@@ -1,7 +1,8 @@
 """Problem-instance construction: link budgets, Rician factors, pilot
 assignment, and user-centric satellite selection.
 
-A built Scenario is immutable and deterministic given the seed.
+A built Scenario is deterministic given the seed, and nothing writes to
+its arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import EARTH_RADIUS, SPEED_OF_LIGHT, ConfigError, SystemConfig
+from .config import EARTH_RADIUS, SPEED_OF_LIGHT, SystemConfig
 from .channel import Correlation, correlation_matrix, steering_vector
 
 
@@ -49,63 +50,36 @@ def slant_range(elevation_rad, altitude, earth_radius=EARTH_RADIUS):
 
 
 def select_serving_satellites(betas, cluster_size):
-    """Indices of the cluster_size largest-beta satellites (ties: low index)."""
+    """Sorted indices of the cluster_size largest-beta satellites (ties:
+    low index)."""
     if cluster_size > len(betas):
         raise DomainError("cluster size exceeds number of satellites")
     order = np.lexsort((np.arange(len(betas)), -np.asarray(betas)))
-    return frozenset(int(i) for i in order[:cluster_size])
-
-
-@dataclass(frozen=True)
-class LinkStats:
-    """Statistical description of one satellite-user link."""
-
-    beta: float
-    rician: float
-    elevation: float  # rad
-    azimuth: float  # rad
-    distance: float  # m
-    los_vector: np.ndarray  # length N, unit-modulus entries
-
-    @property
-    def rician_scale(self):
-        """a = beta / (rician + 1); the link's covariance is R = a Delta."""
-        return self.beta / (self.rician + 1.0)
-
-
-@dataclass(frozen=True)
-class PilotAssignment:
-    pilot_index: tuple  # per user, 0..tau-1
-
-    @property
-    def num_users(self):
-        return len(self.pilot_index)
-
-    def cohort(self, k):
-        """Users sharing user k's pilot (includes k itself)."""
-        t = self.pilot_index[k]
-        return tuple(j for j, tj in enumerate(self.pilot_index) if tj == t)
+    return np.sort(order[:cluster_size])
 
 
 def assign_pilots_random(num_users, pilot_length, rng):
-    """Uniform random pilot draw for each user from the seeded stream."""
+    """Uniform random pilot index, 0..tau-1, for each user from the seeded
+    stream."""
     if pilot_length < 1:
         raise DomainError("pilot length must be >= 1")
-    idx = rng.integers(0, pilot_length, size=num_users)
-    return PilotAssignment(pilot_index=tuple(int(t) for t in idx))
+    return rng.integers(0, pilot_length, size=num_users)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """One problem instance. Its antenna correlation, estimation statistics
-    and RateContext are built on first use and kept for the scenario's
-    lifetime; a scenario made by ``with_rician`` or the constructor builds
-    its own."""
+    """One problem instance, as arrays indexed by satellite m and user k.
+    Its antenna correlation, estimation statistics and RateContext are
+    built on first use and kept for the scenario's lifetime; a copy made
+    by ``dataclasses.replace`` builds its own, and one made by
+    ``with_rician`` shares the correlation."""
 
     config: SystemConfig
-    links: tuple  # links[m][k] -> LinkStats
-    pilots: PilotAssignment
-    serving_sets: tuple  # serving_sets[k] -> frozenset of satellite indices
+    beta: np.ndarray  # (M, K) large-scale gains
+    rician: np.ndarray  # (M, K) Rician factors Kbar
+    los: np.ndarray  # (M, K, N) LoS vectors hbar, unit-modulus entries
+    pilots: np.ndarray  # (K,) each user's pilot index, 0..tau-1
+    serving_sets: tuple  # serving_sets[k] -> sorted np.intp satellite indices
 
     @property
     def num_satellites(self):
@@ -119,13 +93,17 @@ class Scenario:
     def num_antennas(self):
         return self.config.num_antennas
 
-    def link(self, m, k):
-        return self.links[m][k]
+    @property
+    def rician_scale(self):
+        """a = beta / (Kbar + 1), (M, K); link (m, k)'s covariance is
+        R = a Delta."""
+        return self.beta / (self.rician + 1.0)
 
-    def link_array(self, name):
-        """Every link's attribute `name` as one (M, K, ...) array."""
-        return np.array([[getattr(lk, name) for lk in row]
-                         for row in self.links])
+    @cached_property
+    def cohort(self):
+        """(K, K) bool: cohort[k, k'] where k' shares k's pilot (k' = k
+        included)."""
+        return np.equal.outer(self.pilots, self.pilots)
 
     def subband_noise(self, bandwidth):
         return noise_power(bandwidth, self.config)
@@ -158,11 +136,12 @@ class Scenario:
         return RateContext(self)
 
     def with_rician(self, kbar):
-        """Copy with every link's Rician factor replaced (for sweeps)."""
-        links = tuple(tuple(replace(link, rician=float(kbar)) for link in row)
-                      for row in self.links)
-        return Scenario(config=self.config, links=links, pilots=self.pilots,
-                        serving_sets=self.serving_sets)
+        """Copy with every link's Rician factor set to kbar (for sweeps).
+        Delta depends only on the config, which the copy keeps, so the
+        copy shares this scenario's correlation."""
+        copy = replace(self, rician=np.full(self.rician.shape, float(kbar)))
+        vars(copy)["correlation"] = self.correlation
+        return copy
 
 
 def build_scenario(config, rng=None):
@@ -176,34 +155,24 @@ def build_scenario(config, rng=None):
         rng = np.random.default_rng(config.rng_seed)
     M, K = config.num_satellites, config.num_users
     table = config.rician_table
-    rows = []
+    beta, rician = np.empty((M, K)), np.empty((M, K))
+    los = np.empty((M, K, config.num_antennas), dtype=complex)
     for m in range(M):
-        row = []
         for k in range(K):
             elev_deg = rng.uniform(config.elevation_min_deg,
                                    config.elevation_max_deg)
             azim = rng.uniform(0.0, 2.0 * math.pi)
             elev = math.radians(elev_deg)
-            dist = slant_range(elev, config.altitude)
-            beta = path_gain(dist, config)
+            beta[m, k] = path_gain(slant_range(elev, config.altitude), config)
             if config.rician_override is not None:
-                kbar = float(config.rician_override)
+                rician[m, k] = config.rician_override
             else:
-                kbar = table.lookup(elev_deg)
-            los = steering_vector(elev, azim, config.antennas_x,
-                                  config.antennas_y,
-                                  config.antenna_spacing_ratio)
-            row.append(
-                LinkStats(beta=beta, rician=kbar, elevation=elev, azimuth=azim,
-                          distance=dist, los_vector=los)
-            )
-        rows.append(tuple(row))
-    links = tuple(rows)
+                rician[m, k] = table.lookup(elev_deg)
+            los[m, k] = steering_vector(elev, azim, config.antennas_x,
+                                        config.antennas_y,
+                                        config.antenna_spacing_ratio)
     pilots = assign_pilots_random(K, config.pilot_length, rng)
-    serving = tuple(
-        select_serving_satellites([links[m][k].beta for m in range(M)],
-                                  config.cluster_size)
-        for k in range(K)
-    )
-    return Scenario(config=config, links=links, pilots=pilots,
-                    serving_sets=serving)
+    serving = tuple(select_serving_satellites(beta[:, k], config.cluster_size)
+                    for k in range(K))
+    return Scenario(config=config, beta=beta, rician=rician, los=los,
+                    pilots=pilots, serving_sets=serving)

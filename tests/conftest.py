@@ -1,6 +1,5 @@
-import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -8,12 +7,7 @@ import pytest
 
 from dmimo.channel import Correlation, correlation_matrix
 from dmimo.config import SystemConfig
-from dmimo.scenario import (
-    LinkStats,
-    PilotAssignment,
-    Scenario,
-    build_scenario,
-)
+from dmimo.scenario import Scenario, build_scenario
 
 
 # Config fields that make the full-band noise power exactly 1:
@@ -35,7 +29,7 @@ def make_scenario(seed=0, **kw):
     return build_scenario(cfg, np.random.default_rng(seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaScenario(Scenario):
     """A scenario whose links share the correlation `delta` in place of the
     config's (for a complex Hermitian Delta, which no config gives)."""
@@ -49,7 +43,8 @@ class DeltaScenario(Scenario):
 
 def with_correlation(scenario, delta):
     """`scenario` with every link's correlation set to `delta`."""
-    return DeltaScenario(config=scenario.config, links=scenario.links,
+    return DeltaScenario(config=scenario.config, beta=scenario.beta,
+                         rician=scenario.rician, los=scenario.los,
                          pilots=scenario.pilots,
                          serving_sets=scenario.serving_sets, delta=delta)
 
@@ -67,6 +62,12 @@ def dense_delta(scenario):
     cfg = scenario.config
     return correlation_matrix(cfg.correlation.kind, cfg.num_antennas,
                               cfg.correlation.r)
+
+
+def pilot_cohort(scenario, k):
+    """The users that share user k's pilot, k included, in increasing
+    order."""
+    return np.flatnonzero(scenario.pilots == scenario.pilots[k])
 
 
 # The dense MMSE statistics, each an N x N matrix per link: the reference
@@ -89,8 +90,8 @@ def cohort_psi(scenario, m, k):
     power, as the scenario's estimation statistics use it."""
     cfg = scenario.config
     delta = dense_delta(scenario)
-    covs = [scenario.link(m, j).rician_scale * delta
-            for j in scenario.pilots.cohort(k)]
+    covs = [scenario.rician_scale[m, j] * delta
+            for j in pilot_cohort(scenario, k)]
     return psi_matrix(covs, cfg.pilot_length, [cfg.pilot_power] * len(covs),
                       scenario.fullband_noise)
 
@@ -102,7 +103,7 @@ def dense_stats(scenario, m, k):
     """Link (m, k)'s covariance R = a Delta, filter R Psi, estimate
     covariance C = tau p R Psi R and error covariance E = R - C."""
     cfg = scenario.config
-    r = scenario.link(m, k).rician_scale * dense_delta(scenario)
+    r = scenario.rician_scale[m, k] * dense_delta(scenario)
     rpsi = r @ cohort_psi(scenario, m, k)
     c = cfg.pilot_length * cfg.pilot_power * (rpsi @ r)
     return DenseStats(R=r, rpsi=rpsi, C=c, E=r - c)
@@ -115,9 +116,8 @@ def dense_stats(scenario, m, k):
 
 def los_mean(scenario):
     """Every link's LoS mean sqrt(Kbar a) hbar, (M, K, N)."""
-    kbar_a = scenario.link_array("rician") \
-        * scenario.link_array("rician_scale")
-    return np.sqrt(kbar_a)[:, :, None] * scenario.link_array("los_vector")
+    kbar_a = scenario.rician * scenario.rician_scale
+    return np.sqrt(kbar_a)[:, :, None] * scenario.los
 
 
 def reference_channel(scenario, z):
@@ -125,7 +125,7 @@ def reference_channel(scenario, z):
     CN(0, I) draw z, shaped (..., M, K, N)."""
     vals, vecs = np.linalg.eigh(dense_delta(scenario))
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    scale = np.sqrt(scenario.link_array("rician_scale"))[:, :, None]
+    scale = np.sqrt(scenario.rician_scale)[:, :, None]
     return los_mean(scenario) \
         + scale * np.einsum("ij,...j->...i", root, z)
 
@@ -140,9 +140,9 @@ def reference_estimates(scenario, h, noise):
     hhat = np.empty_like(h)
     for m in range(scenario.num_satellites):
         for k in range(scenario.num_users):
-            obs = noise[:, m, scenario.pilots.pilot_index[k], :] + sum(
+            obs = noise[:, m, scenario.pilots[k], :] + sum(
                 sqrt_tp * (h[:, m, j, :] - mean[m, j])
-                for j in scenario.pilots.cohort(k))
+                for j in pilot_cohort(scenario, k))
             filt = sqrt_tp * dense_stats(scenario, m, k).rpsi
             hhat[:, m, k, :] = mean[m, k] + obs @ filt.T
     return hhat
@@ -157,44 +157,51 @@ def dense_rate_context(scenario):
     gamma = np.zeros((M, K))
     q1, q2, q3, tmat = (np.zeros((M, K, K)) for _ in range(4))
     smat = np.zeros((M, K, K), dtype=complex)
+    kbar_a = scenario.rician * scenario.rician_scale
     for m in range(M):
         dense = [dense_stats(scenario, m, k) for k in range(K)]
         for k in range(K):
-            lk = scenario.link(m, k)
             ck, rpsik = dense[k].C, dense[k].rpsi
-            gamma[m, k] = float(np.trace(ck).real) \
-                + lk.rician * lk.rician_scale * N
+            gamma[m, k] = float(np.trace(ck).real) + kbar_a[m, k] * N
             for kp in range(K):
-                lkp = scenario.link(m, kp)
                 rkp = dense[kp].R
-                hk, hkp = lk.los_vector, lkp.los_vector
+                hk, hkp = scenario.los[m, k], scenario.los[m, kp]
                 q1[m, k, kp] = float((hkp.conj() @ ck @ hkp).real) \
-                    * lkp.rician * lkp.rician_scale
+                    * kbar_a[m, kp]
                 q2[m, k, kp] = float((hk.conj() @ rkp @ hk).real) \
-                    * lk.rician * lk.rician_scale
+                    * kbar_a[m, k]
                 q3[m, k, kp] = float(np.trace(rkp @ ck).real)
                 tmat[m, k, kp] = float(np.trace(rpsik @ rkp).real)
-                smat[m, k, kp] = np.sqrt(lk.rician * lk.rician_scale) \
-                    * np.sqrt(lkp.rician * lkp.rician_scale) \
-                    * (hk.conj() @ hkp)
+                smat[m, k, kp] = np.sqrt(kbar_a[m, k]) \
+                    * np.sqrt(kbar_a[m, kp]) * (hk.conj() @ hkp)
     return {"gamma": gamma, "q1": q1, "q2": q2, "q3": q3, "tmat": tmat,
             "smat": smat}
 
 
-def manual_link(beta, rician, los):
-    return LinkStats(
-        beta=beta, rician=rician, elevation=math.radians(30.0),
-        azimuth=0.0, distance=550e3, los_vector=np.asarray(los, dtype=complex),
-    )
-
-
-def manual_scenario(config, links, pilots, serving_sets):
+def manual_scenario(config, beta, rician, los, pilots, serving_sets):
+    """A Scenario given by hand: (M, K) gains and Rician factors, (M, K, N)
+    LoS vectors, each user's pilot and serving set."""
     return Scenario(
-        config=config,
-        links=tuple(tuple(row) for row in links),
-        pilots=PilotAssignment(pilot_index=tuple(pilots)),
-        serving_sets=tuple(frozenset(s) for s in serving_sets),
+        config=config, beta=np.asarray(beta, dtype=float),
+        rician=np.asarray(rician, dtype=float),
+        los=np.asarray(los, dtype=complex), pilots=np.asarray(pilots),
+        serving_sets=tuple(np.array(sorted(s), dtype=np.intp)
+                           for s in serving_sets),
     )
+
+
+def clone_user(scenario, k, into):
+    """`scenario` with user `into`'s links and serving set copied from
+    user k's; the pilots stay."""
+    arrays = [a.copy() for a in (scenario.beta, scenario.rician,
+                                 scenario.los)]
+    for a in arrays:
+        a[:, into] = a[:, k]
+    sets = list(scenario.serving_sets)
+    sets[into] = sets[k]
+    beta, rician, los = arrays
+    return replace(scenario, beta=beta, rician=rician, los=los,
+                   serving_sets=tuple(sets))
 
 
 @pytest.fixture
@@ -207,8 +214,8 @@ def scalar_scenario():
         num_subbands=1, pilot_length=1, pilot_power=1.0, cluster_size=1,
         subband_capacity=2, **UNIT_NOISE,
     )
-    links = [[manual_link(2.0, 1.0, [1.0]), manual_link(0.0, 1.0, [1.0])]]
-    return manual_scenario(cfg, links, pilots=(0, 0),
+    return manual_scenario(cfg, beta=[[2.0, 0.0]], rician=[[1.0, 1.0]],
+                           los=[[[1.0], [1.0]]], pilots=(0, 0),
                            serving_sets=[{0}, {0}])
 
 

@@ -5,22 +5,24 @@ full run doubles as a checklist.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
     UNIT_NOISE,
+    clone_user,
     complex_delta,
     make_scenario,
-    manual_link,
     manual_scenario,
     with_correlation,
 )
 from dmimo.config import CorrelationModel, SystemConfig
 from dmimo.estimation import mse, nmse
 from dmimo.gp import GpProblem, solve_gp
-from dmimo.harness import ExperimentSpec, run_experiment
+from dmimo.harness import ExperimentSpec, benchmark_arm_rates, run_experiment
 from dmimo.optimizer import (
     build_sca_subproblem,
     monomial_bound,
@@ -39,7 +41,6 @@ from dmimo.rate import (
     sinr_lower_bound,
     sum_rate,
 )
-from dmimo.scenario import PilotAssignment, Scenario
 from dmimo.scheduler import (
     dsatur_color,
     exhaustive_schedule,
@@ -172,14 +173,12 @@ def test_criterion_03_estimation_statistics():
         # default noise temperature
         sc = make_scenario(seed=11, pilot_length=5, pilot_power=1.0)
         cfg = sc.config
-        quiet = Scenario(config=cfg.replace(
-                             noise_temperature=cfg.noise_temperature * 1e-8),
-                         links=sc.links,
-                         pilots=PilotAssignment(pilot_index=tuple(range(K))),
-                         serving_sets=sc.serving_sets)
+        quiet = replace(sc, config=cfg.replace(
+                            noise_temperature=cfg.noise_temperature * 1e-8),
+                        pilots=np.arange(K))
         assert quiet.fullband_noise == pytest.approx(sc.fullband_noise * 1e-8)
         sc = quiet
-        assert all(len(sc.pilots.cohort(k)) == 1 for k in range(K))
+        np.testing.assert_array_equal(sc.cohort, np.eye(K, dtype=bool))
         sc = sc.with_rician(1.0)
         for m in range(M):
             for k in range(K):
@@ -191,8 +190,8 @@ def test_criterion_03_estimation_statistics():
             num_subbands=1, pilot_length=1, pilot_power=1.0, cluster_size=1,
             subband_capacity=2, **UNIT_NOISE,
         )
-        links = [[manual_link(2.0, 1.0, [1.0]), manual_link(0.0, 1.0, [1.0])]]
-        hand = manual_scenario(cfg, links, pilots=(0, 0),
+        hand = manual_scenario(cfg, beta=[[2.0, 0.0]], rician=[[1.0, 1.0]],
+                               los=[[[1.0], [1.0]]], pilots=(0, 0),
                                serving_sets=[{0}, {0}])
         assert hand.fullband_noise == 1.0
         assert nmse(hand, 0, 0) == pytest.approx(0.5, abs=1e-12)
@@ -435,14 +434,7 @@ def test_criterion_09_bandwidth_stage():
         # symmetric instance: user 1 is an exact clone of user 0
         sc = make_scenario(seed=41, num_users=3, num_subbands=2,
                            pilot_length=3, subband_capacity=3)
-        links = [list(row) for row in sc.links]
-        for m in range(sc.num_satellites):
-            links[m][1] = links[m][0]
-        sets = list(sc.serving_sets)
-        sets[1] = sets[0]
-        sym = Scenario(config=sc.config,
-                       links=tuple(tuple(r) for r in links),
-                       pilots=sc.pilots, serving_sets=tuple(sets))
+        sym = clone_user(sc, 0, into=1)
         alloc = AllocationState(
             groups=[[0], [1]],
             bandwidths=[sym.config.total_bandwidth / 2] * 2,
@@ -510,6 +502,28 @@ def test_criterion_10_benchmark(tmp_path):
             assert means[(K, "proposed")] > means[(K, "benchmark1")]
             assert means[(K, "proposed")] > means[(K, "benchmark2")]
         assert per_user[(8, "proposed")] < per_user[(6, "proposed")]
+
+    _report(10, body)
+
+
+# The AO's margin over the better fixed-weight arm, proposed / max(arms) - 1,
+# on configs/interference-limited.json (the default config at 20 W). Over
+# the first 32 systems of the benchmark experiment's seed-0 streams it was
+# at least 10.96% (median 18.6%) at K = 6 and at least 4.39% (median 22.1%)
+# at K = 8; each bound sits just below that minimum. At the default 0.2 W
+# the same systems gave medians of 0.09% and 0.49%.
+INTERFERENCE_LIMITED_MARGIN = {6: 0.10, 8: 0.04}
+
+
+def test_criterion_10_gain_where_interference_limited():
+    def body():
+        cfg = SystemConfig.from_json(Path(__file__).resolve().parents[1]
+                                     / "configs" / "interference-limited.json")
+        assert cfg == SystemConfig().replace(max_power=20.0)
+        for K, margin in INTERFERENCE_LIMITED_MARGIN.items():
+            for s, (proposed, *arms) in enumerate(
+                    benchmark_arm_rates(cfg, K, 0, 8)):
+                assert proposed > (1.0 + margin) * max(arms), (K, s)
 
     _report(10, body)
 

@@ -102,8 +102,7 @@ def test_pure_los_limit():
     real = sample_channel(sc, np.random.default_rng(0))
     for m in range(sc.num_satellites):
         for k in range(sc.num_users):
-            link = sc.link(m, k)
-            ref = np.sqrt(link.beta) * link.los_vector
+            ref = np.sqrt(sc.beta[m, k]) * sc.los[m, k]
             rel = np.linalg.norm(real.h[m, k] - ref) / np.linalg.norm(
                 real.h[m, k]
             )
@@ -114,7 +113,7 @@ def test_rayleigh_power_moment():
     sc = make_scenario(seed=1, rician_override=0.0)
     h, _ = sample_channel_batch(sc, np.random.default_rng(0), 10000)
     m, k = 0, 0
-    beta = sc.link(m, k).beta
+    beta = sc.beta[m, k]
     power = np.abs(h[:, m, k, :]) ** 2
     per_trial = power.sum(axis=1) / sc.num_antennas
     se = per_trial.std(ddof=1) / np.sqrt(len(per_trial))
@@ -125,16 +124,16 @@ def test_channel_moments_match_statistics():
     sc = make_scenario(seed=2)
     h, _ = sample_channel_batch(sc, np.random.default_rng(5), 20000)
     m, k = 1, 3
-    link = sc.link(m, k)
-    mean = np.sqrt(link.rician * link.rician_scale) * link.los_vector
+    a = sc.rician_scale[m, k]
+    mean = np.sqrt(sc.rician[m, k] * a) * sc.los[m, k]
     emp_mean = h[:, m, k, :].mean(axis=0)
     # per-entry complex variance is a = rician_scale (identity correlation)
-    se = np.sqrt(link.rician_scale / h.shape[0])
+    se = np.sqrt(a / h.shape[0])
     assert np.abs(emp_mean - mean).max() < 5 * se
     centered = h[:, m, k, :] - mean
     emp_cov_diag = (np.abs(centered) ** 2).mean(axis=0)
     np.testing.assert_allclose(
-        emp_cov_diag, link.rician_scale * np.diag(dense_delta(sc)), rtol=0.05
+        emp_cov_diag, a * np.diag(dense_delta(sc)), rtol=0.05
     )
 
 

@@ -14,8 +14,8 @@ from conftest import (
     dense_stats,
     los_mean,
     make_scenario,
-    manual_link,
     manual_scenario,
+    pilot_cohort,
     psi_matrix,
     reference_channel,
     reference_estimates,
@@ -30,7 +30,7 @@ from dmimo.estimation import (
     scenario_estimation_stats,
 )
 from dmimo.rate import RateContext
-from dmimo.scenario import PilotAssignment, Scenario, build_scenario
+from dmimo.scenario import build_scenario
 
 
 def test_psi_scalar_single_user():
@@ -86,12 +86,10 @@ def test_perfect_estimation_limit():
                        num_subbands=2, subband_capacity=3,
                        pilot_power=1.0, rician_override=1.0)
     # force orthogonal pilots, at 1e-8 of the default noise temperature
-    from dmimo.scenario import PilotAssignment, Scenario
     cfg = sc.config
-    quiet = Scenario(config=cfg.replace(
-                         noise_temperature=cfg.noise_temperature * 1e-8),
-                     links=sc.links, pilots=PilotAssignment((0, 1, 2)),
-                     serving_sets=sc.serving_sets)
+    quiet = dataclasses.replace(
+        sc, config=cfg.replace(noise_temperature=cfg.noise_temperature * 1e-8),
+        pilots=np.array([0, 1, 2]))
     assert quiet.fullband_noise == pytest.approx(sc.fullband_noise * 1e-8)
     sc = quiet
     for m in range(sc.num_satellites):
@@ -109,8 +107,7 @@ def test_estimate_second_moment_matches_C():
     h, _ = sample_channel_batch(sc, np.random.default_rng(2), 20000)
     hhat, _ = estimate_batch(sc, h, np.random.default_rng(3))
     m, k = 0, 1
-    link = sc.link(m, k)
-    mean = np.sqrt(link.rician * link.rician_scale) * link.los_vector
+    mean = np.sqrt(sc.rician[m, k] * sc.rician_scale[m, k]) * sc.los[m, k]
     centered = hhat[:, m, k, :] - mean
     emp = (np.abs(centered) ** 2).sum(axis=1)
     closed = stats.est_cov[m, k].sum()
@@ -128,8 +125,7 @@ def test_mmse_orthogonality():
     hhat, _ = estimate_batch(sc, h, np.random.default_rng(5))
     m, k = 1, 2
     err = h[:, m, k, :] - hhat[:, m, k, :]
-    link = sc.link(m, k)
-    mean = np.sqrt(link.rician * link.rician_scale) * link.los_vector
+    mean = np.sqrt(sc.rician[m, k] * sc.rician_scale[m, k]) * sc.los[m, k]
     cross = ((hhat[:, m, k, :] - mean).conj() * err).sum(axis=1)
     se = np.abs(cross).std(ddof=1) / np.sqrt(len(cross))
     assert abs(cross.mean()) < 3 * se
@@ -161,8 +157,9 @@ def test_nmse_degenerate_zero_covariance():
         num_subbands=1, pilot_length=1, pilot_power=1.0, cluster_size=1,
         subband_capacity=2, **UNIT_NOISE,
     )
-    links = [[manual_link(0.0, 1.0, [1.0]), manual_link(0.0, 1.0, [1.0])]]
-    sc = manual_scenario(cfg, links, pilots=(0, 1), serving_sets=[{0}, {0}])
+    sc = manual_scenario(cfg, beta=[[0.0, 0.0]], rician=[[1.0, 1.0]],
+                         los=[[[1.0], [1.0]]], pilots=(0, 1),
+                         serving_sets=[{0}, {0}])
     assert nmse(sc, 0, 0) == 1.0
 
 
@@ -225,9 +222,9 @@ def _estimate_per_user(scenario, h_batch, noise, stats):
     hhat = np.empty_like(h_batch)
     for m in range(scenario.num_satellites):
         for k in range(scenario.num_users):
-            t = scenario.pilots.pilot_index[k]
+            t = scenario.pilots[k]
             resid = noise[:, m, t, :].copy()
-            for j in scenario.pilots.cohort(k):
+            for j in pilot_cohort(scenario, k):
                 resid += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
             hhat[:, m, k, :] = mean[m, k] \
                 + resid * (sqrt_tp * stats.filt[m, k])
@@ -277,13 +274,10 @@ def test_spectral_statistics_match_dense_reference(
         antennas_x=side, antennas_y=side, correlation=model,
         noise_temperature=290.0 * (1e-4 if quiet else 1.0), rng_seed=seed)
     built = build_scenario(cfg)
-    sc = Scenario(config=cfg, links=built.links,
-                  pilots=PilotAssignment(tuple(k % tau
-                                               for k in range(num_users))),
-                  serving_sets=built.serving_sets)
+    sc = dataclasses.replace(built, pilots=np.arange(num_users) % tau)
     if correlation == "complex":
         sc = with_correlation(sc, complex_delta(sc.num_antennas))
-    assert min(len(sc.pilots.cohort(k)) for k in range(num_users)) >= 2
+    assert min(len(pilot_cohort(sc, k)) for k in range(num_users)) >= 2
 
     ctx = RateContext(sc)
     for name, ref in dense_rate_context(sc).items():

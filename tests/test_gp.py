@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ import dmimo.optimizer
 from conftest import make_scenario
 from dmimo.optimizer import build_sca_subproblem, feasibility_check
 from dmimo.rate import equal_split_allocation, sinr_all
-from dmimo.scenario import Scenario
 from dmimo.gp import (
     GpInfeasibleError,
     GpProblem,
@@ -193,9 +194,7 @@ def test_memoized_solve_matches_fresh_callbacks(monkeypatch):
     stacked log-sum-exp is evaluated once per distinct point."""
     problems = _captured_problems()
     sc = make_scenario(seed=3)
-    floored = Scenario(config=sc.config.replace(rate_requirement=2e5),
-                       links=sc.links, pilots=sc.pilots,
-                       serving_sets=sc.serving_sets)
+    floored = replace(sc, config=sc.config.replace(rate_requirement=2e5))
     captured = []
     monkeypatch.setattr(dmimo.optimizer, "solve_gp",
                         lambda p, x0: captured.append((p, x0)) or solve_gp(

@@ -1,12 +1,13 @@
 import csv
 import json
+import subprocess
 import types
 
 import numpy as np
 import pytest
 
 import dmimo.harness
-from dmimo.config import SystemConfig
+from dmimo.config import ConfigError, CorrelationModel, SystemConfig
 from dmimo.optimizer import InfeasibleError
 from dmimo.rate import MIN_TRIALS
 from dmimo.harness import (
@@ -60,6 +61,52 @@ def test_cli_rejects_unusable_trials(name, trials, tmp_path, capsys):
     assert exit_.value.code == 2
     assert "needs trials >=" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, trials", [("nmse-sweep", 2),
+                                          ("bound-validate", MIN_TRIALS)])
+def test_rician_sweep_makes_one_eigh(name, trials, tmp_path, monkeypatch):
+    """A Rician sweep decomposes Delta once: it depends only on the config,
+    which every swept copy of the scenario keeps."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kw):
+        calls.append(a.shape)
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cfg = SystemConfig(correlation=CorrelationModel("exponential", 0.7))
+    run_experiment(ExperimentSpec(name=name, config=cfg, seed=0,
+                                  trials=trials, out_dir=tmp_path))
+    assert calls == [(16, 16)]
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file"),
+    ("{\"num_users\": 4,", "Expecting"),
+    ('{"num_users": 4, "max_powr": 1.0, "bogus": 0}',
+     "unknown config fields: bogus, max_powr"),
+    ('{"num_users": 4, "pilot_length": 5}', "tau <= K"),
+])
+def test_cli_reports_a_bad_config(text, message, tmp_path, capsys):
+    """A missing file, invalid JSON, an unknown field and an invalid
+    config each end in a usage error that names the file, not in a
+    traceback."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exit_:
+        main(["nmse-sweep", "--config", str(path), "--out", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--config {path}: " in err and message in err
+    assert not out.exists()
+
+
+def test_config_rejects_unknown_fields():
+    with pytest.raises(ConfigError, match="unknown config fields: x$"):
+        SystemConfig.from_dict({**SystemConfig().to_dict(), "x": 1})
+    assert SystemConfig.from_dict(SystemConfig().to_dict()) == SystemConfig()
 
 
 def test_write_csv_rfc4180(tmp_path):
@@ -302,6 +349,24 @@ def test_cli_config_roundtrip(tmp_path):
 def test_build_identifier_stable():
     assert build_identifier() == build_identifier()
     assert build_identifier()
+
+
+def test_build_identifier_ignores_the_working_directory(tmp_path,
+                                                        monkeypatch):
+    """Run from inside another git repository, the tag still describes
+    the checkout that holds the package."""
+    tag = build_identifier()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "x"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True,
+                       capture_output=True)
+    other = subprocess.run(["git", "describe", "--always", "--dirty",
+                            "--tags"], cwd=tmp_path, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    assert other and other != tag
+    monkeypatch.chdir(tmp_path)
+    assert build_identifier() == tag
 
 
 @pytest.mark.parametrize("name, trials, extras", [

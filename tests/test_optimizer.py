@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import dmimo.optimizer
 from conftest import (
     AO_PAPER_FLOOR,
+    clone_user,
     make_scenario,
-    manual_link,
     manual_scenario,
 )
 from dmimo.config import SystemConfig
@@ -45,7 +46,7 @@ from dmimo.rate import (
     sinr_lower_bound,
     sum_rate,
 )
-from dmimo.scenario import Scenario, build_scenario
+from dmimo.scenario import build_scenario
 from dmimo.scheduler import Schedule, schedule_users, validate_schedule
 
 LN2 = math.log(2.0)
@@ -139,8 +140,7 @@ def single_user_scenario(rate_requirement=0.0):
                        num_subbands=1, pilot_length=2, subband_capacity=2)
     if rate_requirement:
         cfg = sc.config.replace(rate_requirement=rate_requirement)
-        sc = Scenario(config=cfg, links=sc.links, pilots=sc.pilots,
-                      serving_sets=sc.serving_sets)
+        sc = replace(sc, config=cfg)
     return sc
 
 
@@ -468,9 +468,7 @@ def test_gp_rows_match_per_user_reference(seed, draw, bands):
     """SCA and feasibility rows (chi at the SINR, and chi = 1) at random
     schedules, powers and weights, with a rate floor set."""
     base = _rows_scenario(seed)
-    sc = Scenario(config=base.config.replace(rate_requirement=2e4),
-                  links=base.links, pilots=base.pilots,
-                  serving_sets=base.serving_sets)
+    sc = replace(base, config=base.config.replace(rate_requirement=2e4))
     K, M = sc.num_users, sc.num_satellites
     rng = np.random.default_rng(draw)
     groups = [sorted(g.tolist())
@@ -503,10 +501,11 @@ def test_gp_rows_match_reference_with_unequal_serving_sets():
                        antennas_y=1, num_subbands=2, pilot_length=3,
                        cluster_size=1, subband_capacity=3,
                        rate_requirement=1e4)
-    los = [[1.0, 1.0], [1.0, -1.0], [1.0, 1j], [-1.0, 1j]]
-    links = [[manual_link(1e-12 * (1 + m + k), 2.0 + m, los[(m + k) % 4])
-              for k in range(4)] for m in range(3)]
-    sc = manual_scenario(cfg, links, pilots=(0, 1, 0, 2),
+    los = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1j], [-1.0, 1j]])
+    m, k = np.ogrid[:3, :4]
+    sc = manual_scenario(cfg, beta=1e-12 * (1 + m + k),
+                         rician=np.broadcast_to(2.0 + m, (3, 4)),
+                         los=los[(m + k) % 4], pilots=(0, 1, 0, 2),
                          serving_sets=[{0}, {0, 1, 2}, {1, 2}, {2, 0}])
     for groups in ([[0, 1, 2], [3]], [[3, 1], [2, 0]]):
         alloc = equal_split_allocation(sc, groups=groups)
@@ -553,14 +552,7 @@ def symmetric_two_band_scenario():
     """User 1 is an exact copy of user 0 (cloned links), one per band."""
     sc = make_scenario(seed=41, num_users=3, num_subbands=2, pilot_length=3,
                        subband_capacity=3)
-    links = [list(row) for row in sc.links]
-    for m in range(sc.num_satellites):
-        links[m][1] = links[m][0]
-    sets = list(sc.serving_sets)
-    sets[1] = sets[0]
-    return Scenario(config=sc.config,
-                    links=tuple(tuple(r) for r in links),
-                    pilots=sc.pilots, serving_sets=tuple(sets))
+    return clone_user(sc, 0, into=1)
 
 
 def _min_bandwidth_reference(a, b, c, req, total):
@@ -625,8 +617,7 @@ def test_bandwidth_objective_trace_monotone(default_scenario):
 def test_bandwidth_infeasible_floors():
     sc = make_scenario(seed=2)
     cfg = sc.config.replace(rate_requirement=1e9)  # far above capacity
-    sc = Scenario(config=cfg, links=sc.links, pilots=sc.pilots,
-                  serving_sets=sc.serving_sets)
+    sc = replace(sc, config=cfg)
     with pytest.raises(InfeasibleError):
         optimize_bandwidth(sc, equal_split_allocation(sc))
 
@@ -703,9 +694,7 @@ def test_unattainable_floor_is_reported(seed, phi):
 
 def test_attainable_floor_reports_margin(default_scenario):
     sc = default_scenario
-    floored = Scenario(config=sc.config.replace(rate_requirement=5e4),
-                       links=sc.links, pilots=sc.pilots,
-                       serving_sets=sc.serving_sets)
+    floored = replace(sc, config=sc.config.replace(rate_requirement=5e4))
     res = alternating_optimize(floored, np.random.default_rng(1))
     assert res.allocation.feasible and res.allocation.phi >= 1.0
     assert sinr_all(floored, res.allocation).rate.min() >= 5e4 * (1 - 1e-9)

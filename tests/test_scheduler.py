@@ -66,7 +66,7 @@ def test_correlation_identical_users(default_scenario):
     est = fake_estimates(sc, np.random.default_rng(0))
     est[:, 1, :] = est[:, 0, :]
     # identical serving sets required for the rho=2 hand case
-    if sc.serving_sets[0] == sc.serving_sets[1]:
+    if np.array_equal(sc.serving_sets[0], sc.serving_sets[1]):
         assert correlation_factor(sc, est, 0, 1) == pytest.approx(2.0)
         assert correlation_matrix_rho(sc, est)[0, 1] == pytest.approx(2.0)
     clone = est.copy()
@@ -82,11 +82,9 @@ def test_correlation_clone_scenario():
     est = fake_estimates(sc, np.random.default_rng(1))
     est[:, 1, :] = est[:, 0, :]
     # force identical serving sets via direct scenario surgery
-    from dmimo.scenario import Scenario
     sets = list(sc.serving_sets)
     sets[1] = sets[0]
-    sc = Scenario(config=sc.config, links=sc.links, pilots=sc.pilots,
-                  serving_sets=tuple(sets))
+    sc = dataclasses.replace(sc, serving_sets=tuple(sets))
     assert correlation_factor(sc, est, 0, 1) == pytest.approx(2.0)
     assert correlation_matrix_rho(sc, est)[0, 1] == pytest.approx(2.0)
 
