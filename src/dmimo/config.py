@@ -2,12 +2,15 @@
 elevation-to-Rician-factor table.
 
 All powers are linear watts, gains are dBi, and the Rician factors in the
-lookup table are linear (not dB).
+table are linear (not dB). A config is checked when it is built, so a bad
+value fails at load rather than partway through a run.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -23,56 +26,36 @@ def db_to_linear(x_db):
     return 10.0 ** (x_db / 10.0)
 
 
-@dataclass(frozen=True)
-class RicianTableRow:
-    min_deg: float
-    max_deg: float
-    k_linear: float
-
-
-@dataclass(frozen=True)
-class RicianTable:
-    """Piecewise-constant elevation (degrees) -> linear Rician factor map.
-
-    Rows cover half-open ranges [min_deg, max_deg); the numeric content is
-    operator-supplied external data.
-    """
-
-    rows: tuple[RicianTableRow, ...]
-
-    def lookup(self, elevation_deg):
-        for row in self.rows:
-            if row.min_deg <= elevation_deg < row.max_deg:
-                return row.k_linear
-        raise ConfigError(
-            f"elevation {elevation_deg:.3f} deg outside Rician table coverage"
-        )
-
-    @staticmethod
-    def from_records(records):
-        return RicianTable(
-            rows=tuple(
-                RicianTableRow(r["min_deg"], r["max_deg"], r["k_linear"])
-                for r in records
-            )
-        )
-
-    def to_records(self):
-        return [asdict(r) for r in self.rows]
-
-
 # Default table shipped for convenience; operators supply their own values.
-DEFAULT_RICIAN_RECORDS = [
-    {"min_deg": 0.0, "max_deg": 10.0, "k_linear": 1.8},
-    {"min_deg": 10.0, "max_deg": 20.0, "k_linear": 5.0},
-    {"min_deg": 20.0, "max_deg": 30.0, "k_linear": 10.0},
-    {"min_deg": 30.0, "max_deg": 40.0, "k_linear": 14.0},
-    {"min_deg": 40.0, "max_deg": 50.0, "k_linear": 18.0},
-    {"min_deg": 50.0, "max_deg": 60.0, "k_linear": 22.0},
-    {"min_deg": 60.0, "max_deg": 70.0, "k_linear": 26.0},
-    {"min_deg": 70.0, "max_deg": 80.0, "k_linear": 30.0},
-    {"min_deg": 80.0, "max_deg": 90.001, "k_linear": 35.0},
-]
+# Row (min_deg, max_deg, k_linear) gives elevations in [min_deg, max_deg)
+# the linear Rician factor k_linear.
+RICIAN_KEYS = ("min_deg", "max_deg", "k_linear")
+DEFAULT_RICIAN_RECORDS = (
+    (0.0, 10.0, 1.8),
+    (10.0, 20.0, 5.0),
+    (20.0, 30.0, 10.0),
+    (30.0, 40.0, 14.0),
+    (40.0, 50.0, 18.0),
+    (50.0, 60.0, 22.0),
+    (60.0, 70.0, 26.0),
+    (70.0, 80.0, 30.0),
+    (80.0, 90.001, 35.0),
+)
+
+
+def _is_real(v):
+    """A finite real number, not a bool."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _check_keys(d, allowed, what):
+    """Raise ConfigError unless d is a dict whose keys are all allowed."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, not {d!r}")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +68,17 @@ class CorrelationModel:
     def __post_init__(self):
         if self.kind not in ("identity", "exponential"):
             raise ConfigError(f"unknown correlation model {self.kind!r}")
-        if not (0.0 <= self.r < 1.0):
+        if not (_is_real(self.r) and 0.0 <= self.r < 1.0):
             raise ConfigError("correlation ratio must satisfy 0 <= r < 1")
+
+
+# each field's type by its annotation (a string here), named for messages
+_TYPES = {"int": (numbers.Integral, "an integer"),
+          "float": (numbers.Real, "a finite number"),
+          "float | None": ((numbers.Real, type(None)),
+                           "a finite number or null"),
+          "CorrelationModel": (CorrelationModel, "a CorrelationModel"),
+          "tuple": (tuple, "a tuple of rows")}
 
 
 @dataclass(frozen=True)
@@ -111,9 +103,8 @@ class SystemConfig:
     noise_temperature: float = 290.0  # K
     boltzmann: float = 1.381e-23  # J/K
     correlation: CorrelationModel = field(default_factory=CorrelationModel)
-    rician_records: tuple = tuple(
-        tuple(sorted(r.items())) for r in DEFAULT_RICIAN_RECORDS
-    )
+    # (min_deg, max_deg, k_linear) rows, as DEFAULT_RICIAN_RECORDS
+    rician_records: tuple = DEFAULT_RICIAN_RECORDS
     rician_override: float | None = None  # bypass the table when set (linear)
     altitude: float = 550e3  # m
     elevation_min_deg: float = 20.0
@@ -121,6 +112,12 @@ class SystemConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value, (kind, name) = getattr(self, f.name), _TYPES[f.type]
+            if not isinstance(value, kind) or (
+                    isinstance(value, numbers.Number) and not _is_real(value)):
+                raise ConfigError(f"{f.name} must be {name}, not {value!r}")
+        self._check_rician_rows()
         if self.pilot_length > self.num_users:
             raise ConfigError("pilot length tau must satisfy tau <= K")
         if self.pilot_length < 1:
@@ -131,8 +128,8 @@ class SystemConfig:
             raise ConfigError("sub-band capacity must satisfy 0 < N_max <= K")
         if self.num_subbands * self.subband_capacity < self.num_users:
             raise ConfigError("no feasible partition: I * N_max < K")
-        if self.cluster_size > self.num_satellites:
-            raise ConfigError("cluster size exceeds number of satellites")
+        if not 0 < self.cluster_size <= self.num_satellites:
+            raise ConfigError("cluster size must satisfy 0 < |M_k| <= M")
         for name in ("pilot_power", "max_power", "total_bandwidth",
                      "noise_temperature", "boltzmann", "carrier_frequency",
                      "antenna_spacing_ratio", "altitude"):
@@ -147,9 +144,37 @@ class SystemConfig:
     def num_antennas(self):
         return self.antennas_x * self.antennas_y
 
-    @property
-    def rician_table(self):
-        return RicianTable.from_records([dict(r) for r in self.rician_records])
+    def _check_rician_rows(self):
+        """Rows are three numbers and, without an override, cover every
+        elevation in [elevation_min_deg, elevation_max_deg)."""
+        for i, row in enumerate(self.rician_records):
+            if not (isinstance(row, tuple) and len(row) == 3
+                    and all(map(_is_real, row))):
+                raise ConfigError(
+                    f"rician_records[{i}] must be three finite numbers "
+                    f"(min_deg, max_deg, k_linear), not {row!r}")
+        lo, hi = self.elevation_min_deg, self.elevation_max_deg
+        if lo > hi:
+            raise ConfigError("elevation_min_deg exceeds elevation_max_deg")
+        at, covered = lo, self.rician_override is not None
+        while not covered:
+            reach = max((b for a, b, _ in self.rician_records if a <= at < b),
+                        default=None)
+            if reach is None:
+                raise ConfigError(f"rician_records do not cover elevation "
+                                  f"{at:g} deg of [{lo:g}, {hi:g})")
+            at, covered = reach, reach >= hi
+
+    def rician_factor(self, elevation_deg):
+        """The linear Rician factor at an elevation: the override if set,
+        else k_linear of the row whose [min_deg, max_deg) holds it."""
+        if self.rician_override is not None:
+            return self.rician_override
+        for lo, hi, k_linear in self.rician_records:
+            if lo <= elevation_deg < hi:
+                return k_linear
+        raise ConfigError(f"elevation {elevation_deg:.3f} deg outside "
+                          f"Rician table coverage")
 
     @property
     def noise_density(self):
@@ -165,26 +190,24 @@ class SystemConfig:
 
     def to_dict(self):
         d = asdict(self)
-        d["correlation"] = {"kind": self.correlation.kind, "r": self.correlation.r}
-        d["rician_records"] = self.rician_table.to_records()
+        d["rician_records"] = [dict(zip(RICIAN_KEYS, row))
+                               for row in self.rician_records]
         return d
 
     @staticmethod
     def from_dict(d):
+        _check_keys(d, [f.name for f in fields(SystemConfig)], "config")
         d = dict(d)
-        unknown = sorted(set(d) - {f.name for f in fields(SystemConfig)})
-        if unknown:
-            raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         corr = d.pop("correlation", None)
         if corr is not None:
-            d["correlation"] = CorrelationModel(
-                kind=corr.get("kind", "identity"), r=corr.get("r", 0.0)
-            )
+            _check_keys(corr, ("kind", "r"), "correlation")
+            d["correlation"] = CorrelationModel(**corr)
         records = d.pop("rician_records", None)
-        if records is not None:
-            d["rician_records"] = tuple(
-                tuple(sorted(r.items())) for r in records
-            )
+        if records is not None:  # a missing key reads None, not a number
+            for i, r in enumerate(records):
+                _check_keys(r, RICIAN_KEYS, f"rician_records[{i}]")
+            d["rician_records"] = tuple(tuple(map(r.get, RICIAN_KEYS))
+                                        for r in records)
         return SystemConfig(**d)
 
     @staticmethod

@@ -2,7 +2,8 @@
 emission, and the command-line entry point.
 
 Every experiment is a pure function of (config, seed): re-running with the
-same inputs produces byte-identical CSV.
+same inputs produces byte-identical CSV. A CSV holds results only; the
+build tag, versions and wall-clock times go to ``run-manifest.json``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -39,9 +41,6 @@ from .rate import (
 from .scenario import build_scenario
 from .scheduler import exhaustive_schedule, schedule_users
 
-EXPERIMENTS = ("nmse-sweep", "bound-validate", "schedule-compare",
-               "convergence", "benchmark")
-
 RICIAN_GRID = (1.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 NMSE_GRID = (1.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1e3, 1e4)
 
@@ -59,9 +58,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
-        # the Monte Carlo engine's floor; two samples for a standard error
-        floor = {"bound-validate": MIN_TRIALS, "nmse-sweep": 2}.get(
-            self.name, 1)
+        floor = EXPERIMENTS[self.name].min_trials
         if self.trials < floor:
             raise ValueError(f"{self.name} needs trials >= {floor}")
         self.out_dir = Path(self.out_dir)
@@ -97,14 +94,14 @@ def _fmt(v):
     return v
 
 
-def write_manifest(spec, build, extra=None):
+def write_manifest(spec, extra=None):
     manifest = {
         "experiment": spec.name,
         "seed": spec.seed,
         "trials": spec.trials,
         "paper_scale": spec.paper_scale,
         "config": spec.config.to_dict(),
-        "build": build,
+        "build": build_identifier(),
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -120,7 +117,7 @@ def write_manifest(spec, build, extra=None):
     return path
 
 
-def write_outputs(spec, build, header, rows, title, xlabel, ylabel, plots,
+def write_outputs(spec, header, rows, title, xlabel, ylabel, plots,
                   logx=False, extra=None):
     """Write the experiment's CSV, its gnuplot script and the manifest;
     returns the CSV path."""
@@ -128,7 +125,7 @@ def write_outputs(spec, build, header, rows, title, xlabel, ylabel, plots,
     write_csv(path, header, rows)
     write_plot_script(path.with_suffix(".gp"), path.name, title, xlabel,
                       ylabel, plots, logx)
-    write_manifest(spec, build, extra)
+    write_manifest(spec, extra)
     return path
 
 
@@ -174,7 +171,6 @@ def run_nmse_sweep(spec):
     """Closed-form vs Monte Carlo estimation error across Rician factors."""
     cfg = _paper_scale(spec.config, spec.paper_scale)
     base = build_scenario(cfg, np.random.default_rng(spec.seed))
-    build = build_identifier()
     rows = []
     grid = spec.extras.get("rician_grid", NMSE_GRID)
     rngs = _spawn_rngs(spec.seed, len(grid))
@@ -189,20 +185,20 @@ def run_nmse_sweep(spec):
         per_trial_mse = err.sum(axis=3).mean(axis=(1, 2))
         tr_r = np.mean(sc.estimation_stats.cov.sum(axis=2))
         rows.append([
-            spec.seed, build, kbar,
+            spec.seed, kbar,
             float(mse_cf), float(per_trial_mse.mean()),
             float(per_trial_mse.std(ddof=1) / np.sqrt(spec.trials)),
             float(nmse_cf), float(per_trial_mse.mean() / tr_r),
             float(per_trial_mse.std(ddof=1) / np.sqrt(spec.trials) / tr_r),
         ])
-    header = ["seed", "build", "rician_factor", "mse_closed", "mse_mc",
-              "mse_se", "nmse_closed", "nmse_mc", "nmse_se"]
+    header = ["seed", "rician_factor", "mse_closed", "mse_mc", "mse_se",
+              "nmse_closed", "nmse_mc", "nmse_se"]
     return write_outputs(
-        spec, build, header, rows,
+        spec, header, rows,
         "Channel estimation error vs Rician factor", "Rician factor",
         "error power",
-        [("3:4", "MSE closed form"), ("3:5", "MSE Monte Carlo"),
-         ("3:7", "NMSE closed form"), ("3:8", "NMSE Monte Carlo")],
+        [("2:3", "MSE closed form"), ("2:4", "MSE Monte Carlo"),
+         ("2:6", "NMSE closed form"), ("2:7", "NMSE Monte Carlo")],
         logx=True,
     )
 
@@ -215,7 +211,6 @@ def run_bound_validation(spec):
     power = spec.extras.get("data_power", 10.0)
     cfg = cfg.replace(max_power=power, pilot_power=power)
     base = build_scenario(cfg, np.random.default_rng(spec.seed))
-    build = build_identifier()
     grid = spec.extras.get("rician_grid", RICIAN_GRID)
     rngs = _spawn_rngs(spec.seed, len(grid))
     rows = []
@@ -230,16 +225,16 @@ def run_bound_validation(spec):
             denom = sum(t[1] for t in rep.terms.values())
             bw = alloc.bandwidths[alloc.band_of(k)]
             bound_mc += bw * np.log2(1.0 + rep.ds_closed / denom)
-        rows.append([spec.seed, build, kbar, lb, mc.sum_rate,
-                     mc.sum_rate_se, float(bound_mc)])
-    header = ["seed", "build", "rician_factor", "rate_lb", "rate_mc",
-              "rate_mc_se", "rate_bound_mc"]
+        rows.append([spec.seed, kbar, lb, mc.sum_rate, mc.sum_rate_se,
+                     float(bound_mc)])
+    header = ["seed", "rician_factor", "rate_lb", "rate_mc", "rate_mc_se",
+              "rate_bound_mc"]
     return write_outputs(
-        spec, build, header, rows,
+        spec, header, rows,
         "Achievable-rate bound vs Monte Carlo", "Rician factor",
         "sum rate (bit/s)",
-        [("3:4", "closed-form lower bound"), ("3:5", "MC ergodic rate"),
-         ("3:7", "bound from MC terms")],
+        [("2:3", "closed-form lower bound"), ("2:4", "MC ergodic rate"),
+         ("2:6", "bound from MC terms")],
         logx=True,
     )
 
@@ -256,7 +251,6 @@ def run_schedule_compare(spec):
     """Heuristic scheduler vs exhaustive search vs shared-band baseline.
 
     Wall-clock times go to the manifest, so the CSV is reproducible."""
-    build = build_identifier()
     grid = spec.extras.get("user_grid", (5, 6, 8))
     rows = []
     timings = []
@@ -289,18 +283,17 @@ def run_schedule_compare(spec):
         shared = equal_split_allocation(sc, groups=[list(range(K))],
                                         powers=powers, weights=weights)
         r_base = sum_rate(sc, shared)
-        rows.append([spec.seed, build, K, r_alg, r_opt, r_base,
-                     sched.colors_used])
+        rows.append([spec.seed, K, r_alg, r_opt, r_base, sched.colors_used])
         timings.append({"num_users": K, "time_heuristic_s": t_alg,
                         "time_exhaustive_s": t_opt})
-    header = ["seed", "build", "num_users", "rate_heuristic",
-              "rate_exhaustive", "rate_shared_band", "colors_used"]
+    header = ["seed", "num_users", "rate_heuristic", "rate_exhaustive",
+              "rate_shared_band", "colors_used"]
     return write_outputs(
-        spec, build, header, rows,
+        spec, header, rows,
         "Scheduling: heuristic vs exhaustive", "number of users",
         "sum rate (bit/s)",
-        [("3:4", "conflict-graph heuristic"), ("3:5", "exhaustive search"),
-         ("3:6", "all users share full band")],
+        [("2:3", "conflict-graph heuristic"), ("2:4", "exhaustive search"),
+         ("2:5", "all users share full band")],
         extra={"timings": timings},
     )
 
@@ -309,7 +302,6 @@ def run_convergence(spec):
     """Iteration traces of the SCA power/weight loop and the bandwidth
     water-filling stage in the alternating optimization's first round, at
     two array sizes."""
-    build = build_identifier()
     rows = []
     sizes = spec.extras.get("antenna_grid", ((8, 8), (10, 10)))
     for nx, ny in sizes:
@@ -324,18 +316,17 @@ def run_convergence(spec):
                 f"{ao.allocation.phi:.4f})", ao.allocation.phi)
         n = nx * ny
         for it, obj in enumerate(first.sca.objectives):
-            rows.append([spec.seed, build, n, "power-weights", it, obj])
+            rows.append([spec.seed, n, "power-weights", it, obj])
         for it, obj in enumerate(first.bandwidth.objective_trace, start=1):
-            rows.append([spec.seed, build, n, "bandwidth", it, obj])
-    header = ["seed", "build", "num_antennas", "stage", "iteration",
-              "objective"]
+            rows.append([spec.seed, n, "bandwidth", it, obj])
+    header = ["seed", "num_antennas", "stage", "iteration", "objective"]
     return write_outputs(
-        spec, build, header, rows,
+        spec, header, rows,
         "Convergence of the alternating optimization stages", "iteration",
         "objective (bit/s)",
-        [("5:(strcol(4) eq 'power-weights' ? $6 : 1/0)",
+        [("4:(strcol(3) eq 'power-weights' ? $5 : 1/0)",
           "SCA power/weights"),
-         ("5:(strcol(4) eq 'bandwidth' ? $6 : 1/0)", "bandwidth stage")],
+         ("4:(strcol(3) eq 'bandwidth' ? $5 : 1/0)", "bandwidth stage")],
     )
 
 
@@ -360,7 +351,6 @@ def benchmark_arm_rates(config, K, seed, seeds):
 
 def run_benchmark(spec):
     """Seed-averaged sum rate: proposed AO vs the two fixed-weight arms."""
-    build = build_identifier()
     grid = spec.extras.get("user_grid", (6, 8))
     seeds = spec.trials
     rows = []
@@ -370,40 +360,39 @@ def run_benchmark(spec):
         arms = ("proposed", "benchmark1", "benchmark2")
         for arm, arm_rates in zip(arms, zip(*rates)):
             mean = float(np.mean(arm_rates))
-            rows.append([spec.seed, build, K, arm, mean, mean / K, seeds])
-    header = ["seed", "build", "num_users", "arm", "mean_sum_rate",
+            rows.append([spec.seed, K, arm, mean, mean / K, seeds])
+    header = ["seed", "num_users", "arm", "mean_sum_rate",
               "mean_rate_per_user", "num_seeds"]
     return write_outputs(
-        spec, build, header, rows,
+        spec, header, rows,
         "Seed-averaged sum rate vs number of users", "number of users",
         "mean sum rate (bit/s)",
-        [("3:(strcol(4) eq 'proposed' ? $5 : 1/0)", "proposed"),
-         ("3:(strcol(4) eq 'benchmark1' ? $5 : 1/0)", "equal weights"),
-         ("3:(strcol(4) eq 'benchmark2' ? $5 : 1/0)",
+        [("2:(strcol(3) eq 'proposed' ? $4 : 1/0)", "proposed"),
+         ("2:(strcol(3) eq 'benchmark1' ? $4 : 1/0)", "equal weights"),
+         ("2:(strcol(3) eq 'benchmark2' ? $4 : 1/0)",
           "estimate-norm weights")],
     )
 
 
-RUNNERS = {
-    "nmse-sweep": run_nmse_sweep,
-    "bound-validate": run_bound_validation,
-    "schedule-compare": run_schedule_compare,
-    "convergence": run_convergence,
-    "benchmark": run_benchmark,
-}
+class Experiment(NamedTuple):
+    run: Callable
+    default_trials: int
+    min_trials: int  # the fewest its estimators can use
 
-DEFAULT_TRIALS = {
-    "nmse-sweep": 10000,
-    "bound-validate": 10000,
-    "schedule-compare": 1,
-    "convergence": 1,
-    "benchmark": 100,
+
+# The Monte Carlo engine needs MIN_TRIALS, a standard error two samples.
+EXPERIMENTS = {
+    "nmse-sweep": Experiment(run_nmse_sweep, 10000, 2),
+    "bound-validate": Experiment(run_bound_validation, 10000, MIN_TRIALS),
+    "schedule-compare": Experiment(run_schedule_compare, 1, 1),
+    "convergence": Experiment(run_convergence, 1, 1),
+    "benchmark": Experiment(run_benchmark, 100, 1),
 }
 
 
 def run_experiment(spec):
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    return RUNNERS[spec.name](spec)
+    return EXPERIMENTS[spec.name].run(spec)
 
 
 def main(argv=None):
@@ -417,7 +406,8 @@ def main(argv=None):
         p.add_argument("--config", type=Path, default=None,
                        help="JSON system configuration")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--trials", type=int,
+                       default=EXPERIMENTS[name].default_trials)
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--paper-scale", action="store_true",
                        help="run with a 10x10 (N=100) antenna array")
@@ -427,13 +417,10 @@ def main(argv=None):
                   else SystemConfig.from_json(args.config))
     except (OSError, ValueError) as err:  # ConfigError, bad JSON included
         parser.error(f"--config {args.config}: {err}")
-    trials = args.trials
-    if trials is None:
-        trials = DEFAULT_TRIALS[args.experiment]
     try:
         spec = ExperimentSpec(
             name=args.experiment, config=config, seed=args.seed,
-            trials=trials, out_dir=args.out, paper_scale=args.paper_scale,
+            trials=args.trials, out_dir=args.out, paper_scale=args.paper_scale,
         )
     except ValueError as err:
         parser.error(str(err))

@@ -76,18 +76,13 @@ def monomial_bound(coeffs, anchors):
 # ---------------------------------------------------------------------------
 
 
-def _weight_offsets(scenario):
-    """User k's weights w_{m,k}, m in M_k in increasing order, take the
-    columns offsets[k] to offsets[k + 1] of the weight block."""
-    return np.cumsum([0] + [len(s) for s in scenario.serving_sets])
-
-
 def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     """The stacked GP rows of the power/weight problem, anchored at
     (allocation, chi).
 
     Columns: chi_k at k, p_k at K + k, then, with optimize_weights, each
-    user's weights in the order of ``_weight_offsets``. Constraints, in
+    user's weights w_{m,k}, m in M_k increasing, user by user: the order
+    of ``weights.T[serving.T]``. Constraints, in
     order: chi_k <= SINR_k^LB for each scheduled user in group order, each
     followed by the rate floor chi_k >= gamma_req when ``floors`` and a
     requirement is set; then for every user p_k <= P_max and, with
@@ -102,22 +97,20 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
 
     Returns (x0, logs, exps, starts), x0 being the anchor in log domain.
     """
-    K = scenario.num_users
+    K, serving = scenario.num_users, scenario.serving.T
     points = [np.maximum(chi, 1e-30), allocation.powers]
     if optimize_weights:
-        points += [np.maximum(allocation.weights[s, k], 1e-12)
-                   for k, s in enumerate(scenario.serving_sets)]
+        points.append(np.maximum(allocation.weights.T[serving], 1e-12))
     x0 = np.log(np.concatenate(points))
-    offsets = 2 * K + _weight_offsets(scenario)
     context = scenario.rate_context
     # Serving sets are padded to the largest, n, groups to the largest, G:
     # a padded term's coefficient is zero, so its row is dropped.
     Q = context.quadratics
-    n, size = Q.shape[-1], np.diff(offsets)
+    n, size = Q.shape[-1], serving.sum(axis=1)
     valid = np.arange(n) < size[:, None]
     sat, wcol = np.zeros((2, K, n), dtype=np.intp)
-    sat[valid] = np.concatenate(scenario.serving_sets)
-    wcol[valid] = np.arange(offsets[0], offsets[-1])
+    sat[valid] = np.nonzero(serving)[1]
+    wcol[valid] = 2 * K + np.arange(size.sum())
     gamma = np.where(valid, context.gamma[sat, np.arange(K)[:, None]], 0.0)
     w = np.where(valid, allocation.weights[sat, np.arange(K)[:, None]], 0.0)
     G = max(len(g) for g in allocation.groups)
@@ -194,9 +187,7 @@ def _allocation_at(scenario, allocation, x, optimize_weights):
     out = allocation.copy()
     out.powers = np.minimum(np.exp(x[:K]), scenario.config.max_power)
     if optimize_weights:
-        offsets = K + _weight_offsets(scenario)
-        for k, s in enumerate(scenario.serving_sets):
-            out.weights[s, k] = np.exp(x[offsets[k]:offsets[k + 1]])
+        out.weights.T[scenario.serving.T] = np.exp(x[K:])
     out.weights = normalize_weights(scenario, out.weights)
     return out
 

@@ -79,21 +79,16 @@ def equal_split_allocation(scenario, groups=None, powers=None, weights=None):
 
 
 def equal_weights(scenario):
-    K, M = scenario.num_users, scenario.num_satellites
-    w = np.zeros((M, K))
-    for k, sset in enumerate(scenario.serving_sets):
-        w[sset, k] = 1.0 / np.sqrt(len(sset))
-    return w
+    serving = scenario.serving
+    return serving / np.sqrt(serving.sum(axis=0))
 
 
 def normalize_weights(scenario, weights):
     """Rescale each user's weights to unit squared norm over M_k."""
-    w = weights.copy()
-    for k, sset in enumerate(scenario.serving_sets):
-        nrm = np.sqrt(sum(w[m, k] ** 2 for m in sset))
-        if nrm > 0:
-            w[sset, k] /= nrm
-    return w
+    serving = scenario.serving
+    nrm = np.sqrt((np.where(serving, weights, 0.0) ** 2).sum(axis=0))
+    return np.divide(weights, nrm, out=weights.copy(),
+                     where=serving & (nrm > 0))
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ class RateContext:
     tmat[m, k, k'] = tr(R_k Psi_k R_k')          (real, >= 0)
     smat[m, k, k'] = sqrt(Kbar a Kbar' a') hbar^H hbar'   (complex)
     q = q1 + q2 + q3
-    serving[m, k] = 1 where m serves k, else 0
+    serving = scenario.serving, the (M, K) bool serving mask
     cohort[k, k'] = k' != k shares k's pilot
 
     Built from the spectra of ``scenario.estimation_stats`` in the basis U
@@ -135,8 +130,7 @@ class RateContext:
     """
 
     def __init__(self, scenario):
-        M, K, N = (scenario.num_satellites, scenario.num_users,
-                   scenario.num_antennas)
+        K, N = scenario.num_users, scenario.num_antennas
         st = scenario.estimation_stats
         los = scenario.rician * scenario.rician_scale
         hbar = scenario.los
@@ -151,9 +145,7 @@ class RateContext:
         self.smat = amp[:, :, None] * amp[:, None, :] \
             * (hbar.conj() @ hbar.transpose(0, 2, 1))
         self.q = self.q1 + self.q2 + self.q3
-        self.serving = np.zeros((M, K))
-        for k, sset in enumerate(scenario.serving_sets):
-            self.serving[sset, k] = 1.0
+        self.serving = scenario.serving
         self.cohort = scenario.cohort & ~np.eye(K, dtype=bool)
         tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
         self._pilot_gains = (tau * pp, tau * tau * pp * pp)

@@ -100,6 +100,14 @@ class Scenario:
         return self.beta / (self.rician + 1.0)
 
     @cached_property
+    def serving(self):
+        """(M, K) bool: serving[m, k] where satellite m serves user k."""
+        mask = np.zeros((self.num_satellites, self.num_users), dtype=bool)
+        for k, sset in enumerate(self.serving_sets):
+            mask[sset, k] = True
+        return mask
+
+    @cached_property
     def cohort(self):
         """(K, K) bool: cohort[k, k'] where k' shares k's pilot (k' = k
         included)."""
@@ -154,7 +162,6 @@ def build_scenario(config, rng=None):
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     M, K = config.num_satellites, config.num_users
-    table = config.rician_table
     beta, rician = np.empty((M, K)), np.empty((M, K))
     los = np.empty((M, K, config.num_antennas), dtype=complex)
     for m in range(M):
@@ -164,10 +171,7 @@ def build_scenario(config, rng=None):
             azim = rng.uniform(0.0, 2.0 * math.pi)
             elev = math.radians(elev_deg)
             beta[m, k] = path_gain(slant_range(elev, config.altitude), config)
-            if config.rician_override is not None:
-                rician[m, k] = config.rician_override
-            else:
-                rician[m, k] = table.lookup(elev_deg)
+            rician[m, k] = config.rician_factor(elev_deg)
             los[m, k] = steering_vector(elev, azim, config.antennas_x,
                                         config.antennas_y,
                                         config.antenna_spacing_ratio)

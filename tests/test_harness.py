@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import types
 
@@ -87,11 +88,29 @@ def test_rician_sweep_makes_one_eigh(name, trials, tmp_path, monkeypatch):
     ('{"num_users": 4, "max_powr": 1.0, "bogus": 0}',
      "unknown config fields: bogus, max_powr"),
     ('{"num_users": 4, "pilot_length": 5}', "tau <= K"),
+    ('{"correlation": {"kind": "exponential", "ratio": 0.7}}',
+     "unknown correlation fields: ratio"),
+    ('{"correlation": "identity"}',
+     "correlation must be a JSON object, not 'identity'"),
+    ('{"max_power": "20"}', "max_power must be a finite number, not '20'"),
+    ('{"max_power": NaN}', "max_power must be a finite number, not nan"),
+    ('{"num_users": 5.5}', "num_users must be an integer, not 5.5"),
+    ('{"cluster_size": 0}', "cluster size must satisfy 0 < |M_k| <= M"),
+    ('{"rician_records": [{"min_deg": 0, "max_deg": 90}]}',
+     "rician_records[0] must be three finite numbers (min_deg, max_deg, "
+     "k_linear), not (0, 90, None)"),
+    ('{"rician_records": [{"min_deg": 0, "max_deg": 90, "k": 1}]}',
+     "unknown rician_records[0] fields: k"),
+    ('{"rician_records": [{"min_deg": 0, "max_deg": 90, "k_linear": "9"}]}',
+     "rician_records[0] must be three finite numbers"),
+    ('{"rician_records": [{"min_deg": 0, "max_deg": 10, "k_linear": 1}]}',
+     "rician_records do not cover elevation 20 deg of [20, 20.1)"),
 ])
 def test_cli_reports_a_bad_config(text, message, tmp_path, capsys):
-    """A missing file, invalid JSON, an unknown field and an invalid
-    config each end in a usage error that names the file, not in a
-    traceback."""
+    """A missing file, invalid JSON, an unknown field (nested ones
+    included), a wrongly typed value, a malformed or short Rician table
+    and an invalid config each end in a usage error that names the file
+    and the field, not in a traceback or a run with a default."""
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     if text is not None:
         path.write_text(text)
@@ -109,6 +128,22 @@ def test_config_rejects_unknown_fields():
     assert SystemConfig.from_dict(SystemConfig().to_dict()) == SystemConfig()
 
 
+def test_rician_rows_cover_the_elevation_band():
+    """Gaps anywhere in [elevation_min_deg, elevation_max_deg) are refused
+    at load; an override needs no table, and the default table's rows are
+    its JSON records."""
+    rows = ((0.0, 20.0, 5.0), (20.0, 25.0, 10.0), (26.0, 90.0, 14.0))
+    with pytest.raises(ConfigError, match="cover elevation 25 deg"):
+        SystemConfig(rician_records=rows, elevation_max_deg=30.0)
+    cfg = SystemConfig(rician_records=rows, elevation_min_deg=10.0,
+                       elevation_max_deg=25.0)
+    assert [cfg.rician_factor(e) for e in (10.0, 19.9, 20.0, 24.9)] == \
+        [5.0, 5.0, 10.0, 10.0]
+    SystemConfig(rician_records=(), rician_override=3.0)
+    assert SystemConfig().to_dict()["rician_records"][-1] == \
+        {"min_deg": 80.0, "max_deg": 90.001, "k_linear": 35.0}
+
+
 def test_write_csv_rfc4180(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[1, 'x,"y"'], [2.5, "plain"]])
@@ -123,7 +158,7 @@ def test_nmse_sweep_outputs(tmp_path):
     path = run_experiment(spec)
     rows = read_rows(path)
     header, data = rows[0], rows[1:]
-    assert header[:3] == ["seed", "build", "rician_factor"]
+    assert header[:2] == ["seed", "rician_factor"]
     mse = [float(r[header.index("mse_closed")]) for r in data]
     nmse = [float(r[header.index("nmse_closed")]) for r in data]
     assert all(b < a for a, b in zip(mse, mse[1:]))
@@ -183,10 +218,10 @@ def test_convergence_outputs(tmp_path):
         assert all(b >= a - 1e-8 * abs(a) for a, b in zip(vals, vals[1:]))
 
 
-# convergence.csv at seed 0 on the default 8x8 and 10x10 arrays, every
-# column but the build tag, as written when the experiment still called the
-# stages itself rather than reading the alternating optimization's first
-# round
+# convergence.csv at seed 0 on the default 8x8 and 10x10 arrays, as written
+# when the experiment still called the stages itself rather than reading
+# the alternating optimization's first round (and each row still carried
+# the build tag, since moved to the manifest)
 GOLDEN_CONVERGENCE = [
     ["0", "64", "power-weights", "0", "1391835.39446"],
     ["0", "64", "power-weights", "1", "1394331.8884"],
@@ -205,14 +240,12 @@ GOLDEN_CONVERGENCE = [
 
 def test_convergence_matches_golden(tmp_path):
     path = run_experiment(spec_for("convergence", tmp_path, trials=1, seed=0))
-    rows = read_rows(path)
-    build = rows[0].index("build")
-    assert [r[:build] + r[build + 1:] for r in rows[1:]] == GOLDEN_CONVERGENCE
+    assert read_rows(path)[1:] == GOLDEN_CONVERGENCE
 
 
-# The Monte Carlo experiments' CSVs at seed 13, every column but the build
-# tag, as written when the samplers still coloured each draw in antenna
-# coordinates; the same at 1 and 2 BLAS threads
+# The Monte Carlo experiments' CSVs at seed 13, as written when the samplers
+# still coloured each draw in antenna coordinates (and each row still
+# carried the build tag); the same at 1 and 2 BLAS threads
 GOLDEN_MC = {
     "nmse-sweep": (500, [
         ["13", "1", "2.70922873124e-15", "2.71281256367e-15",
@@ -261,9 +294,7 @@ GOLDEN_MC = {
 def test_mc_experiments_match_golden(name, tmp_path):
     trials, golden = GOLDEN_MC[name]
     path = run_experiment(spec_for(name, tmp_path, trials=trials, seed=13))
-    rows = read_rows(path)
-    build = rows[0].index("build")
-    assert [r[:build] + r[build + 1:] for r in rows[1:]] == golden
+    assert read_rows(path)[1:] == golden
 
 
 def test_convergence_stops_at_an_unattainable_floor(tmp_path):
@@ -284,10 +315,9 @@ def test_benchmark_outputs(tmp_path):
     header, data = rows[0], rows[1:]
     arms = {r[header.index("arm")] for r in data}
     assert arms == {"proposed", "benchmark1", "benchmark2"}
-    # every column but the build tag, as written before the scheduler kept
-    # colorings and schedules per RateContext
-    build = header.index("build")
-    assert [r[:build] + r[build + 1:] for r in data] == [
+    # as written before the scheduler kept colorings and schedules per
+    # RateContext (and each row still carried the build tag)
+    assert data == [
         ["5", "6", "proposed", "686589.735983", "114431.622664", "2"],
         ["5", "6", "benchmark1", "685437.164682", "114239.527447", "2"],
         ["5", "6", "benchmark2", "685466.724975", "114244.454163", "2"]]
@@ -369,18 +399,22 @@ def test_build_identifier_ignores_the_working_directory(tmp_path,
     assert build_identifier() == tag
 
 
-@pytest.mark.parametrize("name, trials, extras", [
+# one small run of each experiment
+SMALL_RUNS = [
     ("nmse-sweep", 200, {}),
     ("bound-validate", 200, {"rician_grid": (1.0,)}),
     ("schedule-compare", 1, {"user_grid": (5,)}),
     ("convergence", 1, {"antenna_grid": ((4, 4),)}),
     ("benchmark", 1, {"user_grid": (6,)}),
-])
+]
+
+
+@pytest.mark.parametrize("name, trials, extras", SMALL_RUNS)
 def test_build_identifier_runs_once_per_experiment(name, trials, extras,
                                                    tmp_path, monkeypatch):
-    """One git describe per experiment: its tag reaches both the CSV rows
-    and the manifest. The CSV bytes match a run without the counter, and
-    the manifests match apart from wall-clock timings."""
+    """One git describe per experiment, and its tag reaches the manifest.
+    The CSV bytes match a run without the counter, and the manifests match
+    apart from wall-clock timings."""
     plain = run_experiment(spec_for(name, tmp_path / "plain", trials=trials,
                                     **extras))
     tag, calls = build_identifier(), []
@@ -394,12 +428,60 @@ def test_build_identifier_runs_once_per_experiment(name, trials, extras,
                                    **extras))
     assert calls == [tag]
     assert path.read_bytes() == plain.read_bytes()
-    rows = read_rows(path)
-    assert [r[rows[0].index("build")] for r in rows[1:]] == \
-        [tag] * (len(rows) - 1)
     manifests = [json.loads((p.parent / "run-manifest.json").read_text())
                  for p in (plain, path)]
     assert manifests[1]["build"] == tag
     for m in manifests:
         m.pop("timings", None)  # wall-clock times differ between runs
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("name, trials, extras", SMALL_RUNS)
+def test_csv_bytes_do_not_depend_on_the_build_tag(name, trials, extras,
+                                                  tmp_path, monkeypatch):
+    """A CSV holds results only: under two build tags its bytes are the
+    same, and each run's manifest carries its own tag."""
+    outputs = []
+    for tag in ("v0-tag-a", "v1-tag-b-dirty"):
+        monkeypatch.setattr(dmimo.harness, "build_identifier", lambda: tag)
+        path = run_experiment(spec_for(name, tmp_path / tag, trials=trials,
+                                       **extras))
+        manifest = json.loads((path.parent / "run-manifest.json").read_text())
+        assert manifest["build"] == tag
+        assert tag.encode() not in path.read_bytes()
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# each experiment's plotted columns: x by name, then the y columns' names
+PLOTTED = {
+    "nmse-sweep": ("rician_factor",
+                   ["mse_closed", "mse_mc", "nmse_closed", "nmse_mc"]),
+    "bound-validate": ("rician_factor",
+                       ["rate_lb", "rate_mc", "rate_bound_mc"]),
+    "schedule-compare": ("num_users", ["rate_heuristic", "rate_exhaustive",
+                                       "rate_shared_band"]),
+    "convergence": ("iteration", ["stage", "objective"] * 2),
+    "benchmark": ("num_users", ["arm", "mean_sum_rate"] * 3),
+}
+
+
+@pytest.mark.parametrize("name, trials, extras", SMALL_RUNS)
+def test_plot_scripts_read_existing_columns(name, trials, extras, tmp_path):
+    """Every column a gnuplot ``using`` spec names (``$n``, ``strcol(n)``
+    or a bare number) exists in the CSV header, x is the sweep variable,
+    and the y side reads the columns it plots."""
+    path = run_experiment(spec_for(name, tmp_path, trials=trials, **extras))
+    header = read_rows(path)[0]
+    specs = re.findall(r" using (.+?) with ",
+                       path.with_suffix(".gp").read_text())
+    xname, ynames = PLOTTED[name]
+    seen = []
+    for using in specs:
+        x, y = using.split(":", 1)
+        cols = [int(y)] if y.isdigit() else [
+            int(a or b) for a, b in re.findall(r"strcol\((\d+)\)|\$(\d+)", y)]
+        assert all(1 <= c <= len(header) for c in [int(x), *cols]), using
+        assert header[int(x) - 1] == xname
+        seen += [header[c - 1] for c in cols]
+    assert seen == ynames

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmimo.config import (
-    ConfigError,
-    CorrelationModel,
-    RicianTable,
-    SystemConfig,
-)
+from dmimo.config import ConfigError, CorrelationModel, SystemConfig
 from dmimo.scenario import (
     DomainError,
     assign_pilots_random,
@@ -70,12 +65,11 @@ def test_path_gain_round_number():
 
 
 def test_rician_lookup_and_out_of_range():
-    table = RicianTable.from_records(
-        [{"min_deg": 20.0, "max_deg": 30.0, "k_linear": 10.0}]
-    )
-    assert table.lookup(20.05) == 10.0
+    cfg = SystemConfig(rician_records=((20.0, 30.0, 10.0),))
+    assert cfg.rician_factor(20.05) == 10.0
     with pytest.raises(ConfigError):
-        table.lookup(35.0)
+        cfg.rician_factor(35.0)
+    assert cfg.replace(rician_override=2.5).rician_factor(35.0) == 2.5
 
 
 def test_select_serving_satellites():
