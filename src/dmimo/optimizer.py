@@ -18,7 +18,9 @@ from .rate import (
     equal_split_allocation,
     equal_weights,
     normalize_weights,
+    pair_terms,
     sinr_all,
+    sinr_in_bands,
     sum_rate,
 )
 from .scheduler import Schedule, schedule_users
@@ -30,8 +32,9 @@ LN2 = math.log(2.0)
 EPS_OUTER = 1e-3
 EPS_SCA = 0.01
 MAX_ITER_SCA = 30
-# The bandwidth stage's dual search stops once the bandwidths it spends are
-# within this fraction of the total.
+# The bandwidth stage stops once its relative KKT residual is at most
+# TOL_BANDWIDTH; a band within this fraction of the total of its rate floor
+# counts as at the floor.
 TOL_BANDWIDTH = 1e-10
 
 
@@ -349,19 +352,18 @@ def rate_vs_bandwidth_second(x, a, b, c):
 
 
 def bandwidth_coefficients(scenario, allocation):
-    """Per-user (a, b, c): desired power, noise-per-Hz factor, and
-    bandwidth-independent interference-plus-leakage power."""
-    res = sinr_all(scenario, allocation)
-    c = res.interference.sum(axis=1)
-    coeffs = {}
-    for i, group in enumerate(allocation.groups):
-        for k in group:
-            # i_noise = (sum w^2 Gamma) * sigma_i, linear in bandwidth
-            b = res.i_noise[k] / allocation.bandwidths[i] if \
-                allocation.bandwidths[i] > 0 else 0.0
-            coeffs[k] = (max(res.numerator[k], 1e-300), max(b, 1e-300),
-                         max(c[k], 1e-30))
-    return coeffs
+    """Per-user Python floats (a, b, c), so that rate_vs_bandwidth(B, a, b,
+    c) is the user's ``sinr_all`` rate on a band of bandwidth B: a the
+    desired power, b the noise power per Hz and c the interference plus
+    leakage power, which does not depend on B."""
+    terms = pair_terms(scenario, allocation.powers, allocation.weights)
+    res = sinr_in_bands(scenario, terms, allocation.groups,
+                        allocation.bandwidths)
+    a, b, c = np.maximum([res.numerator,
+                          terms.noise_gain * scenario.config.noise_density,
+                          res.interference.sum(axis=1)], 1e-300).tolist()
+    return {k: (a[k], b[k], c[k]) for group in allocation.groups
+            for k in group}
 
 
 @dataclass
@@ -390,107 +392,75 @@ def _min_bandwidth(a, b, c, req, total):
     return hi
 
 
-def optimize_bandwidth(scenario, allocation):
-    """Concave bandwidth allocation by water-filling on the dual variable.
+def _band_sums(f, bandwidths, groups, coeffs):
+    """Per band i, the sum of f(B_i, a, b, c) over the band's users."""
+    return np.array([sum(f(x, *coeffs[k]) for k in group)
+                     for x, group in zip(bandwidths, groups)])
 
-    The objective is separable per band with strictly increasing concave
-    summands, so the full bandwidth is spent and the optimum satisfies
-    g_i'(B_i) = mu off the rate floors. mu is found by safeguarded Newton.
+
+def optimize_bandwidth(scenario, allocation):
+    """Concave bandwidth allocation by Newton's method on the simplex.
+
+    The objective sum_i g_i(B_i), g_i the rate of band i's users, is
+    separable with increasing concave summands, so the optimum spends the
+    whole bandwidth, with g_i'(B_i) = mu above the rate floors and
+    g_i' <= mu at them. From the floors plus an equal share of the rest,
+    each step moves the free bands by (g_i' - mu) / -g_i'', mu their
+    1 / -g_i''-weighted mean g_i', which keeps the total. A band at its
+    floor is freed when its g_i' exceeds mu. The step is cut at the first
+    floor it reaches, then halved until the objective does not drop. The
+    loop stops at a relative KKT residual of TOL_BANDWIDTH, or when no step
+    helps.
     """
     total = scenario.config.total_bandwidth
     req = scenario.config.rate_requirement
+    groups = allocation.groups
     coeffs = bandwidth_coefficients(scenario, allocation)
-    bands = list(range(len(allocation.groups)))
-    floors = [max([0.0] + [_min_bandwidth(*coeffs[k], req, total)
-                           for k in group]) for group in allocation.groups]
-    if sum(floors) > total:
+    floors = np.array([max([0.0] + [_min_bandwidth(*coeffs[k], req, total)
+                                    for k in group]) for group in groups])
+    if floors.sum() > total:
         raise InfeasibleError("rate floors jointly exceed total bandwidth")
 
-    def gp(i, x):
-        return sum(rate_vs_bandwidth_prime(x, *coeffs[k])
-                   for k in allocation.groups[i])
-
-    def gpp(i, x):
-        return sum(rate_vs_bandwidth_second(x, *coeffs[k])
-                   for k in allocation.groups[i])
-
-    def band_bw(i, mu):
-        """Solve g_i'(x) = mu for x >= floor_i (g_i' decreasing)."""
-        if gp(i, max(floors[i], 1e-12 * total)) <= mu:
-            return floors[i]
-        lo, hi = max(floors[i], 1e-12 * total), total
-        while gp(i, hi) > mu:
-            hi *= 2.0
-        x = 0.5 * (lo + hi)
-        for _ in range(200):
-            val = gp(i, x) - mu
-            if val > 0:
-                lo = x
-            else:
-                hi = x
-            step = val / gpp(i, x)
-            xn = x - step
-            x = xn if lo < xn < hi else 0.5 * (lo + hi)
-            if hi - lo < 1e-15 * total or abs(val) < 1e-18:
-                break
-        return x
-
-    def primal(bws):
-        return sum(rate_vs_bandwidth(bws[i], *coeffs[k])
-                   for i in bands for k in allocation.groups[i])
-
-    # bracket: excess > 0 as mu -> 0, excess < 0 at mu_hi (all bands clamp)
-    mu_lo = 0.0
-    mu_hi = max(gp(i, max(floors[i], 1e-12 * total)) for i in bands)
-    # warm start at the equal-split marginal utility (quadratic from here)
-    eq = total / len(bands)
-    mu = float(np.mean([gp(i, max(eq, floors[i])) for i in bands]))
-    mu = min(max(mu, 1e-12 * mu_hi), mu_hi)
-    iterations = 0
+    x = floors + (total - floors.sum()) / len(groups)
+    obj = _band_sums(rate_vs_bandwidth, x, groups, coeffs).sum()
     trace = []
-    for _ in range(60):
-        iterations += 1
-        x = [band_bw(i, mu) for i in bands]
-        e = sum(x) - total
-        cand = np.array(x)
-        cand *= total / cand.sum()
-        obj = primal(cand)
-        trace.append(max(obj, trace[-1]) if trace else obj)
-        if e > 0:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-        if abs(e) <= TOL_BANDWIDTH * total:
+    while True:
+        gp = _band_sums(rate_vs_bandwidth_prime, x, groups, coeffs)
+        h = -_band_sums(rate_vs_bandwidth_second, x, groups, coeffs)
+        # A band within rounding of its floor is at it; the band farthest
+        # above its floor is free even then, so that mu is defined.
+        free = x > floors + TOL_BANDWIDTH * total
+        free[np.argmax(x - floors)] = True
+        mu = (gp / h)[free].sum() / (1.0 / h)[free].sum()
+        gap = np.where(free, np.abs(gp - mu), np.maximum(gp - mu, 0.0))
+        kkt = max(gap.max() / mu, abs(x.sum() - total) / total)
+        if kkt <= TOL_BANDWIDTH or len(trace) == 60:
             break
-        # Newton on the dual: d(excess)/dmu = sum 1/g'' over unclamped bands
-        slope = sum(1.0 / gpp(i, x[i]) for i in bands
-                    if x[i] > floors[i] + 1e-15 * total)
-        if slope < 0:
-            mu_n = mu - e / slope
-            mu = mu_n if mu_lo < mu_n < mu_hi else 0.5 * (mu_lo + mu_hi)
+        # free the band at its floor with the largest g' if that exceeds
+        # mu; mu moves towards its g', so its step is upward
+        j = np.argmax(np.where(free, -np.inf, gp))
+        free[j] |= gp[j] > mu
+        mu = (gp / h)[free].sum() / (1.0 / h)[free].sum()
+        d = np.where(free, (gp - mu) / h, 0.0)
+        # ratio test: a band whose room to its floor the step uses up lands
+        # exactly on the floor
+        room = np.divide(x - floors, -d, out=np.full(len(x), np.inf),
+                         where=d < 0)
+        t = min(1.0, room.min())
+        for _ in range(60):
+            cand = np.where(room <= t, floors, np.maximum(x + t * d, floors))
+            new = _band_sums(rate_vs_bandwidth, cand, groups, coeffs).sum()
+            if new >= obj * (1.0 - 1e-15):  # no drop beyond rounding
+                break
+            t *= 0.5
         else:
-            mu = 0.5 * (mu_lo + mu_hi)
-
-    bws = [band_bw(i, mu) for i in bands]
-    excess = sum(bws) - total
-    if excess > TOL_BANDWIDTH * total:
-        # The dual stalled at float resolution (a wide band's g' is too
-        # flat for band_bw to place it finer) with bandwidth overspent:
-        # take it from the bands above their floors, since the rescale
-        # below would push the bands at their floors under them.
-        free = sum(b for i, b in enumerate(bws) if b > floors[i])
-        bws = [b - excess * b / free if b > floors[i] else b
-               for i, b in enumerate(bws)]
-    scale = total / sum(bws)  # absorb residual into an exact simplex point
-    bws = [b * scale for b in bws]
+            break  # no step helps: keep x
+        x, obj = cand, new
+        trace.append(max(new, trace[-1]) if trace else new)
     out = allocation.copy()
-    out.bandwidths = bws
-    kkt = abs(sum(bws) - total) / total
-    for i in bands:
-        if bws[i] > floors[i] + 1e-12 * total:
-            kkt = max(kkt, abs(gp(i, bws[i]) - mu) / max(mu, 1e-300))
-    return BandwidthResult(allocation=out, iterations=iterations,
-                           kkt_residual=kkt, objective_trace=trace)
+    out.bandwidths = x.tolist()
+    return BandwidthResult(allocation=out, iterations=len(trace),
+                           kkt_residual=float(kkt), objective_trace=trace)
 
 
 # ---------------------------------------------------------------------------

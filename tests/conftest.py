@@ -7,6 +7,8 @@ import pytest
 
 from dmimo.channel import Correlation, correlation_matrix
 from dmimo.config import SystemConfig
+from dmimo.optimizer import (_min_bandwidth, bandwidth_coefficients,
+                             rate_vs_bandwidth_prime, rate_vs_bandwidth_second)
 from dmimo.scenario import Scenario, build_scenario
 
 
@@ -202,6 +204,84 @@ def clone_user(scenario, k, into):
     beta, rician, los = arrays
     return replace(scenario, beta=beta, rician=rician, los=los,
                    serving_sets=tuple(sets))
+
+
+# The bandwidth stage as a dual search: the reference that the Newton loop
+# of dmimo.optimizer.optimize_bandwidth is compared against.
+
+
+def dual_bandwidth(scenario, allocation):
+    """The sum-rate-maximizing bandwidths of `allocation`'s bands, by
+    water-filling on the dual variable mu: each band solves g_i'(x) = mu
+    above its rate floor by safeguarded Newton, and mu by safeguarded
+    Newton on the excess spent. Returns the bandwidths, on the simplex and
+    at or above the floors."""
+    total = scenario.config.total_bandwidth
+    req = scenario.config.rate_requirement
+    coeffs = bandwidth_coefficients(scenario, allocation)
+    bands = list(range(len(allocation.groups)))
+    floors = [max([0.0] + [_min_bandwidth(*coeffs[k], req, total)
+                           for k in group]) for group in allocation.groups]
+
+    def gp(i, x):
+        return sum(rate_vs_bandwidth_prime(x, *coeffs[k])
+                   for k in allocation.groups[i])
+
+    def gpp(i, x):
+        return sum(rate_vs_bandwidth_second(x, *coeffs[k])
+                   for k in allocation.groups[i])
+
+    def band_bw(i, mu):
+        """Solve g_i'(x) = mu for x >= floor_i (g_i' decreasing)."""
+        if gp(i, max(floors[i], 1e-12 * total)) <= mu:
+            return floors[i]
+        lo, hi = max(floors[i], 1e-12 * total), total
+        while gp(i, hi) > mu:
+            hi *= 2.0
+        x = 0.5 * (lo + hi)
+        for _ in range(200):
+            val = gp(i, x) - mu
+            if val > 0:
+                lo = x
+            else:
+                hi = x
+            xn = x - val / gpp(i, x)
+            x = xn if lo < xn < hi else 0.5 * (lo + hi)
+            if hi - lo < 1e-15 * total or abs(val) < 1e-18:
+                break
+        return x
+
+    # bracket: excess > 0 as mu -> 0, excess < 0 at mu_hi (all bands clamp)
+    mu_lo = 0.0
+    mu_hi = max(gp(i, max(floors[i], 1e-12 * total)) for i in bands)
+    eq = total / len(bands)
+    mu = float(np.mean([gp(i, max(eq, floors[i])) for i in bands]))
+    mu = min(max(mu, 1e-12 * mu_hi), mu_hi)
+    for _ in range(60):
+        x = [band_bw(i, mu) for i in bands]
+        e = sum(x) - total
+        if e > 0:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+        if abs(e) <= 1e-10 * total:
+            break
+        # Newton on the dual: d(excess)/dmu = sum 1/g'' over unclamped bands
+        slope = sum(1.0 / gpp(i, x[i]) for i in bands
+                    if x[i] > floors[i] + 1e-15 * total)
+        if slope < 0:
+            mu_n = mu - e / slope
+            mu = mu_n if mu_lo < mu_n < mu_hi else 0.5 * (mu_lo + mu_hi)
+        else:
+            mu = 0.5 * (mu_lo + mu_hi)
+    bws = [band_bw(i, mu) for i in bands]
+    # Spend exactly the total, taking the excess (or the shortfall) from the
+    # bands above their floors in proportion, so that no band goes under
+    # its floor: a band under its floor would rate above the optimum.
+    excess = sum(bws) - total
+    free = sum(b for i, b in enumerate(bws) if b > floors[i])
+    return [b - excess * b / free if b > floors[i] else b
+            for i, b in enumerate(bws)]
 
 
 @pytest.fixture

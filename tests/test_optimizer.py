@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import dmimo.optimizer
 from conftest import (
     AO_PAPER_FLOOR,
     clone_user,
+    dual_bandwidth,
     make_scenario,
     manual_scenario,
 )
@@ -42,6 +44,7 @@ from dmimo.rate import (
     AllocationState,
     equal_split_allocation,
     equal_weights,
+    normalize_weights,
     sinr_all,
     sinr_lower_bound,
     sum_rate,
@@ -629,6 +632,27 @@ def test_bandwidth_coefficients_positive(default_scenario):
         assert a > 0 and b > 0 and c > 0
 
 
+def test_bandwidth_model_is_the_bound():
+    """At the bandwidths the stage returns, each scheduled user's rate
+    model f(B) = B log2(1 + a / (b B + c)) equals its sinr_all rate. On
+    this ao-small item some users' interference c is below 1e-30 W, so a
+    floor on c there would make the model under-read their rates."""
+    cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0)
+    scenario_ss, estimation_ss = np.random.SeedSequence(0).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    _, _, res = _hand_wired_first_round(
+        sc, np.random.default_rng(estimation_ss))
+    alloc = res.allocation
+    coeffs = bandwidth_coefficients(sc, alloc)
+    bound = sinr_all(sc, alloc)
+    assert bound.interference.sum(axis=1).min() < 1e-30
+    rates = bound.rate
+    for g, bw in zip(alloc.groups, alloc.bandwidths):
+        for k in g:
+            assert rate_vs_bandwidth(bw, *coeffs[k]) == pytest.approx(
+                rates[k], rel=1e-12, abs=0)
+
+
 # --- outer loop and benchmarks ---------------------------------------------
 
 
@@ -825,7 +849,10 @@ def _benchmark_checks():
 def test_zero_bandwidth_band_does_not_stop_the_loop(seed, max_power):
     """Water-filling may give an interference-limited band nothing; its
     users then rate 0 and the loop goes on. Every allocation keeps its
-    invariants, with B >= 0, and the AO beats the equal-weight arm."""
+    invariants, with B >= 0, and the AO beats the equal-weight arm. The
+    stage run again on such an output returns the same sum rate without a
+    numpy warning: its rate model does not depend on the bandwidths it is
+    given."""
     cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0,
                                         max_power=max_power)
     scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
@@ -840,6 +867,11 @@ def test_zero_bandwidth_band_does_not_stop_the_loop(seed, max_power):
         rate = sinr_all(sc, alloc).rate
         for g, b in zip(alloc.groups, alloc.bandwidths):
             assert np.all(rate[g] == 0.0) == (b == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = optimize_bandwidth(sc, alloc)
+        assert sum_rate(sc, again.allocation) == pytest.approx(
+            sum_rate(sc, alloc), rel=1e-12, abs=0)
     arms = {mode: benchmark_allocation(
                 sc, np.random.default_rng(estimation_ss), mode)
             for mode in ("equal", "estimate")}
@@ -867,6 +899,8 @@ def test_ao_holds_its_invariants_at_any_power(max_power, seed):
     assert _benchmark_checks().check_ao_item(sc, res, arms) == []
     assert res.allocation.feasible
     assert res.sum_rate >= arms["equal"][1]
+    assert all(r.bandwidth.kkt_residual <= 1e-8 for r in res.rounds
+               if r.bandwidth is not None)
 
 
 @given(max_power=st.floats(min_value=0.2, max_value=200.0),
@@ -874,7 +908,8 @@ def test_ao_holds_its_invariants_at_any_power(max_power, seed):
 @settings(max_examples=2, deadline=None)
 # SLSQP drifts a user's weights along their free scale to ~e^-150
 @example(max_power=46.0, seed=1014)
-# the bandwidth dual stalls at float resolution with bandwidth overspent
+# a dual search for the bandwidths stalls at float resolution here, with a
+# KKT residual of 0.146
 @example(max_power=120.0, seed=1012)
 def test_ao_holds_its_invariants_on_the_paper_floor_system(max_power, seed):
     """The same property on the ao-paper-floor system (N = 100, K = 16,
@@ -891,20 +926,117 @@ def test_ao_holds_its_invariants_on_the_paper_floor_system(max_power, seed):
     assert _benchmark_checks().check_ao_item(sc, res, arms) == []
     assert res.allocation.feasible
     assert res.sum_rate >= arms["equal"][1]
+    assert all(r.bandwidth.kkt_residual <= 1e-8 for r in res.rounds
+               if r.bandwidth is not None)
+
+
+BANDWIDTH_SYSTEMS = {
+    "ao-small": AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0),
+    "ao-paper-floor": AO_PAPER_FLOOR,
+}
+
+
+@given(system=st.sampled_from(sorted(BANDWIDTH_SYSTEMS)),
+       max_power=st.floats(min_value=0.2, max_value=200.0),
+       seed=st.integers(min_value=1011, max_value=1018))
+@settings(max_examples=4, deadline=None)
+# A Newton loop that counts a band left within rounding of its floor as
+# above it caps every later step near zero there. One such loop stopped
+# 0.09-3.9% short of the optimum on nine calls of the first six runs; on
+# the last, at one BLAS thread, a loop that neither counts such a band as
+# at its floor nor puts the blocking band exactly on it ends 60 steps later
+# at a KKT residual of 0.02.
+@example(system="ao-small", max_power=200.0, seed=1014)
+@example(system="ao-small", max_power=200.0, seed=1015)
+@example(system="ao-paper-floor", max_power=20.0, seed=1011)
+@example(system="ao-paper-floor", max_power=120.0, seed=1011)
+@example(system="ao-paper-floor", max_power=120.0, seed=1012)
+@example(system="ao-paper-floor", max_power=120.0, seed=1013)
+@example(system="ao-small", max_power=150.0, seed=1026)
+def test_bandwidth_stage_reaches_the_dual_optimum(system, max_power, seed):
+    """On every bandwidth-stage call of an AO run, the stage's objective and
+    sum rate are at least the dual water-filling reference's, its KKT
+    residual is at most 1e-8 after at most 10 steps, every band is at or
+    above its rate floor, and the bandwidths sum to the total."""
+    cfg = BANDWIDTH_SYSTEMS[system].replace(max_power=max_power)
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    calls = []
+
+    def recorded(scenario, allocation):
+        calls.append((allocation, optimize_bandwidth(scenario, allocation)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmimo.optimizer, "optimize_bandwidth", recorded)
+        alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    assert calls
+    for alloc, res in calls:
+        want = sum_rate(sc, _assert_at_the_dual_optimum(sc, alloc, res))
+        assert sum_rate(sc, res.allocation) >= want - 1e-12 * want
+        assert res.iterations <= 10
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=20, deadline=None)
+# a loop that neither counts a band within rounding of its floor as at it
+# nor puts the blocking band exactly on it ends here 60 steps later at a KKT
+# residual of 0.28
+@example(seed=503)
+def test_bandwidth_stage_reaches_the_dual_optimum_at_any_allocation(seed):
+    """The same, at random powers (down to 1e-6 of the cap) and weights on
+    the ao-small system at 200 W, scheduled as the AO's first round is."""
+    cfg = BANDWIDTH_SYSTEMS["ao-small"].replace(max_power=200.0)
+    scenario_ss, draw_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    rng = np.random.default_rng(draw_ss)
+    powers = cfg.max_power * rng.uniform(0.01, 1.0, cfg.num_users) ** 3
+    weights = rng.uniform(0.05, 1.0, sc.serving.shape) * sc.serving
+    sched = schedule_users(sc, scheduling_estimates(sc, rng),
+                           np.full(cfg.num_users, cfg.max_power),
+                           equal_weights(sc))
+    alloc = equal_split_allocation(sc, groups=sched.groups, powers=powers,
+                                   weights=normalize_weights(sc, weights))
+    _assert_at_the_dual_optimum(sc, alloc, optimize_bandwidth(sc, alloc))
+
+
+def _assert_at_the_dual_optimum(scenario, alloc, res):
+    """The stage's result `res` on `alloc` reaches the objective of the dual
+    reference, the sum of rate_vs_bandwidth over the users, to 1e-12, with
+    a KKT residual of at most 1e-8, every band at or above its rate floor
+    and the bandwidths summing to the total. Returns the reference."""
+    cfg = scenario.config
+    coeffs = bandwidth_coefficients(scenario, alloc)
+    reference = alloc.copy()
+    reference.bandwidths = dual_bandwidth(scenario, alloc)
+    got, want = (sum(rate_vs_bandwidth(bw, *coeffs[k])
+                     for g, bw in zip(alloc.groups, a.bandwidths) for k in g)
+                 for a in (res.allocation, reference))
+    assert got >= want - 1e-12 * want
+    assert res.kkt_residual <= 1e-8
+    for g, bw in zip(alloc.groups, res.allocation.bandwidths):
+        assert bw >= max([0.0] + [_min_bandwidth(
+            *coeffs[k], cfg.rate_requirement, cfg.total_bandwidth)
+            for k in g])
+    assert sum(res.allocation.bandwidths) == pytest.approx(
+        cfg.total_bandwidth, rel=1e-12, abs=0)
+    return reference
 
 
 # The benchmark experiment's K=8 system (harness.run_benchmark at seed 0):
 # per seed, the groups and sum rate of the alternating optimization and of
 # the equal-weight and estimate-weight benchmark arms, as computed before
 # the scheduler scored partitions from one interference table per call.
+# The AO rates of seeds 0 and 2 are those of the bandwidth stage whose rate
+# model is the bound itself (no floor on the interference power).
 GOLDEN_AO = [
-    (([[0, 2], [3, 6], [1, 7], [4, 5]], 868882.0084159614),
+    (([[0, 2], [3, 6], [1, 7], [4, 5]], 868892.5067869478),
      ([[0, 2], [3, 6], [1, 7], [4, 5]], 866464.2394323557),
      ([[0, 2], [3, 6], [1, 7], [4, 5]], 866444.1393049555)),
     (([[1, 2], [4, 5, 7], [0, 3, 6]], 873409.4093667413),
      ([[1, 2], [4, 5, 7], [0, 3, 6]], 870270.9177190213),
      ([[1, 2], [4, 5, 7], [0, 3, 6]], 870231.015785986)),
-    (([[0, 7], [2, 3, 4], [1, 5, 6]], 920416.7355867573),
+    (([[0, 7], [2, 3, 4], [1, 5, 6]], 920420.6374793107),
      ([[0, 7], [2, 3, 4], [1, 5, 6]], 917118.3606276),
      ([[0, 7], [2, 3, 4], [1, 5, 6]], 917103.1303237763)),
 ]
