@@ -6,20 +6,40 @@ affine value log c + e @ x, so each constraint is log-sum-exp(rows) <= 0
 and the objective is a @ x (Boyd, Kim, Vandenberghe & Hassibi, "A tutorial
 on geometric programming", 2007). A problem is stored exactly so: one row
 (log c, e) per term over integer variable columns, the rows of constraint
-i being ``logs[starts[i]:starts[i + 1]]``. SLSQP solves the smooth convex
-program through one vector-valued constraint.
+i being ``logs[starts[i]:starts[i + 1]]``. A primal-dual interior-point
+method in numpy solves the smooth convex program, after a phase I that
+finds a strictly feasible point or shows that there is none (Boyd &
+Vandenberghe, *Convex Optimization*, 2004, sections 11.4 and 11.7).
 """
 
 from __future__ import annotations
 
-import functools
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
-# SLSQP's iteration limit
-MAX_ITER = 300
+# Newton steps of one solve, phase I and phase II together
+MAX_ITER = 100
+# A solve stops once its dual residual, its primal residual and its
+# duality gap are at most TOL (the gap relative to the objective where
+# that exceeds 1)
+TOL = 1e-10
+# Every column the solve moves stays within BOX of its start, so that a
+# direction no constraint bounds (a user's weight scale, which no SINR
+# sees) leaves the barrier bounded
+BOX = 100.0
+# A constraint within HOLD of 0 at the start counts as active there, and
+# one above HOLD as violated
+HOLD = 1e-12
+# Phase I runs until every constraint is below -DEPTH (or as far below 0
+# as the problem allows), so that phase II starts off the boundary
+DEPTH = 1e-2
+# A step keeps STEP_BACK of the way to the nearest zero slack or
+# multiplier, and is halved until the residual norm falls by ALPHA of it
+STEP_BACK = 0.99
+ALPHA = 0.01
 
 
 class GpError(RuntimeError):
@@ -80,8 +100,59 @@ class GpProblem:
                             self._segment)
 
     def jacobian(self, softmax):
-        """d lse / dx from ``lse_softmax``'s row weights at x."""
-        return np.add.reduceat(softmax[:, None] * self.exps, self.starts)
+        """d lse / dx, (C, n), from ``lse_softmax``'s row weights at x:
+        each constraint's softmax-weighted sum of its rows, over the
+        nonzero exponents in row order."""
+        nz = self._nonzeros
+        C, n = len(self.starts), len(self.objective)
+        return np.bincount(nz.cell, weights=softmax[nz.row] * nz.value,
+                           minlength=C * n).reshape(C, n)
+
+    @cached_property
+    def _nonzeros(self):
+        """The nonzero exponents in row order: their row, column, value,
+        and cell (constraint * n + column) of the Jacobian."""
+        flat = np.flatnonzero(self.exps)
+        row, col = np.divmod(flat, len(self.objective))
+        return _Nonzeros(row, col, self.exps.ravel()[flat],
+                         self._segment[row] * len(self.objective) + col)
+
+    @cached_property
+    def _incidence(self):
+        """(C, n) bool: which columns each constraint's rows touch."""
+        return np.logical_or.reduceat(self.exps != 0, self.starts, axis=0)
+
+    @cached_property
+    def _hessian_pairs(self):
+        """Index pairs that assemble a Hessian sum_r w_r e_r e_r^T over the
+        rows, and sum_c d_c g_c g_c^T over the constraints' gradients g_c,
+        from their nonzeros alone: (row, cell, product of the two
+        exponents) for every pair of a row's nonzeros, and (constraint,
+        Jacobian cell, Jacobian cell, Hessian cell) for every pair of
+        columns that a constraint touches."""
+        nz, n = self._nonzeros, len(self.objective)
+        p, q = _pairs(nz.row, len(self.logs))
+        rows = (nz.row[p], nz.col[p] * n + nz.col[q], nz.value[p]
+                * nz.value[q])
+        cells = np.flatnonzero(self._incidence)
+        con, col = np.divmod(cells, n)
+        a, b = _pairs(con, len(self.starts))
+        return rows, (con[a], cells[a], cells[b], col[a] * n + col[b])
+
+
+_Nonzeros = namedtuple("_Nonzeros", "row col value cell")
+
+
+def _pairs(group, count):
+    """(p, q): every ordered pair of positions of the sorted array `group`
+    that hold the same value, among `count` possible values."""
+    sizes = np.bincount(group, minlength=count)
+    first = np.cumsum(sizes) - sizes
+    per = sizes[group]
+    p = np.repeat(np.arange(len(group)), per)
+    q = first[group[p]] + np.arange(len(p)) - np.repeat(
+        np.cumsum(per) - per, per)
+    return p, q
 
 
 def _segment_lse(z, starts, segment):
@@ -108,50 +179,289 @@ def condense(logs, exps, x0):
 @dataclass
 class GpSolution:
     x: np.ndarray  # log of the optimal variables
-    status: int  # SLSQP's exit status; 0 is success
+    status: int  # 0 converged, 1 out of Newton steps, 2 no step helped
     kkt_residual: float
     max_violation: float  # max over constraints of g(exp(x)) - 1
-    iterations: int
+    iterations: int  # Newton steps, phase I included
+
+
+def _reach(problem, seeds):
+    """(cols, cons): the columns connected to the columns `seeds` through
+    shared constraints, and the constraints that touch them."""
+    touches = problem._incidence
+    cols = seeds
+    while True:
+        cons = touches[:, cols].any(axis=1)
+        grown = seeds | touches[cons].any(axis=0)
+        if np.array_equal(grown, cols):
+            return cols, cons
+        cols = grown
 
 
 def solve_gp(problem, x0):
     """Solve from the log-domain start x0. Returns a GpSolution; raises
     GpInfeasibleError / GpUnboundedError on detection.
+
+    A start that already meets the KKT conditions is returned as it is.
+    Otherwise, columns that neither the objective nor a constraint violated
+    at x0 reaches through shared constraints keep their x0 values: nothing
+    they touch can change the objective, and they meet their constraints at
+    x0. The rest are solved within BOX of x0: a phase I from x0 finds a
+    point at least DEPTH inside every constraint, or as deep as there is,
+    or shows that none is strictly inside, and a phase II goes from there
+    to the optimum. The KKT residual is read off the method's own
+    multipliers.
     """
+    x0 = np.asarray(x0, dtype=float)
     obj = problem.objective
-    # SLSQP asks for the constraints at a point, then for their Jacobian
-    # there (and revisits points): evaluate each distinct point once
-    at = functools.cache(lambda key: problem.lse_softmax(np.frombuffer(key)))
-    res = minimize(
-        lambda x: -obj @ x, np.asarray(x0, dtype=float), jac=lambda x: -obj,
-        method="SLSQP",
-        constraints={"type": "ineq", "fun": lambda x: -at(x.tobytes())[0],
-                     "jac": lambda x: -problem.jacobian(at(x.tobytes())[1])},
-        options={"maxiter": MAX_ITER, "ftol": 1e-14},
-    )
-    x = res.x
+    lse, soft = problem.lse_softmax(x0)
+    x, status, steps = x0.copy(), 0, 0
+    kkt = _kkt_at(problem, lse, soft)
+    if kkt > TOL:  # x0 is not optimal already
+        seeds = (obj != 0) | problem._incidence[lse > HOLD].any(axis=0)
+        cols, cons = _reach(problem, seeds)
+        if cols.any() and not cons.any():
+            raise GpUnboundedError(
+                "the objective's variables are unconstrained")
+        kkt = 0.0
+        if cons.any():
+            path = _Path(_boxed(problem, cols, cons, x0[cols]), x0[cols])
+            status = path.run()
+            x[cols], steps, kkt = path.y, path.steps, path.kkt(cons.sum())
+        lse = problem.lse(x)
     # Only the objective's variables signal unboundedness: a variable the
     # objective ignores may drift along a flat direction of the constraints
     # (a user's combining weights, whose scale no SINR sees) at no gain.
     if (not np.all(np.isfinite(x))
             or np.abs(x[obj != 0]).max(initial=0.0) > 80.0):
         raise GpUnboundedError("iterates diverged; problem likely unbounded")
-    val, soft = at(x.tobytes())
-    jac = problem.jacobian(soft)
-    viol = val.max()
+    viol = lse.max()
     if viol > 1e-6:
         raise GpInfeasibleError(
-            f"no feasible point found (max log violation {viol:.2e}, "
-            f"status {res.status}: {res.message})"
-        )
+            f"no feasible point found (max log violation {viol:.2e})")
+    return GpSolution(x=x, status=status, kkt_residual=kkt,
+                      max_violation=float(np.expm1(viol)), iterations=steps)
 
-    # KKT residual: least-squares multipliers over near-active constraints
-    G = jac[val > -1e-7].T
-    if G.size:
-        lam, *_ = np.linalg.lstsq(G, obj, rcond=None)
-        kkt = np.linalg.norm(obj - G @ np.clip(lam, 0.0, None))
-    else:
-        kkt = np.linalg.norm(obj)
-    return GpSolution(x=x, status=int(res.status), kkt_residual=float(kkt),
-                      max_violation=float(np.expm1(viol)),
-                      iterations=int(res.nit))
+
+def _kkt_at(problem, lse, soft):
+    """The KKT residual of a start that meets every constraint within HOLD:
+    that of the least-squares multipliers on the constraints within HOLD
+    of active, if they are nonnegative; inf otherwise."""
+    active = lse >= -HOLD
+    if lse.max() > HOLD or not active.any():
+        return np.inf
+    G = problem.jacobian(soft)[active]
+    try:  # least squares by the normal equations; a wrong answer fails below
+        lam = np.linalg.solve(G @ G.T, G @ problem.objective)
+    except np.linalg.LinAlgError:
+        return np.inf
+    if lam.min() < 0:
+        return np.inf
+    return float(np.linalg.norm(problem.objective - G.T @ lam))
+
+
+def _boxed(problem, cols, cons, x0):
+    """The problem over columns `cols` and constraints `cons` (boolean
+    masks; those constraints touch no other column), followed by the box
+    x0 - BOX <= x <= x0 + BOX as one-row constraints."""
+    keep = cons[problem._segment]
+    exps = problem.exps if cons.all() else problem.exps[keep]
+    sizes = np.diff(np.append(problem.starts, len(problem.logs)))[cons]
+    n = len(x0)
+    return GpProblem(
+        problem.objective[cols],
+        np.concatenate([problem.logs[keep], x0 - BOX, -x0 - BOX]),
+        np.vstack([exps if cols.all() else exps[:, cols], -np.eye(n),
+                   np.eye(n)]),
+        np.concatenate([np.cumsum(sizes) - sizes,
+                        len(exps) + np.arange(2 * n)]))
+
+
+def _ratio(v, dv):
+    """Largest step a with v + a dv >= 0 (v > 0); inf if dv >= 0."""
+    most = (-dv / v).max()
+    return 1.0 / most if most > 0 else np.inf
+
+
+class _Path:
+    """Primal-dual path following (Boyd & Vandenberghe, section 11.7) for
+    maximizing objective @ x subject to every lse_i(x) <= 0, from x after a
+    phase I unless x is DEPTH inside every constraint. It works in slack
+    form: each constraint is f_i + s_i = 0, f_i = lse_i, with s_i > 0 and a
+    multiplier lam_i > 0, so that a step's ratio test is linear in
+    (s, lam); the primal residual f + s goes to 0 with the dual residual
+    and the gap lam @ s. In phase I the variables are y = (x, z) and the
+    constraints lse_i(x) - z <= 0."""
+
+    def __init__(self, problem, x):
+        self.problem, self.n, self.steps = problem, len(x), 0
+        self.phase1 = False
+        self._evaluate(x)
+        self.phase1 = self.f.max() > -DEPTH
+        if self.phase1:
+            self._phase_one()
+        else:
+            self._start()
+
+    @property
+    def s(self):
+        return self.sl[:len(self.f)]
+
+    @property
+    def lam(self):
+        return self.sl[len(self.f):]
+
+    def _objective(self):
+        if self.phase1:
+            return np.append(np.zeros(self.n), -1.0)
+        return self.problem.objective
+
+    def _evaluate(self, y):
+        """Set y and what is read at it: each constraint's value f, the row
+        weights and the Jacobian G of f in y."""
+        self.y = y
+        self.f, self.soft = self.problem.lse_softmax(y[:self.n])
+        self.G = self.problem.jacobian(self.soft)
+        if self.phase1:
+            self._add_z(y[-1])
+
+    def _add_z(self, z):
+        """f and G of lse_i(x) - z, from those of lse_i(x)."""
+        self.f = self.f - z
+        self.G = np.concatenate([self.G, np.full((len(self.f), 1), -1.0)],
+                                axis=1)
+
+    def _start(self):
+        """Slacks s = -f (f < 0 here) and multipliers on the central path,
+        lam_i = mu / s_i, mu minimizing the dual residual (section
+        11.3.1)."""
+        s = -self.f
+        v = self.G.T @ (1.0 / s)
+        c = self._objective()
+        mu = (c @ v) / (v @ v)
+        if not mu > 0:
+            mu = np.linalg.norm(c) / np.linalg.norm(v)
+        self.sl = np.concatenate([s, mu / s])
+        self._residual(self.sl)
+
+    def _residual(self, sl):
+        """Set the dual and primal residuals at y and the slacks and
+        multipliers sl = (s, lam), and the sum of their squares."""
+        m = len(self.f)
+        self.rd = self.G.T @ sl[m:] - self._objective()
+        self.rp = self.f + sl[:m]
+        self.r2 = self.rd @ self.rd + self.rp @ self.rp
+
+    def _newton(self):
+        """The Newton direction of the residuals as a function of mu: it
+        returns (dy, d(s, lam))."""
+        n, G, lam, s = self.n, self.G, self.lam, self.s
+        (row, cell, prod), (con, ga, gb, hcell) = \
+            self.problem._hessian_pairs
+        d = lam / s
+        # sum_i lam_i Hess lse_i + sum_i d_i g_i g_i^T: Hess lse_i is the
+        # row covariance E^T diag(soft) E - g g^T within constraint i
+        w = (lam[self.problem._segment] * self.soft)[row] * prod
+        Gf = (G[:, :n] if self.phase1 else G).ravel()
+        cross = (d - lam)[con] * Gf[ga] * Gf[gb]
+        H = (np.bincount(cell, weights=w, minlength=n * n)
+             + np.bincount(hcell, weights=cross, minlength=n * n)
+             ).reshape(n, n)
+        if self.phase1:  # z enters every constraint linearly
+            Hx, H = H, np.empty((n + 1, n + 1))
+            H[:n, :n] = Hx
+            H[n, :n] = H[:n, n] = -(G[:, :n].T @ d)
+            H[n, n] = d.sum()
+        rp = self.rp
+        rhs = G.T @ np.column_stack([d * rp, 1.0 / s])
+        rhs[:, 0] -= self._objective()
+        dy0, dy1 = -np.linalg.solve(H, rhs).T
+        u0, u1 = (G @ np.column_stack([dy0, dy1])).T
+        u0 = u0 + rp
+
+        def direction(mu):
+            u = u0 + mu * u1
+            return dy0 + mu * dy1, np.concatenate(
+                [-u, d * u - lam + mu / s])
+        return direction
+
+    def run(self):
+        """Newton steps until converged() or MAX_ITER steps in all; returns
+        the status: 0 if converged, 1 out of steps, 2 if no step helped."""
+        while not self.converged():
+            if self.steps == MAX_ITER:
+                return 1
+            try:
+                direction = self._newton()
+            except np.linalg.LinAlgError:
+                return 2  # the Newton matrix is singular to working precision
+            # Mehrotra's centring: mu = sigma gap / m, sigma the cube of the
+            # gap an affine step (mu = 0) would leave, relative to the gap;
+            # but mu stays above a tenth of the largest lam_i (f_i + s_i),
+            # since a slack driven far below its constraint's violation
+            # makes the Newton matrix singular before the violation is gone
+            m, sl = len(self.s), self.sl
+            gap = self.lam @ self.s
+            _, dsl = direction(0.0)
+            a = min(1.0, _ratio(sl, dsl))
+            trial = sl + a * dsl
+            mu = max((trial[:m] @ trial[m:] / gap) ** 3 * gap / m,
+                     0.1 * (self.lam * self.rp).max())
+            dy, dsl = direction(mu)
+            rc = self.lam * self.s - mu
+            r0 = np.sqrt(self.r2 + rc @ rc)
+            step = min(1.0, STEP_BACK * _ratio(sl, dsl))
+            here = self.y, self.f, self.soft, self.G
+            while True:
+                self._evaluate(here[0] + step * dy)
+                trial = sl + step * dsl
+                # a constraint met at the trial point takes its own slack,
+                # so that moving along a constraint's curve leaves no
+                # primal residual
+                trial[:m] = np.where(self.f < 0, -self.f, trial[:m])
+                self._residual(trial)
+                rc = trial[:m] * trial[m:] - mu
+                if np.sqrt(self.r2 + rc @ rc) <= (1.0 - ALPHA * step) * r0:
+                    break
+                step *= 0.5
+                if step < 1e-14:
+                    self.y, self.f, self.soft, self.G = here
+                    self._residual(sl)
+                    return 2
+            self.sl = trial
+            self.steps += 1
+        return 0
+
+    def converged(self):
+        if self.phase1 and (self.f + self.y[-1]).max() <= -DEPTH:
+            return True  # x is DEPTH inside every constraint
+        return (np.sqrt(self.rd @ self.rd) <= TOL
+                and np.abs(self.rp).max() <= TOL
+                and self.lam @ self.s <= TOL * max(
+                    1.0, abs(self._objective() @ self.y)))
+
+    def _phase_one(self):
+        """Phase I (section 11.4): minimize z subject to lse_i(x) <= z,
+        from z = max_i lse_i(x) + 1, until every lse_i(x) < -DEPTH or z is
+        at its minimum; raise GpInfeasibleError if that is not below 0."""
+        z = self.f.max() + 1.0
+        self.y = np.append(self.y, z)
+        self._add_z(z)
+        self._start()
+        status = self.run()
+        worst = (self.f + self.y[-1]).max()
+        if worst >= 0:
+            raise GpInfeasibleError(
+                f"no strictly feasible point: phase I ended at a max log "
+                f"violation of {worst:.2e} (status {status})")
+        self.phase1 = False
+        self.f, self.G, self.y = (self.f + self.y[-1], self.G[:, :self.n],
+                                  self.y[:-1])
+        self._start()
+
+    def kkt(self, own):
+        """max(|objective - sum_i lam_i grad lse_i|, sum_i lam_i |lse_i|)
+        over the first `own` constraints, those of the problem solved."""
+        lam = self.lam[:own]
+        r = self.problem.objective - self.G[:own].T @ lam
+        return float(max(np.linalg.norm(r), lam @ np.abs(self.f[:own])))

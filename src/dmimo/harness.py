@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import SystemConfig
@@ -105,7 +104,6 @@ def write_manifest(spec, extra=None):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     if extra:

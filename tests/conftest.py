@@ -1,12 +1,15 @@
+import functools
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dmimo.channel import Correlation, correlation_matrix
 from dmimo.config import SystemConfig
+from dmimo.gp import GpInfeasibleError, GpSolution, GpUnboundedError
 from dmimo.optimizer import (_min_bandwidth, bandwidth_coefficients,
                              rate_vs_bandwidth_prime, rate_vs_bandwidth_second)
 from dmimo.scenario import Scenario, build_scenario
@@ -16,6 +19,13 @@ from dmimo.scenario import Scenario, build_scenario
 # k_B T_0 10^(N_dB/10) B = 1 * 1 * 1 * 1.
 UNIT_NOISE = dict(boltzmann=1.0, noise_temperature=1.0, total_bandwidth=1.0,
                   noise_figure_db=0.0)
+
+
+# The system of the benchmark's ao-small workload: K = 8, four satellites in
+# clusters of three, four sub-bands of three users, six pilots, no floor.
+AO_SMALL = SystemConfig(
+    num_users=8, num_satellites=4, cluster_size=3, num_subbands=4,
+    subband_capacity=3, pilot_length=6, max_power=0.2)
 
 
 # The system of the benchmark's ao-paper-floor workload: N = 100, K = 16
@@ -282,6 +292,47 @@ def dual_bandwidth(scenario, allocation):
     free = sum(b for i, b in enumerate(bws) if b > floors[i])
     return [b - excess * b / free if b > floors[i] else b
             for i, b in enumerate(bws)]
+
+
+# The GP solve by SciPy's SLSQP: the reference that the interior-point method
+# of dmimo.gp.solve_gp is compared against.
+
+
+def slsqp_reference(problem, x0):
+    """Solve `problem` from the log-domain start x0 by SLSQP, through one
+    vector-valued constraint whose values and Jacobian come from one
+    log-sum-exp evaluation per distinct point. Returns a GpSolution (status
+    is SLSQP's exit status, the KKT residual that of least-squares
+    multipliers over the constraints within 1e-7 of active); raises
+    GpInfeasibleError / GpUnboundedError as solve_gp does."""
+    obj = problem.objective
+    at = functools.cache(lambda key: problem.lse_softmax(np.frombuffer(key)))
+    res = minimize(
+        lambda x: -obj @ x, np.asarray(x0, dtype=float), jac=lambda x: -obj,
+        method="SLSQP",
+        constraints={"type": "ineq", "fun": lambda x: -at(x.tobytes())[0],
+                     "jac": lambda x: -problem.jacobian(at(x.tobytes())[1])},
+        options={"maxiter": 300, "ftol": 1e-14},
+    )
+    x = res.x
+    if (not np.all(np.isfinite(x))
+            or np.abs(x[obj != 0]).max(initial=0.0) > 80.0):
+        raise GpUnboundedError("iterates diverged; problem likely unbounded")
+    val, soft = at(x.tobytes())
+    jac = problem.jacobian(soft)
+    viol = val.max()
+    if viol > 1e-6:
+        raise GpInfeasibleError(f"no feasible point found (max log "
+                                f"violation {viol:.2e})")
+    G = jac[val > -1e-7].T
+    if G.size:
+        lam, *_ = np.linalg.lstsq(G, obj, rcond=None)
+        kkt = np.linalg.norm(obj - G @ np.clip(lam, 0.0, None))
+    else:
+        kkt = np.linalg.norm(obj)
+    return GpSolution(x=x, status=int(res.status), kkt_residual=float(kkt),
+                      max_violation=float(np.expm1(viol)),
+                      iterations=int(res.nit))
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@ import csv
 import json
 import re
 import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,7 +169,20 @@ def test_nmse_sweep_outputs(tmp_path):
     manifest = json.loads((tmp_path / "run-manifest.json").read_text())
     assert manifest["experiment"] == "nmse-sweep"
     assert manifest["seed"] == 5
-    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"python", "numpy"}
+
+
+def test_library_does_not_import_scipy():
+    """scipy is a test dependency only: importing the harness and the
+    optimizer loads no scipy module."""
+    src = str(Path(dmimo.harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dmimo.harness, dmimo.optimizer; print(sorted(m for m "
+         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={"PYTHONPATH": src, "PATH": ""}, check=True, capture_output=True,
+        text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_bound_validate_outputs(tmp_path):
@@ -222,18 +237,19 @@ def test_convergence_outputs(tmp_path):
 # when the experiment still called the stages itself rather than reading
 # the alternating optimization's first round (and each row still carried
 # the build tag, since moved to the manifest); the bandwidth rows are the
-# objective after each Newton step of the bandwidth stage
+# objective after each Newton step of the bandwidth stage, and the SCA step
+# is the interior-point GP solver's (the same at one and two BLAS threads)
 GOLDEN_CONVERGENCE = [
     ["0", "64", "power-weights", "0", "1391835.39446"],
-    ["0", "64", "power-weights", "1", "1394331.8884"],
-    ["0", "64", "bandwidth", "1", "1402433.02003"],
-    ["0", "64", "bandwidth", "2", "1402433.77805"],
-    ["0", "64", "bandwidth", "3", "1402433.77805"],
+    ["0", "64", "power-weights", "1", "1394331.88915"],
+    ["0", "64", "bandwidth", "1", "1402433.0206"],
+    ["0", "64", "bandwidth", "2", "1402433.77862"],
+    ["0", "64", "bandwidth", "3", "1402433.77862"],
     ["0", "100", "power-weights", "0", "1978962.89346"],
-    ["0", "100", "power-weights", "1", "1987100.22813"],
-    ["0", "100", "bandwidth", "1", "2000134.21462"],
-    ["0", "100", "bandwidth", "2", "2000134.85795"],
-    ["0", "100", "bandwidth", "3", "2000134.85795"],
+    ["0", "100", "power-weights", "1", "1987100.22818"],
+    ["0", "100", "bandwidth", "1", "2000134.21466"],
+    ["0", "100", "bandwidth", "2", "2000134.858"],
+    ["0", "100", "bandwidth", "3", "2000134.858"],
 ]
 
 
@@ -316,9 +332,10 @@ def test_benchmark_outputs(tmp_path):
     assert arms == {"proposed", "benchmark1", "benchmark2"}
     # as written before the scheduler kept colorings and schedules per
     # RateContext (and each row still carried the build tag); the proposed
-    # row is that of the bandwidth stage whose rate model is the bound
+    # row is that of the bandwidth stage whose rate model is the bound and
+    # of the interior-point GP solver
     assert data == [
-        ["5", "6", "proposed", "686591.038571", "114431.839762", "2"],
+        ["5", "6", "proposed", "686591.038563", "114431.83976", "2"],
         ["5", "6", "benchmark1", "685437.164682", "114239.527447", "2"],
         ["5", "6", "benchmark2", "685466.724975", "114244.454163", "2"]]
 

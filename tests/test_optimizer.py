@@ -1,6 +1,9 @@
 import functools
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 import dmimo.optimizer
 from conftest import (
     AO_PAPER_FLOOR,
+    AO_SMALL,
     clone_user,
     dual_bandwidth,
     make_scenario,
@@ -684,12 +688,8 @@ def test_benchmark_arms_run(default_scenario):
         benchmark_allocation(sc, np.random.default_rng(3), "nope")
 
 
-# The benchmark's ao-small system (K=8, four satellites in clusters of three,
-# four sub-bands of three users, six pilots) with a floor no schedule meets.
-AO_SMALL_UNATTAINABLE = SystemConfig(
-    num_users=8, num_satellites=4, cluster_size=3, num_subbands=4,
-    subband_capacity=3, pilot_length=6, max_power=0.2,
-    rate_requirement=1.5e5)
+# The benchmark's ao-small system with a floor no schedule meets.
+AO_SMALL_UNATTAINABLE = AO_SMALL.replace(rate_requirement=1.5e5)
 
 
 @pytest.mark.parametrize("seed, phi", [(1007, 0.6076), (1008, 0.5407)])
@@ -906,7 +906,7 @@ def test_ao_holds_its_invariants_at_any_power(max_power, seed):
 @given(max_power=st.floats(min_value=0.2, max_value=200.0),
        seed=st.integers(min_value=1011, max_value=1018))
 @settings(max_examples=2, deadline=None)
-# SLSQP drifts a user's weights along their free scale to ~e^-150
+# SLSQP drifted a user's weights along their free scale to ~e^-150 here
 @example(max_power=46.0, seed=1014)
 # a dual search for the bandwidths stalls at float resolution here, with a
 # KKT residual of 0.146
@@ -1028,15 +1028,17 @@ def _assert_at_the_dual_optimum(scenario, alloc, res):
 # the equal-weight and estimate-weight benchmark arms, as computed before
 # the scheduler scored partitions from one interference table per call.
 # The AO rates of seeds 0 and 2 are those of the bandwidth stage whose rate
-# model is the bound itself (no floor on the interference power).
+# model is the bound itself (no floor on the interference power), and all
+# three AO rates those of the interior-point GP solver (the same at one and
+# two BLAS threads).
 GOLDEN_AO = [
-    (([[0, 2], [3, 6], [1, 7], [4, 5]], 868892.5067869478),
+    (([[0, 2], [3, 6], [1, 7], [4, 5]], 868892.5068048103),
      ([[0, 2], [3, 6], [1, 7], [4, 5]], 866464.2394323557),
      ([[0, 2], [3, 6], [1, 7], [4, 5]], 866444.1393049555)),
-    (([[1, 2], [4, 5, 7], [0, 3, 6]], 873409.4093667413),
+    (([[1, 2], [4, 5, 7], [0, 3, 6]], 873409.4093650338),
      ([[1, 2], [4, 5, 7], [0, 3, 6]], 870270.9177190213),
      ([[1, 2], [4, 5, 7], [0, 3, 6]], 870231.015785986)),
-    (([[0, 7], [2, 3, 4], [1, 5, 6]], 920420.6374793107),
+    (([[0, 7], [2, 3, 4], [1, 5, 6]], 920420.6374657725),
      ([[0, 7], [2, 3, 4], [1, 5, 6]], 917118.3606276),
      ([[0, 7], [2, 3, 4], [1, 5, 6]], 917103.1303237763)),
 ]
@@ -1061,3 +1063,48 @@ def test_ao_outputs_match_golden():
         for (groups, rate), (want_groups, want_rate) in zip(got, golden):
             assert groups == want_groups, s
             assert rate == pytest.approx(want_rate, rel=1e-12, abs=0), s
+
+
+# Runs the golden AO system (its three seeds, the AO and both arms) and
+# prints the bytes of every GP solution and sum rate, one per line.
+_GOLDEN_RUN = """
+import numpy as np
+import dmimo.optimizer as opt
+from dmimo.config import SystemConfig
+from dmimo.harness import _cluster_config
+from dmimo.scenario import build_scenario
+
+solve = opt.solve_gp
+def printed(problem, x0):
+    sol = solve(problem, x0)
+    print(sol.x.tobytes().hex())
+    return sol
+opt.solve_gp = printed
+cfg = _cluster_config(SystemConfig(), 8, pilot_length=6, subband_capacity=3,
+                      max_power=0.2)
+children = np.random.SeedSequence(8).spawn(6)
+for s in range(3):
+    sc = build_scenario(cfg, np.random.default_rng(children[2 * s]))
+    est_ss = children[2 * s + 1]
+    ao = opt.alternating_optimize(sc, np.random.default_rng(est_ss))
+    print(np.float64(ao.sum_rate).tobytes().hex())
+    for mode in ("equal", "estimate"):
+        _, rate = opt.benchmark_allocation(sc, np.random.default_rng(est_ss),
+                                           mode)
+        print(np.float64(rate).tobytes().hex())
+"""
+
+
+def test_ao_outputs_do_not_depend_on_the_blas_thread_count():
+    """The golden AO system gives the same bits, every GP solution and sum
+    rate, with one BLAS thread and with two."""
+    src = str(Path(dmimo.optimizer.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _GOLDEN_RUN], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout.split())
+    assert len(outputs[0]) > 9
+    assert outputs[0] == outputs[1]
