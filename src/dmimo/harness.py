@@ -32,6 +32,7 @@ from .optimizer import (
 )
 from .rate import (
     MIN_TRIALS,
+    band_rate,
     equal_split_allocation,
     equal_weights,
     monte_carlo_users,
@@ -222,7 +223,7 @@ def run_bound_validation(spec):
         for k, rep in mc.users.items():
             denom = sum(t[1] for t in rep.terms.values())
             bw = alloc.bandwidths[alloc.band_of(k)]
-            bound_mc += bw * np.log2(1.0 + rep.ds_closed / denom)
+            bound_mc += band_rate(bw, rep.ds_closed, 0.0, denom)[1]
         rows.append([spec.seed, kbar, lb, mc.sum_rate, mc.sum_rate_se,
                      float(bound_mc)])
     header = ["seed", "rician_factor", "rate_lb", "rate_mc", "rate_mc_se",

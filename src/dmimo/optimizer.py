@@ -14,7 +14,10 @@ from .estimation import estimate_batch
 from .gp import (GpInfeasibleError, GpProblem, GpUnboundedError, condense,
                  solve_gp)
 from .rate import (
+    LN2,
     AllocationState,
+    band_rate,
+    band_rate_derivatives,
     equal_split_allocation,
     equal_weights,
     normalize_weights,
@@ -25,7 +28,6 @@ from .rate import (
 )
 from .scheduler import Schedule, schedule_users
 
-LN2 = math.log(2.0)
 # The alternating optimization stops after a round that gains less than
 # EPS_OUTER of its sum rate over the round before; the SCA loop after a GP
 # step that gains less than EPS_SCA, or after MAX_ITER_SCA steps.
@@ -47,12 +49,12 @@ class InfeasibleError(RuntimeError):
 
 
 def sca_coefficients(chi_prev):
-    """Tangent-surrogate coefficients: log2(1+chi) >= psi log2(chi) + delta,
-    tight at chi_prev."""
+    """Tangent-surrogate coefficients: the rate per Hz log1p(chi) / ln 2 is
+    at least psi log2(chi) + delta, with equality at chi_prev."""
     if chi_prev <= 0:
         raise ValueError("SCA anchor must be strictly positive")
     psi = chi_prev / (1.0 + chi_prev)
-    delta = math.log2(1.0 + chi_prev) - psi * math.log2(chi_prev)
+    delta = math.log1p(chi_prev) / LN2 - psi * math.log2(chi_prev)
     return psi, delta
 
 
@@ -197,12 +199,12 @@ def _allocation_at(scenario, allocation, x, optimize_weights):
 
 def _rate_gamma(scenario, bandwidth):
     """The SINR 2^(r_req / B) - 1 that meets the rate floor on a band of
-    bandwidth B; inf where that overflows a float."""
+    bandwidth B; inf where that overflows a float or B is 0."""
     req = scenario.config.rate_requirement
     if req <= 0:
         return 0.0
     try:
-        return 2.0 ** (req / bandwidth) - 1.0
+        return 2.0 ** (req / bandwidth) - 1.0 if bandwidth > 0 else math.inf
     except OverflowError:
         return math.inf
 
@@ -335,37 +337,6 @@ def optimize_power_weights(scenario, allocation, optimize_weights=True):
 # ---------------------------------------------------------------------------
 
 
-def rate_vs_bandwidth(x, a, b, c):
-    """f(x) = x log2(1 + a / (b x + c))."""
-    return x * math.log2(1.0 + a / (b * x + c))
-
-
-def rate_vs_bandwidth_prime(x, a, b, c):
-    u = b * x + c
-    return math.log2(1.0 + a / u) - a * b * x / (LN2 * u * (u + a))
-
-
-def rate_vs_bandwidth_second(x, a, b, c):
-    u = b * x + c
-    return -a * b * (a * b * x + 2 * b * c * x + 2 * c * c + 2 * a * c) \
-        / (LN2 * u * u * (u + a) ** 2)
-
-
-def bandwidth_coefficients(scenario, allocation):
-    """Per-user Python floats (a, b, c), so that rate_vs_bandwidth(B, a, b,
-    c) is the user's ``sinr_all`` rate on a band of bandwidth B: a the
-    desired power, b the noise power per Hz and c the interference plus
-    leakage power, which does not depend on B."""
-    terms = pair_terms(scenario, allocation.powers, allocation.weights)
-    res = sinr_in_bands(scenario, terms, allocation.groups,
-                        allocation.bandwidths)
-    a, b, c = np.maximum([res.numerator,
-                          terms.noise_gain * scenario.config.noise_density,
-                          res.interference.sum(axis=1)], 1e-300).tolist()
-    return {k: (a[k], b[k], c[k]) for group in allocation.groups
-            for k in group}
-
-
 @dataclass
 class BandwidthResult:
     allocation: AllocationState
@@ -375,27 +346,22 @@ class BandwidthResult:
 
 
 def _min_bandwidth(a, b, c, req, total):
-    """Smallest x with f(x) >= req (f increasing); bisection."""
+    """Per user, the smallest B whose rate band_rate(B, a, b, c)[1] is at
+    least req, by bisection (the rate increases in B); 0 without a floor. Each user's bracket
+    keeps rate(lo) < req <= rate(hi), so once it is two adjacent floats,
+    mid is one of them and the bracket stays as it is."""
+    lo, hi = np.zeros(len(a)), np.full(len(a), float(total))
     if req <= 0:
-        return 0.0
-    lo, hi = 0.0, total
-    if rate_vs_bandwidth(hi, a, b, c) < req:
+        return lo
+    if (band_rate(hi, a, b, c)[1] < req).any():
         raise InfeasibleError("rate floor unattainable within total bandwidth")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats: neither can move again
-        if rate_vs_bandwidth(mid, a, b, c) >= req:
-            hi = mid
-        else:
-            lo = mid
+        if not ((lo < mid) & (mid < hi)).any():
+            break
+        met = band_rate(mid, a, b, c)[1] >= req
+        lo, hi = np.where(met, lo, mid), np.where(met, mid, hi)
     return hi
-
-
-def _band_sums(f, bandwidths, groups, coeffs):
-    """Per band i, the sum of f(B_i, a, b, c) over the band's users."""
-    return np.array([sum(f(x, *coeffs[k]) for k in group)
-                     for x, group in zip(bandwidths, groups)])
 
 
 def optimize_bandwidth(scenario, allocation):
@@ -412,21 +378,29 @@ def optimize_bandwidth(scenario, allocation):
     loop stops at a relative KKT residual of TOL_BANDWIDTH, or when no step
     helps.
     """
-    total = scenario.config.total_bandwidth
-    req = scenario.config.rate_requirement
-    groups = allocation.groups
-    coeffs = bandwidth_coefficients(scenario, allocation)
-    floors = np.array([max([0.0] + [_min_bandwidth(*coeffs[k], req, total)
-                                    for k in group]) for group in groups])
+    cfg = scenario.config
+    total, groups = cfg.total_bandwidth, allocation.groups
+    # The scheduled users' band index and (a, b, c), with which band_rate
+    # gives each one's sinr_all rate on its band.
+    terms = pair_terms(scenario, allocation.powers, allocation.weights)
+    res = sinr_in_bands(scenario, terms, groups, allocation.bandwidths)
+    band = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    coeffs = (res.numerator[res.users],
+              terms.noise_gain[res.users] * cfg.noise_density,
+              res.interference.sum(axis=1)[res.users])
+    floors = np.zeros(len(groups))
+    np.maximum.at(floors, band, _min_bandwidth(
+        *coeffs, cfg.rate_requirement, total))
     if floors.sum() > total:
         raise InfeasibleError("rate floors jointly exceed total bandwidth")
 
     x = floors + (total - floors.sum()) / len(groups)
-    obj = _band_sums(rate_vs_bandwidth, x, groups, coeffs).sum()
+    obj = band_rate(x[band], *coeffs)[1].sum()
     trace = []
     while True:
-        gp = _band_sums(rate_vs_bandwidth_prime, x, groups, coeffs)
-        h = -_band_sums(rate_vs_bandwidth_second, x, groups, coeffs)
+        first, second = band_rate_derivatives(x[band], *coeffs)
+        gp = np.bincount(band, first, len(groups))
+        h = -np.bincount(band, second, len(groups))
         # A band within rounding of its floor is at it; the band farthest
         # above its floor is free even then, so that mu is defined.
         free = x > floors + TOL_BANDWIDTH * total
@@ -449,7 +423,7 @@ def optimize_bandwidth(scenario, allocation):
         t = min(1.0, room.min())
         for _ in range(60):
             cand = np.where(room <= t, floors, np.maximum(x + t * d, floors))
-            new = _band_sums(rate_vs_bandwidth, cand, groups, coeffs).sum()
+            new = band_rate(cand[band], *coeffs)[1].sum()
             if new >= obj * (1.0 - 1e-15):  # no drop beyond rounding
                 break
             t *= 0.5

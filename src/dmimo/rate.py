@@ -18,7 +18,7 @@ import numpy as np
 from .channel import complex_normal, sample_channel_batch
 from .estimation import estimate_batch
 
-DENOM_FLOOR = 1e-30
+LN2 = np.log(2.0)
 MIN_TRIALS = 100  # the fewest trials monte_carlo_users accepts
 
 
@@ -217,8 +217,7 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
                 )
                 i3[kp] = term3
                 denom += p[kp] * term3
-    denom = max(denom, DENOM_FLOOR)
-    sinr = numerator / denom
+    sinr = numerator / denom if numerator > 0 else 0.0
     return SinrTerms(ds=ds, numerator=numerator, i_noise=i_noise, i1=i1,
                      i2=i2, i3=i3, sinr_lb=sinr,
                      rate_lb=bw * np.log2(1.0 + sinr))
@@ -297,13 +296,36 @@ def sinr_in_bands(scenario, terms, groups, bandwidths=None):
     i_noise = terms.noise_gain * sigma
     co_band = (band[:, None] == band[None, :]) & scheduled[:, None]
     interference = np.where(co_band, terms.interference, 0.0)
-    sinr = numerator / np.maximum(i_noise + interference.sum(axis=1),
-                                  DENOM_FLOOR)
+    sinr, rate = band_rate(bw, numerator, terms.noise_gain
+                           * scenario.config.noise_density,
+                           interference.sum(axis=1))
     return SinrArrays(
-        users=[k for g in groups for k in g], sinr=sinr,
-        rate=bw * np.log2(1.0 + sinr), numerator=numerator, i_noise=i_noise,
-        interference=interference,
+        users=[k for g in groups for k in g], sinr=sinr, rate=rate,
+        numerator=numerator, i_noise=i_noise, interference=interference,
     )
+
+
+# One rate expression, for arrays of users: signal power a, noise power b
+# per Hz and interference plus leakage power c on bands of B Hz.
+
+
+def band_rate(bandwidth, a, b, c):
+    """(SINR, rate): the SINR a / (b B + c) and the rate B log1p(SINR) / ln 2
+    in bit/s, which increases in B and is concave; log1p keeps the digits
+    of a low SINR (Higham 2002). A user with no signal (a = 0) reads 0 for
+    both. No floor is needed: in the bound, a user with signal has c >= its
+    own leakage p_k i1[k, k] > 0, and a Monte Carlo denominator holds a
+    receiver-noise draw."""
+    sinr = a / np.where(a > 0, b * bandwidth + c, 1.0)
+    return sinr, bandwidth * np.log1p(sinr) / LN2
+
+
+def band_rate_derivatives(bandwidth, a, b, c):
+    """``band_rate``'s first and second derivatives in B, 0 where a = 0."""
+    u = np.where(a > 0, b * bandwidth + c, 1.0)
+    v = u + a
+    return ((np.log1p(a / u) - a * b * bandwidth / (u * v)) / LN2,
+            -a * b * (a * b * bandwidth + 2 * c * v) / (LN2 * (u * v) ** 2))
 
 
 def sinr_all(scenario, allocation, context=None):
@@ -417,8 +439,7 @@ def _user_terms(scenario, allocation, k, h, hhat, rng):
         term_samples[f"ui:{kp}"] = (cf,
                                     np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2)
     denom = sum(samples for _, samples in term_samples.values())
-    rates = bw * np.log2(1.0 + ds_closed ** 2
-                         / np.maximum(denom, DENOM_FLOOR))
+    _, rates = band_rate(bw, ds_closed ** 2, 0.0, denom)
     rate, rate_se = _mean_se(rates)
     report = McTermReport(
         user=k, trials=trials, ds_closed=float(abs(ds_closed) ** 2),

@@ -10,8 +10,8 @@ from scipy.optimize import minimize
 from dmimo.channel import Correlation, correlation_matrix
 from dmimo.config import SystemConfig
 from dmimo.gp import GpInfeasibleError, GpSolution, GpUnboundedError
-from dmimo.optimizer import (_min_bandwidth, bandwidth_coefficients,
-                             rate_vs_bandwidth_prime, rate_vs_bandwidth_second)
+from dmimo.optimizer import _min_bandwidth
+from dmimo.rate import band_rate_derivatives, pair_terms, sinr_all
 from dmimo.scenario import Scenario, build_scenario
 
 
@@ -220,6 +220,17 @@ def clone_user(scenario, k, into):
 # of dmimo.optimizer.optimize_bandwidth is compared against.
 
 
+def bandwidth_coefficients(scenario, allocation):
+    """Every user's (a, b, c), (K,) arrays each, so that band_rate(B, a, b,
+    c) is the user's ``sinr_all`` SINR and rate on a band of bandwidth B: a the
+    desired power, b the noise power per Hz and c the interference plus
+    leakage power, which does not depend on B."""
+    terms = pair_terms(scenario, allocation.powers, allocation.weights)
+    res = sinr_all(scenario, allocation)
+    return (res.numerator, terms.noise_gain * scenario.config.noise_density,
+            res.interference.sum(axis=1))
+
+
 def dual_bandwidth(scenario, allocation):
     """The sum-rate-maximizing bandwidths of `allocation`'s bands, by
     water-filling on the dual variable mu: each band solves g_i'(x) = mu
@@ -228,18 +239,17 @@ def dual_bandwidth(scenario, allocation):
     at or above the floors."""
     total = scenario.config.total_bandwidth
     req = scenario.config.rate_requirement
-    coeffs = bandwidth_coefficients(scenario, allocation)
+    a, b, c = bandwidth_coefficients(scenario, allocation)
+    coeffs = [(a[g], b[g], c[g]) for g in allocation.groups]
     bands = list(range(len(allocation.groups)))
-    floors = [max([0.0] + [_min_bandwidth(*coeffs[k], req, total)
-                           for k in group]) for group in allocation.groups]
+    floors = [float(_min_bandwidth(*coeffs[i], req, total).max())
+              for i in bands]
 
     def gp(i, x):
-        return sum(rate_vs_bandwidth_prime(x, *coeffs[k])
-                   for k in allocation.groups[i])
+        return float(band_rate_derivatives(x, *coeffs[i])[0].sum())
 
     def gpp(i, x):
-        return sum(rate_vs_bandwidth_second(x, *coeffs[k])
-                   for k in allocation.groups[i])
+        return float(band_rate_derivatives(x, *coeffs[i])[1].sum())
 
     def band_bw(i, mu):
         """Solve g_i'(x) = mu for x >= floor_i (g_i' decreasing)."""

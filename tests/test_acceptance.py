@@ -28,13 +28,12 @@ from dmimo.optimizer import (
     monomial_bound,
     optimize_bandwidth,
     optimize_power_weights,
-    rate_vs_bandwidth_prime,
-    rate_vs_bandwidth_second,
     sca_coefficients,
     scheduling_estimates,
 )
 from dmimo.rate import (
     AllocationState,
+    band_rate_derivatives,
     equal_split_allocation,
     equal_weights,
     monte_carlo_users,
@@ -426,8 +425,7 @@ def test_criterion_09_bandwidth_stage():
 
             fp = (f(x + h) - f(x - h)) / (2 * h)
             fpp = (f(x + h) - 2 * f(x) + f(x - h)) / h ** 2
-            got_p = rate_vs_bandwidth_prime(x, a, b, c)
-            got_pp = rate_vs_bandwidth_second(x, a, b, c)
+            got_p, got_pp = band_rate_derivatives(x, a, b, c)
             assert abs(got_p - fp) <= 1e-6 * max(1.0, abs(fp))
             assert abs(got_pp - fpp) <= 1e-4 * max(1.0, abs(fpp))
 

@@ -17,6 +17,7 @@ import dmimo.optimizer
 from conftest import (
     AO_PAPER_FLOOR,
     AO_SMALL,
+    bandwidth_coefficients,
     clone_user,
     dual_bandwidth,
     make_scenario,
@@ -28,7 +29,6 @@ from dmimo.optimizer import (
     InfeasibleError,
     alternating_optimize,
     benchmark_allocation,
-    bandwidth_coefficients,
     build_sca_subproblem,
     estimate_magnitude_weights,
     feasibility_check,
@@ -38,14 +38,13 @@ from dmimo.optimizer import (
     _gp_rows,
     _min_bandwidth,
     _rate_gamma,
-    rate_vs_bandwidth,
-    rate_vs_bandwidth_prime,
-    rate_vs_bandwidth_second,
     sca_coefficients,
     scheduling_estimates,
 )
 from dmimo.rate import (
     AllocationState,
+    band_rate,
+    band_rate_derivatives,
     equal_split_allocation,
     equal_weights,
     normalize_weights,
@@ -524,15 +523,12 @@ def test_gp_rows_match_reference_with_unequal_serving_sets():
 
 
 def test_bandwidth_function_hand_values():
-    assert rate_vs_bandwidth(1.0, 1, 1, 1) == pytest.approx(
-        math.log2(1.5), abs=1e-9
+    first, second = band_rate_derivatives(1.0, 1.0, 1.0, 1.0)
+    assert band_rate(1.0, 1.0, 1.0, 1.0) == pytest.approx(
+        (0.5, math.log2(1.5)), abs=1e-9
     )
-    assert rate_vs_bandwidth_prime(1.0, 1, 1, 1) == pytest.approx(
-        0.34451, abs=1e-5
-    )
-    assert rate_vs_bandwidth_second(1.0, 1, 1, 1) == pytest.approx(
-        -7.0 / (36.0 * LN2), abs=1e-9
-    )
+    assert first == pytest.approx(0.34451, abs=1e-5)
+    assert second == pytest.approx(-7.0 / (36.0 * LN2), abs=1e-9)
 
 
 def test_bandwidth_derivatives_match_finite_differences():
@@ -541,18 +537,16 @@ def test_bandwidth_derivatives_match_finite_differences():
     for _ in range(50):
         a, b, c = rng.uniform(0.2, 3.0, 3)
         x = rng.uniform(0.5, 2.0)
-        fp = (rate_vs_bandwidth(x + h, a, b, c)
-              - rate_vs_bandwidth(x - h, a, b, c)) / (2 * h)
-        fpp = (rate_vs_bandwidth(x + h, a, b, c)
-               - 2 * rate_vs_bandwidth(x, a, b, c)
-               + rate_vs_bandwidth(x - h, a, b, c)) / h ** 2
-        assert rate_vs_bandwidth_prime(x, a, b, c) == pytest.approx(
-            fp, abs=1e-6
-        )
-        assert rate_vs_bandwidth_second(x, a, b, c) == pytest.approx(
-            fpp, abs=1e-4
-        )
-        assert rate_vs_bandwidth_second(x, a, b, c) < 0
+
+        def f(y):
+            return band_rate(y, a, b, c)[1]
+
+        fp = (f(x + h) - f(x - h)) / (2 * h)
+        fpp = (f(x + h) - 2 * f(x) + f(x - h)) / h ** 2
+        first, second = band_rate_derivatives(x, a, b, c)
+        assert first == pytest.approx(fp, abs=1e-6)
+        assert second == pytest.approx(fpp, abs=1e-4)
+        assert second < 0
 
 
 def symmetric_two_band_scenario():
@@ -563,11 +557,11 @@ def symmetric_two_band_scenario():
 
 
 def _min_bandwidth_reference(a, b, c, req, total):
-    """The floor bisection run for all of its 200 iterations."""
+    """One user's floor bisection run for all of its 200 iterations."""
     lo, hi = 0.0, total
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if rate_vs_bandwidth(mid, a, b, c) >= req:
+        if band_rate(mid, a, b, c)[1] >= req:
             hi = mid
         else:
             lo = mid
@@ -575,13 +569,19 @@ def _min_bandwidth_reference(a, b, c, req, total):
 
 
 def test_min_bandwidth_stops_without_moving_the_result():
+    """Per user alone, and for all users in one call, whose searches stop
+    at different steps."""
     rng = np.random.default_rng(11)
     total = 1e6
-    for _ in range(300):
-        a, b, c = 10.0 ** rng.uniform(-14, -8, 3)
-        req = rng.uniform(0.01, 1.0) * rate_vs_bandwidth(total, a, b, c)
-        assert _min_bandwidth(a, b, c, req, total) == \
-            _min_bandwidth_reference(a, b, c, req, total)
+    a, b, c = 10.0 ** rng.uniform(-14, -8, (3, 300))
+    for k in range(300):
+        req = rng.uniform(0.01, 1.0) * band_rate(total, a[k], b[k], c[k])[1]
+        [got] = _min_bandwidth(a[k:k + 1], b[k:k + 1], c[k:k + 1], req,
+                               total)
+        assert got == _min_bandwidth_reference(a[k], b[k], c[k], req, total)
+    req = 0.5 * band_rate(total, a, b, c)[1].min()
+    assert _min_bandwidth(a, b, c, req, total).tolist() == [
+        _min_bandwidth_reference(*abc, req, total) for abc in zip(a, b, c)]
 
 
 def test_bandwidth_symmetric_equal_split():
@@ -631,30 +631,27 @@ def test_bandwidth_infeasible_floors():
 
 def test_bandwidth_coefficients_positive(default_scenario):
     sc = default_scenario
-    coeffs = bandwidth_coefficients(sc, equal_split_allocation(sc))
-    for a, b, c in coeffs.values():
-        assert a > 0 and b > 0 and c > 0
+    for coeff in bandwidth_coefficients(sc, equal_split_allocation(sc)):
+        assert (coeff > 0).all()
 
 
 def test_bandwidth_model_is_the_bound():
     """At the bandwidths the stage returns, each scheduled user's rate
-    model f(B) = B log2(1 + a / (b B + c)) equals its sinr_all rate. On
-    this ao-small item some users' interference c is below 1e-30 W, so a
-    floor on c there would make the model under-read their rates."""
+    band_rate(B, a, b, c)[1] equals the scalar reference's. On this ao-small
+    item some users' interference c is below 1e-30 W, so a floor on c there
+    would make the rate under-read."""
     cfg = AO_SMALL_UNATTAINABLE.replace(rate_requirement=0.0)
     scenario_ss, estimation_ss = np.random.SeedSequence(0).spawn(2)
     sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
     _, _, res = _hand_wired_first_round(
         sc, np.random.default_rng(estimation_ss))
     alloc = res.allocation
-    coeffs = bandwidth_coefficients(sc, alloc)
-    bound = sinr_all(sc, alloc)
-    assert bound.interference.sum(axis=1).min() < 1e-30
-    rates = bound.rate
+    a, b, c = bandwidth_coefficients(sc, alloc)
+    assert c.min() < 1e-30
     for g, bw in zip(alloc.groups, alloc.bandwidths):
         for k in g:
-            assert rate_vs_bandwidth(bw, *coeffs[k]) == pytest.approx(
-                rates[k], rel=1e-12, abs=0)
+            assert band_rate(bw, a[k], b[k], c[k])[1] == pytest.approx(
+                sinr_lower_bound(sc, alloc, k).rate_lb, rel=1e-12, abs=0)
 
 
 # --- outer loop and benchmarks ---------------------------------------------
@@ -744,6 +741,23 @@ def test_floor_beyond_float_range_is_unattainable():
         alloc, rate = benchmark_allocation(sc, np.random.default_rng(5), mode)
         assert not alloc.feasible and alloc.phi == 0.0
         assert rate == sum_rate(sc, alloc)
+
+
+def test_floor_on_a_zero_bandwidth_band_is_unattainable():
+    """A band given no bandwidth cannot meet a rate floor: its SINR target
+    is inf, so the feasibility margin is phi = 0 and the power stage raises
+    InfeasibleError with it, rather than ZeroDivisionError."""
+    sc = build_scenario(AO_SMALL.replace(rate_requirement=5e4),
+                        np.random.default_rng(1))
+    alloc = equal_split_allocation(sc)
+    half = sc.config.total_bandwidth / 2
+    alloc.bandwidths = [half, half, 0.0, 0.0]
+    assert _rate_gamma(sc, 0.0) == math.inf
+    phi, out = feasibility_check(sc, alloc)
+    assert phi == 0.0 and np.array_equal(out.powers, alloc.powers)
+    with pytest.raises(InfeasibleError) as err:
+        optimize_power_weights(sc, alloc)
+    assert err.value.phi == 0.0
 
 
 @pytest.mark.parametrize("floor, seed", [(0.0, 1007), (0.0, 1008),
@@ -983,6 +997,9 @@ def test_bandwidth_stage_reaches_the_dual_optimum(system, max_power, seed):
 # nor puts the blocking band exactly on it ends here 60 steps later at a KKT
 # residual of 0.28
 @example(seed=503)
+# a band of 278 Hz, where a floor of 1e-30 W on the SINR denominator made
+# sum_rate read 1.7e-4 below the bound
+@example(seed=235)
 def test_bandwidth_stage_reaches_the_dual_optimum_at_any_allocation(seed):
     """The same, at random powers (down to 1e-6 of the cap) and weights on
     the ao-small system at 200 W, scheduled as the AO's first round is."""
@@ -1002,22 +1019,24 @@ def test_bandwidth_stage_reaches_the_dual_optimum_at_any_allocation(seed):
 
 def _assert_at_the_dual_optimum(scenario, alloc, res):
     """The stage's result `res` on `alloc` reaches the objective of the dual
-    reference, the sum of rate_vs_bandwidth over the users, to 1e-12, with
-    a KKT residual of at most 1e-8, every band at or above its rate floor
-    and the bandwidths summing to the total. Returns the reference."""
+    reference, the sum of band_rate over the users, to 1e-12, and
+    ``sum_rate`` reads that objective to 1e-12, with a KKT residual of at
+    most 1e-8, every band at or above its rate floor and the bandwidths
+    summing to the total. Returns the reference."""
     cfg = scenario.config
-    coeffs = bandwidth_coefficients(scenario, alloc)
+    a, b, c = bandwidth_coefficients(scenario, alloc)
     reference = alloc.copy()
     reference.bandwidths = dual_bandwidth(scenario, alloc)
-    got, want = (sum(rate_vs_bandwidth(bw, *coeffs[k])
-                     for g, bw in zip(alloc.groups, a.bandwidths) for k in g)
-                 for a in (res.allocation, reference))
+    got, want = (sum(band_rate(bw, a[k], b[k], c[k])[1]
+                     for g, bw in zip(alloc.groups, x.bandwidths) for k in g)
+                 for x in (res.allocation, reference))
     assert got >= want - 1e-12 * want
+    assert sum_rate(scenario, res.allocation) == pytest.approx(
+        got, rel=1e-12, abs=0)
     assert res.kkt_residual <= 1e-8
     for g, bw in zip(alloc.groups, res.allocation.bandwidths):
-        assert bw >= max([0.0] + [_min_bandwidth(
-            *coeffs[k], cfg.rate_requirement, cfg.total_bandwidth)
-            for k in g])
+        assert bw >= _min_bandwidth(a[g], b[g], c[g], cfg.rate_requirement,
+                                    cfg.total_bandwidth).max()
     assert sum(res.allocation.bandwidths) == pytest.approx(
         cfg.total_bandwidth, rel=1e-12, abs=0)
     return reference

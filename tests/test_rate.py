@@ -18,10 +18,11 @@ from conftest import (
 from dmimo.config import CorrelationModel, SystemConfig
 from dmimo.scenario import DomainError
 from dmimo.rate import (
-    DENOM_FLOOR,
     AllocationState,
     ContractError,
     RateContext,
+    band_rate,
+    band_rate_derivatives,
     equal_split_allocation,
     equal_weights,
     ergodic_rate_mc,
@@ -78,7 +79,7 @@ def sinr_los_limit(scenario, allocation, k):
             for m in sset
         )
         denom += p[kp] * abs(s) ** 2
-    return num / max(denom, DENOM_FLOOR)
+    return num / denom
 
 
 def single_satellite_los_scenario():
@@ -369,6 +370,31 @@ def test_zero_bandwidth_band_has_rate_zero(default_scenario):
         assert ref.sinr_lb == pytest.approx(res.sinr[k], rel=1e-12)
 
 
+def test_silent_user_on_a_zero_band_reads_zero(default_scenario):
+    """A user with no power alone on a band with no bandwidth has neither
+    signal nor denominator: the rate expression, sinr_all and the scalar
+    reference all read SINR 0 and rate 0, with no floor and no warning."""
+    sc = default_scenario
+    K = sc.num_users
+    alloc = AllocationState(
+        groups=[[0], list(range(1, K))],
+        bandwidths=[0.0, sc.config.total_bandwidth],
+        powers=np.where(np.arange(K) == 0, 0.0, sc.config.max_power),
+        weights=equal_weights(sc),
+    )
+    res = sinr_all(sc, alloc)
+    assert res.numerator[0] == res.i_noise[0] == 0.0
+    assert not res.interference[0].any()
+    assert res.sinr[0] == res.rate[0] == 0.0
+    assert (res.rate[1:] > 0).all()
+    # (B, a, b, c) of such a user: B = 0, no signal, no interference
+    coeffs = (0.0, 0.0, 1.0, 0.0)
+    assert band_rate(*coeffs) == (0.0, 0.0)
+    assert band_rate_derivatives(*coeffs) == (0.0, 0.0)
+    ref = sinr_lower_bound(sc, alloc, 0)
+    assert ref.sinr_lb == ref.rate_lb == 0.0
+
+
 def test_sum_rate_aggregates(default_scenario):
     sc = default_scenario
     ctx = RateContext(sc)
@@ -491,6 +517,14 @@ def test_sinr_all_matches_reference(seed, K, M, data):
     )
     res = sinr_all(sc, alloc)
     assert res.users == [k for g in groups for k in g]
+    # a scheduled user with power has a positive SINR denominator, through
+    # its own leakage, so the rate needs no floor
+    denominator = res.i_noise + res.interference.sum(axis=1)
+    assert all(denominator[k] > 0 for k in res.users if alloc.powers[k] > 0)
+    # The rate is checked as the exact function B log1p(SINR) / ln 2 of the
+    # reference's SINR: the reference's own log2(1 + SINR) rounds 1 + SINR,
+    # which at an SINR of 7.3e-6 is 1.2e-11 off, relative.
+    rates = {}
     for k in range(K):
         if bands[k] < 0:
             assert res.sinr[k] == res.rate[k] == 0.0
@@ -499,8 +533,10 @@ def test_sinr_all_matches_reference(seed, K, M, data):
             assert not res.interference[:, k].any()
             continue
         ref = sinr_lower_bound(sc, alloc, k)
+        rates[k] = alloc.bandwidths[alloc.band_of(k)] \
+            * math.log1p(ref.sinr_lb) / math.log(2.0)
         assert _close(res.sinr[k], ref.sinr_lb)
-        assert _close(res.rate[k], ref.rate_lb)
+        assert _close(res.rate[k], rates[k])
         assert _close(res.numerator[k], ref.numerator)
         assert _close(res.i_noise[k], ref.i_noise)
         for kp in range(K):
@@ -511,5 +547,4 @@ def test_sinr_all_matches_reference(seed, K, M, data):
                                         + ref.i3.get(kp, 0.0))
             assert _close(res.interference[k, kp], power), (k, kp)
     assert res.sum_rate == sum_rate(sc, alloc)
-    assert _close(res.sum_rate, sum(sinr_lower_bound(sc, alloc, k).rate_lb
-                                    for g in groups for k in g))
+    assert _close(res.sum_rate, sum(rates[k] for k in res.users))

@@ -337,6 +337,10 @@ GOLDEN_FLOORS = {5: 1.14e5, 6: 1.12e5, 8: 1.0e5}
 # partition scores, which must not change them: (K, floored, weights, seed) ->
 # ((groups, colors_used, feasible) of schedule_users,
 #  (groups, colors_used, feasible) of exhaustive_schedule).
+# The two K=6 'estimate' entries at seed 1 are those of the rate written
+# with log1p: the band orders [[1, 3], [0, 5], [2, 4]] and [[1, 3], [2, 4],
+# [0, 5]] of one partition score the same, where log2(1 + x) put them 1 ulp
+# apart, so the scheduler keeps the order it scores first.
 GOLDEN_SCHEDULES = {
     (5, False, 'equal', 0): (
         ([[1, 3], [0, 2], [4]], 3, True),
@@ -372,7 +376,7 @@ GOLDEN_SCHEDULES = {
         ([[0, 1, 2], [3, 4, 5]], 2, True),
         ([[0, 1, 2], [3, 4, 5]], 2, True)),
     (6, False, 'estimate', 1): (
-        ([[1, 3], [0, 5], [2, 4]], 3, True),
+        ([[1, 3], [2, 4], [0, 5]], 3, True),
         ([[0, 5], [1, 3], [2, 4]], 3, True)),
     (6, True, 'equal', 0): (
         ([[1, 2], [0, 5], [3, 4]], 3, True),
@@ -384,7 +388,7 @@ GOLDEN_SCHEDULES = {
         ([[1, 2], [3, 4], [0, 5]], 3, True),
         ([[0, 5], [1, 2], [3, 4]], 3, True)),
     (6, True, 'estimate', 1): (
-        ([[1, 3], [0, 5], [2, 4]], 3, True),
+        ([[1, 3], [2, 4], [0, 5]], 3, True),
         ([[0, 5], [1, 3], [2, 4]], 3, True)),
     (8, False, 'equal', 0): (
         ([[1, 2], [0, 4], [6, 7], [3, 5]], 4, True),

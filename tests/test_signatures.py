@@ -23,7 +23,6 @@ STAGES = {
                                      "optimize_weights"],
     optimizer.optimize_power_weights: ["scenario", "allocation",
                                        "optimize_weights"],
-    optimizer.bandwidth_coefficients: ["scenario", "allocation"],
     optimizer.optimize_bandwidth: ["scenario", "allocation"],
     optimizer.alternating_optimize: ["scenario", "rng", "max_rounds"],
     optimizer.benchmark_allocation: ["scenario", "rng", "weight_mode"],
