@@ -219,11 +219,10 @@ def run_bound_validation(spec):
         lb = sum_rate(sc, alloc)
         mc = monte_carlo_users(sc, alloc, spec.trials, rng)
         # bound recomputed from MC term estimates (consistency channel)
-        bound_mc = 0.0
+        bound_mc, bws = 0.0, alloc.bandwidths[alloc.band]
         for k, rep in mc.users.items():
             denom = sum(t[1] for t in rep.terms.values())
-            bw = alloc.bandwidths[alloc.band_of(k)]
-            bound_mc += band_rate(bw, rep.ds_closed, 0.0, denom)[1]
+            bound_mc += band_rate(bws[k], rep.ds_closed, 0.0, denom)[1]
         rows.append([spec.seed, kbar, lb, mc.sum_rate, mc.sum_rate_se,
                      float(bound_mc)])
     header = ["seed", "rician_factor", "rate_lb", "rate_mc", "rate_mc_se",

@@ -22,6 +22,7 @@ from .rate import (
     equal_weights,
     normalize_weights,
     pair_terms,
+    scheduled_users,
     sinr_all,
     sinr_in_bands,
     sum_rate,
@@ -49,13 +50,14 @@ class InfeasibleError(RuntimeError):
 
 
 def sca_coefficients(chi_prev):
-    """Tangent-surrogate coefficients: the rate per Hz log1p(chi) / ln 2 is
-    at least psi log2(chi) + delta, with equality at chi_prev."""
-    if chi_prev <= 0:
+    """Tangent-surrogate coefficients, elementwise over the anchors chi_prev:
+    the rate per Hz log1p(chi) / ln 2 is at least psi log2(chi) + delta,
+    with equality at chi_prev."""
+    chi_prev = np.asarray(chi_prev, dtype=float)
+    if np.any(chi_prev <= 0):
         raise ValueError("SCA anchor must be strictly positive")
     psi = chi_prev / (1.0 + chi_prev)
-    delta = math.log1p(chi_prev) / LN2 - psi * math.log2(chi_prev)
-    return psi, delta
+    return psi, np.log1p(chi_prev) / LN2 - psi * np.log2(chi_prev)
 
 
 def monomial_bound(coeffs, anchors):
@@ -108,7 +110,7 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
         points.append(np.maximum(allocation.weights.T[serving], 1e-12))
     x0 = np.log(np.concatenate(points))
     context = scenario.rate_context
-    # Serving sets are padded to the largest, n, groups to the largest, G:
+    # Serving sets are padded to the largest, n, bands to the largest, G:
     # a padded term's coefficient is zero, so its row is dropped.
     Q = context.quadratics
     n, size = Q.shape[-1], serving.sum(axis=1)
@@ -118,11 +120,13 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     wcol[valid] = 2 * K + np.arange(size.sum())
     gamma = np.where(valid, context.gamma[sat, np.arange(K)[:, None]], 0.0)
     w = np.where(valid, allocation.weights[sat, np.arange(K)[:, None]], 0.0)
-    G = max(len(g) for g in allocation.groups)
-    table = np.array([g + [-1] * (G - len(g)) for g in allocation.groups])
-    band, _ = np.nonzero(table >= 0)
-    users, mates = table[table >= 0], table[band]  # in group order
-    bws, U = [allocation.bandwidths[i] for i in band], len(users)
+    users = scheduled_users(allocation.band)  # in group order
+    band, U = allocation.band[users], len(users)
+    slot = np.arange(U) - np.searchsorted(band, band)  # place in its band
+    G = slot.max() + 1
+    table = np.full((band[-1] + 1, G), -1)  # the bands, padded with -1
+    table[band, slot] = users
+    mates, bws = table[band], allocation.bandwidths[band]
 
     # User u's rows: n * n per group mate (Q row by row), n noise rows and
     # a last one holding gamma_req, which becomes the rate floor.
@@ -203,8 +207,9 @@ def _rate_gamma(scenario, bandwidth):
     req = scenario.config.rate_requirement
     if req <= 0:
         return 0.0
-    try:
-        return 2.0 ** (req / bandwidth) - 1.0 if bandwidth > 0 else math.inf
+    try:  # in float, which overflows with an error, not a numpy warning
+        return 2.0 ** (req / float(bandwidth)) - 1.0 if bandwidth > 0 \
+            else math.inf
     except OverflowError:
         return math.inf
 
@@ -221,12 +226,11 @@ def feasibility_check(scenario, allocation, optimize_weights=True):
     K = scenario.num_users
     if scenario.config.rate_requirement <= 0:
         return math.inf, allocation.copy()
-    log_gamma = np.zeros(K)
-    for i, g in enumerate(allocation.groups):
-        gamma = _rate_gamma(scenario, allocation.bandwidths[i])
-        if math.isinf(gamma):
-            return 0.0, allocation.copy()
-        log_gamma[g] = math.log(gamma)
+    gamma = [_rate_gamma(scenario, b) for b in allocation.bandwidths]
+    if math.inf in gamma:
+        return 0.0, allocation.copy()
+    # an unscheduled user (band -1) reads the appended 0
+    log_gamma = np.array([*map(math.log, gamma), 0.0])[allocation.band]
 
     x0, logs, exps, starts = _gp_rows(scenario, allocation, np.ones(K),
                                       optimize_weights, floors=False)
@@ -253,12 +257,10 @@ def build_sca_subproblem(scenario, allocation, chi, optimize_weights=True):
     """
     x0, logs, exps, starts = _gp_rows(scenario, allocation, chi,
                                       optimize_weights, floors=True)
+    psi, _ = sca_coefficients(chi)
+    bw = np.append(allocation.bandwidths, 0.0)[allocation.band]  # -1 reads 0
     objective = np.zeros(len(x0))
-    for i, group in enumerate(allocation.groups):
-        for k in group:
-            psi, _ = sca_coefficients(chi[k])
-            objective[k] = (psi * allocation.bandwidths[i]
-                            / scenario.config.total_bandwidth)
+    objective[:len(chi)] = psi * bw / scenario.config.total_bandwidth
     return GpProblem(objective, logs, exps, starts), x0
 
 
@@ -266,9 +268,9 @@ def build_sca_subproblem(scenario, allocation, chi, optimize_weights=True):
 class ScaTrace:
     objectives: list = field(default_factory=list)
     # Why the loop stopped: "converged" (relative gain below EPS_SCA),
-    # "no_improvement" (a GP step lowered the sum rate, so the previous
-    # iterate was kept), "gp_infeasible" (the solver found no feasible
-    # point, so the previous iterate was kept) or "max_iter".
+    # "max_iter", or, keeping the previous iterate, "no_improvement" (a GP
+    # step lowered the sum rate), "gp_infeasible" or "gp_unbounded" (the
+    # solver found no feasible point, or read the GP as unbounded).
     stop_reason: str = "max_iter"
 
     @property
@@ -313,8 +315,9 @@ def optimize_power_weights(scenario, allocation, optimize_weights=True):
         )
         try:
             sol = solve_gp(problem, x0)
-        except GpInfeasibleError:
-            trace.stop_reason = "gp_infeasible"
+        except (GpInfeasibleError, GpUnboundedError) as err:
+            trace.stop_reason = ("gp_unbounded" if isinstance(
+                err, GpUnboundedError) else "gp_infeasible")
             break
         cand = _allocation_at(scenario, work, sol.x[scenario.num_users:],
                               optimize_weights)
@@ -379,28 +382,29 @@ def optimize_bandwidth(scenario, allocation):
     helps.
     """
     cfg = scenario.config
-    total, groups = cfg.total_bandwidth, allocation.groups
+    total, n = cfg.total_bandwidth, len(allocation.bandwidths)
     # The scheduled users' band index and (a, b, c), with which band_rate
     # gives each one's sinr_all rate on its band.
     terms = pair_terms(scenario, allocation.powers, allocation.weights)
-    res = sinr_in_bands(scenario, terms, groups, allocation.bandwidths)
-    band = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    res = sinr_in_bands(scenario, terms, allocation.band,
+                        allocation.bandwidths)
+    band = allocation.band[res.users]
     coeffs = (res.numerator[res.users],
               terms.noise_gain[res.users] * cfg.noise_density,
               res.interference.sum(axis=1)[res.users])
-    floors = np.zeros(len(groups))
+    floors = np.zeros(n)
     np.maximum.at(floors, band, _min_bandwidth(
         *coeffs, cfg.rate_requirement, total))
     if floors.sum() > total:
         raise InfeasibleError("rate floors jointly exceed total bandwidth")
 
-    x = floors + (total - floors.sum()) / len(groups)
+    x = floors + (total - floors.sum()) / n
     obj = band_rate(x[band], *coeffs)[1].sum()
     trace = []
     while True:
         first, second = band_rate_derivatives(x[band], *coeffs)
-        gp = np.bincount(band, first, len(groups))
-        h = -np.bincount(band, second, len(groups))
+        gp = np.bincount(band, first, n)
+        h = -np.bincount(band, second, n)
         # A band within rounding of its floor is at it; the band farthest
         # above its floor is free even then, so that mu is defined.
         free = x > floors + TOL_BANDWIDTH * total
@@ -432,7 +436,7 @@ def optimize_bandwidth(scenario, allocation):
         x, obj = cand, new
         trace.append(max(new, trace[-1]) if trace else new)
     out = allocation.copy()
-    out.bandwidths = x.tolist()
+    out.bandwidths = x
     return BandwidthResult(allocation=out, iterations=len(trace),
                            kkt_residual=float(kkt), objective_trace=trace)
 

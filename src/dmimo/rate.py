@@ -10,7 +10,7 @@ std(ddof=1) / sqrt(T), not from the users' separate standard errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,34 +30,50 @@ class ContractError(ValueError):
 class AllocationState:
     """Decision variables: sub-band partition, bandwidths, powers, weights.
 
-    groups[i] lists the users of sub-band i; bandwidths[i] is B_i in Hz;
-    powers[k] is the uplink data power; weights[m, k] the combining weight
-    (zero for satellites outside M_k). phi is the rate floors' feasibility
-    margin where a feasibility check ran (below 1: unattainable).
+    groups[i] lists the users of sub-band i, ascending; the (I,) array
+    bandwidths holds B_i in Hz; powers[k] is the uplink data power;
+    weights[m, k] the combining weight (zero for satellites outside M_k).
+    phi is the rate floors' feasibility margin where a feasibility check
+    ran (below 1: unattainable).
     """
 
     groups: list
-    bandwidths: list
+    bandwidths: np.ndarray
     powers: np.ndarray
     weights: np.ndarray
     feasible: bool = True
     phi: float = np.inf
 
-    def band_of(self, k):
-        for i, g in enumerate(self.groups):
-            if k in g:
-                return i
-        raise ContractError(f"user {k} is not scheduled in any sub-band")
+    def __setattr__(self, name, value):
+        if name == "bandwidths":  # a list, when built or assigned, too
+            value = np.asarray(value, dtype=float)
+        super().__setattr__(name, value)
+
+    @property
+    def band(self):
+        """``band_index`` of the groups, derived on each access."""
+        return band_index(self.groups, len(self.powers))
 
     def copy(self):
-        return AllocationState(
-            groups=[list(g) for g in self.groups],
-            bandwidths=list(self.bandwidths),
-            powers=self.powers.copy(),
-            weights=self.weights.copy(),
-            feasible=self.feasible,
-            phi=self.phi,
-        )
+        return replace(self, groups=[list(g) for g in self.groups],
+                       bandwidths=self.bandwidths.copy(),
+                       powers=self.powers.copy(), weights=self.weights.copy())
+
+
+def band_index(groups, num_users):
+    """The (num_users,) np.intp band index of the partition `groups`, the
+    form every stage computes with: entry k is user k's sub-band, or -1."""
+    band = np.full(num_users, -1, dtype=np.intp)
+    for i, g in enumerate(groups):
+        band[g] = i
+    return band
+
+
+def scheduled_users(band):
+    """The users with a sub-band in `band`, band by band and ascending
+    within one: the group order, since every group is built ascending."""
+    order = np.argsort(band, kind="stable")
+    return order[band[order] >= 0]
 
 
 def equal_split_allocation(scenario, groups=None, powers=None, weights=None):
@@ -72,7 +88,7 @@ def equal_split_allocation(scenario, groups=None, powers=None, weights=None):
         powers = np.full(scenario.num_users, cfg.max_power)
     if weights is None:
         weights = equal_weights(scenario)
-    bw = [cfg.total_bandwidth / max(len(groups), 1)] * len(groups)
+    bw = np.full(len(groups), cfg.total_bandwidth / max(len(groups), 1))
     return AllocationState(groups=[list(g) for g in groups], bandwidths=bw,
                            powers=np.asarray(powers, dtype=float),
                            weights=weights)
@@ -180,9 +196,10 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
     if context is None:
         context = scenario.rate_context
     cfg = scenario.config
-    band = allocation.band_of(k)
-    group = allocation.groups[band]
-    bw = allocation.bandwidths[band]
+    band = allocation.band
+    if band[k] < 0:
+        raise ContractError(f"user {k} is not scheduled in any sub-band")
+    bw = allocation.bandwidths[band[k]]
     sigma_i = scenario.subband_noise(bw)
     sset = scenario.serving_sets[k]
     w = allocation.weights[:, k]
@@ -196,7 +213,7 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
 
     i1, i2, i3 = {}, {}, {}
     denom = i_noise
-    for kp in group:
+    for kp in np.flatnonzero(band == band[k]).tolist():  # k's group
         term1 = float(sum(
             w[m] ** 2 * (context.q1[m, k, kp] + context.q2[m, k, kp]
                          + context.q3[m, k, kp])
@@ -228,7 +245,7 @@ class SinrArrays:
     """Every user's closed-form bound from one evaluation. Entries of
     unscheduled users are zero: no rate and no interference."""
 
-    users: list  # scheduled users, in group order
+    users: np.ndarray  # scheduled users, in group order
     sinr: np.ndarray  # (K,)
     rate: np.ndarray  # (K,) bit/s
     numerator: np.ndarray  # (K,)
@@ -276,18 +293,13 @@ def pair_terms(scenario, powers, weights, context=None):
                      interference=p * (i1 + i2 + i3))
 
 
-def sinr_in_bands(scenario, terms, groups, bandwidths=None):
-    """SinrArrays of the sub-bands `groups` from the PairTerms `terms`, at
-    `bandwidths` (default: the total split equally over the groups). A band
-    given no bandwidth has no noise, and its users rate 0."""
+def sinr_in_bands(scenario, terms, band, bandwidths=None):
+    """SinrArrays of the band index `band` from the PairTerms `terms`, at
+    `bandwidths` (default: the total split equally over bands 0 to max).
+    A band given no bandwidth has no noise, and its users rate 0."""
     if bandwidths is None:
-        bandwidths = [scenario.config.total_bandwidth
-                      / max(len(groups), 1)] * len(groups)
-    band = [-1] * scenario.num_users
-    for i, g in enumerate(groups):
-        for k in g:
-            band[k] = i
-    band = np.array(band)
+        n = int(band.max()) + 1
+        bandwidths = [scenario.config.total_bandwidth / max(n, 1)] * n
     scheduled = band >= 0
     # per band, then the zero that an unscheduled user (band -1) reads
     bw = np.array([*bandwidths, 0.0])[band]
@@ -300,7 +312,7 @@ def sinr_in_bands(scenario, terms, groups, bandwidths=None):
                            * scenario.config.noise_density,
                            interference.sum(axis=1))
     return SinrArrays(
-        users=[k for g in groups for k in g], sinr=sinr, rate=rate,
+        users=scheduled_users(band), sinr=sinr, rate=rate,
         numerator=numerator, i_noise=i_noise, interference=interference,
     )
 
@@ -332,7 +344,7 @@ def sinr_all(scenario, allocation, context=None):
     """``sinr_lower_bound`` for every user at once."""
     terms = pair_terms(scenario, allocation.powers, allocation.weights,
                        context)
-    return sinr_in_bands(scenario, terms, allocation.groups,
+    return sinr_in_bands(scenario, terms, allocation.band,
                          allocation.bandwidths)
 
 
@@ -380,7 +392,7 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     if trials < MIN_TRIALS:
         raise ContractError(f"need at least {MIN_TRIALS} trials")
     if users is None:
-        users = [k for g in allocation.groups for k in g]
+        users = scheduled_users(allocation.band).tolist()
     if len(set(users)) != len(users):
         raise ContractError("each user may be requested once")
 
@@ -404,9 +416,8 @@ def _mean_se(samples):
 def _user_terms(scenario, allocation, k, h, hhat, rng):
     """User k's McTermReport and per-trial rates from a shared draw."""
     trials = h.shape[0]
-    band = allocation.band_of(k)
-    group = allocation.groups[band]
-    bw = allocation.bandwidths[band]
+    closed = sinr_lower_bound(scenario, allocation, k)  # k must be scheduled
+    bw = allocation.bandwidths[allocation.band[k]]
     sigma_i = scenario.subband_noise(bw)
     sset = scenario.serving_sets[k]
     w = allocation.weights[:, k]
@@ -422,7 +433,6 @@ def _user_terms(scenario, allocation, k, h, hhat, rng):
     )
     n_k = np.einsum("tmn,m,tmn->t", hh_k.conj(), wv, noise)
 
-    closed = sinr_lower_bound(scenario, allocation, k)
     ds_closed = np.sqrt(p[k]) * closed.ds
     # name -> (closed form, per-trial power samples)
     term_samples = {
@@ -430,7 +440,7 @@ def _user_terms(scenario, allocation, k, h, hhat, rng):
                np.abs(np.sqrt(p[k]) * g[:, k] - ds_closed) ** 2),
         "noise": (closed.i_noise, np.abs(n_k) ** 2),
     }
-    for kp in group:
+    for kp in closed.i1:  # k's band, in group order
         if kp == k:
             continue
         cf = p[kp] * (closed.i1[kp] + closed.i2[kp])

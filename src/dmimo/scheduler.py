@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rate import pair_terms, sinr_in_bands
+from .rate import band_index, pair_terms, sinr_in_bands
 
 L_MAX = 100
 EXHAUSTIVE_GUARD = 10
@@ -73,6 +73,7 @@ def dsatur_color(adjacency, capacity):
     """Greedy coloring by maximum saturation; colors capped at `capacity`
     members each. Ties break by degree then lowest vertex index; a vertex
     takes the lowest admissible color. Always succeeds (colors unbounded).
+    Returns each vertex's color, an (n,) np.intp band index, and the count.
     """
     adj = np.asarray(adjacency)
     n = adj.shape[0]
@@ -98,25 +99,14 @@ def dsatur_color(adjacency, capacity):
             if rows[v][u] and c not in neighbor_colors[u]:
                 neighbor_colors[u].add(c)
                 key[u] = (len(neighbor_colors[u]), degree[u], -u)
-    n_colors = len(class_size)
-    groups = [[v for v in range(n) if color[v] == c] for c in range(n_colors)]
-    return groups, n_colors
+    return np.array(color, dtype=np.intp), len(class_size)
 
 
 def validate_schedule(schedule, num_users, num_bands, capacity):
     """Structural check of the partition/capacity/disjointness constraints."""
-    seen = set()
-    for g in schedule.groups:
-        if not g:
-            return False
-        if len(g) > capacity:
-            return False
-        if seen & set(g):
-            return False
-        seen |= set(g)
-    if seen != set(range(num_users)):
-        return False
-    return len(schedule.groups) <= num_bands
+    users = sorted(k for g in schedule.groups for k in g)
+    return users == list(range(num_users)) and len(schedule.groups) \
+        <= num_bands and all(0 < len(g) <= capacity for g in schedule.groups)
 
 
 def _floored_sum_rate(res, requirement):
@@ -144,15 +134,14 @@ class PartitionScore:
     interferer: int | None
 
 
-def score_partition(scenario, groups, terms):
-    """PartitionScore of `groups` from the PairTerms `terms`."""
-    res = sinr_in_bands(scenario, terms, groups)
-    sinr = res.sinr.tolist()
-    worst = min(res.users, key=sinr.__getitem__)
-    row = res.interference[worst].tolist()
-    group = next(g for g in groups if worst in g)
-    interferer = max(sorted(kp for kp in group if kp != worst),
-                     key=row.__getitem__, default=None)
+def score_partition(scenario, band, terms):
+    """PartitionScore of the band index `band` from the PairTerms `terms`."""
+    res = sinr_in_bands(scenario, terms, band)
+    worst = int(res.users[res.sinr[res.users].argmin()])
+    # the interference of worst's co-band mates, -inf elsewhere
+    row = np.where(band == band[worst], res.interference[worst], -np.inf)
+    row[worst] = -np.inf
+    interferer = int(row.argmax()) if row.max() > -np.inf else None
     return PartitionScore(
         sum_rate=_floored_sum_rate(res, scenario.config.rate_requirement),
         worst=worst, interferer=interferer,
@@ -168,7 +157,7 @@ def schedule_users(scenario, estimates, powers, weights):
     conflict edge between the worst-SINR user and its strongest co-band
     interferer. Keeps the best feasible grouping by sum rate.
 
-    Partition scores are kept by groups for the call; for the life of
+    Partition scores are kept by band index for the call; for the life of
     ``scenario.rate_context``, colorings by adjacency and Schedules by
     (rho, powers, weights). All are pure functions of those keys and the
     scenario.
@@ -192,22 +181,23 @@ def schedule_users(scenario, estimates, powers, weights):
         key = adjacency.tobytes()
         graphs.add(key)
         if key not in colorings:
-            groups, n_c = dsatur_color(adjacency, capacity)
-            # immutable: later calls share it, and it keys the score memo
-            colorings[key] = tuple(map(tuple, groups)), n_c
+            band, n_c = dsatur_color(adjacency, capacity)
+            band.flags.writeable = False  # later calls share it
+            colorings[key] = band, n_c
         return colorings[key]
 
-    def score(groups):
-        if groups not in scores:
-            scores[groups] = score_partition(scenario, groups, terms)
-        return scores[groups]
+    def score(band):
+        key = band.tobytes()
+        if key not in scores:
+            scores[key] = score_partition(scenario, band, terms)
+        return scores[key]
 
     off = rho[~np.eye(K, dtype=bool)]
     threshold = float(off.mean()) if off.size else 0.0
     rho_max = float(rho.max()) if off.size else 0.0
 
     graph = ConflictGraph.from_threshold(rho, threshold)
-    groups, n_c = color(graph.adjacency)
+    band, n_c = color(graph.adjacency)
 
     best = None
     best_rate = -np.inf
@@ -218,12 +208,12 @@ def schedule_users(scenario, estimates, powers, weights):
             escalations += 1
             threshold = (threshold + rho_max) / 2.0
             graph = ConflictGraph.from_threshold(rho, threshold)
-            groups, n_c = color(graph.adjacency)
+            band, n_c = color(graph.adjacency)
             continue
-        sc = score(groups)
+        sc = score(band)
         if sc.sum_rate is not None and sc.sum_rate > best_rate:
             best_rate = sc.sum_rate
-            best = groups, n_c
+            best = band, n_c
         worst_k, kp = sc.worst, sc.interferer
         # worst user alone in its band, or no monotone edit left
         if kp is None or graph.adjacency[worst_k, kp]:
@@ -231,9 +221,10 @@ def schedule_users(scenario, estimates, powers, weights):
             break
         graph.adjacency[worst_k, kp] = graph.adjacency[kp, worst_k] = 1
         edges_added += 1
-        groups, n_c = color(graph.adjacency)
+        band, n_c = color(graph.adjacency)
 
-    groups, n_c = best or (groups, n_c)
+    band, n_c = best or (band, n_c)
+    groups = [np.flatnonzero(band == c).tolist() for c in range(n_c)]
     schedules[call] = Schedule(
         groups=groups, colors_used=n_c,
         feasible=best is not None, iterations=it + 1, escalations=escalations,
@@ -274,16 +265,11 @@ def exhaustive_schedule(scenario, powers, weights):
         raise ValueError(f"exhaustive search refused for K > {EXHAUSTIVE_GUARD}")
     num_bands, capacity = cfg.num_subbands, cfg.subband_capacity
     terms = pair_terms(scenario, powers, weights)
-    best, best_rate = None, -np.inf
-    for groups in enumerate_partitions(K, num_bands, capacity):
-        rate = _floored_sum_rate(sinr_in_bands(scenario, terms, groups),
-                                 cfg.rate_requirement)
-        if rate is not None and rate > best_rate:
-            best_rate = rate
-            best = Schedule(groups=groups, colors_used=len(groups),
-                            feasible=True)
-    if best is None:
-        groups = enumerate_partitions(K, num_bands, capacity)[0]
-        best = Schedule(groups=groups, colors_used=len(groups),
-                        feasible=False)
-    return best
+    parts = enumerate_partitions(K, num_bands, capacity)
+    rates = [_floored_sum_rate(sinr_in_bands(scenario, terms,
+                                             band_index(g, K)),
+                               cfg.rate_requirement) for g in parts]
+    met = [i for i, r in enumerate(rates) if r is not None]
+    # the first partition of the highest rate, else the first of all
+    best = parts[max(met, key=rates.__getitem__, default=0)]
+    return Schedule(groups=best, colors_used=len(best), feasible=bool(met))

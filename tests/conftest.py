@@ -11,8 +11,10 @@ from dmimo.channel import Correlation, correlation_matrix
 from dmimo.config import SystemConfig
 from dmimo.gp import GpInfeasibleError, GpSolution, GpUnboundedError
 from dmimo.optimizer import _min_bandwidth
-from dmimo.rate import band_rate_derivatives, pair_terms, sinr_all
+from dmimo.rate import (band_index, band_rate_derivatives, pair_terms,
+                        sinr_all, sinr_in_bands)
 from dmimo.scenario import Scenario, build_scenario
+from dmimo.scheduler import PartitionScore
 
 
 # Config fields that make the full-band noise power exactly 1:
@@ -214,6 +216,28 @@ def clone_user(scenario, k, into):
     beta, rician, los = arrays
     return replace(scenario, beta=beta, rician=rician, los=los,
                    serving_sets=tuple(sets))
+
+
+def score_partition_reference(scenario, groups, terms):
+    """``scheduler.score_partition`` as it was written over lists of
+    groups: the worst user is the first lowest SINR in group order, its
+    interferer the first strongest of its mates in ascending order, and the
+    sum rate the users' rates added in group order, or None when one misses
+    a positive rate requirement."""
+    res = sinr_in_bands(scenario, terms,
+                        band_index(groups, len(terms.signal)))
+    users = [k for g in groups for k in g]
+    sinr, rate = res.sinr.tolist(), res.rate.tolist()
+    worst = min(users, key=sinr.__getitem__)
+    row = res.interference[worst].tolist()
+    group = next(g for g in groups if worst in g)
+    interferer = max(sorted(kp for kp in group if kp != worst),
+                     key=row.__getitem__, default=None)
+    req = scenario.config.rate_requirement
+    missed = req > 0 and any(rate[k] < req for k in users)
+    return PartitionScore(
+        sum_rate=None if missed else sum(rate[k] for k in users),
+        worst=worst, interferer=interferer)
 
 
 # The bandwidth stage as a dual search: the reference that the Newton loop

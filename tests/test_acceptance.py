@@ -262,12 +262,16 @@ def test_criterion_05_dsatur_correctness():
             adj = (rng.random((n, n)) < p).astype(int)
             adj = np.triu(adj, 1)
             adj = adj + adj.T
-            groups, n_c = dsatur_color(adj, capacity=n)
+            color, n_c = dsatur_color(adj, capacity=n)
+            groups = [np.flatnonzero(color == c).tolist()
+                      for c in range(n_c)]
             assert _is_proper(groups, adj)
             assert sorted(v for g in groups for v in g) == list(range(n))
             assert n_c <= int(adj.sum(axis=1).max()) + 1
             cap = int(rng.integers(1, n + 1))
-            groups, _ = dsatur_color(adj, capacity=cap)
+            color, n_c = dsatur_color(adj, capacity=cap)
+            groups = [np.flatnonzero(color == c).tolist()
+                      for c in range(n_c)]
             assert _is_proper(groups, adj)
             assert all(len(g) <= cap for g in groups)
             assert sorted(v for g in groups for v in g) == list(range(n))

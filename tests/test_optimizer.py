@@ -407,7 +407,9 @@ def _reference_sinr_rows(scenario, context, allocation, k, group, sigma_i,
 def _reference_gp_rows(scenario, allocation, context, chi, optimize_weights,
                        floors):
     """The GP rows built one user and one constraint at a time: the
-    reference for ``optimizer._gp_rows``."""
+    reference for ``optimizer._gp_rows``. A band's users, and the mates in
+    each user's rows, come in ascending order, whatever order a group lists
+    them in: the order of the allocation's band index."""
     K = scenario.num_users
     points = [np.maximum(chi, 1e-30), allocation.powers]
     if optimize_weights:
@@ -419,7 +421,7 @@ def _reference_gp_rows(scenario, allocation, context, chi, optimize_weights,
     wcols = [np.arange(offsets[k], offsets[k + 1]) for k in range(K)]
     blocks = []
     for i, group in enumerate(allocation.groups):
-        bw = allocation.bandwidths[i]
+        bw, group = allocation.bandwidths[i], sorted(group)
         gamma_req = _rate_gamma(scenario, bw)
         for k in group:
             blocks.append(_reference_sinr_rows(
@@ -502,7 +504,8 @@ def test_gp_rows_match_reference_on_negative_terms_and_infeasible():
 
 def test_gp_rows_match_reference_with_unequal_serving_sets():
     """Serving sets of one, two and three satellites, two users sharing a
-    pilot, and LoS vectors whose cross products are negative."""
+    pilot, and LoS vectors whose cross products are negative; the second
+    schedule lists its groups out of order, and its rows come ascending."""
     cfg = SystemConfig(num_satellites=3, num_users=4, antennas_x=2,
                        antennas_y=1, num_subbands=2, pilot_length=3,
                        cluster_size=1, subband_capacity=3,
@@ -689,6 +692,31 @@ def test_benchmark_arms_run(default_scenario):
 AO_SMALL_UNATTAINABLE = AO_SMALL.replace(rate_requirement=1.5e5)
 
 
+@pytest.mark.parametrize("seed", [1011, 1018])
+def test_unbounded_sca_step_stops_the_loop_not_the_ao(seed, monkeypatch):
+    """Items 1011 and 1018 of the ao-small system at 20 W, with the SCA
+    tolerance tightened to 1e-7: the SCA drives a user's power towards 0,
+    which a log-domain GP cannot reach, and a GP step reads as unbounded.
+    The loop keeps its previous iterate and says why; no GpError escapes
+    the alternating optimization or the fixed-weight arms."""
+    monkeypatch.setattr(dmimo.optimizer, "EPS_SCA", 1e-7)
+    cfg = AO_SMALL.replace(max_power=20.0)
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    stopped = [r for r in res.rounds if r.sca.stop_reason == "gp_unbounded"]
+    assert stopped and len(res.round_rates) == len(res.rounds)
+    for r in stopped:
+        objs = r.sca.objectives
+        assert len(objs) > 1 and objs == sorted(objs)
+    assert res.allocation.feasible
+    assert res.sum_rate == sum_rate(sc, res.allocation)
+    for mode in ("equal", "estimate"):
+        alloc, rate = benchmark_allocation(
+            sc, np.random.default_rng(estimation_ss), mode)
+        assert alloc.feasible and rate == sum_rate(sc, alloc)
+
+
 @pytest.mark.parametrize("seed, phi", [(1007, 0.6076), (1008, 0.5407)])
 def test_unattainable_floor_is_reported(seed, phi):
     scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
@@ -743,6 +771,27 @@ def test_floor_beyond_float_range_is_unattainable():
         assert rate == sum_rate(sc, alloc)
 
 
+def test_bandwidths_assigned_as_a_list_build_the_same_gp():
+    """Bandwidths given as a list, at construction or by assignment, are
+    stored as a float array, so the GP rows index them by band."""
+    sc = build_scenario(AO_SMALL.replace(rate_requirement=5e4),
+                        np.random.default_rng(1))
+    alloc = equal_split_allocation(sc)
+    listed = alloc.copy()
+    listed.bandwidths = alloc.bandwidths.tolist()
+    built = AllocationState(alloc.groups, alloc.bandwidths.tolist(),
+                            alloc.powers, alloc.weights)
+    chi = np.full(sc.num_users, 2.0)
+    want, _ = build_sca_subproblem(sc, alloc, chi)
+    for other in (listed, built):
+        assert other.bandwidths.dtype == float
+        got, _ = build_sca_subproblem(sc, other, chi)
+        assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                   for f in ("objective", "logs", "exps", "starts"))
+        assert feasibility_check(sc, other)[0] == feasibility_check(sc,
+                                                                    alloc)[0]
+
+
 def test_floor_on_a_zero_bandwidth_band_is_unattainable():
     """A band given no bandwidth cannot meet a rate floor: its SINR target
     is inf, so the feasibility margin is phi = 0 and the power stage raises
@@ -751,7 +800,7 @@ def test_floor_on_a_zero_bandwidth_band_is_unattainable():
                         np.random.default_rng(1))
     alloc = equal_split_allocation(sc)
     half = sc.config.total_bandwidth / 2
-    alloc.bandwidths = [half, half, 0.0, 0.0]
+    alloc.bandwidths = np.array([half, half, 0.0, 0.0])
     assert _rate_gamma(sc, 0.0) == math.inf
     phi, out = feasibility_check(sc, alloc)
     assert phi == 0.0 and np.array_equal(out.powers, alloc.powers)
@@ -837,8 +886,8 @@ def test_first_round_matches_hand_wired_stages(max_power):
         assert first.sca.stop_reason == trace.stop_reason
         assert [x.hex() for x in first.bandwidth.objective_trace] == \
             [x.hex() for x in bw.objective_trace]
-        assert first.bandwidth.allocation.bandwidths == \
-            bw.allocation.bandwidths
+        assert np.array_equal(first.bandwidth.allocation.bandwidths,
+                              bw.allocation.bandwidths)
         assert (first.bandwidth.iterations, first.bandwidth.kkt_residual) \
             == (bw.iterations, bw.kkt_residual)
         iterates.append(first.sca.iterations)

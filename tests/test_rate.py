@@ -21,6 +21,7 @@ from dmimo.rate import (
     AllocationState,
     ContractError,
     RateContext,
+    band_index,
     band_rate,
     band_rate_derivatives,
     equal_split_allocation,
@@ -29,6 +30,7 @@ from dmimo.rate import (
     monte_carlo_terms,
     monte_carlo_users,
     normalize_weights,
+    scheduled_users,
     sinr_all,
     sinr_lower_bound,
     sum_rate,
@@ -50,16 +52,49 @@ def test_zero_power_zero_rate(default_scenario):
 
 
 def test_unscheduled_user_rejected(default_scenario):
+    """An unscheduled user reads band -1, and the scalar bound and the
+    Monte Carlo engine refuse it; the engine's default users are the
+    scheduled ones, in group order."""
     sc = default_scenario
     alloc = equal_split_allocation(sc, groups=[[0, 1]])
+    assert alloc.band.dtype == np.intp
+    assert alloc.band.tolist() == [0, 0] + [-1] * (sc.num_users - 2)
     with pytest.raises(ContractError):
         sinr_lower_bound(sc, alloc, 4)
+    with pytest.raises(ContractError):
+        monte_carlo_users(sc, alloc, 100, np.random.default_rng(0),
+                          users=(0, 4))
+    res = monte_carlo_users(sc, alloc, 100, np.random.default_rng(0))
+    assert list(res.users) == [0, 1]
+
+
+@given(st.lists(st.integers(min_value=-1, max_value=4), min_size=1,
+                max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_band_index_round_trips(band):
+    """band -> groups -> band gives the band back, bands left empty
+    included, and groups -> band -> groups gives the groups back; the
+    scheduled users come band by band, ascending within one: the group
+    order of ascending groups."""
+    band = np.array(band, dtype=np.intp)
+    groups = [np.flatnonzero(band == i).tolist()
+              for i in range(band.max() + 1)]
+    back = band_index(groups, len(band))
+    assert back.dtype == np.intp and np.array_equal(back, band)
+    assert [np.flatnonzero(back == i).tolist()
+            for i in range(len(groups))] == groups
+    assert scheduled_users(band).tolist() == [k for g in groups for k in g]
+    alloc = AllocationState(groups=groups, bandwidths=[1.0] * len(groups),
+                            powers=np.ones(len(band)),
+                            weights=np.ones((1, len(band))))
+    assert np.array_equal(alloc.band, band)
+    assert np.array_equal(alloc.copy().band, band)
 
 
 def sinr_los_limit(scenario, allocation, k):
     """Pure-LoS SINR limit, the reference that the closed form approaches as
     the Rician factor grows: estimation terms vanish, Kbar a -> beta."""
-    band = allocation.band_of(k)
+    band = next(i for i, g in enumerate(allocation.groups) if k in g)
     group = allocation.groups[band]
     bw = allocation.bandwidths[band]
     sigma_i = scenario.subband_noise(bw)
@@ -152,7 +187,7 @@ def test_removing_user_never_hurts(default_scenario):
     alloc = single_band_alloc(sc)
     base = sinr_lower_bound(sc, alloc, 0, ctx).sinr_lb
     smaller = equal_split_allocation(sc, groups=[[0, 1, 2, 3]])
-    smaller.bandwidths = list(alloc.bandwidths)
+    smaller.bandwidths = alloc.bandwidths.copy()
     assert sinr_lower_bound(sc, smaller, 0, ctx).sinr_lb >= base - 1e-12
 
 
@@ -328,7 +363,7 @@ def test_engine_closed_forms_match_decomposition(seed, K, M, data):
     for k, rep in res.users.items():
         ref = sinr_lower_bound(sc, alloc, k)
         expected = {"ls": p[k] * ref.i1[k], "noise": ref.i_noise}
-        for kp in alloc.groups[alloc.band_of(k)]:
+        for kp in next(g for g in alloc.groups if k in g):
             if kp != k:
                 cf = p[kp] * (ref.i1[kp] + ref.i2[kp])
                 if kp in ref.i3:
@@ -357,7 +392,7 @@ def test_zero_bandwidth_band_has_rate_zero(default_scenario):
     ctx = RateContext(sc)
     alloc = equal_split_allocation(sc)
     before = sinr_all(sc, alloc, ctx)
-    alloc.bandwidths = [sc.config.total_bandwidth, 0.0]
+    alloc.bandwidths = np.array([sc.config.total_bandwidth, 0.0])
     res = sinr_all(sc, alloc, ctx)
     zero, kept = alloc.groups[1], alloc.groups[0]
     assert np.all(res.rate[zero] == 0.0) and np.all(res.i_noise[zero] == 0.0)
@@ -516,7 +551,7 @@ def test_sinr_all_matches_reference(seed, K, M, data):
                                   * rng.uniform(0.1, 1.0, (M, K))),
     )
     res = sinr_all(sc, alloc)
-    assert res.users == [k for g in groups for k in g]
+    assert res.users.tolist() == [k for g in groups for k in g]
     # a scheduled user with power has a positive SINR denominator, through
     # its own leakage, so the rate needs no floor
     denominator = res.i_noise + res.interference.sum(axis=1)
@@ -533,7 +568,8 @@ def test_sinr_all_matches_reference(seed, K, M, data):
             assert not res.interference[:, k].any()
             continue
         ref = sinr_lower_bound(sc, alloc, k)
-        rates[k] = alloc.bandwidths[alloc.band_of(k)] \
+        band = next(i for i, g in enumerate(groups) if k in g)
+        rates[k] = alloc.bandwidths[band] \
             * math.log1p(ref.sinr_lb) / math.log(2.0)
         assert _close(res.sinr[k], ref.sinr_lb)
         assert _close(res.rate[k], rates[k])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import make_scenario, score_partition_reference
 from dmimo import scheduler
 from dmimo.config import SystemConfig
 from dmimo.estimation import estimate_batch
@@ -16,8 +17,9 @@ from dmimo.channel import sample_channel_batch
 from dmimo.optimizer import estimate_magnitude_weights, scheduling_estimates
 from dmimo.harness import _cluster_config
 from dmimo.rate import equal_weights, sinr_lower_bound, sum_rate
-from dmimo.rate import (AllocationState, equal_split_allocation, pair_terms,
-                        sinr_all, sinr_in_bands)
+from dmimo.rate import (AllocationState, PairTerms, band_index,
+                        equal_split_allocation, pair_terms, sinr_all,
+                        sinr_in_bands)
 from dmimo.scenario import build_scenario
 from dmimo.scheduler import (
     L_MAX,
@@ -140,29 +142,27 @@ def test_correlation_matrix_matches_pair_loop(seed):
         assert np.all(np.diag(rho) == 0)
 
 
-def _proper(adj, groups):
-    color = {}
-    for c, g in enumerate(groups):
-        for v in g:
-            color[v] = c
+def _proper(adj, color, n_colors):
+    """`color` gives every vertex one of the colors 0 to n_colors - 1, each
+    used, and no edge joins two vertices of one color."""
     n = adj.shape[0]
-    return all(
-        not (adj[u, v] and color[u] == color[v])
-        for u in range(n) for v in range(u + 1, n)
-    )
+    return color.dtype == np.intp and color.shape == (n,) \
+        and set(color.tolist()) == set(range(n_colors)) and all(
+            not (adj[u, v] and color[u] == color[v])
+            for u in range(n) for v in range(u + 1, n))
 
 
 def test_dsatur_path_graph():
     adj = np.zeros((3, 3), dtype=int)
     adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = 1
-    groups, n_c = dsatur_color(adj, capacity=3)
+    color, n_c = dsatur_color(adj, capacity=3)
     assert n_c == 2
-    assert _proper(adj, groups)
+    assert _proper(adj, color, n_c)
 
 
 def test_dsatur_complete_graph():
     adj = 1 - np.eye(4, dtype=int)
-    groups, n_c = dsatur_color(adj, capacity=4)
+    color, n_c = dsatur_color(adj, capacity=4)
     assert n_c == 4
 
 
@@ -173,18 +173,19 @@ def test_dsatur_random_graphs_proper_and_bounded():
         adj = (rng.random((n, n)) < 0.4).astype(int)
         adj = np.triu(adj, 1)
         adj = adj + adj.T
-        groups, n_c = dsatur_color(adj, capacity=n)
-        assert _proper(adj, groups)
+        color, n_c = dsatur_color(adj, capacity=n)
+        assert _proper(adj, color, n_c)
         assert n_c <= adj.sum(axis=1).max() + 1
         cap = int(rng.integers(1, n + 1))
-        groups_c, _ = dsatur_color(adj, capacity=cap)
-        assert _proper(adj, groups_c)
-        assert max(len(g) for g in groups_c) <= cap
+        color_c, n_c = dsatur_color(adj, capacity=cap)
+        assert _proper(adj, color_c, n_c)
+        assert np.bincount(color_c).max() <= cap
 
 
 def _dsatur_reference(adjacency, capacity):
     """DSatur as first written, with an O(n) scan of the adjacency matrix
-    per colored vertex: the reference for dsatur_color."""
+    per colored vertex: the reference for dsatur_color. Returns each
+    vertex's color and the number of colors."""
     adj = np.asarray(adjacency)
     n = adj.shape[0]
     degree = adj.sum(axis=1)
@@ -212,9 +213,7 @@ def _dsatur_reference(adjacency, capacity):
         for u in range(n):
             if adj[v, u] and color[u] < 0:
                 neighbor_colors[u].add(c)
-    n_colors = max(color) + 1
-    groups = [[v for v in range(n) if color[v] == c] for c in range(n_colors)]
-    return groups, n_colors
+    return color, max(color) + 1
 
 
 def test_dsatur_matches_reference():
@@ -225,7 +224,8 @@ def test_dsatur_matches_reference():
         adj = np.triu(adj, 1)
         adj = adj + adj.T
         cap = int(rng.integers(1, n + 1))
-        assert dsatur_color(adj, cap) == _dsatur_reference(adj, cap)
+        color, n_c = dsatur_color(adj, cap)
+        assert (color.tolist(), n_c) == _dsatur_reference(adj, cap)
 
 
 def test_conflict_graph_threshold():
@@ -453,9 +453,9 @@ def test_schedule_users_colors_and_scores_each_once(monkeypatch):
         graphs.append(np.asarray(adjacency).tobytes())
         return real_color(adjacency, capacity)
 
-    def score(scenario, groups, *args):
-        partitions.append(tuple(tuple(g) for g in groups))
-        return real_score(scenario, groups, *args)
+    def score(scenario, band, *args):
+        partitions.append(band.tobytes())
+        return real_score(scenario, band, *args)
 
     monkeypatch.setattr(scheduler, "dsatur_color", color)
     monkeypatch.setattr(scheduler, "score_partition", score)
@@ -476,7 +476,7 @@ def test_score_partition_matches_reference():
     pair = pair_terms(sc, powers, weights)
     feasible = 0
     for groups in enumerate_partitions(6, 4, 3):
-        score = score_partition(sc, groups, pair)
+        score = score_partition(sc, band_index(groups, 6), pair)
         bw = sc.config.total_bandwidth / len(groups)
         alloc = AllocationState(groups=groups,
                                 bandwidths=[bw] * len(groups),
@@ -502,6 +502,89 @@ def test_score_partition_matches_reference():
     assert 0 < feasible < len(enumerate_partitions(6, 4, 3))
 
 
+@functools.cache
+def _scoring_scenario(num_users):
+    return make_scenario(seed=num_users, num_users=num_users,
+                         num_satellites=2, cluster_size=1,
+                         num_subbands=num_users - 1, pilot_length=1,
+                         subband_capacity=num_users)
+
+
+def _small_terms(cfg, signal, noise_gain, interference):
+    """PairTerms from small integers, scaled so that the noise of the
+    full band is one unit: ties in SINR and interference are common."""
+    unit = cfg.noise_density * cfg.total_bandwidth
+    return PairTerms(signal=unit * np.array(signal, dtype=float),
+                     noise_gain=np.array(noise_gain, dtype=float),
+                     interference=unit * np.array(interference, dtype=float))
+
+
+@given(st.integers(min_value=2, max_value=7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_score_partition_matches_list_reference(num_users, data):
+    """The array scorer gives the list scorer's PartitionScore, bit for
+    bit, over random colorings (single-user bands among them), terms drawn
+    from a few integers (so SINRs and interference powers tie), users with
+    no signal, and a rate floor at or between the users' rates."""
+    K = num_users
+    sc = _scoring_scenario(K)
+    ints = functools.partial(st.lists, min_size=K, max_size=K)
+    terms = _small_terms(
+        sc.config, data.draw(ints(st.integers(0, 2))),
+        data.draw(ints(st.integers(1, 2))),
+        data.draw(ints(ints(st.integers(0, 3)))))
+    colors = data.draw(ints(st.integers(0, K - 1)))
+    band = np.unique(colors, return_inverse=True)[1].astype(np.intp)
+    groups = [np.flatnonzero(band == c).tolist()
+              for c in range(band.max() + 1)]
+    rates = sinr_in_bands(sc, terms, band).rate.tolist()
+    floor = data.draw(st.sampled_from([0.0] + rates)) \
+        * data.draw(st.sampled_from([1.0, 0.5, 1.5]))
+    sc = dataclasses.replace(
+        sc, config=sc.config.replace(rate_requirement=floor))
+    assert score_partition(sc, band, terms) == \
+        score_partition_reference(sc, groups, terms)
+
+
+def test_score_partition_breaks_ties_in_group_order():
+    """With every SINR equal, the worst user is the first in group order
+    (band 0's user 1), not the lowest index (band 1's user 0), and its
+    interferer the lowest-indexed of its equally strong mates."""
+    sc = _scoring_scenario(4)
+    interference = 1 + np.eye(4)
+    interference[0, 0] = 4  # user 0's leakage: the others' whole band
+    terms = _small_terms(sc.config, [2] * 4, [1] * 4, interference)
+    band = np.array([1, 0, 0, 0], dtype=np.intp)
+    res = sinr_in_bands(sc, terms, band)
+    assert len(set(res.sinr.tolist())) == 1
+    score = score_partition(sc, band, terms)
+    assert (score.worst, score.interferer) == (1, 2)
+    assert score == score_partition_reference(sc, [[1, 2, 3], [0]], terms)
+    # alone in its band: no interferer
+    band = np.array([1, 0, 2, 3], dtype=np.intp)
+    assert score_partition(sc, band, terms).interferer is None
+
+
+@given(st.integers(min_value=2, max_value=7), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_partitions_are_built_ascending(num_users, bands, data):
+    """Bit-exactness rests on this: every group that the library builds
+    lists its users in ascending order, so the band index's group order
+    (by band, ascending within one) is the order the groups gave."""
+    K = num_users
+    capacity = data.draw(st.integers(1, K))
+    for part in enumerate_partitions(K, bands, capacity):
+        assert all(g == sorted(g) for g in part)
+    sc = _with_config(_scoring_scenario(K), num_subbands=min(bands, K - 1))
+    assert all(g == sorted(g) for g in equal_split_allocation(sc).groups)
+    adj = np.triu(np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=K, max_size=K),
+        min_size=K, max_size=K)), dtype=int), 1)
+    color, n_colors = dsatur_color(adj + adj.T, capacity)
+    groups = [np.flatnonzero(color == c).tolist() for c in range(n_colors)]
+    assert np.array_equal(band_index(groups, K), color)
+
+
 @given(st.integers(min_value=0, max_value=10**6), st.data())
 @settings(max_examples=25, deadline=None)
 def test_pair_terms_scores_equal_sinr_all(seed, data):
@@ -520,10 +603,12 @@ def test_pair_terms_scores_equal_sinr_all(seed, data):
     res = sinr_all(sc, equal_split_allocation(sc, groups=groups,
                                               powers=powers,
                                               weights=weights))
-    mine = sinr_in_bands(sc, terms, groups)  # equal split by default
-    for name in ("sinr", "rate", "numerator", "i_noise", "interference"):
+    band = band_index(groups, 6)
+    mine = sinr_in_bands(sc, terms, band)  # equal split by default
+    for name in ("users", "sinr", "rate", "numerator", "i_noise",
+                 "interference"):
         assert np.array_equal(getattr(mine, name), getattr(res, name)), name
-    score = score_partition(sc, groups, terms)
+    score = score_partition(sc, band, terms)
     floor = sc.config.rate_requirement
     expected = None if (res.rate < floor).any() else res.sum_rate
     assert score.sum_rate == expected
@@ -547,7 +632,7 @@ def _schedule_reference(scenario, estimates, powers, weights,
     rho_max = float(rho.max())
     graph = ConflictGraph.from_threshold(rho, threshold)
     graphs = {graph.adjacency.tobytes()}
-    groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+    color, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
     best, best_rate = None, -np.inf
     escalations = edges = 0
     for _ in range(max_iter):
@@ -556,13 +641,13 @@ def _schedule_reference(scenario, estimates, powers, weights,
             threshold = (threshold + rho_max) / 2.0
             graph = ConflictGraph.from_threshold(rho, threshold)
             graphs.add(graph.adjacency.tobytes())
-            groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+            color, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
             continue
-        sc = score_partition(scenario, groups, terms)
+        sc = score_partition(scenario, color, terms)
+        groups = [[k for k in range(K) if color[k] == c] for c in range(n_c)]
         if sc.sum_rate is not None and sc.sum_rate > best_rate:
             best_rate = sc.sum_rate
-            best = Schedule(groups=[list(g) for g in groups],
-                            colors_used=n_c, feasible=True)
+            best = Schedule(groups=groups, colors_used=n_c, feasible=True)
         if sc.interferer is None or graph.adjacency[sc.worst, sc.interferer]:
             return best or Schedule(groups, n_c, False), escalations, edges, \
                 graphs, True
@@ -570,7 +655,8 @@ def _schedule_reference(scenario, estimates, powers, weights,
         graph.adjacency[sc.interferer, sc.worst] = 1
         edges += 1
         graphs.add(graph.adjacency.tobytes())
-        groups, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+        color, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+    groups = [[k for k in range(K) if color[k] == c] for c in range(n_c)]
     return best or Schedule(groups, n_c, False), escalations, edges, graphs, \
         False
 
@@ -652,6 +738,7 @@ def test_memoized_loop_matches_reference():
     infeasible = early = 0
     for key, inst in _schedule_instances():
         sched = schedule_users(*inst)
+        assert all(g == sorted(g) for g in sched.groups), key
         ref, *_ = _schedule_reference(*inst)
         assert (sched.groups, sched.colors_used, sched.feasible) == \
             (ref.groups, ref.colors_used, ref.feasible), key
@@ -669,9 +756,9 @@ def test_schedule_diagnostics_match_counters(monkeypatch):
         colored.append((np.asarray(adjacency).tobytes(), capacity))
         return real_color(adjacency, capacity)
 
-    def score(scenario, groups, terms):
+    def score(scenario, band, terms):
         scored.append(1)
-        return real_score(scenario, groups, terms)
+        return real_score(scenario, band, terms)
 
     def rebuild(rho, threshold):
         rebuilds.append(1)
