@@ -5,16 +5,15 @@ g(v) <= 1. With x = log v, a posynomial term c * prod v_j^{e_j} becomes the
 affine value log c + e @ x, so each constraint is log-sum-exp(rows) <= 0
 and the objective is a @ x (Boyd, Kim, Vandenberghe & Hassibi, "A tutorial
 on geometric programming", 2007). A problem is stored exactly so: one row
-(log c, e) per term over integer variable columns, the rows of constraint
-i being ``logs[starts[i]:starts[i + 1]]``. A primal-dual interior-point
-method in numpy solves the smooth convex program, after a phase I that
-finds a strictly feasible point or shows that there is none (Boyd &
-Vandenberghe, *Convex Optimization*, 2004, sections 11.4 and 11.7).
+(log c, e) per term, e as its nonzeros over integer variable columns, the
+rows of constraint i being ``logs[starts[i]:starts[i + 1]]``. A primal-dual
+interior-point method in numpy solves the smooth convex program, after a
+phase I that finds a strictly feasible point or shows that there is none
+(Boyd & Vandenberghe, *Convex Optimization*, 2004, sections 11.4 and 11.7).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,37 +56,46 @@ class GpUnboundedError(GpError):
 @dataclass
 class GpProblem:
     """Maximize exp(objective @ x) subject to lse_i(x) <= 0 for every
-    constraint i, lse_i being the log-sum-exp of ``logs[r] + exps[r] @ x``
-    over the constraint's rows r.
+    constraint i, lse_i being the log-sum-exp of ``logs[r] + e_r @ x`` over
+    the constraint's rows r, e_r the exponents of row r.
 
     objective: (n,) exponents of the objective monomial.
     logs: (R,) log-coefficients of the stacked rows; all finite, since a
     posynomial term's coefficient is positive.
-    exps: (R, n) exponents of the stacked rows.
+    row, col, value: the rows' nonzero exponents, e_{row[t]} holding
+    value[t] at column col[t]; in row order, a row's columns ascending.
     starts: (C,) first row of each constraint, strictly increasing from 0.
     """
 
     objective: np.ndarray
     logs: np.ndarray
-    exps: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
     starts: np.ndarray
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.logs = np.asarray(self.logs, dtype=float)
-        self.exps = np.asarray(self.exps, dtype=float).reshape(
-            len(self.logs), len(self.objective))
-        self.starts = np.asarray(self.starts, dtype=np.intp)
+        self.objective, self.logs, self.value = (np.asarray(
+            a, dtype=float) for a in (self.objective, self.logs, self.value))
+        self.row, self.col, self.starts = (np.asarray(
+            a, dtype=np.intp) for a in (self.row, self.col, self.starts))
+        R, n = len(self.logs), len(self.objective)
         if not np.all(np.isfinite(self.logs)):
             raise ValueError("term coefficients must be positive")
         if (len(self.starts) == 0 or self.starts[0] != 0
                 or np.any(np.diff(self.starts) <= 0)
-                or self.starts[-1] >= len(self.logs)):
+                or self.starts[-1] >= R):
             raise ValueError("starts must begin at 0 and give every "
                              "constraint at least one row")
-        # each row's constraint
+        if (np.any((self.row < 0) | (self.row >= R))
+                or np.any((self.col < 0) | (self.col >= n))
+                or np.any(np.diff(self.row * n + self.col) <= 0)):
+            raise ValueError("nonzeros must lie within the rows and columns, "
+                             "in row order, each row's columns ascending")
+        # each row's constraint, and each nonzero's cell of the Jacobian
         self._segment = np.repeat(np.arange(len(self.starts)), np.diff(
-            np.append(self.starts, len(self.logs))))
+            np.append(self.starts, R)))
+        self._cell = self._segment[self.row] * n + self.col
 
     def lse(self, x):
         """Each constraint's log-sum-exp at x (<= 0 where satisfied)."""
@@ -95,32 +103,26 @@ class GpProblem:
 
     def lse_softmax(self, x):
         """(lse, softmax): each constraint's log-sum-exp at x, and each
-        row's weight within its constraint."""
-        return _segment_lse(self.logs + self.exps @ x, self.starts,
-                            self._segment)
+        row's weight within its constraint. Each row's value sums its
+        nonzeros in order."""
+        return _segment_lse(self.logs + np.bincount(
+            self.row, self.value * x[self.col], len(self.logs)),
+            self.starts, self._segment)
 
     def jacobian(self, softmax):
         """d lse / dx, (C, n), from ``lse_softmax``'s row weights at x:
         each constraint's softmax-weighted sum of its rows, over the
-        nonzero exponents in row order."""
-        nz = self._nonzeros
+        nonzero exponents in order."""
         C, n = len(self.starts), len(self.objective)
-        return np.bincount(nz.cell, weights=softmax[nz.row] * nz.value,
-                           minlength=C * n).reshape(C, n)
-
-    @cached_property
-    def _nonzeros(self):
-        """The nonzero exponents in row order: their row, column, value,
-        and cell (constraint * n + column) of the Jacobian."""
-        flat = np.flatnonzero(self.exps)
-        row, col = np.divmod(flat, len(self.objective))
-        return _Nonzeros(row, col, self.exps.ravel()[flat],
-                         self._segment[row] * len(self.objective) + col)
+        return np.bincount(self._cell, softmax[self.row] * self.value,
+                           C * n).reshape(C, n)
 
     @cached_property
     def _incidence(self):
         """(C, n) bool: which columns each constraint's rows touch."""
-        return np.logical_or.reduceat(self.exps != 0, self.starts, axis=0)
+        touches = np.zeros(len(self.starts) * len(self.objective), dtype=bool)
+        touches[self._cell] = True
+        return touches.reshape(len(self.starts), len(self.objective))
 
     @cached_property
     def _hessian_pairs(self):
@@ -130,17 +132,14 @@ class GpProblem:
         exponents) for every pair of a row's nonzeros, and (constraint,
         Jacobian cell, Jacobian cell, Hessian cell) for every pair of
         columns that a constraint touches."""
-        nz, n = self._nonzeros, len(self.objective)
-        p, q = _pairs(nz.row, len(self.logs))
-        rows = (nz.row[p], nz.col[p] * n + nz.col[q], nz.value[p]
-                * nz.value[q])
+        n = len(self.objective)
+        p, q = _pairs(self.row, len(self.logs))
+        rows = (self.row[p], self.col[p] * n + self.col[q], self.value[p]
+                * self.value[q])
         cells = np.flatnonzero(self._incidence)
         con, col = np.divmod(cells, n)
         a, b = _pairs(con, len(self.starts))
         return rows, (con[a], cells[a], cells[b], col[a] * n + col[b])
-
-
-_Nonzeros = namedtuple("_Nonzeros", "row col value cell")
 
 
 def _pairs(group, count):
@@ -166,14 +165,17 @@ def _segment_lse(z, starts, segment):
 
 def condense(logs, exps, x0):
     """AM-GM condensation of the posynomial with rows (logs, exps) into one
-    monomial (log c, e), tight at x0 and below the posynomial everywhere.
+    monomial (log c, e), tight at x0 and below the posynomial everywhere;
+    its sums skip the columns that no row touches, so those change no bit.
 
     g(v) = sum u_t(v) >= prod (u_t(v) / eps_t)^{eps_t}, eps_t = u_t(x0)/g(x0).
     """
+    touched = np.flatnonzero(exps.any(axis=0))
+    exps, x0, e = exps[:, touched], x0[touched], np.zeros(exps.shape[1])
     val, eps = _segment_lse(logs + exps @ x0, np.zeros(1, dtype=np.intp),
                             np.zeros(len(logs), dtype=np.intp))
-    e = eps @ exps
-    return float(val[0] - e @ x0), e
+    e[touched] = eps @ exps
+    return float(val[0] - e[touched] @ x0), e
 
 
 @dataclass
@@ -265,16 +267,17 @@ def _boxed(problem, cols, cons, x0):
     masks; those constraints touch no other column), followed by the box
     x0 - BOX <= x <= x0 + BOX as one-row constraints."""
     keep = cons[problem._segment]
-    exps = problem.exps if cons.all() else problem.exps[keep]
-    sizes = np.diff(np.append(problem.starts, len(problem.logs)))[cons]
+    nz, new = keep[problem.row], np.cumsum(keep) - 1  # a kept row's index
     n = len(x0)
+    box = keep.sum() + np.arange(2 * n)
     return GpProblem(
         problem.objective[cols],
         np.concatenate([problem.logs[keep], x0 - BOX, -x0 - BOX]),
-        np.vstack([exps if cols.all() else exps[:, cols], -np.eye(n),
-                   np.eye(n)]),
-        np.concatenate([np.cumsum(sizes) - sizes,
-                        len(exps) + np.arange(2 * n)]))
+        np.concatenate([new[problem.row[nz]], box]),
+        np.concatenate([(np.cumsum(cols) - 1)[problem.col[nz]],
+                        np.tile(np.arange(n), 2)]),
+        np.concatenate([problem.value[nz], np.repeat([-1.0, 1.0], n)]),
+        np.concatenate([new[problem.starts[cons]], box]))
 
 
 def _ratio(v, dv):

@@ -331,7 +331,8 @@ def run_convergence(spec):
 def benchmark_arm_rates(config, K, seed, seeds):
     """Per system s < seeds of the benchmark experiment's stream for K users
     (`config` sets the rest), the sum rates of the proposed AO and of the
-    equal-weight and estimate-norm-weight arms."""
+    equal-weight and estimate-norm-weight arms, and whether each arm's
+    allocation meets the rate floors: ((rates), (feasible))."""
     cfg = _cluster_config(config, K, pilot_length=K - 2,
                           subband_capacity=max(-(-K // 4), 3))
     children = np.random.SeedSequence(seed + K).spawn(2 * seeds)
@@ -340,27 +341,30 @@ def benchmark_arm_rates(config, K, seed, seeds):
         # every arm replays the same estimation stream for fairness
         est_ss = children[2 * s + 1]
         ao = alternating_optimize(sc, np.random.default_rng(est_ss))
-        _, r1 = benchmark_allocation(sc, np.random.default_rng(est_ss),
-                                     "equal")
-        _, r2 = benchmark_allocation(sc, np.random.default_rng(est_ss),
-                                     "estimate")
-        yield ao.sum_rate, r1, r2
+        a1, r1 = benchmark_allocation(sc, np.random.default_rng(est_ss),
+                                      "equal")
+        a2, r2 = benchmark_allocation(sc, np.random.default_rng(est_ss),
+                                      "estimate")
+        yield ((ao.sum_rate, r1, r2),
+               (ao.allocation.feasible, a1.feasible, a2.feasible))
 
 
 def run_benchmark(spec):
-    """Seed-averaged sum rate: proposed AO vs the two fixed-weight arms."""
+    """Seed-averaged sum rate: proposed AO vs the two fixed-weight arms,
+    with the number of systems whose allocation misses the rate floors."""
     grid = spec.extras.get("user_grid", (6, 8))
     seeds = spec.trials
     rows = []
     for K in grid:
-        rates = benchmark_arm_rates(
-            _paper_scale(spec.config, spec.paper_scale), K, spec.seed, seeds)
+        rates, feasible = zip(*benchmark_arm_rates(
+            _paper_scale(spec.config, spec.paper_scale), K, spec.seed, seeds))
         arms = ("proposed", "benchmark1", "benchmark2")
-        for arm, arm_rates in zip(arms, zip(*rates)):
+        for arm, arm_rates, met in zip(arms, zip(*rates), zip(*feasible)):
             mean = float(np.mean(arm_rates))
-            rows.append([spec.seed, K, arm, mean, mean / K, seeds])
+            rows.append([spec.seed, K, arm, mean, mean / K, seeds,
+                         seeds - sum(met)])
     header = ["seed", "num_users", "arm", "mean_sum_rate",
-              "mean_rate_per_user", "num_seeds"]
+              "mean_rate_per_user", "num_seeds", "num_infeasible"]
     return write_outputs(
         spec, header, rows,
         "Seed-averaged sum rate vs number of users", "number of users",
@@ -422,7 +426,11 @@ def main(argv=None):
         )
     except ValueError as err:
         parser.error(str(err))
-    path = run_experiment(spec)
+    try:
+        path = run_experiment(spec)
+    except InfeasibleError as err:
+        print(f"dmimo {args.experiment}: {err}", file=sys.stderr)
+        return 1
     print(path)
     return 0
 

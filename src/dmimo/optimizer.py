@@ -61,21 +61,22 @@ def sca_coefficients(chi_prev):
 
 
 def monomial_bound(coeffs, anchors):
-    """Global monomial lower bound on (sum_m w_m A_m)^2, tight at the anchor.
+    """Global monomial lower bound on (sum_m w_m A_m)^2, tight at the anchor,
+    over the last axis (one bound per row of 2-D arguments).
 
     Returns (c, exps) with (sum w A)^2 >= c * prod w_m^{exps_m} for all
     positive w, equality at w = anchors. Derived by AM-GM on the inner sum
-    and squaring, so exps_m = 2 * w^_m A_m / sum_n w^_n A_n (sums to 2).
+    and squaring, so exps_m = 2 * w^_m A_m / sum_n w^_n A_n (sums to 2). A
+    zero coefficient is a term that is absent: its exponent is 0.
     """
     A = np.asarray(coeffs, dtype=float)
     wh = np.asarray(anchors, dtype=float)
-    if np.any(A <= 0) or np.any(wh <= 0):
-        raise ValueError("coefficients and anchor weights must be positive")
-    s = float((wh * A).sum())
-    alpha = wh * A / s
-    exps = 2.0 * alpha
-    c = s ** 2 / np.prod(wh ** exps)
-    return float(c), exps
+    s = (wh * A).sum(axis=-1, keepdims=True)
+    if np.any(A < 0) or np.any(wh <= 0) or np.any(s <= 0):
+        raise ValueError("coefficients must be nonnegative, not all zero, "
+                         "and anchor weights positive")
+    exps = 2.0 * (wh * A / s)
+    return np.square(s[..., 0]) / np.prod(wh ** exps, axis=-1), exps
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +90,10 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
 
     Columns: chi_k at k, p_k at K + k, then, with optimize_weights, each
     user's weights w_{m,k}, m in M_k increasing, user by user: the order
-    of ``weights.T[serving.T]``. Constraints, in
-    order: chi_k <= SINR_k^LB for each scheduled user in group order, each
-    followed by the rate floor chi_k >= gamma_req when ``floors`` and a
-    requirement is set; then for every user p_k <= P_max and, with
-    optimize_weights, sum_m w_{m,k}^2 <= 1.
+    of ``weights.T[serving.T]``. Constraints, in order: chi_k <= SINR_k^LB
+    for each scheduled user in group order, each followed by the rate floor
+    chi_k >= gamma_req when ``floors`` and a requirement is set; then for
+    every user p_k <= P_max and, with optimize_weights, sum_m w_{m,k}^2 <= 1.
 
     chi_k <= SINR_k^LB is chi_k D_k(p, w) / N_k(p, w) <= 1. Each nonzero
     entry Q[i, j] of ``scenario.rate_context.quadratics[k, k']``, k' in
@@ -102,7 +102,9 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     are the allocation's constants. Negative terms move to the numerator
     p_k (sum w Gamma)^2, then condensed into a monomial at x0.
 
-    Returns (x0, logs, exps, starts), x0 being the anchor in log domain.
+    A user's rows are built over its own columns (chi_k, its band's powers,
+    its weights), which map in order to the global ones. Returns (x0, logs,
+    row, col, value, starts), x0 the anchor in log domain.
     """
     K, serving = scenario.num_users, scenario.serving.T
     points = [np.maximum(chi, 1e-30), allocation.powers]
@@ -118,74 +120,68 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     sat, wcol = np.zeros((2, K, n), dtype=np.intp)
     sat[valid] = np.nonzero(serving)[1]
     wcol[valid] = 2 * K + np.arange(size.sum())
-    gamma = np.where(valid, context.gamma[sat, np.arange(K)[:, None]], 0.0)
-    w = np.where(valid, allocation.weights[sat, np.arange(K)[:, None]], 0.0)
     users = scheduled_users(allocation.band)  # in group order
     band, U = allocation.band[users], len(users)
+    link = sat, np.arange(K)[:, None]
+    gamma, w = np.where(valid, [context.gamma[link], allocation.weights[link]],
+                        0.0)[:, users]
     slot = np.arange(U) - np.searchsorted(band, band)  # place in its band
     G = slot.max() + 1
     table = np.full((band[-1] + 1, G), -1)  # the bands, padded with -1
     table[band, slot] = users
-    mates, bws = table[band], allocation.bandwidths[band]
+    mates, nw = table[band], n * optimize_weights
+    cols = np.concatenate([users[:, None], K + mates, wcol[users, :nw]], 1)
 
     # User u's rows: n * n per group mate (Q row by row), n noise rows and
-    # a last one holding gamma_req, which becomes the rate floor.
+    # a last one holding gamma_req, which becomes the rate floor; their
+    # exponents over u's own columns are one pattern e for every user.
     q = np.where(mates[:, :, None, None] >= 0, Q[users[:, None], mates], 0.0)
-    noise = np.array([scenario.subband_noise(b) for b in bws])[:, None] \
-        * gamma[users]
+    noise = np.array([scenario.subband_noise(b)
+                      for b in allocation.bandwidths])[band, None] * gamma
     if not optimize_weights:
-        wu = w[users][:, None]
-        q = q * wu[:, :, :, None] * wu[:, :, None, :]
-        noise = noise * w[users] ** 2
+        q = q * w[:, None, :, None] * w[:, None, None, :]
+        noise = noise * w ** 2
     reqs = np.array([_rate_gamma(scenario, b) if floors else 0.0
-                     for b in bws])
+                     for b in allocation.bandwidths])[band]
     c = np.concatenate([q.reshape(U, -1), noise, reqs[:, None]], axis=1)
-    e = np.zeros(c.shape + (len(x0),))
-    e[np.arange(U), :, users] = 1.0
-    e[np.arange(U), -1, users] = -1.0
-    uu = np.arange(U)[:, None]
-    e[uu, np.arange(G * n * n), np.repeat(K + mates, n * n, axis=1)] = 1.0
+    e = np.zeros((c.shape[1], cols.shape[1]))
+    e[:, 0] = 1.0
+    e[np.arange(G * n * n), np.repeat(np.arange(1, G + 1), n * n)] = 1.0
     if optimize_weights:  # w_i w_j of each Q entry, w_i^2 of each noise row
         for side in np.divmod(np.arange(n * n), n):
             side = np.append(np.tile(side, G), np.arange(n))
-            e[uu, np.arange(len(side)), wcol[users][:, side]] += 1.0
+            e[np.arange(len(side)), 1 + G + side] += 1.0
 
-    num_log = np.empty(U)
-    num_e = np.zeros((U, len(x0)))
-    num_e[np.arange(U), K + users] = 1.0
-    for u, k in enumerate(users):
-        g, wk = gamma[k, :size[k]], w[k, :size[k]]
-        if optimize_weights:  # AM-GM bound on (sum w Gamma)^2
-            cnum, num_e[u, wcol[k, :size[k]]] = monomial_bound(
-                g, np.maximum(wk, 1e-12))
-        else:
-            cnum = float((wk * g).sum()) ** 2
-        num_log[u] = math.log(cnum)
+    num_e = np.zeros((U, cols.shape[1]))
+    num_e[np.arange(U), 1 + slot] = 1.0
+    if optimize_weights:  # AM-GM bound on (sum w Gamma)^2
+        cnum, num_e[:, 1 + G:] = monomial_bound(gamma, np.maximum(w, 1e-12))
+    else:
+        cnum = np.square((w * gamma).sum(axis=1))
+    num_log = np.log(cnum)
+    for u in np.flatnonzero((c < 0).any(axis=1)):
         neg = c[u] < 0
-        if neg.any():
-            num_log[u], num_e[u] = condense(
-                np.append(num_log[u], np.log(-c[u][neg])),
-                np.vstack([num_e[u], e[u][neg]]), x0)
-    pos = c > 0
-    kept, col = np.nonzero(pos)
-    floor = col == c.shape[1] - 1
-    logs, exps = np.log(c[pos]) - num_log[kept], e[pos] - num_e[kept]
-    logs[floor] = [math.log(r) for r in reqs[reqs > 0]]
-    exps[floor] = e[reqs > 0, -1]
-    # per user slot: its SINR constraint, then its floor if it has one
-    sizes = np.bincount(2 * kept + floor, minlength=2 * U)[
-        np.column_stack([np.ones(U, dtype=bool), reqs > 0]).ravel()]
-
-    # then per user k: the power cap p_k <= P_max and the weight norm
-    tail = np.column_stack([np.ones(K, dtype=bool), valid & optimize_weights])
-    cols = np.column_stack([K + np.arange(K), wcol])[tail]
-    unit_e = np.zeros((len(cols), len(x0)))
-    unit_e[np.arange(len(cols)), cols] = np.where(cols < 2 * K, 1.0, 2.0)
-    sizes = np.concatenate([sizes, np.column_stack(
-        [np.ones(K, dtype=np.intp), size])[:, :1 + optimize_weights].ravel()])
-    logs = np.concatenate([logs, np.where(
-        cols < 2 * K, math.log(1.0 / scenario.config.max_power), 0.0)])
-    return x0, logs, np.vstack([exps, unit_e]), np.cumsum(sizes) - sizes
+        num_log[u], num_e[u] = condense(
+            np.append(num_log[u], np.log(-c[u][neg])),
+            np.vstack([num_e[u], e[neg]]), x0[cols[u]])
+    # the rate floor gamma_req / chi_k has no numerator
+    kept, r = np.nonzero(c > 0)
+    floor = r == len(e) - 1
+    logs = np.log(c[kept, r]) - np.where(floor, 0.0, num_log[kept])
+    exps = np.where(floor[:, None], -e[r], e[r] - num_e[kept])
+    nz_row, nz_col = np.nonzero(exps)
+    # each row's constraint: per user slot its SINR constraint, then its
+    # floor if it has one; then per user k p_k <= P_max and its weight norm
+    k, j = np.nonzero(np.column_stack([np.ones(K, dtype=bool),
+                                       valid & optimize_weights]))
+    unit = np.column_stack([K + np.arange(K), wcol])[k, j]
+    con = np.append(2 * kept + floor, 2 * (U + k) + (j > 0))
+    logs = np.append(logs, np.where(
+        j == 0, math.log(1.0 / scenario.config.max_power), 0.0))
+    return (x0, logs, np.append(nz_row, len(exps) + np.arange(len(unit))),
+            np.append(cols[kept[nz_row], nz_col], unit),
+            np.append(exps[nz_row, nz_col], np.where(j == 0, 1.0, 2.0)),
+            np.flatnonzero(np.diff(con, prepend=-1)))
 
 
 def _allocation_at(scenario, allocation, x, optimize_weights):
@@ -232,14 +228,15 @@ def feasibility_check(scenario, allocation, optimize_weights=True):
     # an unscheduled user (band -1) reads the appended 0
     log_gamma = np.array([*map(math.log, gamma), 0.0])[allocation.band]
 
-    x0, logs, exps, starts = _gp_rows(scenario, allocation, np.ones(K),
-                                      optimize_weights, floors=False)
-    # chi_k = phi * gamma_k: fold the chi columns into one phi column
-    chi = exps[:, :K]
-    exps = np.hstack([chi.sum(axis=1, keepdims=True), exps[:, K:]])
-    objective = np.zeros(exps.shape[1])
+    x0, logs, row, col, value, starts = _gp_rows(
+        scenario, allocation, np.ones(K), optimize_weights, floors=False)
+    # chi_k = phi * gamma_k: each row's chi column becomes the phi column
+    chi = col < K
+    logs[row[chi]] += value[chi] * log_gamma[col[chi]]
+    objective = np.zeros(len(x0) - K + 1)
     objective[0] = 1.0
-    problem = GpProblem(objective, logs + chi @ log_gamma, exps, starts)
+    problem = GpProblem(objective, logs, row, np.where(chi, 0, col - K + 1),
+                        value, starts)
     try:
         sol = solve_gp(problem, np.append(0.0, x0[K:]))
     except GpUnboundedError:
@@ -255,13 +252,13 @@ def build_sca_subproblem(scenario, allocation, chi, optimize_weights=True):
     SINR, power-cap, weight-norm, and rate-floor constraints laid out as in
     ``_gp_rows``. Returns (problem, x0), x0 the anchor in log domain.
     """
-    x0, logs, exps, starts = _gp_rows(scenario, allocation, chi,
-                                      optimize_weights, floors=True)
+    x0, *rows = _gp_rows(scenario, allocation, chi, optimize_weights,
+                         floors=True)
     psi, _ = sca_coefficients(chi)
     bw = np.append(allocation.bandwidths, 0.0)[allocation.band]  # -1 reads 0
     objective = np.zeros(len(x0))
     objective[:len(chi)] = psi * bw / scenario.config.total_bandwidth
-    return GpProblem(objective, logs, exps, starts), x0
+    return GpProblem(objective, *rows), x0
 
 
 @dataclass

@@ -9,7 +9,8 @@ from scipy.optimize import minimize
 
 from dmimo.channel import Correlation, correlation_matrix
 from dmimo.config import SystemConfig
-from dmimo.gp import GpInfeasibleError, GpSolution, GpUnboundedError
+from dmimo.gp import (GpInfeasibleError, GpProblem, GpSolution,
+                      GpUnboundedError)
 from dmimo.optimizer import _min_bandwidth
 from dmimo.rate import (band_index, band_rate_derivatives, pair_terms,
                         sinr_all, sinr_in_bands)
@@ -326,6 +327,24 @@ def dual_bandwidth(scenario, allocation):
     free = sum(b for i, b in enumerate(bws) if b > floors[i])
     return [b - excess * b / free if b > floors[i] else b
             for i, b in enumerate(bws)]
+
+
+# GP rows written as a dense (R, n) exponent matrix: the form that tests
+# write problems in, and the reference for GpProblem's nonzeros.
+
+
+def dense_problem(objective, logs, exps, starts):
+    """The GpProblem whose rows have the dense exponents `exps`."""
+    exps = np.asarray(exps, dtype=float).reshape(len(logs), len(objective))
+    row, col = np.nonzero(exps)
+    return GpProblem(objective, logs, row, col, exps[row, col], starts)
+
+
+def dense_exps(problem):
+    """The (R, n) exponent matrix of a GpProblem's nonzeros."""
+    exps = np.zeros((len(problem.logs), len(problem.objective)))
+    exps[problem.row, problem.col] = problem.value
+    return exps
 
 
 # The GP solve by SciPy's SLSQP: the reference that the interior-point method

@@ -15,13 +15,14 @@ from conftest import (
     UNIT_NOISE,
     clone_user,
     complex_delta,
+    dense_problem,
     make_scenario,
     manual_scenario,
     with_correlation,
 )
 from dmimo.config import CorrelationModel, SystemConfig
 from dmimo.estimation import mse, nmse
-from dmimo.gp import GpProblem, solve_gp
+from dmimo.gp import solve_gp
 from dmimo.harness import ExperimentSpec, benchmark_arm_rates, run_experiment
 from dmimo.optimizer import (
     build_sca_subproblem,
@@ -329,17 +330,17 @@ def _linear_sinr_coeffs(sc, alloc):
 def test_criterion_07_gp_oracle():
     def body():
         # analytic KKT toys: max x s.t. x/3 <= 1 -> x = 3
-        sol = solve_gp(GpProblem(
+        sol = solve_gp(dense_problem(
             objective=[1.0], logs=[math.log(1.0 / 3.0)], exps=[[1.0]],
             starts=[0],
         ), np.zeros(1))
         assert abs(math.exp(sol.x[0]) - 3.0) <= 1e-6
         # max chi s.t. 0.1 chi (1 + 1/p) <= 1, p <= 1 -> p = 1, chi = 5
         # columns (chi, p); rows 0.1 chi, 0.1 chi / p | p
-        toy = GpProblem(objective=[1.0, 0.0],
-                        logs=np.log([0.1, 0.1, 1.0]),
-                        exps=[[1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
-                        starts=[0, 2])
+        toy = dense_problem(objective=[1.0, 0.0],
+                            logs=np.log([0.1, 0.1, 1.0]),
+                            exps=[[1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
+                            starts=[0, 2])
         sol = solve_gp(toy, np.log([1.0, 0.5]))
         chi, p = np.exp(sol.x)
         assert abs(p - 1.0) <= 1e-6
@@ -523,7 +524,7 @@ def test_criterion_10_gain_where_interference_limited():
                                      / "configs" / "interference-limited.json")
         assert cfg == SystemConfig().replace(max_power=20.0)
         for K, margin in INTERFERENCE_LIMITED_MARGIN.items():
-            for s, (proposed, *arms) in enumerate(
+            for s, ((proposed, *arms), _) in enumerate(
                     benchmark_arm_rates(cfg, K, 0, 8)):
                 assert proposed > (1.0 + margin) * max(arms), (K, s)
 

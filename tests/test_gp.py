@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import dmimo.gp
 import dmimo.optimizer
-from conftest import AO_PAPER_FLOOR, AO_SMALL, make_scenario, slsqp_reference
+from conftest import (AO_PAPER_FLOOR, AO_SMALL, dense_exps, dense_problem,
+                      make_scenario, slsqp_reference)
 from dmimo.optimizer import (alternating_optimize, build_sca_subproblem,
                              feasibility_check)
 from dmimo.rate import equal_split_allocation, sinr_all
@@ -16,6 +18,8 @@ from dmimo.gp import (
     GpInfeasibleError,
     GpProblem,
     GpUnboundedError,
+    _boxed,
+    _reach,
     condense,
     solve_gp,
 )
@@ -24,7 +28,7 @@ from dmimo.gp import (
 def gp(objective, *constraints):
     """GpProblem from posynomials written as [(coeff, exponents), ...]."""
     rows = [term for g in constraints for term in g]
-    return GpProblem(
+    return dense_problem(
         objective=objective,
         logs=np.log([c for c, _ in rows]),
         exps=[e for _, e in rows],
@@ -47,10 +51,25 @@ def test_monomial_rejects_nonpositive_coeff():
 
 def test_problem_rejects_empty_constraint():
     with pytest.raises(ValueError):
-        GpProblem(objective=[1.0], logs=[0.0], exps=[[1.0]], starts=[0, 1])
+        dense_problem(objective=[1.0], logs=[0.0], exps=[[1.0]],
+                      starts=[0, 1])
     with pytest.raises(ValueError):
-        GpProblem(objective=[1.0], logs=[], exps=np.zeros((0, 1)),
-                  starts=[])
+        dense_problem(objective=[1.0], logs=[], exps=np.zeros((0, 1)),
+                      starts=[])
+
+
+@pytest.mark.parametrize("row, col", [
+    ([1, 0], [0, 0]),  # rows out of order
+    ([0, 0], [1, 0]),  # a row's columns out of order
+    ([0, 0], [0, 0]),  # one cell twice
+    ([0, 1], [0, 2]),  # a column past the last
+    ([0, 1], [-1, 0]),  # a negative column
+    ([0, 2], [0, 0]),  # a row past the last
+])
+def test_problem_rejects_misplaced_nonzeros(row, col):
+    GpProblem([1.0, 1.0], [0.0, 0.0], [0, 1], [0, 1], [1.0, 1.0], [0])
+    with pytest.raises(ValueError):
+        GpProblem([1.0, 1.0], [0.0, 0.0], row, col, [1.0, 1.0], [0])
 
 
 def test_condense_tight_at_anchor():
@@ -68,14 +87,14 @@ def test_condense_tight_at_anchor():
 
 def test_lse_jacobian_matches_finite_differences():
     rng = np.random.default_rng(1)
-    p = GpProblem(objective=[1.0, 0.0, -1.0], logs=rng.normal(size=6),
-                  exps=rng.normal(size=(6, 3)), starts=[0, 1, 4])
+    p = dense_problem(objective=[1.0, 0.0, -1.0], logs=rng.normal(size=6),
+                      exps=rng.normal(size=(6, 3)), starts=[0, 1, 4])
     x = rng.normal(size=3)
     val, soft = p.lse_softmax(x)
     jac = p.jacobian(soft)
     assert np.array_equal(val, p.lse(x))
     for c, (lo, hi) in enumerate([(0, 1), (1, 4), (4, 6)]):
-        z = p.logs[lo:hi] + p.exps[lo:hi] @ x
+        z = p.logs[lo:hi] + dense_exps(p)[lo:hi] @ x
         assert val[c] == pytest.approx(np.log(np.exp(z).sum()), rel=1e-12)
     h = 1e-6
     for j in range(3):
@@ -128,7 +147,7 @@ def test_solution_satisfies_linear_domain():
         s = solve_gp(p, np.log([0.5, 0.5]))
         bounds = list(p.starts) + [len(p.logs)]
         for lo, hi in zip(bounds, bounds[1:]):
-            assert posynomial(p.logs[lo:hi], p.exps[lo:hi],
+            assert posynomial(p.logs[lo:hi], dense_exps(p)[lo:hi],
                               np.exp(s.x)) <= 1.0 + 1e-6
         assert s.max_violation <= 1e-6
 
@@ -319,7 +338,75 @@ def test_lse_softmax_matches_repeat_reference():
     for problem, x0 in _captured_problems():
         for x in (x0, x0 + 0.3, x0 - 0.2):
             got = problem.lse_softmax(x)
-            ref = _segment_lse_reference(problem.logs + problem.exps @ x,
-                                         problem.starts)
+            z = problem.logs + np.bincount(
+                problem.row, problem.value * x[problem.col],
+                len(problem.logs))
+            ref = _segment_lse_reference(z, problem.starts)
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b)
+
+
+def _random_sparse_problem(seed):
+    """A problem with random sparse rows, of 1 to 7 columns and 1 to 12
+    rows in random constraints, and a point x."""
+    rng = np.random.default_rng(seed)
+    n, R = int(rng.integers(1, 8)), int(rng.integers(1, 13))
+    exps = np.where(rng.random((R, n)) < 0.4, rng.normal(size=(R, n)), 0.0)
+    starts = np.flatnonzero(np.append(True, rng.random(R - 1) < 0.4))
+    return dense_problem(rng.normal(size=n), rng.normal(size=R), exps,
+                         starts), rng.normal(size=n)
+
+
+@functools.cache
+def _captured_ao_problems():
+    """Every GP of item 1011 of the ao-small and ao-paper-floor systems."""
+    return [(problem, x0) for config in (AO_SMALL, AO_PAPER_FLOOR)
+            for problem, x0, _ in _ao_gp_calls(config, 1011)]
+
+
+@given(source=st.sampled_from(["random", "ao"]),
+       index=st.integers(0, 2 ** 32 - 1),
+       shift=st.floats(min_value=-1.0, max_value=1.0),
+       seeds=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_nonzeros_match_a_dense_reference(source, index, shift, seeds):
+    """lse_softmax and jacobian equal sums over each row's nonzeros in
+    stored order, bit for bit; the incidence is the dense exponents' nonzero
+    pattern per constraint; and a boxed problem is the dense rows it keeps,
+    then the rows -I and +I of the box."""
+    if source == "random":
+        problem, x = _random_sparse_problem(index)
+    else:
+        captured = _captured_ao_problems()
+        problem, x0 = captured[index % len(captured)]
+        x = x0 + shift
+    R, C, n = len(problem.logs), len(problem.starts), len(problem.objective)
+    segment = np.repeat(np.arange(C), np.diff(np.append(problem.starts, R)))
+    total = [0.0] * R
+    for r, c, v in zip(problem.row, problem.col, problem.value):
+        total[r] += v * x[c]
+    lse, soft = problem.lse_softmax(x)
+    for got, ref in zip((lse, soft), _segment_lse_reference(
+            problem.logs + np.array(total), problem.starts)):
+        assert np.array_equal(got, ref)
+    jac = np.zeros((C, n))
+    for r, c, v in zip(problem.row, problem.col, problem.value):
+        jac[segment[r], c] += soft[r] * v
+    assert np.array_equal(problem.jacobian(soft), jac)
+
+    dense = dense_exps(problem)
+    assert np.array_equal(problem._incidence, np.logical_or.reduceat(
+        dense != 0, problem.starts, axis=0))
+    rng = np.random.default_rng(seeds)
+    cols, cons = _reach(problem, rng.random(n) < 0.5)
+    if not cons.any():
+        return
+    boxed = _boxed(problem, cols, cons, x[cols])
+    keep, m = cons[segment], cols.sum()
+    assert np.array_equal(dense_exps(boxed), np.vstack(
+        [dense[keep][:, cols], -np.eye(m), np.eye(m)]))
+    assert np.array_equal(boxed.logs, np.concatenate(
+        [problem.logs[keep], x[cols] - dmimo.gp.BOX, -x[cols] - dmimo.gp.BOX]))
+    sizes = np.diff(np.append(problem.starts, R))[cons]
+    assert np.array_equal(boxed.starts, np.append(
+        np.cumsum(sizes) - sizes, keep.sum() + np.arange(2 * m)))

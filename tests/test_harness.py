@@ -323,6 +323,23 @@ def test_convergence_stops_at_an_unattainable_floor(tmp_path):
     assert not (tmp_path / "convergence.csv").exists()
 
 
+def test_cli_reports_an_unattainable_floor_in_one_line(tmp_path, capsys):
+    """`dmimo convergence` at a floor no allocation meets exits 1 with one
+    line on stderr that names the experiment and the margin phi."""
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                         / "default.json").read_text())
+    config["rate_requirement"] = 1e9
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["convergence", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == ("dmimo convergence: rate requirements "
+                            "unattainable (phi = 0.0000)\n")
+    assert not (out / "convergence.csv").exists()
+
+
 def test_benchmark_outputs(tmp_path):
     spec = spec_for("benchmark", tmp_path, trials=2, user_grid=(6,))
     path = run_experiment(spec)
@@ -334,10 +351,27 @@ def test_benchmark_outputs(tmp_path):
     # RateContext (and each row still carried the build tag); the proposed
     # row is that of the bandwidth stage whose rate model is the bound and
     # of the interior-point GP solver
+    assert header[-1] == "num_infeasible"
     assert data == [
-        ["5", "6", "proposed", "686591.038563", "114431.83976", "2"],
-        ["5", "6", "benchmark1", "685437.164682", "114239.527447", "2"],
-        ["5", "6", "benchmark2", "685466.724975", "114244.454163", "2"]]
+        ["5", "6", "proposed", "686591.038563", "114431.83976", "2", "0"],
+        ["5", "6", "benchmark1", "685437.164682", "114239.527447", "2", "0"],
+        ["5", "6", "benchmark2", "685466.724975", "114244.454163", "2", "0"]]
+
+
+def test_benchmark_counts_systems_that_miss_the_floor(tmp_path):
+    """At a floor no system meets, every row counts all its systems, while
+    the mean sum rates are still written."""
+    spec = ExperimentSpec(name="benchmark",
+                          config=SystemConfig(rate_requirement=1e9), seed=5,
+                          trials=2, out_dir=tmp_path,
+                          extras={"user_grid": (6, 8)})
+    rows = read_rows(run_experiment(spec))
+    header, data = rows[0], rows[1:]
+    assert len(data) == 6
+    for r in data:
+        assert r[header.index("num_infeasible")] == \
+            r[header.index("num_seeds")] == "2"
+        assert float(r[header.index("mean_sum_rate")]) > 0
 
 
 def test_benchmark_reads_the_config_power(tmp_path, monkeypatch):
@@ -346,11 +380,12 @@ def test_benchmark_reads_the_config_power(tmp_path, monkeypatch):
 
     def proposed(scenario, rng):
         seen.append(("proposed", scenario.config.max_power))
-        return types.SimpleNamespace(sum_rate=1.0)
+        return types.SimpleNamespace(
+            sum_rate=1.0, allocation=types.SimpleNamespace(feasible=True))
 
     def fixed_weights(scenario, rng, kind):
         seen.append((kind, scenario.config.max_power))
-        return None, 1.0
+        return types.SimpleNamespace(feasible=True), 1.0
 
     monkeypatch.setattr(dmimo.harness, "alternating_optimize", proposed)
     monkeypatch.setattr(dmimo.harness, "benchmark_allocation", fixed_weights)

@@ -19,12 +19,14 @@ from conftest import (
     AO_SMALL,
     bandwidth_coefficients,
     clone_user,
+    dense_exps,
     dual_bandwidth,
     make_scenario,
     manual_scenario,
 )
 from dmimo.config import SystemConfig
-from dmimo.gp import GpInfeasibleError, condense
+from dmimo.gp import (GpInfeasibleError, GpProblem, GpUnboundedError,
+                      condense)
 from dmimo.optimizer import (
     InfeasibleError,
     alternating_optimize,
@@ -394,8 +396,8 @@ def _reference_sinr_rows(scenario, context, allocation, k, group, sigma_i,
     if wcols is not None:
         cnum, num_e[wcols] = monomial_bound(gamma, np.maximum(w, 1e-12))
     else:
-        cnum = float((w * gamma).sum()) ** 2
-    num_log = math.log(cnum)
+        cnum = np.square((w * gamma).sum())
+    num_log = np.log(cnum)
     neg = c < 0
     if neg.any():
         num_log, num_e = condense(np.append(num_log, np.log(-c[neg])),
@@ -430,7 +432,7 @@ def _reference_gp_rows(scenario, allocation, context, chi, optimize_weights,
                 wcols[k] if optimize_weights else None,
             ))
             if floors and gamma_req > 0:
-                blocks.append(([math.log(gamma_req)],
+                blocks.append(([np.log(gamma_req)],
                                _reference_unit_rows(len(x0), [k], -1.0)))
     for k in range(K):
         blocks.append(([math.log(1.0 / scenario.config.max_power)],
@@ -451,7 +453,10 @@ def _assert_rows_match(sc, alloc, chi):
     ctx = sc.rate_context
     for optimize in (True, False):
         for floors in (True, False):
-            got = _gp_rows(sc, alloc, chi, optimize, floors)
+            x0, logs, *nonzeros, starts = _gp_rows(sc, alloc, chi, optimize,
+                                                   floors)
+            got = (x0, logs, dense_exps(GpProblem(
+                np.zeros(len(x0)), logs, *nonzeros, starts)), starts)
             ref = _reference_gp_rows(sc, alloc, ctx, chi, optimize, floors)
             for name, a, b in zip(("x0", "logs", "exps", "starts"), got,
                                   ref):
@@ -717,6 +722,56 @@ def test_unbounded_sca_step_stops_the_loop_not_the_ao(seed, monkeypatch):
         assert alloc.feasible and rate == sum_rate(sc, alloc)
 
 
+def test_unbounded_second_sca_step_returns_the_first(monkeypatch):
+    """Item 1011 of the ao-small system at 20 W, with the second GP of
+    every SCA loop raising GpUnboundedError whatever its rounding: the loop
+    stops with "gp_unbounded" and returns the first step's iterate, as a
+    loop cut after one step does, and the alternating optimization and
+    both fixed-weight arms complete."""
+    monkeypatch.setattr(dmimo.optimizer, "EPS_SCA", 1e-7)
+    scenario_ss, estimation_ss = np.random.SeedSequence(1011).spawn(2)
+    sc = build_scenario(AO_SMALL.replace(max_power=20.0),
+                        np.random.default_rng(scenario_ss))
+    alloc = equal_split_allocation(sc)
+    with monkeypatch.context() as mp:
+        mp.setattr(dmimo.optimizer, "MAX_ITER_SCA", 1)
+        first, first_trace = optimize_power_weights(sc, alloc)
+    assert first_trace.stop_reason == "max_iter"
+
+    solved = []  # GPs solved by each optimize_power_weights call
+    solve, power_stage = dmimo.optimizer.solve_gp, optimize_power_weights
+
+    def counted(*args, **kwargs):
+        solved.append(0)
+        return power_stage(*args, **kwargs)
+
+    def second_unbounded(problem, x0):
+        solved[-1] += 1
+        if solved[-1] == 2:
+            raise GpUnboundedError("the second SCA step")
+        return solve(problem, x0)
+
+    monkeypatch.setattr(dmimo.optimizer, "optimize_power_weights", counted)
+    monkeypatch.setattr(dmimo.optimizer, "solve_gp", second_unbounded)
+    got, trace = dmimo.optimizer.optimize_power_weights(sc, alloc)
+    assert trace.stop_reason == "gp_unbounded"
+    objs = trace.objectives
+    assert len(objs) >= 2 and objs == sorted(objs)
+    assert objs == first_trace.objectives
+    assert got.powers.tobytes() == first.powers.tobytes()
+    assert got.weights.tobytes() == first.weights.tobytes()
+
+    res = alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    assert [r.sca.stop_reason for r in res.rounds] == \
+        ["gp_unbounded"] * len(res.rounds)
+    assert len(res.round_rates) == len(res.rounds) and res.allocation.feasible
+    for mode in ("equal", "estimate"):
+        alloc, rate = benchmark_allocation(
+            sc, np.random.default_rng(estimation_ss), mode)
+        assert alloc.feasible and rate == sum_rate(sc, alloc)
+    assert solved == [2] * len(solved)  # every loop reached its second GP
+
+
 @pytest.mark.parametrize("seed, phi", [(1007, 0.6076), (1008, 0.5407)])
 def test_unattainable_floor_is_reported(seed, phi):
     scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
@@ -787,7 +842,8 @@ def test_bandwidths_assigned_as_a_list_build_the_same_gp():
         assert other.bandwidths.dtype == float
         got, _ = build_sca_subproblem(sc, other, chi)
         assert all(np.array_equal(getattr(got, f), getattr(want, f))
-                   for f in ("objective", "logs", "exps", "starts"))
+                   for f in ("objective", "logs", "row", "col", "value",
+                             "starts"))
         assert feasibility_check(sc, other)[0] == feasibility_check(sc,
                                                                     alloc)[0]
 
