@@ -39,7 +39,7 @@ for kbar in (1.0, 5.0, 10.0, 50.0, 100.0, 1e4):
     # antenna correlation, where every covariance is diagonal; |h - hhat|^2
     # is the same in any orthonormal basis, so the error needs no rotation.
     h, _ = sample_channel_batch(sc, rng, trials)
-    hhat, _ = estimate_batch(sc, h, rng)
+    hhat = estimate_batch(sc, h, rng)
     err = np.abs(h - hhat) ** 2
     mse_mc = err.sum(axis=3).mean()
     tr_r = cov.sum(axis=2).mean()

@@ -63,10 +63,9 @@ class ChannelRealization:
 
 def complex_normal(rng, shape):
     """i.i.d. CN(0, 1) samples: real, then imaginary parts, N(0, 1/2)."""
-    draw = rng.standard_normal((2, *shape))
-    draw *= 1.0 / np.sqrt(2.0)
-    out = np.empty(shape, dtype=complex)
-    out.real, out.imag = draw
+    out, buf = np.empty(shape, dtype=complex), np.empty(shape)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(out=buf), 1.0 / np.sqrt(2.0), out=part)
     return out
 
 
@@ -95,4 +94,5 @@ def sample_channel_batch(scenario, rng, trials):
     """
     mean, scale = link_arrays(scenario)
     htilde = complex_normal(rng, (trials, *mean.shape))
-    return mean + scale * htilde, htilde
+    h = scale * htilde
+    return np.add(h, mean, out=h), htilde

@@ -51,36 +51,39 @@ def scenario_estimation_stats(scenario):
     return EstimationStats(cov=cov, filt=filt, tau_p=tau_p)
 
 
-def estimate_batch(scenario, h_batch, rng):
-    """Vectorized estimates for a (T, M, K, N) channel batch in U's
-    coordinates, where every user's filter R Psi is the elementwise product
-    with its spectrum ``filt``.
-
-    Returns (hhat, pilot_noise) with hhat shaped like h_batch.
-    """
-    cfg = scenario.config
-    T, M, K, N = h_batch.shape
-    # CN(0, sigma^2 I) despread pilot noise, one vector per (m, pilot); the
-    # law is the same in U's coordinates as in the antennas'
-    noise = np.sqrt(scenario.fullband_noise) \
-        * complex_normal(rng, (T, M, cfg.pilot_length, N))
-    hhat = np.empty_like(h_batch)
-    sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
-    filt = sqrt_tp * scenario.estimation_stats.filt
+def pilot_observations(scenario, h_batch, rng):
+    """(obs, mean): a channel batch's (T, M, P, N) centred pilot
+    observations, CN(0, sigma^2 I) despread noise plus sqrt(tau p) (h - mean)
+    of each user on the pilot in user order, and the ``link_arrays`` mean."""
+    T, M, _, N = h_batch.shape
     mean, _ = link_arrays(scenario)
-    pilots = scenario.pilots
-    for m in range(M):
-        for t in np.unique(pilots):
-            # centred observation of pilot t: its cohort's scattered parts
-            # plus pilot noise, shared by all of them
-            cohort = np.flatnonzero(pilots == t)
-            obs = noise[:, m, t, :].copy()
-            for j in cohort:
-                obs += sqrt_tp * (h_batch[:, m, j, :] - mean[m, j])
-            for k in cohort:
-                np.multiply(obs, filt[m, k], out=hhat[:, m, k, :])
-                hhat[:, m, k, :] += mean[m, k]
-    return hhat, noise
+    obs = complex_normal(rng, (T, M, scenario.config.pilot_length, N))
+    obs *= np.sqrt(scenario.fullband_noise)
+    sqrt_tp = np.sqrt(scenario.estimation_stats.tau_p)
+    for k, t in enumerate(scenario.pilots):
+        part = h_batch[:, :, k, :] - mean[:, k]
+        obs[:, :, t, :] += np.multiply(part, sqrt_tp, out=part)
+    return obs, mean
+
+
+def link_estimates(scenario, obs, mean, k, sats, out=None):
+    """User k's estimates at the satellites `sats` (indices or a slice):
+    sqrt(tau p) filt times its pilot's observation, plus the LoS mean."""
+    st = scenario.estimation_stats
+    out = np.multiply(obs[:, sats, scenario.pilots[k], :],
+                      np.sqrt(st.tau_p) * st.filt[sats, k], out=out)
+    out += mean[sats, k]
+    return out
+
+
+def estimate_batch(scenario, h_batch, rng):
+    """Every link's estimate hhat, shaped like the (T, M, K, N) channel
+    batch `h_batch` in U's coordinates, from its pilot observations."""
+    obs, mean = pilot_observations(scenario, h_batch, rng)
+    hhat = np.empty_like(h_batch)
+    for k in range(h_batch.shape[2]):
+        link_estimates(scenario, obs, mean, k, slice(None), hhat[:, :, k, :])
+    return hhat
 
 
 def mse(scenario, m, k):

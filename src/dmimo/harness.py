@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -64,9 +65,11 @@ class ExperimentSpec:
         self.out_dir = Path(self.out_dir)
 
 
+@cache
 def build_identifier():
     """git-describe-style build tag of the checkout that holds this package,
-    whatever the working directory; the package version outside one."""
+    whatever the working directory, once per process (whose imported code
+    cannot change); the package version outside one."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
@@ -178,9 +181,10 @@ def run_nmse_sweep(spec):
         M, K = sc.num_satellites, sc.num_users
         mse_cf = np.mean([mse(sc, m, k) for m in range(M) for k in range(K)])
         nmse_cf = np.mean([nmse(sc, m, k) for m in range(M) for k in range(K)])
-        h, _ = sample_channel_batch(sc, rng, spec.trials)
-        hhat, _ = estimate_batch(sc, h, rng)
-        err = np.abs(h - hhat) ** 2  # (T, M, K, N)
+        err = sample_channel_batch(sc, rng, spec.trials)[0]  # h, then
+        err -= estimate_batch(sc, err, rng)  # h - hhat in place
+        err = np.abs(err)  # (T, M, K, N), squared in place
+        err **= 2
         per_trial_mse = err.sum(axis=3).mean(axis=(1, 2))
         tr_r = np.mean(sc.estimation_stats.cov.sum(axis=2))
         rows.append([

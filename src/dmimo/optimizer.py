@@ -445,9 +445,8 @@ def optimize_bandwidth(scenario, allocation):
 
 def scheduling_estimates(scenario, rng):
     """One seeded realization's MMSE estimates (M, K, N) in U's coordinates."""
-    h, _ = sample_channel_batch(scenario, rng, 1)
-    hhat, _ = estimate_batch(scenario, h, rng)
-    return hhat[0]
+    h = sample_channel_batch(scenario, rng, 1)[0]
+    return estimate_batch(scenario, h, rng)[0]
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Closed-form achievable-rate lower bound with maximum-ratio combining, and
 one Monte Carlo engine for every expectation term.
 
-The engine (``monte_carlo_users``) draws the channel, its pilot noise and
-MMSE estimates once, and returns every requested user's terms and ergodic
+The engine (``monte_carlo_users``) draws the channel and its pilot
+observations once, and returns every requested user's terms and ergodic
 rate from that shared draw. Because the users share it, the standard error
 of the simulated sum rate comes from the per-trial sum of user rates,
 std(ddof=1) / sqrt(T), not from the users' separate standard errors.
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import complex_normal, sample_channel_batch
-from .estimation import estimate_batch
+from .estimation import link_estimates, pilot_observations
 
 LN2 = np.log(2.0)
 MIN_TRIALS = 100  # the fewest trials monte_carlo_users accepts
@@ -383,11 +383,13 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     """Estimate |DS|^2, E|LS|^2, E|UI|^2, E|N|^2 and the ergodic rate of
     each user in `users` (default: every scheduled user) by simulation.
 
-    Draws, in this order: one (T, M, K, N) channel batch, its pilot noise
-    and MMSE estimates, then one receiver-noise batch per requested user.
-    The ergodic rate uses the genie decomposition: the desired-signal power
-    is the deterministic |DS|^2; leakage, interference, and noise powers
-    are instantaneous per realization.
+    Draws ``complex_normal`` batches in this order: the (T, M, K, N)
+    channel, its (T, M, P, N) pilot noise, then each requested user's
+    (T, |M_k|, N) receiver noise; it holds the channel, the pilot
+    observations and one user's arrays. The ergodic rate uses the genie
+    decomposition: the desired-signal power is the deterministic |DS|^2;
+    leakage, interference, and noise powers are instantaneous per
+    realization.
     """
     if trials < MIN_TRIALS:
         raise ContractError(f"need at least {MIN_TRIALS} trials")
@@ -396,12 +398,12 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     if len(set(users)) != len(users):
         raise ContractError("each user may be requested once")
 
-    h, _ = sample_channel_batch(scenario, rng, trials)
-    hhat, _ = estimate_batch(scenario, h, rng)
+    h = sample_channel_batch(scenario, rng, trials)[0]
+    pilot = pilot_observations(scenario, h, rng)
     reports = {}
     sum_samples = np.zeros(trials)
     for k in users:
-        reports[k], rates = _user_terms(scenario, allocation, k, h, hhat, rng)
+        reports[k], rates = _user_terms(scenario, allocation, k, h, pilot, rng)
         sum_samples += rates
     mean, se = _mean_se(sum_samples)
     return McResult(users=reports, sum_rate=mean, sum_rate_se=se)
@@ -413,25 +415,27 @@ def _mean_se(samples):
             float(samples.std(ddof=1) / np.sqrt(len(samples))))
 
 
-def _user_terms(scenario, allocation, k, h, hhat, rng):
+def _user_terms(scenario, allocation, k, h, pilot, rng):
     """User k's McTermReport and per-trial rates from a shared draw."""
-    trials = h.shape[0]
+    trials, _, K, _ = h.shape
     closed = sinr_lower_bound(scenario, allocation, k)  # k must be scheduled
     bw = allocation.bandwidths[allocation.band[k]]
     sigma_i = scenario.subband_noise(bw)
     sset = scenario.serving_sets[k]
-    w = allocation.weights[:, k]
+    wv = allocation.weights[sset, k]
     p = allocation.powers
 
-    # g[t, k'] = sum_m w_m hhat_{m,k}^H h_{m,k'}
-    hh_k = hhat[:, sset, k, :]  # (T, |M_k|, N)
-    wv = w[sset]
-    g = np.einsum("tmn,m,tmjn->tj", hh_k.conj(), wv, h[:, sset, :, :])
+    hh_k = link_estimates(scenario, *pilot, k, sset)  # (T, |M_k|, N)
+    np.conjugate(hh_k, out=hh_k)
+    # g[t, k'] = sum_m w_m hhat_{m,k}^H h_{m,k'} over K blocks of trials,
+    # so that no block of h over M_k is larger than hh_k
+    g = np.empty((trials, K), dtype=complex)
+    for hb, gb, blk in zip(*(np.array_split(a, K) for a in (hh_k, g, h))):
+        np.einsum("tmn,m,tmjn->tj", hb, wv, blk[:, sset], out=gb)
     # receiver noise: n_m ~ CN(0, sigma_i I), independent per satellite
-    noise = np.sqrt(sigma_i) * complex_normal(
-        rng, (trials, len(sset), scenario.num_antennas)
-    )
-    n_k = np.einsum("tmn,m,tmn->t", hh_k.conj(), wv, noise)
+    noise = complex_normal(rng, hh_k.shape)
+    noise *= np.sqrt(sigma_i)
+    n_k = np.einsum("tmn,m,tmn->t", hh_k, wv, noise)
 
     ds_closed = np.sqrt(p[k]) * closed.ds
     # name -> (closed form, per-trial power samples)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -37,6 +38,17 @@ AO_PAPER_FLOOR = SystemConfig(
     num_users=16, num_satellites=4, cluster_size=3, num_subbands=4,
     subband_capacity=4, pilot_length=14, max_power=0.2, rate_requirement=5e4,
     antennas_x=10, antennas_y=10)
+
+
+def peak_traced_bytes(fn):
+    """The peak of the bytes that tracemalloc sees allocated while fn()
+    runs, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_scenario(seed=0, **kw):

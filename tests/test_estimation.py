@@ -96,7 +96,7 @@ def test_perfect_estimation_limit():
         for k in range(sc.num_users):
             assert nmse(sc, m, k) < 1e-6
     h, _ = sample_channel_batch(sc, np.random.default_rng(0), 4)
-    hhat, _ = estimate_batch(sc, h, np.random.default_rng(1))
+    hhat = estimate_batch(sc, h, np.random.default_rng(1))
     rel = np.linalg.norm(hhat - h) / np.linalg.norm(h)
     assert rel < 1e-3
 
@@ -105,7 +105,7 @@ def test_estimate_second_moment_matches_C():
     sc = make_scenario(seed=5)
     stats = scenario_estimation_stats(sc)
     h, _ = sample_channel_batch(sc, np.random.default_rng(2), 20000)
-    hhat, _ = estimate_batch(sc, h, np.random.default_rng(3))
+    hhat = estimate_batch(sc, h, np.random.default_rng(3))
     m, k = 0, 1
     mean = np.sqrt(sc.rician[m, k] * sc.rician_scale[m, k]) * sc.los[m, k]
     centered = hhat[:, m, k, :] - mean
@@ -122,7 +122,7 @@ def test_estimate_second_moment_matches_C():
 def test_mmse_orthogonality():
     sc = make_scenario(seed=6)
     h, _ = sample_channel_batch(sc, np.random.default_rng(4), 20000)
-    hhat, _ = estimate_batch(sc, h, np.random.default_rng(5))
+    hhat = estimate_batch(sc, h, np.random.default_rng(5))
     m, k = 1, 2
     err = h[:, m, k, :] - hhat[:, m, k, :]
     mean = np.sqrt(sc.rician[m, k] * sc.rician_scale[m, k]) * sc.los[m, k]
@@ -134,7 +134,7 @@ def test_mmse_orthogonality():
 def test_mse_mc_agreement():
     sc = make_scenario(seed=7)
     h, _ = sample_channel_batch(sc, np.random.default_rng(6), 10000)
-    hhat, _ = estimate_batch(sc, h, np.random.default_rng(7))
+    hhat = estimate_batch(sc, h, np.random.default_rng(7))
     m, k = 0, 0
     emp = (np.abs(h[:, m, k, :] - hhat[:, m, k, :]) ** 2).sum(axis=1)
     closed = mse(sc, m, k)
@@ -201,21 +201,28 @@ def test_estimate_batch_defaults_to_cached_stats(default_scenario):
     sc = default_scenario
     cached = sc.estimation_stats
     h, _ = sample_channel_batch(sc, np.random.default_rng(0), 8)
-    hhat, noise = estimate_batch(sc, h, np.random.default_rng(1))
+    hhat = estimate_batch(sc, h, np.random.default_rng(1))
     assert sc.estimation_stats is cached
+    noise = _pilot_noise(sc, 8, 1)
     ref = _estimate_per_user(sc, h, noise, scenario_estimation_stats(sc))
     assert np.array_equal(hhat, ref)
-    cfg = sc.config
-    shape = (8, sc.num_satellites, cfg.pilot_length, sc.num_antennas)
-    assert np.array_equal(noise, np.sqrt(sc.fullband_noise) * complex_normal(
-        np.random.default_rng(1), shape))
+
+
+def _pilot_noise(scenario, trials, seed):
+    """The pilot noise that ``estimate_batch`` draws from a fresh generator
+    at `seed`: (T, M, tau, N) CN(0, sigma^2 I) at the full-band noise
+    power, replayed by the first draw of a generator at the same seed."""
+    shape = (trials, scenario.num_satellites, scenario.config.pilot_length,
+             scenario.num_antennas)
+    return np.sqrt(scenario.fullband_noise) * complex_normal(
+        np.random.default_rng(seed), shape)
 
 
 def _estimate_per_user(scenario, h_batch, noise, stats):
     """The estimator written per (m, k) in U's coordinates: each user
     rebuilds its pilot's centered observation and scales it by its
-    filter's spectrum. Reference for estimate_batch's loop over pilot
-    cohorts."""
+    filter's spectrum. Reference for estimate_batch's shared pilot
+    observations."""
     cfg = scenario.config
     sqrt_tp = np.sqrt(cfg.pilot_length * cfg.pilot_power)
     mean, _ = link_arrays(scenario)
@@ -237,8 +244,9 @@ def test_estimate_batch_matches_per_user_reference(users, pilots):
                        pilot_length=pilots, num_subbands=2,
                        subband_capacity=users)
     h, _ = sample_channel_batch(sc, np.random.default_rng(0), 16)
-    hhat, noise = estimate_batch(sc, h, np.random.default_rng(1))
-    ref = _estimate_per_user(sc, h, noise, sc.estimation_stats)
+    hhat = estimate_batch(sc, h, np.random.default_rng(1))
+    ref = _estimate_per_user(sc, h, _pilot_noise(sc, 16, 1),
+                             sc.estimation_stats)
     assert np.array_equal(hhat, ref)
 
 
@@ -293,7 +301,8 @@ def test_spectral_statistics_match_dense_reference(
                             for m in range(M)]), tr_e / tr_r)
 
     h, z = sample_channel_batch(sc, np.random.default_rng(seed), 2)
-    hhat, noise = estimate_batch(sc, h, np.random.default_rng(seed + 1))
+    hhat = estimate_batch(sc, h, np.random.default_rng(seed + 1))
+    noise = _pilot_noise(sc, 2, seed + 1)
     u = sc.correlation.basis
     h_ref = reference_channel(sc, z @ u.T)
     assert _close(h @ u.T, h_ref)

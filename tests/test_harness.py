@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dmimo.harness
+from conftest import peak_traced_bytes
 from dmimo.config import ConfigError, CorrelationModel, SystemConfig
 from dmimo.optimizer import InfeasibleError
 from dmimo.rate import MIN_TRIALS
@@ -448,7 +449,44 @@ def test_build_identifier_ignores_the_working_directory(tmp_path,
                            capture_output=True, text=True).stdout.strip()
     assert other and other != tag
     monkeypatch.chdir(tmp_path)
+    build_identifier.cache_clear()  # run git from tmp_path, not the cache
     assert build_identifier() == tag
+
+
+def test_build_identifier_runs_git_once_per_process(tmp_path, monkeypatch):
+    """Two experiments in one process run git describe once between them,
+    and both manifests carry its tag."""
+    real, calls = subprocess.run, []
+
+    def counted(args, **kwargs):
+        calls.append(args)
+        return real(args, **kwargs)
+
+    build_identifier.cache_clear()
+    monkeypatch.setattr(subprocess, "run", counted)
+    tags = []
+    for name in ("a", "b"):
+        path = run_experiment(spec_for("nmse-sweep", tmp_path / name,
+                                       trials=2, rician_grid=(1.0,)))
+        manifest = json.loads((path.parent / "run-manifest.json").read_text())
+        tags.append(manifest["build"])
+    assert len(calls) == 1 and calls[0][:2] == ["git", "describe"]
+    assert tags == [build_identifier()] * 2
+    assert len(calls) == 1
+
+
+def test_nmse_sweep_holds_a_channel_batch_and_its_estimates(tmp_path):
+    """One Rician point of nmse-sweep at T = 2000 peaks at no more than 2.8
+    channel batches of live arrays: the batch, its pilot observations and
+    its estimates (2.65 batches), with the error formed in the estimates'
+    place. One more batch-sized copy (of the draw, or a temporary of the
+    error) would pass the bound."""
+    spec = spec_for("nmse-sweep", tmp_path, trials=2000, seed=0,
+                    rician_grid=(10.0,))
+    cfg = spec.config
+    batch = spec.trials * cfg.num_satellites * cfg.num_users \
+        * cfg.num_antennas * np.dtype(complex).itemsize
+    assert peak_traced_bytes(lambda: run_experiment(spec)) <= 2.8 * batch
 
 
 # one small run of each experiment

@@ -38,7 +38,7 @@ from dmimo.scheduler import (
 
 def fake_estimates(sc, rng):
     h, _ = sample_channel_batch(sc, rng, 1)
-    hhat, _ = estimate_batch(sc, h, rng)
+    hhat = estimate_batch(sc, h, rng)
     return hhat[0]
 
 
