@@ -109,7 +109,6 @@ class SystemConfig:
     altitude: float = 550e3  # m
     elevation_min_deg: float = 20.0
     elevation_max_deg: float = 20.1
-    rng_seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):

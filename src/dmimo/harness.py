@@ -210,9 +210,9 @@ def run_bound_validation(spec):
     """Closed-form rate lower bound vs Monte Carlo ergodic rate, from one
     shared channel draw per Rician point."""
     cfg = _paper_scale(spec.config, spec.paper_scale)
-    # high-SNR data/pilot power so the bound's Rician saturation is visible
-    power = spec.extras.get("data_power", 10.0)
-    cfg = cfg.replace(max_power=power, pilot_power=power)
+    # high-SNR data/pilot power, 10 W, so the bound's Rician saturation
+    # is visible
+    cfg = cfg.replace(max_power=10.0, pilot_power=10.0)
     base = build_scenario(cfg, np.random.default_rng(spec.seed))
     grid = spec.extras.get("rician_grid", RICIAN_GRID)
     rngs = _spawn_rngs(spec.seed, len(grid))

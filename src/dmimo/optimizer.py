@@ -296,7 +296,6 @@ def optimize_power_weights(scenario, allocation, optimize_weights=True):
                 f"rate requirements unattainable (phi = {phi:.4f})", phi
             )
         work = seeded
-        work.powers = np.minimum(work.powers, cfg.max_power)
         work.phi = phi
 
     # One SINR evaluation per iterate gives both its objective (the sum

@@ -3,15 +3,18 @@ one Monte Carlo engine for every expectation term.
 
 The engine (``monte_carlo_users``) draws the channel and its pilot
 observations once, and returns every requested user's terms and ergodic
-rate from that shared draw. Because the users share it, the standard error
-of the simulated sum rate comes from the per-trial sum of user rates,
-std(ddof=1) / sqrt(T), not from the users' separate standard errors.
+rate from that shared draw, beside their closed forms from the one
+vectorized evaluator (``pair_terms``, ``sinr_in_bands``). Because the
+users share the draw, the standard error of the simulated sum rate comes
+from the per-trial sum of user rates, std(ddof=1) / sqrt(T), not from the
+users' separate standard errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -107,30 +110,16 @@ def normalize_weights(scenario, weights):
                      where=serving & (nrm > 0))
 
 
-@dataclass(frozen=True)
-class SinrTerms:
-    """Closed-form SINR decomposition for one user."""
-
-    ds: float  # |E{sum_m w hhat^H h}|, squared in the numerator
-    numerator: float
-    i_noise: float
-    i1: dict  # k' -> term (includes k' = k, the leakage contribution)
-    i2: dict
-    i3: dict
-    sinr_lb: float
-    rate_lb: float  # bit/s
-
-
 class RateContext:
     """Precomputed per-link and per-pair statistics behind the closed form.
 
     gamma[m, k]  = tau p^p tr(R Psi R) + Kbar a ||hbar||^2
-    q1[m, k, k'] = Kbar' a' tau p^p  hbar'^H R Psi R hbar'
-    q2[m, k, k'] = Kbar a  hbar^H R' hbar
-    q3[m, k, k'] = tau p^p tr(R' R Psi R)
+    q[m, k, k']  = q1 + q2 + q3, the sum of
+                   q1 = Kbar' a' tau p^p  hbar'^H R Psi R hbar',
+                   q2 = Kbar a  hbar^H R' hbar,
+                   q3 = tau p^p tr(R' R Psi R)
     tmat[m, k, k'] = tr(R_k Psi_k R_k')          (real, >= 0)
     smat[m, k, k'] = sqrt(Kbar a Kbar' a') hbar^H hbar'   (complex)
-    q = q1 + q2 + q3
     serving = scenario.serving, the (M, K) bool serving mask
     cohort[k, k'] = k' != k shares k's pilot
 
@@ -153,14 +142,13 @@ class RateContext:
         proj = np.abs(hbar @ scenario.correlation.basis.conj()) ** 2
         cov, c = st.cov, st.est_cov
         self.gamma = c.sum(axis=2) + los * N
-        self.q1 = np.einsum("mkn,mjn->mkj", c, proj) * los[:, None, :]
-        self.q2 = np.einsum("mjn,mkn->mkj", cov, proj) * los[:, :, None]
-        self.q3 = np.einsum("mkn,mjn->mkj", c, cov)
+        self.q = np.einsum("mkn,mjn->mkj", c, proj) * los[:, None, :] \
+            + np.einsum("mjn,mkn->mkj", cov, proj) * los[:, :, None] \
+            + np.einsum("mkn,mjn->mkj", c, cov)
         self.tmat = np.einsum("mkn,mjn->mkj", st.filt, cov)
         amp = np.sqrt(los)
         self.smat = amp[:, :, None] * amp[:, None, :] \
             * (hbar.conj() @ hbar.transpose(0, 2, 1))
-        self.q = self.q1 + self.q2 + self.q3
         self.serving = scenario.serving
         self.cohort = scenario.cohort & ~np.eye(K, dtype=bool)
         tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
@@ -191,55 +179,6 @@ class RateContext:
         return out
 
 
-def sinr_lower_bound(scenario, allocation, k, context=None):
-    """Closed-form SINR lower bound and per-term decomposition for user k."""
-    if context is None:
-        context = scenario.rate_context
-    cfg = scenario.config
-    band = allocation.band
-    if band[k] < 0:
-        raise ContractError(f"user {k} is not scheduled in any sub-band")
-    bw = allocation.bandwidths[band[k]]
-    sigma_i = scenario.subband_noise(bw)
-    sset = scenario.serving_sets[k]
-    w = allocation.weights[:, k]
-    p = allocation.powers
-    tau, pp = cfg.pilot_length, cfg.pilot_power
-
-    ds = float(sum(w[m] * context.gamma[m, k] for m in sset))
-    numerator = p[k] * ds ** 2
-    i_noise = float(sum(w[m] ** 2 * context.gamma[m, k] for m in sset)) \
-        * sigma_i
-
-    i1, i2, i3 = {}, {}, {}
-    denom = i_noise
-    for kp in np.flatnonzero(band == band[k]).tolist():  # k's group
-        term1 = float(sum(
-            w[m] ** 2 * (context.q1[m, k, kp] + context.q2[m, k, kp]
-                         + context.q3[m, k, kp])
-            for m in sset
-        ))
-        i1[kp] = term1
-        denom += p[kp] * term1
-        if kp != k:
-            s = sum(w[m] * context.smat[m, k, kp] for m in sset)
-            term2 = float(abs(s) ** 2)
-            i2[kp] = term2
-            denom += p[kp] * term2
-            if scenario.cohort[k, kp]:
-                t = float(sum(w[m] * context.tmat[m, k, kp] for m in sset))
-                term3 = (
-                    2.0 * tau * np.sqrt(pp * pp) * t * float(s.real)
-                    + tau ** 2 * pp * pp * t ** 2
-                )
-                i3[kp] = term3
-                denom += p[kp] * term3
-    sinr = numerator / denom if numerator > 0 else 0.0
-    return SinrTerms(ds=ds, numerator=numerator, i_noise=i_noise, i1=i1,
-                     i2=i2, i3=i3, sinr_lb=sinr,
-                     rate_lb=bw * np.log2(1.0 + sinr))
-
-
 @dataclass(frozen=True)
 class SinrArrays:
     """Every user's closed-form bound from one evaluation. Entries of
@@ -265,6 +204,7 @@ class PairTerms:
     """``sinr_all``'s terms at fixed powers and weights, as if all users
     shared one band."""
 
+    ds: np.ndarray  # (K,) sum_m w Gamma, signed: E{sum_m w hhat^H h}
     signal: np.ndarray  # (K,) p_k ds_k^2, the numerator
     noise_gain: np.ndarray  # (K,) sum_m w^2 Gamma: i_noise per unit sigma_i
     # interference[k, k'] = p_k' (i1 + i2 + i3), k' = k the leakage term
@@ -288,7 +228,7 @@ def pair_terms(scenario, powers, weights, context=None):
     i2 = np.abs(s) ** 2 * ~np.eye(K, dtype=bool)
     i3 = (2.0 * tau * np.sqrt(pp * pp) * t * s.real
           + tau ** 2 * pp * pp * t ** 2) * context.cohort
-    return PairTerms(signal=p * ds ** 2,
+    return PairTerms(ds=ds, signal=p * ds ** 2,
                      noise_gain=(w ** 2 * context.gamma).sum(axis=0),
                      interference=p * (i1 + i2 + i3))
 
@@ -341,7 +281,7 @@ def band_rate_derivatives(bandwidth, a, b, c):
 
 
 def sinr_all(scenario, allocation, context=None):
-    """``sinr_lower_bound`` for every user at once."""
+    """Every user's closed-form SINR lower bound, rate and terms."""
     terms = pair_terms(scenario, allocation.powers, allocation.weights,
                        context)
     return sinr_in_bands(scenario, terms, allocation.band,
@@ -350,6 +290,22 @@ def sinr_all(scenario, allocation, context=None):
 
 def sum_rate(scenario, allocation, context=None):
     return sinr_all(scenario, allocation, context).sum_rate
+
+
+# A one-user view of sinr_all. The library does not call it: it stays
+# because the benchmark's rate-floor check, its tracer and its tests
+# (benchmarks/checks.py, tracer.py, test_benchmarks.py) name it, as they
+# name monte_carlo_terms below. The scalar per-term decomposition of the
+# bound is the tests' reference, in tests/conftest.py.
+
+
+def sinr_lower_bound(scenario, allocation, k, context=None):
+    """User k's ``sinr_all`` entries as ``sinr_lb`` and ``rate_lb`` (bit/s);
+    an unscheduled user is refused."""
+    if allocation.band[k] < 0:
+        raise ContractError(f"user {k} is not scheduled in any sub-band")
+    res = sinr_all(scenario, allocation, context)
+    return SimpleNamespace(sinr_lb=res.sinr[k], rate_lb=res.rate[k])
 
 
 @dataclass(frozen=True)
@@ -389,21 +345,28 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     observations and one user's arrays. The ergodic rate uses the genie
     decomposition: the desired-signal power is the deterministic |DS|^2;
     leakage, interference, and noise powers are instantaneous per
-    realization.
+    realization. An unscheduled user is refused before anything is drawn.
     """
     if trials < MIN_TRIALS:
         raise ContractError(f"need at least {MIN_TRIALS} trials")
+    band = allocation.band
     if users is None:
-        users = scheduled_users(allocation.band).tolist()
+        users = scheduled_users(band).tolist()
     if len(set(users)) != len(users):
         raise ContractError("each user may be requested once")
+    for k in users:
+        if band[k] < 0:
+            raise ContractError(f"user {k} is not scheduled in any sub-band")
 
+    terms = pair_terms(scenario, allocation.powers, allocation.weights)
+    closed = sinr_in_bands(scenario, terms, band, allocation.bandwidths)
     h = sample_channel_batch(scenario, rng, trials)[0]
     pilot = pilot_observations(scenario, h, rng)
     reports = {}
     sum_samples = np.zeros(trials)
     for k in users:
-        reports[k], rates = _user_terms(scenario, allocation, k, h, pilot, rng)
+        reports[k], rates = _user_terms(scenario, allocation, k, terms.ds[k],
+                                        closed, h, pilot, rng)
         sum_samples += rates
     mean, se = _mean_se(sum_samples)
     return McResult(users=reports, sum_rate=mean, sum_rate_se=se)
@@ -415,11 +378,12 @@ def _mean_se(samples):
             float(samples.std(ddof=1) / np.sqrt(len(samples))))
 
 
-def _user_terms(scenario, allocation, k, h, pilot, rng):
-    """User k's McTermReport and per-trial rates from a shared draw."""
+def _user_terms(scenario, allocation, k, ds, closed, h, pilot, rng):
+    """User k's McTermReport and per-trial rates from a shared draw, beside
+    the closed forms of its PairTerms' `ds` and the SinrArrays `closed`."""
     trials, _, K, _ = h.shape
-    closed = sinr_lower_bound(scenario, allocation, k)  # k must be scheduled
-    bw = allocation.bandwidths[allocation.band[k]]
+    band = allocation.band
+    bw = allocation.bandwidths[band[k]]
     sigma_i = scenario.subband_noise(bw)
     sset = scenario.serving_sets[k]
     wv = allocation.weights[sset, k]
@@ -437,21 +401,17 @@ def _user_terms(scenario, allocation, k, h, pilot, rng):
     noise *= np.sqrt(sigma_i)
     n_k = np.einsum("tmn,m,tmn->t", hh_k, wv, noise)
 
-    ds_closed = np.sqrt(p[k]) * closed.ds
+    ds_closed = np.sqrt(p[k]) * ds
+    row = closed.interference[k]
     # name -> (closed form, per-trial power samples)
     term_samples = {
-        "ls": (p[k] * closed.i1[k],
-               np.abs(np.sqrt(p[k]) * g[:, k] - ds_closed) ** 2),
-        "noise": (closed.i_noise, np.abs(n_k) ** 2),
+        "ls": (row[k], np.abs(np.sqrt(p[k]) * g[:, k] - ds_closed) ** 2),
+        "noise": (closed.i_noise[k], np.abs(n_k) ** 2),
     }
-    for kp in closed.i1:  # k's band, in group order
-        if kp == k:
-            continue
-        cf = p[kp] * (closed.i1[kp] + closed.i2[kp])
-        if kp in closed.i3:  # kp shares k's pilot
-            cf += p[kp] * closed.i3[kp]
-        term_samples[f"ui:{kp}"] = (cf,
-                                    np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2)
+    for kp in np.flatnonzero(band == band[k]).tolist():  # in group order
+        if kp != k:
+            term_samples[f"ui:{kp}"] = (row[kp],
+                                        np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2)
     denom = sum(samples for _, samples in term_samples.values())
     _, rates = band_rate(bw, ds_closed ** 2, 0.0, denom)
     rate, rate_se = _mean_se(rates)

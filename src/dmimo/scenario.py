@@ -152,15 +152,13 @@ class Scenario:
         return copy
 
 
-def build_scenario(config, rng=None):
-    """Sample geometry and assemble a full Scenario.
+def build_scenario(config, rng):
+    """Sample geometry from the generator `rng` and assemble a full Scenario.
 
     Each link draws an elevation uniformly in the configured band and an
     azimuth uniformly in [0, 2pi); distance follows from the spherical-Earth
     slant-range formula at the configured altitude.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     M, K = config.num_satellites, config.num_users
     beta, rician = np.empty((M, K)), np.empty((M, K))
     los = np.empty((M, K, config.num_antennas), dtype=complex)

@@ -41,17 +41,13 @@ def correlation_matrix_rho(scenario, estimates):
     return rho
 
 
-@dataclass
-class ConflictGraph:
-    rho: np.ndarray
-    adjacency: np.ndarray  # binary, symmetric, zero diagonal
-
-    @staticmethod
-    def from_threshold(rho, threshold):
-        # exactly-zero correlation never conflicts, even at threshold zero
-        adj = ((rho >= threshold) & (rho > 0)).astype(np.uint8)
-        np.fill_diagonal(adj, 0)
-        return ConflictGraph(rho=rho, adjacency=adj)
+def conflict_graph(rho, threshold):
+    """The binary, symmetric adjacency of the users whose correlation
+    factor reaches `threshold`, zero diagonal; an exactly-zero correlation
+    never conflicts, even at threshold zero."""
+    adj = ((rho >= threshold) & (rho > 0)).astype(np.uint8)
+    np.fill_diagonal(adj, 0)
+    return adj
 
 
 @dataclass
@@ -196,8 +192,8 @@ def schedule_users(scenario, estimates, powers, weights):
     threshold = float(off.mean()) if off.size else 0.0
     rho_max = float(rho.max()) if off.size else 0.0
 
-    graph = ConflictGraph.from_threshold(rho, threshold)
-    band, n_c = color(graph.adjacency)
+    graph = conflict_graph(rho, threshold)
+    band, n_c = color(graph)
 
     best = None
     best_rate = -np.inf
@@ -207,8 +203,8 @@ def schedule_users(scenario, estimates, powers, weights):
         if n_c > num_bands:
             escalations += 1
             threshold = (threshold + rho_max) / 2.0
-            graph = ConflictGraph.from_threshold(rho, threshold)
-            band, n_c = color(graph.adjacency)
+            graph = conflict_graph(rho, threshold)
+            band, n_c = color(graph)
             continue
         sc = score(band)
         if sc.sum_rate is not None and sc.sum_rate > best_rate:
@@ -216,12 +212,12 @@ def schedule_users(scenario, estimates, powers, weights):
             best = band, n_c
         worst_k, kp = sc.worst, sc.interferer
         # worst user alone in its band, or no monotone edit left
-        if kp is None or graph.adjacency[worst_k, kp]:
+        if kp is None or graph[worst_k, kp]:
             hit_l_max = False
             break
-        graph.adjacency[worst_k, kp] = graph.adjacency[kp, worst_k] = 1
+        graph[worst_k, kp] = graph[kp, worst_k] = 1
         edges_added += 1
-        band, n_c = color(graph.adjacency)
+        band, n_c = color(graph)
 
     band, n_c = best or (band, n_c)
     groups = [np.flatnonzero(band == c).tolist() for c in range(n_c)]

@@ -13,8 +13,8 @@ from dmimo.config import SystemConfig
 from dmimo.gp import (GpInfeasibleError, GpProblem, GpSolution,
                       GpUnboundedError)
 from dmimo.optimizer import _min_bandwidth
-from dmimo.rate import (band_index, band_rate_derivatives, pair_terms,
-                        sinr_all, sinr_in_bands)
+from dmimo.rate import (ContractError, band_index, band_rate_derivatives,
+                        pair_terms, sinr_all, sinr_in_bands)
 from dmimo.scenario import Scenario, build_scenario
 from dmimo.scheduler import PartitionScore
 
@@ -52,7 +52,7 @@ def peak_traced_bytes(fn):
 
 
 def make_scenario(seed=0, **kw):
-    cfg = SystemConfig(rng_seed=seed, **kw)
+    cfg = SystemConfig(**kw)
     return build_scenario(cfg, np.random.default_rng(seed))
 
 
@@ -201,8 +201,72 @@ def dense_rate_context(scenario):
                 tmat[m, k, kp] = float(np.trace(rpsik @ rkp).real)
                 smat[m, k, kp] = np.sqrt(kbar_a[m, k]) \
                     * np.sqrt(kbar_a[m, kp]) * (hk.conj() @ hkp)
-    return {"gamma": gamma, "q1": q1, "q2": q2, "q3": q3, "tmat": tmat,
-            "smat": smat}
+    return {"gamma": gamma, "q": q1 + q2 + q3, "tmat": tmat, "smat": smat}
+
+
+# The closed-form bound as a scalar per-term decomposition, one Python sum per
+# term over the serving set: the reference for dmimo.rate's vectorized
+# evaluator (pair_terms, sinr_in_bands) and the Monte Carlo engine's closed
+# forms.
+
+
+@dataclass(frozen=True)
+class SinrTerms:
+    """Closed-form SINR decomposition for one user."""
+
+    ds: float  # |E{sum_m w hhat^H h}|, squared in the numerator
+    numerator: float
+    i_noise: float
+    i1: dict  # k' -> term (includes k' = k, the leakage contribution)
+    i2: dict
+    i3: dict
+    sinr_lb: float
+    rate_lb: float  # bit/s
+
+
+def sinr_lower_bound(scenario, allocation, k, context=None):
+    """Closed-form SINR lower bound and per-term decomposition for user k."""
+    if context is None:
+        context = scenario.rate_context
+    cfg = scenario.config
+    band = allocation.band
+    if band[k] < 0:
+        raise ContractError(f"user {k} is not scheduled in any sub-band")
+    bw = allocation.bandwidths[band[k]]
+    sigma_i = scenario.subband_noise(bw)
+    sset = scenario.serving_sets[k]
+    w = allocation.weights[:, k]
+    p = allocation.powers
+    tau, pp = cfg.pilot_length, cfg.pilot_power
+
+    ds = float(sum(w[m] * context.gamma[m, k] for m in sset))
+    numerator = p[k] * ds ** 2
+    i_noise = float(sum(w[m] ** 2 * context.gamma[m, k] for m in sset)) \
+        * sigma_i
+
+    i1, i2, i3 = {}, {}, {}
+    denom = i_noise
+    for kp in np.flatnonzero(band == band[k]).tolist():  # k's group
+        term1 = float(sum(w[m] ** 2 * context.q[m, k, kp] for m in sset))
+        i1[kp] = term1
+        denom += p[kp] * term1
+        if kp != k:
+            s = sum(w[m] * context.smat[m, k, kp] for m in sset)
+            term2 = float(abs(s) ** 2)
+            i2[kp] = term2
+            denom += p[kp] * term2
+            if scenario.cohort[k, kp]:
+                t = float(sum(w[m] * context.tmat[m, k, kp] for m in sset))
+                term3 = (
+                    2.0 * tau * np.sqrt(pp * pp) * t * float(s.real)
+                    + tau ** 2 * pp * pp * t ** 2
+                )
+                i3[kp] = term3
+                denom += p[kp] * term3
+    sinr = numerator / denom if numerator > 0 else 0.0
+    return SinrTerms(ds=ds, numerator=numerator, i_noise=i_noise, i1=i1,
+                     i2=i2, i3=i3, sinr_lb=sinr,
+                     rate_lb=bw * np.log2(1.0 + sinr))
 
 
 def manual_scenario(config, beta, rician, los, pilots, serving_sets):

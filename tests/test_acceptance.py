@@ -18,6 +18,7 @@ from conftest import (
     dense_problem,
     make_scenario,
     manual_scenario,
+    sinr_lower_bound,
     with_correlation,
 )
 from dmimo.config import CorrelationModel, SystemConfig
@@ -38,7 +39,6 @@ from dmimo.rate import (
     equal_split_allocation,
     equal_weights,
     monte_carlo_users,
-    sinr_lower_bound,
     sum_rate,
 )
 from dmimo.scheduler import (

@@ -280,8 +280,8 @@ def test_spectral_statistics_match_dense_reference(
         num_users=num_users, num_satellites=num_satellites, cluster_size=1,
         num_subbands=2, subband_capacity=num_users, pilot_length=tau,
         antennas_x=side, antennas_y=side, correlation=model,
-        noise_temperature=290.0 * (1e-4 if quiet else 1.0), rng_seed=seed)
-    built = build_scenario(cfg)
+        noise_temperature=290.0 * (1e-4 if quiet else 1.0))
+    built = build_scenario(cfg, np.random.default_rng(seed))
     sc = dataclasses.replace(built, pilots=np.arange(num_users) % tau)
     if correlation == "complex":
         sc = with_correlation(sc, complex_delta(sc.num_antennas))

@@ -90,6 +90,7 @@ def test_rician_sweep_makes_one_eigh(name, trials, tmp_path, monkeypatch):
     ("{\"num_users\": 4,", "Expecting"),
     ('{"num_users": 4, "max_powr": 1.0, "bogus": 0}',
      "unknown config fields: bogus, max_powr"),
+    ('{"rng_seed": 0}', "unknown config fields: rng_seed"),
     ('{"num_users": 4, "pilot_length": 5}', "tau <= K"),
     ('{"correlation": {"kind": "exponential", "ratio": 0.7}}',
      "unknown correlation fields: ratio"),

@@ -23,6 +23,7 @@ from conftest import (
     dual_bandwidth,
     make_scenario,
     manual_scenario,
+    sinr_lower_bound,
 )
 from dmimo.config import SystemConfig
 from dmimo.gp import (GpInfeasibleError, GpProblem, GpUnboundedError,
@@ -51,7 +52,6 @@ from dmimo.rate import (
     equal_weights,
     normalize_weights,
     sinr_all,
-    sinr_lower_bound,
     sum_rate,
 )
 from dmimo.scenario import build_scenario

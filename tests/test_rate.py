@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmimo.rate
 from conftest import (
     complex_delta,
     dense_rate_context,
@@ -16,6 +17,7 @@ from conftest import (
     make_scenario,
     peak_traced_bytes,
     pilot_cohort,
+    sinr_lower_bound,
     with_correlation,
 )
 from dmimo.channel import complex_normal, sample_channel_batch
@@ -37,7 +39,6 @@ from dmimo.rate import (
     normalize_weights,
     scheduled_users,
     sinr_all,
-    sinr_lower_bound,
     sum_rate,
 )
 
@@ -58,17 +59,18 @@ def test_zero_power_zero_rate(default_scenario):
 
 def test_unscheduled_user_rejected(default_scenario):
     """An unscheduled user reads band -1, and the scalar bound and the
-    Monte Carlo engine refuse it; the engine's default users are the
-    scheduled ones, in group order."""
+    Monte Carlo engine refuse it, the engine before it draws anything; the
+    engine's default users are the scheduled ones, in group order."""
     sc = default_scenario
     alloc = equal_split_allocation(sc, groups=[[0, 1]])
     assert alloc.band.dtype == np.intp
     assert alloc.band.tolist() == [0, 0] + [-1] * (sc.num_users - 2)
     with pytest.raises(ContractError):
         sinr_lower_bound(sc, alloc, 4)
+    rng = np.random.default_rng(0)
     with pytest.raises(ContractError):
-        monte_carlo_users(sc, alloc, 100, np.random.default_rng(0),
-                          users=(0, 4))
+        monte_carlo_users(sc, alloc, 100, rng, users=(0, 4))
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
     res = monte_carlo_users(sc, alloc, 100, np.random.default_rng(0))
     assert list(res.users) == [0, 1]
 
@@ -365,17 +367,30 @@ def test_engine_closed_forms_match_decomposition(seed, K, M, data):
     res = monte_carlo_users(sc, alloc, 100, rng)
     scheduled = [k for g in alloc.groups for k in g]
     assert list(res.users) == scheduled
+    vec = sinr_all(sc, alloc)
     for k, rep in res.users.items():
+        group = next(g for g in alloc.groups if k in g)
+        closed = {n: t[0] for n, t in rep.terms.items()}
+        # sinr_all's entries, exactly, under the engine's names and order
+        expected = {"ls": vec.interference[k, k], "noise": vec.i_noise[k]}
+        for kp in group:
+            if kp != k:
+                expected[f"ui:{kp}"] = vec.interference[k, kp]
+        assert list(closed) == list(expected)
+        assert closed == expected
+        # the scalar decomposition, to rounding
         ref = sinr_lower_bound(sc, alloc, k)
-        expected = {"ls": p[k] * ref.i1[k], "noise": ref.i_noise}
-        for kp in next(g for g in alloc.groups if k in g):
+        reference = {"ls": p[k] * ref.i1[k], "noise": ref.i_noise}
+        for kp in group:
             if kp != k:
                 cf = p[kp] * (ref.i1[kp] + ref.i2[kp])
                 if kp in ref.i3:
                     cf += p[kp] * ref.i3[kp]
-                expected[f"ui:{kp}"] = cf
+                reference[f"ui:{kp}"] = cf
+        assert list(reference) == list(closed)
+        for name, cf in reference.items():
+            assert _close(closed[name], cf), (k, name)
         assert rep.ds_closed == abs(np.sqrt(p[k]) * ref.ds) ** 2
-        assert {n: t[0] for n, t in rep.terms.items()} == expected
 
 
 def test_sinr_all_rejects_a_negative_bandwidth(default_scenario):
@@ -446,12 +461,30 @@ def test_sum_rate_aggregates(default_scenario):
     assert sum_rate(sc, alloc, ctx) == pytest.approx(total)
 
 
+def test_one_user_adapter_reads_sinr_all(default_scenario):
+    """dmimo.rate.sinr_lower_bound gives sinr_all's SINR and rate of one
+    user bit for bit, at the cached context and at a fresh one, and
+    refuses an unscheduled user."""
+    sc = default_scenario
+    ctx = RateContext(sc)
+    p = np.random.default_rng(5).uniform(0.1, 1.0, sc.num_users) \
+        * sc.config.max_power
+    alloc = equal_split_allocation(sc, groups=[[0, 3], [1, 2]], powers=p)
+    for context in (None, ctx):
+        res = sinr_all(sc, alloc, context)
+        for k in res.users:
+            one = dmimo.rate.sinr_lower_bound(sc, alloc, k, context)
+            assert one.sinr_lb == res.sinr[k] and one.rate_lb == res.rate[k]
+        with pytest.raises(ContractError):
+            dmimo.rate.sinr_lower_bound(sc, alloc, 4, context)
+
+
 def test_rate_context_built_once_per_scenario(default_scenario):
     sc = default_scenario
     ctx = sc.rate_context
     assert sc.rate_context is ctx
     fresh = RateContext(sc)
-    names = ("gamma", "q1", "q2", "q3", "tmat", "smat")
+    names = ("gamma", "q", "tmat", "smat")
     for name in names:
         assert np.array_equal(getattr(ctx, name), getattr(fresh, name))
     # tr(R Psi R') from the dense statistics
@@ -499,7 +532,6 @@ def test_batched_context_matches_loop(side, correlation):
         got = getattr(ctx, name)
         assert got.shape == ref.shape and got.dtype == ref.dtype, name
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
-    np.testing.assert_array_equal(ctx.q, ctx.q1 + ctx.q2 + ctx.q3)
 
 
 @pytest.mark.parametrize("correlation", ["identity", "exponential",

@@ -106,7 +106,7 @@ def test_assign_pilots_deterministic():
 
 
 def test_build_scenario_deterministic():
-    cfg = SystemConfig(rng_seed=7)
+    cfg = SystemConfig()
     a = build_scenario(cfg, np.random.default_rng(7))
     b = build_scenario(cfg, np.random.default_rng(7))
     for name in ("beta", "rician", "los", "pilots"):

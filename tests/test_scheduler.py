@@ -9,23 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, score_partition_reference
+from conftest import (make_scenario, score_partition_reference,
+                      sinr_lower_bound)
 from dmimo import scheduler
 from dmimo.config import SystemConfig
 from dmimo.estimation import estimate_batch
 from dmimo.channel import sample_channel_batch
 from dmimo.optimizer import estimate_magnitude_weights, scheduling_estimates
 from dmimo.harness import _cluster_config
-from dmimo.rate import equal_weights, sinr_lower_bound, sum_rate
+from dmimo.rate import equal_weights, sum_rate
 from dmimo.rate import (AllocationState, PairTerms, band_index,
                         equal_split_allocation, pair_terms, sinr_all,
                         sinr_in_bands)
 from dmimo.scenario import build_scenario
 from dmimo.scheduler import (
     L_MAX,
-    ConflictGraph,
     DegenerateInputError,
     Schedule,
+    conflict_graph,
     correlation_matrix_rho,
     dsatur_color,
     enumerate_partitions,
@@ -230,13 +231,13 @@ def test_dsatur_matches_reference():
 
 def test_conflict_graph_threshold():
     rho = np.array([[0.0, 0.5], [0.5, 0.0]])
-    g = ConflictGraph.from_threshold(rho, 0.4)
-    assert g.adjacency[0, 1] == 1
-    g2 = ConflictGraph.from_threshold(rho, 0.6)
-    assert g2.adjacency[0, 1] == 0
+    g = conflict_graph(rho, 0.4)
+    assert g[0, 1] == 1
+    g2 = conflict_graph(rho, 0.6)
+    assert g2[0, 1] == 0
     # exactly-zero correlations never conflict even at threshold zero
-    g3 = ConflictGraph.from_threshold(np.zeros((3, 3)), 0.0)
-    assert g3.adjacency.sum() == 0
+    g3 = conflict_graph(np.zeros((3, 3)), 0.0)
+    assert g3.sum() == 0
 
 
 def test_validate_schedule():
@@ -514,7 +515,8 @@ def _small_terms(cfg, signal, noise_gain, interference):
     """PairTerms from small integers, scaled so that the noise of the
     full band is one unit: ties in SINR and interference are common."""
     unit = cfg.noise_density * cfg.total_bandwidth
-    return PairTerms(signal=unit * np.array(signal, dtype=float),
+    return PairTerms(ds=None,  # the scorer reads no ds
+                     signal=unit * np.array(signal, dtype=float),
                      noise_gain=np.array(noise_gain, dtype=float),
                      interference=unit * np.array(interference, dtype=float))
 
@@ -630,32 +632,32 @@ def _schedule_reference(scenario, estimates, powers, weights,
     rho = correlation_matrix_rho(scenario, estimates)
     threshold = float(rho[~np.eye(K, dtype=bool)].mean())
     rho_max = float(rho.max())
-    graph = ConflictGraph.from_threshold(rho, threshold)
-    graphs = {graph.adjacency.tobytes()}
-    color, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+    graph = conflict_graph(rho, threshold)
+    graphs = {graph.tobytes()}
+    color, n_c = dsatur_color(graph, cfg.subband_capacity)
     best, best_rate = None, -np.inf
     escalations = edges = 0
     for _ in range(max_iter):
         if n_c > cfg.num_subbands:
             escalations += 1
             threshold = (threshold + rho_max) / 2.0
-            graph = ConflictGraph.from_threshold(rho, threshold)
-            graphs.add(graph.adjacency.tobytes())
-            color, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+            graph = conflict_graph(rho, threshold)
+            graphs.add(graph.tobytes())
+            color, n_c = dsatur_color(graph, cfg.subband_capacity)
             continue
         sc = score_partition(scenario, color, terms)
         groups = [[k for k in range(K) if color[k] == c] for c in range(n_c)]
         if sc.sum_rate is not None and sc.sum_rate > best_rate:
             best_rate = sc.sum_rate
             best = Schedule(groups=groups, colors_used=n_c, feasible=True)
-        if sc.interferer is None or graph.adjacency[sc.worst, sc.interferer]:
+        if sc.interferer is None or graph[sc.worst, sc.interferer]:
             return best or Schedule(groups, n_c, False), escalations, edges, \
                 graphs, True
-        graph.adjacency[sc.worst, sc.interferer] = 1
-        graph.adjacency[sc.interferer, sc.worst] = 1
+        graph[sc.worst, sc.interferer] = 1
+        graph[sc.interferer, sc.worst] = 1
         edges += 1
-        graphs.add(graph.adjacency.tobytes())
-        color, n_c = dsatur_color(graph.adjacency, cfg.subband_capacity)
+        graphs.add(graph.tobytes())
+        color, n_c = dsatur_color(graph, cfg.subband_capacity)
     groups = [[k for k in range(K) if color[k] == c] for c in range(n_c)]
     return best or Schedule(groups, n_c, False), escalations, edges, graphs, \
         False
@@ -750,7 +752,7 @@ def test_memoized_loop_matches_reference():
 def test_schedule_diagnostics_match_counters(monkeypatch):
     colored, scored, rebuilds = [], [], []
     real_color, real_score = scheduler.dsatur_color, scheduler.score_partition
-    real_rebuild = ConflictGraph.from_threshold
+    real_rebuild = scheduler.conflict_graph
 
     def color(adjacency, capacity):
         colored.append((np.asarray(adjacency).tobytes(), capacity))
@@ -771,8 +773,7 @@ def test_schedule_diagnostics_match_counters(monkeypatch):
     for key, inst in _schedule_instances():
         monkeypatch.setattr(scheduler, "dsatur_color", color)
         monkeypatch.setattr(scheduler, "score_partition", score)
-        monkeypatch.setattr(ConflictGraph, "from_threshold",
-                            staticmethod(rebuild))
+        monkeypatch.setattr(scheduler, "conflict_graph", rebuild)
         colored.clear(), scored.clear(), rebuilds.clear()
         sched = schedule_users(*inst)
         monkeypatch.undo()
