@@ -36,8 +36,10 @@ from .rate import (
     band_rate,
     equal_split_allocation,
     equal_weights,
+    mean_se,
     monte_carlo_users,
     sum_rate,
+    trial_blocks,
 )
 from .scenario import build_scenario
 from .scheduler import exhaustive_schedule, schedule_users
@@ -181,19 +183,18 @@ def run_nmse_sweep(spec):
         M, K = sc.num_satellites, sc.num_users
         mse_cf = np.mean([mse(sc, m, k) for m in range(M) for k in range(K)])
         nmse_cf = np.mean([nmse(sc, m, k) for m in range(M) for k in range(K)])
-        err = sample_channel_batch(sc, rng, spec.trials)[0]  # h, then
-        err -= estimate_batch(sc, err, rng)  # h - hhat in place
-        err = np.abs(err)  # (T, M, K, N), squared in place
-        err **= 2
-        per_trial_mse = err.sum(axis=3).mean(axis=(1, 2))
+        per_trial_mse = np.empty(spec.trials)
+        for block in trial_blocks(spec.trials):
+            err = sample_channel_batch(sc, rng, block.stop - block.start)[0]
+            err -= estimate_batch(sc, err, rng)  # h - hhat in place
+            err = np.abs(err)  # (t, M, K, N), squared in place
+            err **= 2
+            per_trial_mse[block] = err.sum(axis=3).mean(axis=(1, 2))
+            del err  # before the next block is drawn
+        mse_mc, mse_se = mean_se(per_trial_mse)
         tr_r = np.mean(sc.estimation_stats.cov.sum(axis=2))
-        rows.append([
-            spec.seed, kbar,
-            float(mse_cf), float(per_trial_mse.mean()),
-            float(per_trial_mse.std(ddof=1) / np.sqrt(spec.trials)),
-            float(nmse_cf), float(per_trial_mse.mean() / tr_r),
-            float(per_trial_mse.std(ddof=1) / np.sqrt(spec.trials) / tr_r),
-        ])
+        rows.append([spec.seed, kbar, float(mse_cf), mse_mc, mse_se,
+                     float(nmse_cf), mse_mc / tr_r, mse_se / tr_r])
     header = ["seed", "rician_factor", "mse_closed", "mse_mc", "mse_se",
               "nmse_closed", "nmse_mc", "nmse_se"]
     return write_outputs(

@@ -2,9 +2,11 @@
 one Monte Carlo engine for every expectation term.
 
 The engine (``monte_carlo_users``) draws the channel and its pilot
-observations once, and returns every requested user's terms and ergodic
-rate from that shared draw, beside their closed forms from the one
-vectorized evaluator (``pair_terms``, ``sinr_in_bands``). Because the
+observations once per block of MC_BLOCK trials, and returns every
+requested user's terms and ergodic rate from that shared draw, beside
+their closed forms from the one vectorized evaluator (``pair_terms``,
+``sinr_in_bands``). It keeps one block's arrays and every trial's
+scalars, so its memory is one block's plus O(T) scalars. Because the
 users share the draw, the standard error of the simulated sum rate comes
 from the per-trial sum of user rates, std(ddof=1) / sqrt(T), not from the
 users' separate standard errors.
@@ -23,6 +25,7 @@ from .estimation import link_estimates, pilot_observations
 
 LN2 = np.log(2.0)
 MIN_TRIALS = 100  # the fewest trials monte_carlo_users accepts
+MC_BLOCK = 512  # the most trials the Monte Carlo path draws at once
 
 
 class ContractError(ValueError):
@@ -339,12 +342,14 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     """Estimate |DS|^2, E|LS|^2, E|UI|^2, E|N|^2 and the ergodic rate of
     each user in `users` (default: every scheduled user) by simulation.
 
-    Draws ``complex_normal`` batches in this order: the (T, M, K, N)
-    channel, its (T, M, P, N) pilot noise, then each requested user's
-    (T, |M_k|, N) receiver noise; it holds the channel, the pilot
-    observations and one user's arrays. The ergodic rate uses the genie
-    decomposition: the desired-signal power is the deterministic |DS|^2;
-    leakage, interference, and noise powers are instantaneous per
+    Draws the trials in blocks of MC_BLOCK, the last one shorter. For each
+    block of t trials it draws ``complex_normal`` batches in this order:
+    the (t, M, K, N) channel, its (t, M, P, N) pilot noise, then each
+    requested user's (t, |M_k|, N) receiver noise. It keeps one block's
+    arrays and every trial's scalars, so its memory does not grow with T
+    beyond those scalars; T <= MC_BLOCK is one block. The ergodic rate uses
+    the genie decomposition: the desired-signal power is the deterministic
+    |DS|^2; leakage, interference, and noise powers are instantaneous per
     realization. An unscheduled user is refused before anything is drawn.
     """
     if trials < MIN_TRIALS:
@@ -360,66 +365,85 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
 
     terms = pair_terms(scenario, allocation.powers, allocation.weights)
     closed = sinr_in_bands(scenario, terms, band, allocation.bandwidths)
-    h = sample_channel_batch(scenario, rng, trials)[0]
-    pilot = pilot_observations(scenario, h, rng)
+    # per user: its band mates in group order, and per trial its g_kk and
+    # its term powers, "ls", "noise", then "ui:<k'>" per mate
+    mates = {k: [kp for kp in np.flatnonzero(band == band[k]).tolist()
+                 if kp != k] for k in users}
+    g_kk = {k: np.empty(trials, dtype=complex) for k in users}
+    powers = {k: np.empty((2 + len(mates[k]), trials)) for k in users}
+    for block in trial_blocks(trials):
+        h = sample_channel_batch(scenario, rng, block.stop - block.start)[0]
+        pilot = pilot_observations(scenario, h, rng)
+        for k in users:
+            _user_block(scenario, allocation, k, terms.ds[k], mates[k], h,
+                        pilot, rng, g_kk[k][block], powers[k][:, block])
+        del h, pilot  # before the next block is drawn
     reports = {}
     sum_samples = np.zeros(trials)
     for k in users:
-        reports[k], rates = _user_terms(scenario, allocation, k, terms.ds[k],
-                                        closed, h, pilot, rng)
+        reports[k], rates = _user_report(allocation, k, terms.ds[k],
+                                         mates[k], closed, g_kk[k], powers[k])
         sum_samples += rates
-    mean, se = _mean_se(sum_samples)
+    mean, se = mean_se(sum_samples)
     return McResult(users=reports, sum_rate=mean, sum_rate_se=se)
 
 
-def _mean_se(samples):
+def trial_blocks(trials):
+    """The slices of `trials` trials that the Monte Carlo path draws
+    together, in order: MC_BLOCK trials each, the last one shorter."""
+    for start in range(0, trials, MC_BLOCK):
+        yield slice(start, min(start + MC_BLOCK, trials))
+
+
+def mean_se(samples):
     """Sample mean and its standard error, std(ddof=1) / sqrt(T)."""
     return (float(samples.mean()),
             float(samples.std(ddof=1) / np.sqrt(len(samples))))
 
 
-def _user_terms(scenario, allocation, k, ds, closed, h, pilot, rng):
-    """User k's McTermReport and per-trial rates from a shared draw, beside
-    the closed forms of its PairTerms' `ds` and the SinrArrays `closed`."""
-    trials, _, K, _ = h.shape
-    band = allocation.band
-    bw = allocation.bandwidths[band[k]]
-    sigma_i = scenario.subband_noise(bw)
+def _user_block(scenario, allocation, k, ds, mates, h, pilot, rng, g_kk,
+                powers):
+    """Fill user k's (t,) g_kk and (2 + len(mates), t) term powers from
+    one block of t shared trials, drawing its receiver noise; `ds` is its
+    PairTerms' closed-form desired-signal coefficient."""
+    sigma_i = scenario.subband_noise(allocation.bandwidths[allocation.band[k]])
     sset = scenario.serving_sets[k]
     wv = allocation.weights[sset, k]
     p = allocation.powers
 
-    hh_k = link_estimates(scenario, *pilot, k, sset)  # (T, |M_k|, N)
+    hh_k = link_estimates(scenario, *pilot, k, sset)  # (t, |M_k|, N)
     np.conjugate(hh_k, out=hh_k)
-    # g[t, k'] = sum_m w_m hhat_{m,k}^H h_{m,k'} over K blocks of trials,
-    # so that no block of h over M_k is larger than hh_k
-    g = np.empty((trials, K), dtype=complex)
-    for hb, gb, blk in zip(*(np.array_split(a, K) for a in (hh_k, g, h))):
-        np.einsum("tmn,m,tmjn->tj", hb, wv, blk[:, sset], out=gb)
+    # g[t, k'] = sum_m w_m hhat_{m,k}^H h_{m,k'}
+    g = np.einsum("tmn,m,tmjn->tj", hh_k, wv, h[:, sset])
     # receiver noise: n_m ~ CN(0, sigma_i I), independent per satellite
     noise = complex_normal(rng, hh_k.shape)
     noise *= np.sqrt(sigma_i)
     n_k = np.einsum("tmn,m,tmn->t", hh_k, wv, noise)
 
+    g_kk[:] = g[:, k]
+    powers[0] = np.abs(np.sqrt(p[k]) * g[:, k] - np.sqrt(p[k]) * ds) ** 2
+    powers[1] = np.abs(n_k) ** 2
+    for row, kp in zip(powers[2:], mates):
+        row[:] = np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2
+
+
+def _user_report(allocation, k, ds, mates, closed, g_kk, powers):
+    """User k's McTermReport and per-trial rates from every trial's g_kk
+    and term powers, beside the closed forms of its PairTerms' `ds` and
+    the SinrArrays `closed`."""
+    p = allocation.powers
     ds_closed = np.sqrt(p[k]) * ds
     row = closed.interference[k]
-    # name -> (closed form, per-trial power samples)
-    term_samples = {
-        "ls": (row[k], np.abs(np.sqrt(p[k]) * g[:, k] - ds_closed) ** 2),
-        "noise": (closed.i_noise[k], np.abs(n_k) ** 2),
-    }
-    for kp in np.flatnonzero(band == band[k]).tolist():  # in group order
-        if kp != k:
-            term_samples[f"ui:{kp}"] = (row[kp],
-                                        np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2)
-    denom = sum(samples for _, samples in term_samples.values())
-    _, rates = band_rate(bw, ds_closed ** 2, 0.0, denom)
-    rate, rate_se = _mean_se(rates)
+    closed_forms = [row[k], closed.i_noise[k], *row[mates]]
+    names = ["ls", "noise", *(f"ui:{kp}" for kp in mates)]
+    _, rates = band_rate(allocation.bandwidths[allocation.band[k]],
+                         ds_closed ** 2, 0.0, sum(powers))
+    rate, rate_se = mean_se(rates)
     report = McTermReport(
-        user=k, trials=trials, ds_closed=float(abs(ds_closed) ** 2),
-        ds_mc=float(abs(np.sqrt(p[k]) * g[:, k].mean()) ** 2),
-        terms={name: (cf, *_mean_se(samples))
-               for name, (cf, samples) in term_samples.items()},
+        user=k, trials=len(g_kk), ds_closed=float(abs(ds_closed) ** 2),
+        ds_mc=float(abs(np.sqrt(p[k]) * g_kk.mean()) ** 2),
+        terms={name: (cf, *mean_se(samples))
+               for name, cf, samples in zip(names, closed_forms, powers)},
         rate=rate, rate_se=rate_se,
     )
     return report, rates

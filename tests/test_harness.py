@@ -13,7 +13,10 @@ import dmimo.harness
 from conftest import peak_traced_bytes
 from dmimo.config import ConfigError, CorrelationModel, SystemConfig
 from dmimo.optimizer import InfeasibleError
-from dmimo.rate import MIN_TRIALS
+from dmimo.channel import sample_channel_batch
+from dmimo.estimation import estimate_batch
+from dmimo.rate import MC_BLOCK, MIN_TRIALS
+from dmimo.scenario import build_scenario
 from dmimo.harness import (
     ExperimentSpec,
     build_identifier,
@@ -476,18 +479,61 @@ def test_build_identifier_runs_git_once_per_process(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_nmse_sweep_holds_a_channel_batch_and_its_estimates(tmp_path):
-    """One Rician point of nmse-sweep at T = 2000 peaks at no more than 2.8
-    channel batches of live arrays: the batch, its pilot observations and
-    its estimates (2.65 batches), with the error formed in the estimates'
-    place. One more batch-sized copy (of the draw, or a temporary of the
-    error) would pass the bound."""
-    spec = spec_for("nmse-sweep", tmp_path, trials=2000, seed=0,
-                    rician_grid=(10.0,))
+def test_nmse_sweep_memory_does_not_grow_with_trials(tmp_path):
+    """One Rician point of nmse-sweep peaks at no more than 0.8 of a
+    T = 2000 channel batch of live arrays (0.72 measured): one block of
+    MC_BLOCK trials, with its pilot observations and estimates and the
+    error formed in the estimates' place, and every trial's MSE. From
+    T = 2000 to 10 000 the peak grows by the added trials' float MSE alone
+    (64 kB measured), with a margin of 48 kB, under one float array of the
+    8000 added trials. A channel batch, or any other array of every trial,
+    held beyond a block would pass the bounds."""
+    peaks = {}
+    for trials in (2000, 10000):
+        spec = spec_for("nmse-sweep", tmp_path / str(trials), trials=trials,
+                        seed=0, rician_grid=(10.0,))
+        peaks[trials] = peak_traced_bytes(lambda: run_experiment(spec))
     cfg = spec.config
-    batch = spec.trials * cfg.num_satellites * cfg.num_users \
-        * cfg.num_antennas * np.dtype(complex).itemsize
-    assert peak_traced_bytes(lambda: run_experiment(spec)) <= 2.8 * batch
+    batch = 2000 * cfg.num_satellites * cfg.num_users * cfg.num_antennas \
+        * np.dtype(complex).itemsize
+    assert peaks[2000] <= 0.8 * batch
+    assert peaks[10000] - peaks[2000] <= 8000 * 8 + 48_000
+
+
+def test_nmse_sweep_draw_order(tmp_path, monkeypatch):
+    """Per block of at most MC_BLOCK trials, nmse-sweep draws the channel
+    and then its pilot noise, and nothing else: its per-trial MSE is the
+    replay's over the same draws from a fresh generator, block by block,
+    and the point's generator is left where the replay leaves its own.
+    T = 2 MC_BLOCK + 1 ends in a block of one trial."""
+    trials, seen, rngs = 2 * MC_BLOCK + 1, [], []
+    spawn, summarize = dmimo.harness._spawn_rngs, dmimo.harness.mean_se
+
+    def spawned(seed, n):
+        rngs.extend(spawn(seed, n))
+        return rngs
+
+    def spied(samples):
+        seen.append(samples.copy())
+        return summarize(samples)
+
+    monkeypatch.setattr(dmimo.harness, "_spawn_rngs", spawned)
+    monkeypatch.setattr(dmimo.harness, "mean_se", spied)
+    spec = spec_for("nmse-sweep", tmp_path, trials=trials,
+                    rician_grid=(10.0,))
+    run_experiment(spec)
+
+    sc = build_scenario(spec.config, np.random.default_rng(spec.seed)) \
+        .with_rician(10.0)
+    ref = spawn(spec.seed, 1)[0]
+    blocks = []
+    for start in range(0, trials, MC_BLOCK):
+        h = sample_channel_batch(sc, ref, min(MC_BLOCK, trials - start))[0]
+        err = np.abs(h - estimate_batch(sc, h, ref)) ** 2
+        blocks.append(err.sum(axis=3).mean(axis=(1, 2)))
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], np.concatenate(blocks))
+    assert rngs[0].standard_normal() == ref.standard_normal()
 
 
 # one small run of each experiment

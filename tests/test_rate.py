@@ -25,6 +25,7 @@ from dmimo.config import CorrelationModel, SystemConfig
 from dmimo.estimation import estimate_batch
 from dmimo.scenario import DomainError, build_scenario
 from dmimo.rate import (
+    MC_BLOCK,
     AllocationState,
     ContractError,
     RateContext,
@@ -623,34 +624,73 @@ def test_sinr_all_matches_reference(seed, K, M, data):
     assert _close(res.sum_rate, sum(rates[k] for k in res.users))
 
 
-def test_monte_carlo_users_holds_one_channel_batch():
+def test_monte_carlo_users_memory_does_not_grow_with_trials():
     """On the bound-validate system (configs/default.json at 10 W data and
-    pilot power, Kbar = 10, every user in one band) at T = 2000, the
-    engine's live arrays peak at no more than 2.3 channel batches (2.04
-    measured): the batch itself, its pilot observations and one user's
-    arrays, with the draw beside the batch only inside the sampler. Held
-    beyond it, the draw or a batch of estimates would pass the bound."""
+    pilot power, Kbar = 10, every user in one band), the engine's live
+    arrays peak at no more than 0.8 of a T = 2000 channel batch (0.70
+    measured): one block of MC_BLOCK trials, whose draws and one user's
+    arrays are about 2.4 block batches, and every trial's scalars. From
+    T = 2000 to 10 000 the peak grows by the added trials' scalars alone
+    (2.56 MB measured): per trial, each user's complex g_kk and float term
+    powers and the float sum of rates, with a margin of 48 kB, under one
+    float array of the 8000 added trials. A channel batch, or any other
+    array of every trial, held beyond a block would pass the bounds."""
     cfg = SystemConfig.from_json(
         Path(__file__).resolve().parents[1] / "configs" / "default.json")
     cfg = cfg.replace(max_power=10.0, pilot_power=10.0)
     sc = build_scenario(cfg, np.random.default_rng(0)).with_rician(10.0)
     alloc = single_band_alloc(sc)
     sc.rate_context  # the statistics are the scenario's, built once
-    trials = 2000
-    batch = trials * sc.num_satellites * sc.num_users * sc.num_antennas \
+    K = sc.num_users
+    batch = 2000 * sc.num_satellites * K * sc.num_antennas \
         * np.dtype(complex).itemsize
-    peak = peak_traced_bytes(lambda: monte_carlo_users(
-        sc, alloc, trials, np.random.default_rng(1)))
-    assert peak <= 2.3 * batch
+    per_trial = K * (16 + 8 * (2 + K - 1)) + 8
+    peaks = {trials: peak_traced_bytes(lambda: monte_carlo_users(
+                 sc, alloc, trials, np.random.default_rng(1)))
+             for trials in (2000, 10000)}
+    assert peaks[2000] <= 0.8 * batch
+    assert peaks[10000] - peaks[2000] <= 8000 * per_trial + 48_000
+
+
+def _replay_terms(sc, alloc, users, trials, ref):
+    """Every requested user's per-trial term powers, by name, from the
+    direct formulas over the engine's documented draws from `ref`, block
+    by block."""
+    p, band = alloc.powers, alloc.band
+    blocks = []
+    for start in range(0, trials, MC_BLOCK):
+        t = min(MC_BLOCK, trials - start)
+        h = sample_channel_batch(sc, ref, t)[0]
+        hhat = estimate_batch(sc, h, ref)
+        block = {}
+        for k in users:
+            sset, w = sc.serving_sets[k], alloc.weights[sc.serving_sets[k], k]
+            noise = np.sqrt(sc.subband_noise(alloc.bandwidths[band[k]])) \
+                * complex_normal(ref, (t, len(sset), sc.num_antennas))
+            hh = hhat[:, sset, k, :].conj()
+            g = np.einsum("tmn,m,tmjn->tj", hh, w, h[:, sset, :, :])
+            n_k = np.einsum("tmn,m,tmn->t", hh, w, noise)
+            ds = np.sqrt(p[k]) * sinr_lower_bound(sc, alloc, k).ds
+            block[k] = {"ls": np.abs(np.sqrt(p[k]) * g[:, k] - ds) ** 2,
+                        "noise": np.abs(n_k) ** 2}
+            for kp in np.flatnonzero(band == band[k]):
+                if kp != k:
+                    block[k][f"ui:{kp}"] = \
+                        np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2
+        blocks.append(block)
+    return {k: {name: np.concatenate([b[k][name] for b in blocks])
+                for name in blocks[0][k]} for k in users}
 
 
 def test_monte_carlo_users_draw_order():
-    """The engine draws, in its documented order, the (T, M, K, N) channel,
-    the (T, M, P, N) pilot noise and each requested user's (T, |M_k|, N)
-    receiver noise, and nothing else: its terms are those of the direct
-    formulas over the same draws, replayed from a fresh generator, and the
-    generator is left where the replay leaves its own. The users sit on
-    two bands, and users 0 and 3 are served by the satellites {0, 2}."""
+    """The engine draws, per block of at most MC_BLOCK trials and in its
+    documented order, the (t, M, K, N) channel, the (t, M, P, N) pilot
+    noise and each requested user's (t, |M_k|, N) receiver noise, and
+    nothing else: its terms are those of the direct formulas over the same
+    draws, replayed from a fresh generator, and the generator is left
+    where the replay leaves its own. The users sit on two bands, and users
+    0 and 3 are served by the satellites {0, 2}. T = 150 is one block;
+    T = 2 MC_BLOCK + 1 ends in a block of one trial."""
     base = make_scenario(seed=3, num_users=5, num_satellites=3,
                          cluster_size=2, pilot_length=3,
                          subband_capacity=3)
@@ -658,38 +698,28 @@ def test_monte_carlo_users_draw_order():
     sc = dataclasses.replace(base, serving_sets=tuple(
         np.array(s, dtype=np.intp) for s in ssets))
     alloc = equal_split_allocation(sc, groups=[[0, 2, 4], [1, 3]])
-    users, trials = [3, 0, 1], 150
-    rng = np.random.default_rng(21)
-    res = monte_carlo_users(sc, alloc, trials, rng, users=users)
-    assert list(res.users) == users
-
-    ref = np.random.default_rng(21)
-    h = sample_channel_batch(sc, ref, trials)[0]
-    hhat = estimate_batch(sc, h, ref)
-    p, band = alloc.powers, alloc.band
-    for k in users:
-        sset, w = sc.serving_sets[k], alloc.weights[sc.serving_sets[k], k]
-        noise = np.sqrt(sc.subband_noise(alloc.bandwidths[band[k]])) \
-            * complex_normal(ref, (trials, len(sset), sc.num_antennas))
-        hh = hhat[:, sset, k, :].conj()
-        g = np.einsum("tmn,m,tmjn->tj", hh, w, h[:, sset, :, :])
-        n_k = np.einsum("tmn,m,tmn->t", hh, w, noise)
-        ds = np.sqrt(p[k]) * sinr_lower_bound(sc, alloc, k).ds
-        samples = {"ls": np.abs(np.sqrt(p[k]) * g[:, k] - ds) ** 2,
-                   "noise": np.abs(n_k) ** 2}
-        for kp in np.flatnonzero(band == band[k]):
-            if kp != k:
-                samples[f"ui:{kp}"] = np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2
-        terms = res.users[k].terms
-        assert list(terms) == list(samples)
-        for name, s in samples.items():
-            assert terms[name][1] == float(s.mean()), (k, name)
-    # the stream: (2, T, M, K, N), (2, T, M, P, N), then (2, T, |M_k|, N)
-    # normals per requested user, in request order
-    raw = np.random.default_rng(21)
+    users = [3, 0, 1]
     M, K, N = sc.num_satellites, sc.num_users, sc.num_antennas
-    for shape in [(M, K, N), (M, sc.config.pilot_length, N)] \
-            + [(len(sc.serving_sets[k]), N) for k in users]:
-        raw.standard_normal((2, trials, *shape))
-    assert rng.standard_normal() == raw.standard_normal() \
-        == ref.standard_normal()
+    for trials in (150, 2 * MC_BLOCK + 1):
+        rng = np.random.default_rng(21)
+        res = monte_carlo_users(sc, alloc, trials, rng, users=users)
+        assert list(res.users) == users
+
+        ref = np.random.default_rng(21)
+        for k, samples in _replay_terms(sc, alloc, users, trials,
+                                        ref).items():
+            terms = res.users[k].terms
+            assert list(terms) == list(samples)
+            for name, s in samples.items():
+                assert terms[name][1] == float(s.mean()), (trials, k, name)
+        # the stream, per block of t trials: (2, t, M, K, N),
+        # (2, t, M, P, N), then (2, t, |M_k|, N) normals per requested
+        # user, in request order
+        raw = np.random.default_rng(21)
+        for start in range(0, trials, MC_BLOCK):
+            t = min(MC_BLOCK, trials - start)
+            for shape in [(M, K, N), (M, sc.config.pilot_length, N)] \
+                    + [(len(sc.serving_sets[k]), N) for k in users]:
+                raw.standard_normal((2, t, *shape))
+        assert rng.standard_normal() == raw.standard_normal() \
+            == ref.standard_normal()
