@@ -12,7 +12,9 @@ import numpy as np
 
 
 def steering_vector(elevation, azimuth, nx, ny, spacing_ratio):
-    """Uniform-planar-array LoS vector, Kronecker product of the two axes.
+    """Uniform-planar-array LoS vectors, Kronecker products of the two axes,
+    shaped (..., nx ny) for angles that are scalars or arrays broadcast
+    together (shaped ...).
 
     Entry n of the x-axis factor is exp(-j 2 pi (d_A/lambda) n sin(phi) cos(theta))
     and of the y-axis factor exp(-j 2 pi (d_A/lambda) n cos(phi)), n from 0.
@@ -20,9 +22,12 @@ def steering_vector(elevation, azimuth, nx, ny, spacing_ratio):
     if nx < 1 or ny < 1:
         raise ValueError("array dimensions must be >= 1")
     c = -2j * np.pi * spacing_ratio
+    elevation = np.asarray(elevation)[..., None]
+    azimuth = np.asarray(azimuth)[..., None]
     ax = np.exp(c * np.arange(nx) * np.sin(elevation) * np.cos(azimuth))
     ay = np.exp(c * np.arange(ny) * np.cos(elevation))
-    return np.kron(ax, ay)
+    v = ax[..., :, None] * ay[..., None, :]
+    return v.reshape(*v.shape[:-2], nx * ny)
 
 
 def correlation_matrix(model, n, r=0.0):

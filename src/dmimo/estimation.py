@@ -67,8 +67,9 @@ def pilot_observations(scenario, h_batch, rng):
 
 
 def link_estimates(scenario, obs, mean, k, sats, out=None):
-    """User k's estimates at the satellites `sats` (indices or a slice):
-    sqrt(tau p) filt times its pilot's observation, plus the LoS mean."""
+    """Estimates of the users `k` at the satellites `sats`, each an index,
+    an index array or a slice (not both arrays): sqrt(tau p) filt times the
+    user's pilot observation, plus the LoS mean."""
     st = scenario.estimation_stats
     out = np.multiply(obs[:, sats, scenario.pilots[k], :],
                       np.sqrt(st.tau_p) * st.filt[sats, k], out=out)

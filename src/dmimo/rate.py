@@ -2,14 +2,16 @@
 one Monte Carlo engine for every expectation term.
 
 The engine (``monte_carlo_users``) draws the channel and its pilot
-observations once per block of MC_BLOCK trials, and returns every
-requested user's terms and ergodic rate from that shared draw, beside
-their closed forms from the one vectorized evaluator (``pair_terms``,
-``sinr_in_bands``). It keeps one block's arrays and every trial's
-scalars, so its memory is one block's plus O(T) scalars. Because the
-users share the draw, the standard error of the simulated sum rate comes
-from the per-trial sum of user rates, std(ddof=1) / sqrt(T), not from the
-users' separate standard errors.
+observations once per block of MC_BLOCK trials, then one receiver-noise
+scalar per requested user and trial, and returns every requested user's
+terms and ergodic rate from that shared draw, beside their closed forms
+from the one vectorized evaluator (``pair_terms``, ``sinr_in_bands``).
+Every user's combining terms come from one batched product per satellite
+and block. It keeps one block's arrays and every trial's scalars, so its
+memory is one block's plus O(T) scalars. Because the users share the
+draw, the standard error of the simulated sum rate comes from the
+per-trial sum of user rates, std(ddof=1) / sqrt(T), not from the users'
+separate standard errors.
 """
 
 from __future__ import annotations
@@ -344,12 +346,17 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
 
     Draws the trials in blocks of MC_BLOCK, the last one shorter. For each
     block of t trials it draws ``complex_normal`` batches in this order:
-    the (t, M, K, N) channel, its (t, M, P, N) pilot noise, then each
-    requested user's (t, |M_k|, N) receiver noise. It keeps one block's
-    arrays and every trial's scalars, so its memory does not grow with T
-    beyond those scalars; T <= MC_BLOCK is one block. The ergodic rate uses
-    the genie decomposition: the desired-signal power is the deterministic
-    |DS|^2; leakage, interference, and noise powers are instantaneous per
+    the (t, M, K, N) channel, its (t, M, P, N) pilot noise, then one (t, U)
+    array for the U requested users, column u for the u-th in request
+    order. Column u, scaled by sqrt(sigma_i v) with v = sum_m w_m^2
+    ||hhat_m||^2 over the user's serving set, is its combined receiver
+    noise sum_m w_m hhat_m^H n_m: given the estimates, that scalar is
+    exactly CN(0, sigma_i v) when n_m ~ CN(0, sigma_i I) independently per
+    satellite, since the weights are real. It keeps one block's arrays and
+    every trial's scalars, so its memory does not grow with T beyond those
+    scalars; T <= MC_BLOCK is one block. The ergodic rate uses the genie
+    decomposition: the desired-signal power is the deterministic |DS|^2;
+    leakage, interference, and noise powers are instantaneous per
     realization. An unscheduled user is refused before anything is drawn.
     """
     if trials < MIN_TRIALS:
@@ -371,13 +378,22 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
                  if kp != k] for k in users}
     g_kk = {k: np.empty(trials, dtype=complex) for k in users}
     powers = {k: np.empty((2 + len(mates[k]), trials)) for k in users}
+    sigma = np.array([scenario.subband_noise(allocation.bandwidths[band[k]])
+                      for k in users])
+    amp = np.sqrt(allocation.powers)
     for block in trial_blocks(trials):
         h = sample_channel_batch(scenario, rng, block.stop - block.start)[0]
         pilot = pilot_observations(scenario, h, rng)
-        for k in users:
-            _user_block(scenario, allocation, k, terms.ds[k], mates[k], h,
-                        pilot, rng, g_kk[k][block], powers[k][:, block])
-        del h, pilot  # before the next block is drawn
+        noise = complex_normal(rng, (len(h), len(users)))
+        g, v = _block_terms(scenario, allocation.weights, users, h, pilot)
+        noise *= np.sqrt(sigma * v)
+        for u, k in enumerate(users):
+            g_kk[k][block] = g[:, k, u]
+            rows = powers[k][:, block]
+            rows[0] = np.abs(amp[k] * g[:, k, u] - amp[k] * terms.ds[k]) ** 2
+            rows[1] = np.abs(noise[:, u]) ** 2
+            rows[2:] = np.abs(g[:, mates[k], u] * amp[mates[k]]).T ** 2
+        del h, pilot, noise, g, v  # before the next block is drawn
     reports = {}
     sum_samples = np.zeros(trials)
     for k in users:
@@ -386,6 +402,29 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
         sum_samples += rates
     mean, se = mean_se(sum_samples)
     return McResult(users=reports, sum_rate=mean, sum_rate_se=se)
+
+
+def _block_terms(scenario, weights, users, h, pilot):
+    """(g, v) of one block of t trials for the requested `users`: the
+    (t, K, U) g[:, k', u] = sum_m w_m hhat_m^H h_{m,k'} and the (t, U)
+    v[:, u] = sum_m w_m^2 ||hhat_m||^2, with w and hhat the u-th user's
+    weights and estimates (from the ``pilot_observations`` `pilot`) at its
+    serving satellites m, added over m in ascending order: one batched
+    product per satellite over the requested users it serves."""
+    t, _, K, _ = h.shape
+    users = np.asarray(users, dtype=np.intp)
+    g = np.zeros((t, K, len(users)), dtype=complex)
+    v = np.zeros((t, len(users)))
+    for m, serves in enumerate(scenario.serving[:, users]):
+        on = np.flatnonzero(serves)
+        a = link_estimates(scenario, *pilot, users[on], m)  # (t, |on|, N)
+        a *= weights[m, users[on], None]
+        flat = a.view(float)  # real and imaginary parts, (t, |on|, 2N)
+        v[:, on] += np.einsum("tui,tui->tu", flat, flat)
+        np.conjugate(a, out=a)
+        g[:, :, on] += h[:, m] @ a.transpose(0, 2, 1)
+        del a, flat  # before the next satellite's estimates are formed
+    return g, v
 
 
 def trial_blocks(trials):
@@ -399,32 +438,6 @@ def mean_se(samples):
     """Sample mean and its standard error, std(ddof=1) / sqrt(T)."""
     return (float(samples.mean()),
             float(samples.std(ddof=1) / np.sqrt(len(samples))))
-
-
-def _user_block(scenario, allocation, k, ds, mates, h, pilot, rng, g_kk,
-                powers):
-    """Fill user k's (t,) g_kk and (2 + len(mates), t) term powers from
-    one block of t shared trials, drawing its receiver noise; `ds` is its
-    PairTerms' closed-form desired-signal coefficient."""
-    sigma_i = scenario.subband_noise(allocation.bandwidths[allocation.band[k]])
-    sset = scenario.serving_sets[k]
-    wv = allocation.weights[sset, k]
-    p = allocation.powers
-
-    hh_k = link_estimates(scenario, *pilot, k, sset)  # (t, |M_k|, N)
-    np.conjugate(hh_k, out=hh_k)
-    # g[t, k'] = sum_m w_m hhat_{m,k}^H h_{m,k'}
-    g = np.einsum("tmn,m,tmjn->tj", hh_k, wv, h[:, sset])
-    # receiver noise: n_m ~ CN(0, sigma_i I), independent per satellite
-    noise = complex_normal(rng, hh_k.shape)
-    noise *= np.sqrt(sigma_i)
-    n_k = np.einsum("tmn,m,tmn->t", hh_k, wv, noise)
-
-    g_kk[:] = g[:, k]
-    powers[0] = np.abs(np.sqrt(p[k]) * g[:, k] - np.sqrt(p[k]) * ds) ** 2
-    powers[1] = np.abs(n_k) ** 2
-    for row, kp in zip(powers[2:], mates):
-        row[:] = np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2
 
 
 def _user_report(allocation, k, ds, mates, closed, g_kk, powers):

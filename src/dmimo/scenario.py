@@ -161,18 +161,18 @@ def build_scenario(config, rng):
     """
     M, K = config.num_satellites, config.num_users
     beta, rician = np.empty((M, K)), np.empty((M, K))
-    los = np.empty((M, K, config.num_antennas), dtype=complex)
+    elev, azim = np.empty((M, K)), np.empty((M, K))
     for m in range(M):
         for k in range(K):
             elev_deg = rng.uniform(config.elevation_min_deg,
                                    config.elevation_max_deg)
-            azim = rng.uniform(0.0, 2.0 * math.pi)
-            elev = math.radians(elev_deg)
-            beta[m, k] = path_gain(slant_range(elev, config.altitude), config)
+            azim[m, k] = rng.uniform(0.0, 2.0 * math.pi)
+            elev[m, k] = math.radians(elev_deg)
+            beta[m, k] = path_gain(slant_range(elev[m, k], config.altitude),
+                                   config)
             rician[m, k] = config.rician_factor(elev_deg)
-            los[m, k] = steering_vector(elev, azim, config.antennas_x,
-                                        config.antennas_y,
-                                        config.antenna_spacing_ratio)
+    los = steering_vector(elev, azim, config.antennas_x, config.antennas_y,
+                          config.antenna_spacing_ratio)
     pilots = assign_pilots_random(K, config.pilot_length, rng)
     serving = tuple(select_serving_satellites(beta[:, k], config.cluster_size)
                     for k in range(K))

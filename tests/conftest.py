@@ -175,6 +175,48 @@ def reference_estimates(scenario, h, noise):
     return hhat
 
 
+def reference_monte_carlo(scenario, allocation, trials, rng):
+    """Every scheduled user's per-trial term powers and rate, user -> name
+    -> (trials,) array with names "ls", "noise", "ui:<k'>" (k's band mates
+    in ascending order) and "rate" (bit/s), simulated in antenna
+    coordinates: channels from ``reference_channel``, estimates from
+    ``reference_estimates``, and receiver noise n_m ~ CN(0, sigma_i I) per
+    antenna of each serving satellite, projected as sum_m w_m hhat_m^H n_m.
+    The desired-signal coefficient is the scalar reference's ds; no code
+    of dmimo's Monte Carlo engine is used."""
+    def cn(shape):
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    M, K, N = (scenario.num_satellites, scenario.num_users,
+               scenario.num_antennas)
+    h = reference_channel(scenario, cn((trials, M, K, N)))
+    pilot_noise = np.sqrt(scenario.fullband_noise) \
+        * cn((trials, M, scenario.config.pilot_length, N))
+    hhat = reference_estimates(scenario, h, pilot_noise)
+    band, p = allocation.band, allocation.powers
+    out = {}
+    for k in np.flatnonzero(band >= 0).tolist():
+        bw = allocation.bandwidths[band[k]]
+        sset = scenario.serving_sets[k]
+        w = allocation.weights[sset, k]
+        hh = hhat[:, sset, k, :].conj()
+        g = np.einsum("tmn,m,tmjn->tj", hh, w, h[:, sset])
+        noise = np.sqrt(scenario.subband_noise(bw)) \
+            * cn((trials, len(sset), N))
+        ref = sinr_lower_bound(scenario, allocation, k)
+        terms = {"ls": p[k] * np.abs(g[:, k] - ref.ds) ** 2,
+                 "noise": np.abs(np.einsum("tmn,m,tmn->t", hh, w,
+                                           noise)) ** 2}
+        for kp in np.flatnonzero(band == band[k]).tolist():
+            if kp != k:
+                terms[f"ui:{kp}"] = p[kp] * np.abs(g[:, kp]) ** 2
+        terms["rate"] = bw * np.log2(1.0 + ref.numerator
+                                     / sum(terms.values()))
+        out[k] = terms
+    return out
+
+
 def dense_rate_context(scenario):
     """RateContext's arrays built entry by entry from the dense statistics,
     one Python iteration per (m, k, k') with the traces as full matrix

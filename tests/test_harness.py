@@ -265,7 +265,9 @@ def test_convergence_matches_golden(tmp_path):
 
 # The Monte Carlo experiments' CSVs at seed 13, as written when the samplers
 # still coloured each draw in antenna coordinates (and each row still
-# carried the build tag); the same at 1 and 2 BLAS threads
+# carried the build tag); bound-validate's rate_mc, rate_mc_se and
+# rate_bound_mc are those of the engine that draws each user's combined
+# receiver noise as one scalar per trial. The same at 1 and 2 BLAS threads
 GOLDEN_MC = {
     "nmse-sweep": (500, [
         ["13", "1", "2.70922873124e-15", "2.71281256367e-15",
@@ -294,18 +296,18 @@ GOLDEN_MC = {
          "0.00285035347272"],
     ]),
     "bound-validate": (200, [
-        ["13", "1", "3305100.86686", "3570623.81078", "33213.7110487",
-         "3312034.52792"],
-        ["13", "5", "3552459.28435", "3685570.01652", "23854.4416991",
-         "3546184.96153"],
-        ["13", "10", "3615067.89555", "3740743.99907", "22401.8074714",
-         "3629884.42489"],
-        ["13", "20", "3652890.10184", "3759853.71217", "18712.1919162",
-         "3668453.51871"],
-        ["13", "50", "3678241.77178", "3803458.0895", "18325.0253134",
-         "3717299.29082"],
-        ["13", "100", "3687196.21034", "3794932.722", "17626.7492052",
-         "3706851.60068"],
+        ["13", "1", "3305100.86686", "3579994.9079", "32310.2779573",
+         "3318142.93395"],
+        ["13", "5", "3552459.28435", "3686057.54818", "21690.8774333",
+         "3559119.73695"],
+        ["13", "10", "3615067.89555", "3743002.45629", "21134.1309348",
+         "3644445.23421"],
+        ["13", "20", "3652890.10184", "3758002.2181", "20137.7628174",
+         "3659259.06261"],
+        ["13", "50", "3678241.77178", "3795354.16621", "20277.2013708",
+         "3705066.85353"],
+        ["13", "100", "3687196.21034", "3752578.3535", "19956.4050767",
+         "3650648.3538"],
     ]),
 }
 

@@ -17,6 +17,7 @@ from conftest import (
     make_scenario,
     peak_traced_bytes,
     pilot_cohort,
+    reference_monte_carlo,
     sinr_lower_bound,
     with_correlation,
 )
@@ -35,6 +36,7 @@ from dmimo.rate import (
     equal_split_allocation,
     equal_weights,
     ergodic_rate_mc,
+    mean_se,
     monte_carlo_terms,
     monte_carlo_users,
     normalize_weights,
@@ -260,25 +262,29 @@ def test_monte_carlo_rejects_repeated_user(default_scenario):
 # Outputs of the per-user Monte Carlo functions this engine replaced, on
 # the case built by _golden_case with rng seed 40 + k per user:
 # user -> (ds_closed, ds_mc, {term: (closed, mean, se)}, (rate, rate_se)).
+# The noise term's Monte Carlo mean and SE and the rate are those of the
+# engine that draws each user's combined receiver noise as one scalar per
+# trial; the other entries were written before it and moved by at most
+# 4.4e-16 relative. The same at 1 and 2 BLAS threads.
 GOLDEN = {
     1: (8.951038751365918e-30, 8.947924862468678e-30, {
         "ls": (3.057216671237679e-32, 2.909089355435893e-32,
                2.127558396588261e-33),
-        "noise": (7.873086075593903e-29, 7.773038157237473e-29,
-                  5.4965358468706e-30),
+        "noise": (7.873086075593903e-29, 8.931684526833367e-29,
+                  5.980735478944066e-30),
         "ui:0": (1.9336625425014787e-30, 1.953471295092514e-30,
                  2.2300119563535592e-32),
         "ui:2": (6.102507562029807e-31, 6.351869275569232e-31,
                  1.365831920752304e-32),
-    }, (190765.87173274145, 14702.420602352595)),
+    }, (148860.0213347371, 10733.490925500742)),
     4: (9.611558814299841e-30, 9.612790034051139e-30, {
         "ls": (3.0507663334834736e-32, 2.99930002141805e-32,
                2.1889687592342545e-33),
-        "noise": (7.877695402970451e-29, 7.796344776330825e-29,
-                  5.996517115681323e-30),
+        "noise": (7.877695402970451e-29, 8.583075081373774e-29,
+                  5.446251702751699e-30),
         "ui:3": (1.7522184373313662e-30, 1.7267415313600477e-30,
                  2.0641839989881472e-32),
-    }, (198733.24862654007, 15619.397914290324)),
+    }, (181413.67998675097, 15749.069724047793)),
 }
 
 
@@ -624,21 +630,58 @@ def test_sinr_all_matches_reference(seed, K, M, data):
     assert _close(res.sum_rate, sum(rates[k] for k in res.users))
 
 
+def _bound_validate_system(kbar):
+    """The system of ``dmimo bound-validate`` at seed 0: configs/default.json
+    at 10 W data and pilot power, every Rician factor kbar."""
+    cfg = SystemConfig.from_json(
+        Path(__file__).resolve().parents[1] / "configs" / "default.json")
+    cfg = cfg.replace(max_power=10.0, pilot_power=10.0)
+    return build_scenario(cfg, np.random.default_rng(0)).with_rician(kbar)
+
+
+def test_monte_carlo_users_matches_antenna_reference():
+    """On the bound-validate system, every user in one band, each user's
+    simulated term means and rate agree with those of
+    ``reference_monte_carlo`` (antenna coordinates, per-antenna receiver
+    noise, no engine code) within 4 combined SE, at Kbar = 1, 10 and 100
+    and 4000 trials each. That is 3 x 5 users x 7 means (ls, noise, four
+    ui, rate) = 105 comparisons; at 4 SE a correct engine fails one with
+    probability 6.3e-5, so all 105 by chance with probability under 0.007
+    (Bonferroni)."""
+    checked = 0
+    for kbar, seed in ((1.0, 301), (10.0, 302), (100.0, 303)):
+        sc = _bound_validate_system(kbar)
+        alloc = single_band_alloc(sc)
+        engine = monte_carlo_users(sc, alloc, 4000,
+                                   np.random.default_rng(seed))
+        ref = reference_monte_carlo(sc, alloc, 4000,
+                                    np.random.default_rng(seed + 100))
+        assert list(engine.users) == list(ref)
+        for k, rep in engine.users.items():
+            means = {name: t[1:] for name, t in rep.terms.items()}
+            means["rate"] = (rep.rate, rep.rate_se)
+            assert list(means) == list(ref[k])
+            for name, (mean, se) in means.items():
+                ref_mean, ref_se = mean_se(ref[k][name])
+                assert abs(mean - ref_mean) <= 4 * math.hypot(se, ref_se), \
+                    (kbar, k, name, mean, ref_mean, se, ref_se)
+                checked += 1
+    assert checked == 105
+
+
 def test_monte_carlo_users_memory_does_not_grow_with_trials():
     """On the bound-validate system (configs/default.json at 10 W data and
     pilot power, Kbar = 10, every user in one band), the engine's live
-    arrays peak at no more than 0.8 of a T = 2000 channel batch (0.70
-    measured): one block of MC_BLOCK trials, whose draws and one user's
-    arrays are about 2.4 block batches, and every trial's scalars. From
+    arrays peak at no more than 0.8 of a T = 2000 channel batch (0.68
+    measured): one block of MC_BLOCK trials, whose draws and one
+    satellite's estimates are about 2.3 block batches, and every trial's
+    scalars. From
     T = 2000 to 10 000 the peak grows by the added trials' scalars alone
     (2.56 MB measured): per trial, each user's complex g_kk and float term
     powers and the float sum of rates, with a margin of 48 kB, under one
     float array of the 8000 added trials. A channel batch, or any other
     array of every trial, held beyond a block would pass the bounds."""
-    cfg = SystemConfig.from_json(
-        Path(__file__).resolve().parents[1] / "configs" / "default.json")
-    cfg = cfg.replace(max_power=10.0, pilot_power=10.0)
-    sc = build_scenario(cfg, np.random.default_rng(0)).with_rician(10.0)
+    sc = _bound_validate_system(10.0)
     alloc = single_band_alloc(sc)
     sc.rate_context  # the statistics are the scenario's, built once
     K = sc.num_users
@@ -654,29 +697,40 @@ def test_monte_carlo_users_memory_does_not_grow_with_trials():
 
 def _replay_terms(sc, alloc, users, trials, ref):
     """Every requested user's per-trial term powers, by name, from the
-    direct formulas over the engine's documented draws from `ref`, block
-    by block."""
+    engine's documented arithmetic over its documented draws from `ref`,
+    block by block: the estimates of ``estimate_batch``, scaled by the
+    weights and conjugated, contracted per satellite in ascending order
+    with the channel (g) and with themselves (v), and each user's noise
+    draw scaled by sqrt(sigma_i v)."""
     p, band = alloc.powers, alloc.band
+    idx = np.array(users)
+    sigma = np.array([sc.subband_noise(alloc.bandwidths[band[k]])
+                      for k in users])
     blocks = []
     for start in range(0, trials, MC_BLOCK):
         t = min(MC_BLOCK, trials - start)
         h = sample_channel_batch(sc, ref, t)[0]
         hhat = estimate_batch(sc, h, ref)
+        noise = complex_normal(ref, (t, len(users)))
+        g = np.zeros((t, sc.num_users, len(users)), dtype=complex)
+        v = np.zeros((t, len(users)))
+        for m in range(sc.num_satellites):
+            on = np.flatnonzero(sc.serving[m, idx])
+            a = np.conjugate(hhat[:, m, idx[on]]
+                             * alloc.weights[m, idx[on], None])
+            flat = a.view(float)
+            v[:, on] += np.einsum("tui,tui->tu", flat, flat)
+            g[:, :, on] += h[:, m] @ a.transpose(0, 2, 1)
+        noise *= np.sqrt(sigma * v)
         block = {}
-        for k in users:
-            sset, w = sc.serving_sets[k], alloc.weights[sc.serving_sets[k], k]
-            noise = np.sqrt(sc.subband_noise(alloc.bandwidths[band[k]])) \
-                * complex_normal(ref, (t, len(sset), sc.num_antennas))
-            hh = hhat[:, sset, k, :].conj()
-            g = np.einsum("tmn,m,tmjn->tj", hh, w, h[:, sset, :, :])
-            n_k = np.einsum("tmn,m,tmn->t", hh, w, noise)
+        for u, k in enumerate(users):
             ds = np.sqrt(p[k]) * sinr_lower_bound(sc, alloc, k).ds
-            block[k] = {"ls": np.abs(np.sqrt(p[k]) * g[:, k] - ds) ** 2,
-                        "noise": np.abs(n_k) ** 2}
+            block[k] = {"ls": np.abs(np.sqrt(p[k]) * g[:, k, u] - ds) ** 2,
+                        "noise": np.abs(noise[:, u]) ** 2}
             for kp in np.flatnonzero(band == band[k]):
                 if kp != k:
                     block[k][f"ui:{kp}"] = \
-                        np.abs(np.sqrt(p[kp]) * g[:, kp]) ** 2
+                        np.abs(np.sqrt(p[kp]) * g[:, kp, u]) ** 2
         blocks.append(block)
     return {k: {name: np.concatenate([b[k][name] for b in blocks])
                 for name in blocks[0][k]} for k in users}
@@ -685,10 +739,10 @@ def _replay_terms(sc, alloc, users, trials, ref):
 def test_monte_carlo_users_draw_order():
     """The engine draws, per block of at most MC_BLOCK trials and in its
     documented order, the (t, M, K, N) channel, the (t, M, P, N) pilot
-    noise and each requested user's (t, |M_k|, N) receiver noise, and
-    nothing else: its terms are those of the direct formulas over the same
-    draws, replayed from a fresh generator, and the generator is left
-    where the replay leaves its own. The users sit on two bands, and users
+    noise and one (t, U) receiver-noise array for the U requested users,
+    and nothing else: its terms are those of its documented arithmetic
+    over the same draws, replayed from a fresh generator, and the
+    generator is left where the replay leaves its own. The users sit on two bands, and users
     0 and 3 are served by the satellites {0, 2}. T = 150 is one block;
     T = 2 MC_BLOCK + 1 ends in a block of one trial."""
     base = make_scenario(seed=3, num_users=5, num_satellites=3,
@@ -713,13 +767,12 @@ def test_monte_carlo_users_draw_order():
             for name, s in samples.items():
                 assert terms[name][1] == float(s.mean()), (trials, k, name)
         # the stream, per block of t trials: (2, t, M, K, N),
-        # (2, t, M, P, N), then (2, t, |M_k|, N) normals per requested
-        # user, in request order
+        # (2, t, M, P, N), then (2, t, U) normals
         raw = np.random.default_rng(21)
         for start in range(0, trials, MC_BLOCK):
             t = min(MC_BLOCK, trials - start)
-            for shape in [(M, K, N), (M, sc.config.pilot_length, N)] \
-                    + [(len(sc.serving_sets[k]), N) for k in users]:
+            for shape in [(M, K, N), (M, sc.config.pilot_length, N),
+                          (len(users),)]:
                 raw.standard_normal((2, t, *shape))
         assert rng.standard_normal() == raw.standard_normal() \
             == ref.standard_normal()
