@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.util
 import math
 import os
@@ -1232,3 +1233,93 @@ def test_ao_outputs_do_not_depend_on_the_blas_thread_count():
             capture_output=True, text=True, timeout=300).stdout.split())
     assert len(outputs[0]) > 9
     assert outputs[0] == outputs[1]
+
+
+def _output_bytes(value):
+    """A value's bytes for a digest: an array's dtype, shape and data, a
+    float's float64 bytes, a list element by element, anything else its
+    repr."""
+    if isinstance(value, np.ndarray):
+        return (f"{value.dtype.str}{value.shape}".encode()
+                + np.ascontiguousarray(value).tobytes())
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, list):
+        return b"[" + b",".join(map(_output_bytes, value)) + b"]"
+    return repr(value).encode()
+
+
+def _allocation_outputs(alloc):
+    return [alloc.groups, alloc.bandwidths, alloc.powers, alloc.weights,
+            alloc.phi, alloc.feasible]
+
+
+def ao_item_digest(cfg, seed):
+    """sha256 over every output of one benchmark-style item (the scenario
+    and the estimation stream spawned from `seed`): each AO round's
+    schedule, SCA objectives and stop reason, bandwidth iterations, KKT
+    residual and trace, and sum rate; the AO's allocation and sum rate; and
+    both fixed-weight arms' allocations and rates."""
+    scenario_ss, estimation_ss = np.random.SeedSequence(seed).spawn(2)
+    sc = build_scenario(cfg, np.random.default_rng(scenario_ss))
+    ao = alternating_optimize(sc, np.random.default_rng(estimation_ss))
+    outputs = []
+    for r in ao.rounds:
+        outputs += [r.schedule.groups, r.schedule.colors_used]
+        if r.sca is not None:
+            outputs += [np.array(r.sca.objectives, dtype=float),
+                        r.sca.stop_reason]
+        if r.bandwidth is not None:
+            bw = r.bandwidth
+            outputs += [bw.iterations, bw.kkt_residual,
+                        np.array(bw.objective_trace, dtype=float)]
+        outputs.append(r.sum_rate)
+    outputs += [*_allocation_outputs(ao.allocation), ao.sum_rate]
+    for mode in ("equal", "estimate"):
+        alloc, rate = benchmark_allocation(
+            sc, np.random.default_rng(estimation_ss), mode)
+        outputs += [mode, *_allocation_outputs(alloc), rate]
+    return hashlib.sha256(b"|".join(map(_output_bytes, outputs))).hexdigest()
+
+
+# The items of ao_item_digest: the benchmark's ao-small and ao-paper-floor
+# systems, ao-small at 20 W (several SCA iterates per round), at a floor no
+# schedule meets (phi < 1) and at one beyond float range (phi = 0).
+GOLDEN_BIT_ITEMS = {
+    "ao-small": (AO_SMALL, (1011, 1012, 1013, 1014)),
+    "ao-paper-floor": (AO_PAPER_FLOOR, (1011,)),
+    "ao-small-20W": (AO_SMALL.replace(max_power=20.0), (1011, 1012)),
+    "ao-small-unattainable": (AO_SMALL_UNATTAINABLE, (1007, 1008)),
+    "ao-small-1e9": (AO_SMALL.replace(rate_requirement=1e9), (1,)),
+}
+GOLDEN_BITS = {
+    ('ao-small', 1011):
+        "b0715b33d9005d49f96ee05f7ba29da273f20bd9fa5c7e145f57adcae66376ec",
+    ('ao-small', 1012):
+        "36774c4d7d939d1ce48c967869dc9dd806f76a98f3eca1b66dbaaf0bcb8b329a",
+    ('ao-small', 1013):
+        "8373695646096d84dd2292acc50edf0e915e7d70cbf1d1c77dcd0b88bd5d3469",
+    ('ao-small', 1014):
+        "e1f5be56680837752ce98e74352b4cdf74eaa7f677c69fc81208532ababc476d",
+    ('ao-paper-floor', 1011):
+        "d02f68d06fcc72b74d4c7469a7908da33d1be66228746e730cb2438c7e83a0fa",
+    ('ao-small-20W', 1011):
+        "430a412e49fb646e17b2222d67dc96ab592f1526aac81e9740a02248108f9f21",
+    ('ao-small-20W', 1012):
+        "2945d271ec41b7a94ed3328950b0d82bc24da569fe52be1d87920fc1c0f2b349",
+    ('ao-small-unattainable', 1007):
+        "d4cf97e669f1b78cb44c1ab15954700b46116d4a60ea60fe5c03c0c9f2e575ff",
+    ('ao-small-unattainable', 1008):
+        "faed9754d87a138ff8430306b63ba027c847e4c167f87afd227def785f5cad58",
+    ('ao-small-1e9', 1):
+        "d69306f221183674235b0694b186ad6ab0cbccae2aa62ed2899c650a691795b0",
+}
+
+
+def test_ao_and_arms_match_golden_bits():
+    """Every output of the AO and both arms keeps its bits. The digests are
+    the same at one BLAS thread and at two."""
+    got = {(name, seed): ao_item_digest(cfg, seed)
+           for name, (cfg, seeds) in GOLDEN_BIT_ITEMS.items()
+           for seed in seeds}
+    assert got == GOLDEN_BITS
