@@ -313,7 +313,7 @@ def run_convergence(spec):
         sc = build_scenario(cfg, rng)
         ao = alternating_optimize(sc, rng, max_rounds=1)
         first = ao.rounds[0]
-        if first.bandwidth is None:
+        if not ao.allocation.feasible:
             raise InfeasibleError(
                 f"rate requirements unattainable (phi = "
                 f"{ao.allocation.phi:.4f})", ao.allocation.phi)

@@ -216,8 +216,8 @@ def feasibility_check(scenario, allocation, optimize_weights=True):
     Returns (phi, allocation) where phi >= 1 means the requirements are
     attainable; the returned allocation carries the maximizing powers and
     weights. With zero requirements phi is unbounded and reported as inf;
-    a floor that needs an SINR beyond float range gives phi = 0 and a copy
-    of the allocation.
+    an SINR target beyond float range gives phi = 0 and a GP without a
+    feasible point phi = nan, each with a copy of the allocation.
     """
     K = scenario.num_users
     if scenario.config.rate_requirement <= 0:
@@ -241,6 +241,8 @@ def feasibility_check(scenario, allocation, optimize_weights=True):
         sol = solve_gp(problem, np.append(0.0, x0[K:]))
     except GpUnboundedError:
         return math.inf, allocation.copy()
+    except GpInfeasibleError:
+        return math.nan, allocation.copy()
     return float(np.exp(sol.x[0])), _allocation_at(
         scenario, allocation, sol.x[1:], optimize_weights)
 
@@ -278,24 +280,21 @@ class ScaTrace:
 def optimize_power_weights(scenario, allocation, optimize_weights=True):
     """SCA + GP loop for transmit powers and combining weights.
 
-    Starts from max power (and the feasibility solution when requirements
-    are active), iterates tangent surrogates with AM-GM weight bounds, and
-    stops when the relative sum-rate gain drops below EPS_SCA. Weights are
-    renormalized to unit squared norm on exit. Returns (allocation, trace),
-    the allocation carrying the feasibility margin phi; raises
-    InfeasibleError with phi when the requirements are unattainable.
+    Starts from the allocation's powers and weights, or from the
+    feasibility solution when requirements are active, iterates tangent
+    surrogates with AM-GM weight bounds, and stops when the relative
+    sum-rate gain drops below EPS_SCA. Weights are renormalized to unit
+    squared norm on exit. Returns (allocation, trace), the allocation
+    carrying the feasibility margin phi; raises InfeasibleError with phi
+    (nan if unmeasured) when the requirements are unattainable.
     """
-    cfg = scenario.config
     work = allocation.copy()
-    work.powers = np.full(scenario.num_users, cfg.max_power)
-    if cfg.rate_requirement > 0:
-        phi, seeded = feasibility_check(scenario, work,
-                                        optimize_weights=optimize_weights)
-        if phi < 1.0:
+    if scenario.config.rate_requirement > 0:
+        phi, work = feasibility_check(scenario, work,
+                                      optimize_weights=optimize_weights)
+        if not phi >= 1.0:
             raise InfeasibleError(
-                f"rate requirements unattainable (phi = {phi:.4f})", phi
-            )
-        work = seeded
+                f"rate requirements unattainable (phi = {phi:.4f})", phi)
         work.phi = phi
 
     # One SINR evaluation per iterate gives both its objective (the sum
@@ -465,8 +464,8 @@ class AoRound:
 class AoResult:
     """The best allocation, with one AoRound per round started, the one
     that stopped the loop included. If the first round cannot meet the
-    rate floors, the allocation is where that round stopped, marked
-    infeasible with that stage's margin phi (nan if it measured none)."""
+    rate floors, the allocation is where that round stopped, with that
+    stage's margin phi (nan if it measured none), so not ``feasible``."""
 
     allocation: AllocationState
     sum_rate: float
@@ -478,43 +477,51 @@ class AoResult:
         return [r.sum_rate for r in self.rounds if r.bandwidth is not None]
 
 
+def _scheduled_power_stage(scenario, estimates, powers, weights,
+                           optimize_weights):
+    """Schedule at (powers, weights), then run the power stage from the
+    equal split at max power. Returns (allocation, AoRound); where the
+    floors are unattainable, the split with the stage's margin phi."""
+    record = AoRound(schedule_users(scenario, estimates, powers, weights))
+    alloc = equal_split_allocation(scenario, groups=record.schedule.groups,
+                                   weights=weights.copy())
+    try:
+        alloc, record.sca = optimize_power_weights(scenario, alloc,
+                                                   optimize_weights)
+    except InfeasibleError as err:
+        alloc.phi = err.phi
+    return alloc, record
+
+
 def alternating_optimize(scenario, rng, max_rounds=20):
     """Outer loop: scheduling -> power/weights -> bandwidth, keeping the
     best allocation observed."""
     estimates = scheduling_estimates(scenario, rng)
     weights = equal_weights(scenario)
     powers = np.full(scenario.num_users, scenario.config.max_power)
-
-    best = None
-    best_rate = -np.inf
-    prev_rate = 0.0
     rounds = []
     for _ in range(max_rounds):
-        record = AoRound(schedule_users(scenario, estimates, powers, weights))
+        alloc, record = _scheduled_power_stage(scenario, estimates, powers,
+                                               weights, True)
         rounds.append(record)
-        alloc = equal_split_allocation(
-            scenario, groups=record.schedule.groups, powers=powers.copy(),
-            weights=weights.copy(),
-        )
-        try:
-            alloc, record.sca = optimize_power_weights(scenario, alloc)
-            record.bandwidth = optimize_bandwidth(scenario, alloc)
-        except (InfeasibleError, GpInfeasibleError) as err:
-            if best is not None:
+        if alloc.feasible:
+            try:  # safety: the power stage met the floors
+                record.bandwidth = optimize_bandwidth(scenario, alloc)
+            except InfeasibleError as err:
+                alloc.phi = err.phi
+        if record.bandwidth is None:
+            if len(rounds) > 1:
                 break  # the next round would repeat this schedule
-            alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
             return AoResult(alloc, sum_rate(scenario, alloc), rounds)
         alloc = record.bandwidth.allocation
         rate = record.sum_rate = sum_rate(scenario, alloc)
-        if rate > best_rate:
-            best_rate = rate
-            best = alloc
-        powers = alloc.powers.copy()
-        weights = alloc.weights.copy()
-        if prev_rate > 0 and (rate - prev_rate) / rate < EPS_OUTER:
+        powers, weights = alloc.powers, alloc.weights
+        prev = rounds[-2].sum_rate if len(rounds) > 1 else 0.0
+        if prev > 0 and (rate - prev) / rate < EPS_OUTER:
             break
-        prev_rate = rate
-    return AoResult(allocation=best, sum_rate=best_rate, rounds=rounds)
+    best = max((r for r in rounds if r.bandwidth is not None),
+               key=lambda r: r.sum_rate)
+    return AoResult(best.bandwidth.allocation, best.sum_rate, rounds)
 
 
 def estimate_magnitude_weights(scenario, estimates):
@@ -532,8 +539,7 @@ def benchmark_allocation(scenario, rng, weight_mode):
     """Benchmark arms: fixed weights, Algorithm-2 power control only, with
     the same scheduler and equal-split bandwidth. Returns (allocation,
     sum rate); when the rate floors are unattainable the allocation keeps
-    its starting powers and is marked infeasible, with its margin phi."""
-    cfg = scenario.config
+    its starting powers, with its margin phi, so is not ``feasible``."""
     estimates = scheduling_estimates(scenario, rng)
     if weight_mode == "equal":
         weights = equal_weights(scenario)
@@ -541,13 +547,7 @@ def benchmark_allocation(scenario, rng, weight_mode):
         weights = estimate_magnitude_weights(scenario, estimates)
     else:
         raise ValueError(f"unknown benchmark weight mode {weight_mode!r}")
-    powers = np.full(scenario.num_users, cfg.max_power)
-    sched = schedule_users(scenario, estimates, powers, weights)
-    alloc = equal_split_allocation(scenario, groups=sched.groups,
-                                   powers=powers, weights=weights)
-    try:
-        alloc, _ = optimize_power_weights(scenario, alloc,
-                                          optimize_weights=False)
-    except (InfeasibleError, GpInfeasibleError) as err:
-        alloc.feasible, alloc.phi = False, getattr(err, "phi", math.nan)
+    powers = np.full(scenario.num_users, scenario.config.max_power)
+    alloc, _ = _scheduled_power_stage(scenario, estimates, powers, weights,
+                                      False)
     return alloc, sum_rate(scenario, alloc)

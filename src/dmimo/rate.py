@@ -42,20 +42,24 @@ class AllocationState:
     bandwidths holds B_i in Hz; powers[k] is the uplink data power;
     weights[m, k] the combining weight (zero for satellites outside M_k).
     phi is the rate floors' feasibility margin where a feasibility check
-    ran (below 1: unattainable).
+    ran (below 1 or nan: unattainable), which ``feasible`` reads.
     """
 
     groups: list
     bandwidths: np.ndarray
     powers: np.ndarray
     weights: np.ndarray
-    feasible: bool = True
     phi: float = np.inf
 
     def __setattr__(self, name, value):
         if name == "bandwidths":  # a list, when built or assigned, too
             value = np.asarray(value, dtype=float)
         super().__setattr__(name, value)
+
+    @property
+    def feasible(self):
+        """Whether the rate floors are attainable: phi >= 1, False at nan."""
+        return bool(self.phi >= 1.0)
 
     @property
     def band(self):

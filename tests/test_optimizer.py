@@ -277,6 +277,47 @@ def test_sca_keeps_iterate_when_gp_infeasible(default_scenario, monkeypatch):
     assert sum_rate(sc, out) == trace.objectives[-1]
 
 
+def test_power_stage_starts_from_the_given_powers(default_scenario):
+    """Without a floor the SCA loop's first objective is the sum rate of
+    the allocation it is given, here at half the power cap."""
+    sc = default_scenario
+    assert sc.config.rate_requirement == 0
+    alloc = equal_split_allocation(
+        sc, powers=np.full(sc.num_users, sc.config.max_power / 2))
+    _, trace = optimize_power_weights(sc, alloc)
+    assert trace.objectives[0] == sum_rate(sc, alloc)
+
+
+def test_feasibility_gp_without_a_feasible_point_is_unattainable(
+        monkeypatch):
+    """A feasibility GP the solver finds no feasible point of gives phi =
+    nan: the power stage raises InfeasibleError with it, and the AO and
+    both arms return an allocation that is not feasible, with phi nan and
+    its own sum rate."""
+    sc = build_scenario(AO_SMALL.replace(rate_requirement=5e4),
+                        np.random.default_rng(1))
+    solve = dmimo.optimizer.solve_gp
+
+    def no_feasible_point(problem, x0):
+        if problem.objective[0] == 1.0:  # phi's column: the feasibility GP
+            raise GpInfeasibleError("no feasible point found")
+        return solve(problem, x0)
+
+    monkeypatch.setattr(dmimo.optimizer, "solve_gp", no_feasible_point)
+    phi, _ = feasibility_check(sc, equal_split_allocation(sc))
+    assert math.isnan(phi)
+    with pytest.raises(InfeasibleError) as err:
+        optimize_power_weights(sc, equal_split_allocation(sc))
+    assert math.isnan(err.value.phi)
+    res = alternating_optimize(sc, np.random.default_rng(1))
+    results = [(res.allocation, res.sum_rate)] + [
+        benchmark_allocation(sc, np.random.default_rng(1), mode)
+        for mode in ("equal", "estimate")]
+    for alloc, rate in results:
+        assert not alloc.feasible and math.isnan(alloc.phi)
+        assert rate == sum_rate(sc, alloc)
+
+
 @functools.cache
 def _rows_scenario(seed):
     return make_scenario(seed=seed, num_users=6, num_satellites=4,
@@ -908,8 +949,9 @@ def test_ao_result_keeps_one_schedule_per_round(floor, seed):
 def _hand_wired_first_round(scenario, rng):
     """The first round's stages called one by one, as the convergence
     experiment once did: schedule at max power and equal weights, split the
-    band equally, run SCA on powers and weights, then the bandwidth stage.
-    Reference for the round records of alternating_optimize."""
+    band equally, run SCA on powers and weights from max power, then the
+    bandwidth stage. Reference for the round records of
+    alternating_optimize."""
     powers = np.full(scenario.num_users, scenario.config.max_power)
     weights = equal_weights(scenario)
     estimates = scheduling_estimates(scenario, rng)

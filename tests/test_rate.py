@@ -94,11 +94,26 @@ def test_band_index_round_trips(band):
     assert [np.flatnonzero(back == i).tolist()
             for i in range(len(groups))] == groups
     assert scheduled_users(band).tolist() == [k for g in groups for k in g]
+
     alloc = AllocationState(groups=groups, bandwidths=[1.0] * len(groups),
                             powers=np.ones(len(band)),
                             weights=np.ones((1, len(band))))
     assert np.array_equal(alloc.band, band)
     assert np.array_equal(alloc.copy().band, band)
+
+
+@pytest.mark.parametrize("phi, feasible", [(math.inf, True), (1.0, True),
+                                           (0.99, False), (0.0, False),
+                                           (math.nan, False)])
+def test_feasible_is_read_off_phi(default_scenario, phi, feasible):
+    """An allocation is feasible exactly when its margin phi is at least 1
+    (not at nan); the flag cannot be set apart from phi."""
+    alloc = single_band_alloc(default_scenario)
+    alloc.phi = phi
+    assert alloc.feasible is feasible
+    assert alloc.copy().feasible is feasible
+    with pytest.raises(AttributeError):
+        alloc.feasible = not feasible
 
 
 def sinr_los_limit(scenario, allocation, k):
