@@ -1,7 +1,9 @@
 """Rician channel synthesis: UPA steering vectors, antenna correlation, and
 random realizations h = sqrt(a) (sqrt(Kbar) hbar + Delta^{1/2} htilde),
 drawn in the eigenbasis U of Delta, where Delta^{1/2} is diagonal. Every
-consumer of a draw is invariant under one common unitary.
+consumer of a draw is invariant under one common unitary: the Monte Carlo
+terms (inner products of estimates and channels, and estimate norms), the
+scheduler's correlation factors, the estimate-norm weights and the MSE.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class ChannelRealization:
 
 
 def complex_normal(rng, shape):
-    """i.i.d. CN(0, 1) samples: real, then imaginary parts, N(0, 1/2)."""
+    """i.i.d. CN(0, 1) samples: real, then imaginary parts, N(0, 1/2),
+    each drawn into one real buffer of the output's shape, so a draw holds
+    1.5 times its output's bytes."""
     out, buf = np.empty(shape, dtype=complex), np.empty(shape)
     for part in (out.real, out.imag):
         np.multiply(rng.standard_normal(out=buf), 1.0 / np.sqrt(2.0), out=part)

@@ -3,7 +3,12 @@ elevation-to-Rician-factor table.
 
 All powers are linear watts, gains are dBi, and the Rician factors in the
 table are linear (not dB). A config is checked when it is built, so a bad
-value fails at load rather than partway through a run.
+value fails at load rather than partway through a run: every scalar
+field's type (an integer field takes no 5.5, a number field no string),
+the nested ``correlation`` block's keys (``kind``, ``r``), and the Rician
+table, whose rows in JSON are objects with exactly the keys of
+RICIAN_KEYS. A config holds no seed: ``build_scenario(config, rng)`` draws
+from the generator it is given.
 """
 
 from __future__ import annotations

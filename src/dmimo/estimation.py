@@ -54,7 +54,9 @@ def scenario_estimation_stats(scenario):
 def pilot_observations(scenario, h_batch, rng):
     """(obs, mean): a channel batch's (T, M, P, N) centred pilot
     observations, CN(0, sigma^2 I) despread noise plus sqrt(tau p) (h - mean)
-    of each user on the pilot in user order, and the ``link_arrays`` mean."""
+    of each user on the pilot in user order, and the ``link_arrays`` mean.
+    The noise is drawn in U's coordinates: CN(0, sigma^2 I) has the same law
+    in every orthonormal basis."""
     T, M, _, N = h_batch.shape
     mean, _ = link_arrays(scenario)
     obs = complex_normal(rng, (T, M, scenario.config.pilot_length, N))

@@ -168,23 +168,24 @@ class RateContext:
         """(K, K, n, n): w^T Q w, Q = quadratics[k, k'][:n_k, :n_k], is the
         coefficient of p_k' in user k's interference power (k' = k: leakage)
         at k's weights w over M_k in increasing order. Entries can be
-        negative (LoS)."""
-        K = len(self.cohort)
-        ssets = [np.flatnonzero(col) for col in self.serving.T]
-        n = max(len(s) for s in ssets)
+        negative (LoS). One array pass adds the terms of every pair in the
+        order of a per-pair sum, so each entry rounds as that sum would."""
+        K, count = len(self.cohort), self.serving.sum(axis=0)
+        n = count.max()
+        # each user's serving satellites first, ascending, then the others
+        sats = np.argsort(~self.serving.T, axis=1, kind="stable")[:, :n]
+        q, s, t = (a[sats, np.arange(K)[:, None]].transpose(0, 2, 1)[..., None]
+                   for a in (self.q, self.smat, self.tmat))  # (k, k', i, 1)
         c1, c2 = self._pilot_gains
-        out = np.zeros((K, K, n, n))
-        for k, sset in enumerate(ssets):
-            for kp in range(K):
-                Q = np.diag(self.q[sset, k, kp])
-                if kp != k:
-                    s = self.smat[sset, k, kp]
-                    Q += np.real(np.outer(s, s.conj()))
-                    if self.cohort[k, kp]:
-                        t = self.tmat[sset, k, kp]
-                        Q += c1 * (np.outer(s.real, t) + np.outer(t, s.real))
-                        Q += c2 * np.outer(t, t)
-                out[k, kp, :len(sset), :len(sset)] = Q
+        sh, th = s.swapaxes(2, 3), t.swapaxes(2, 3)  # (k, k', 1, i)
+        out = np.where(np.eye(n, dtype=bool), q, 0.0)
+        cohort = self.cohort[:, :, None, None]
+        np.add(out, np.real(s * sh.conj()), out=out,
+               where=~np.eye(K, dtype=bool)[:, :, None, None])
+        np.add(out, c1 * (s.real * th + t * sh.real), out=out, where=cohort)
+        np.add(out, c2 * (t * th), out=out, where=cohort)
+        valid = np.arange(n) < count[:, None, None]
+        np.copyto(out, 0.0, where=~(valid & valid.swapaxes(1, 2))[:, None])
         return out
 
 
@@ -225,7 +226,7 @@ def pair_terms(scenario, powers, weights, context=None):
     become masked sums over all M satellites."""
     if context is None:
         context = scenario.rate_context
-    tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
+    c1, c2 = context._pilot_gains  # tau p and (tau p)^2
     K = scenario.num_users
     w = weights * context.serving
     p = np.asarray(powers, dtype=float)
@@ -235,8 +236,7 @@ def pair_terms(scenario, powers, weights, context=None):
     s = np.einsum("mk,mkj->kj", w, context.smat)
     t = np.einsum("mk,mkj->kj", w, context.tmat)
     i2 = np.abs(s) ** 2 * ~np.eye(K, dtype=bool)
-    i3 = (2.0 * tau * np.sqrt(pp * pp) * t * s.real
-          + tau ** 2 * pp * pp * t ** 2) * context.cohort
+    i3 = (2.0 * c1 * t * s.real + c2 * t ** 2) * context.cohort
     return PairTerms(ds=ds, signal=p * ds ** 2,
                      noise_gain=(w ** 2 * context.gamma).sum(axis=0),
                      interference=p * (i1 + i2 + i3))
@@ -308,11 +308,17 @@ def sum_rate(scenario, allocation, context=None):
 # bound is the tests' reference, in tests/conftest.py.
 
 
+def _require_scheduled(band, k):
+    """Refuse k unless it is a user index 0..K-1 with a sub-band in `band`."""
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < len(band)
+            and band[k] >= 0):
+        raise ContractError(f"user {k!r} is not a scheduled user index")
+
+
 def sinr_lower_bound(scenario, allocation, k, context=None):
     """User k's ``sinr_all`` entries as ``sinr_lb`` and ``rate_lb`` (bit/s);
-    an unscheduled user is refused."""
-    if allocation.band[k] < 0:
-        raise ContractError(f"user {k} is not scheduled in any sub-band")
+    a user not in 0..K-1 or unscheduled is refused."""
+    _require_scheduled(allocation.band, k)
     res = sinr_all(scenario, allocation, context)
     return SimpleNamespace(sinr_lb=res.sinr[k], rate_lb=res.rate[k])
 
@@ -361,7 +367,7 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     scalars; T <= MC_BLOCK is one block. The ergodic rate uses the genie
     decomposition: the desired-signal power is the deterministic |DS|^2;
     leakage, interference, and noise powers are instantaneous per
-    realization. An unscheduled user is refused before anything is drawn.
+    realization. A user not in 0..K-1 or unscheduled is refused first.
     """
     if trials < MIN_TRIALS:
         raise ContractError(f"need at least {MIN_TRIALS} trials")
@@ -371,8 +377,7 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     if len(set(users)) != len(users):
         raise ContractError("each user may be requested once")
     for k in users:
-        if band[k] < 0:
-            raise ContractError(f"user {k} is not scheduled in any sub-band")
+        _require_scheduled(band, k)
 
     terms = pair_terms(scenario, allocation.powers, allocation.weights)
     closed = sinr_in_bands(scenario, terms, band, allocation.bandwidths)

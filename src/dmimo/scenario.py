@@ -157,7 +157,8 @@ def build_scenario(config, rng):
 
     Each link draws an elevation uniformly in the configured band and an
     azimuth uniformly in [0, 2pi); distance follows from the spherical-Earth
-    slant-range formula at the configured altitude.
+    slant-range formula at the configured altitude. The LoS vectors of all
+    links are formed from those angles in one ``steering_vector`` call.
     """
     M, K = config.num_satellites, config.num_users
     beta, rician = np.empty((M, K)), np.empty((M, K))

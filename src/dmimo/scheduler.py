@@ -156,7 +156,7 @@ def schedule_users(scenario, estimates, powers, weights):
     Partition scores are kept by band index for the call; for the life of
     ``scenario.rate_context``, colorings by adjacency and Schedules by
     (rho, powers, weights). All are pure functions of those keys and the
-    scenario.
+    scenario. A repeated call returns a copy of the earlier Schedule.
     """
     cfg = scenario.config
     K = scenario.num_users

@@ -221,6 +221,13 @@ def test_schedule_compare_outputs(tmp_path):
                for t in timings)
 
 
+def test_schedule_compare_refuses_more_than_ten_users(tmp_path):
+    """The exhaustive arm's own guard refuses K = 11."""
+    spec = spec_for("schedule-compare", tmp_path, trials=1, user_grid=(11,))
+    with pytest.raises(ValueError, match="exhaustive search refused"):
+        run_experiment(spec)
+
+
 def test_convergence_outputs(tmp_path):
     spec = spec_for("convergence", tmp_path, trials=1,
                     antenna_grid=((4, 4), (6, 6)))

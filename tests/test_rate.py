@@ -78,6 +78,24 @@ def test_unscheduled_user_rejected(default_scenario):
     assert list(res.users) == [0, 1]
 
 
+def test_out_of_range_user_refused_before_drawing(default_scenario):
+    """A user index that is not an integer in 0..K-1 is refused with
+    ContractError by the engine, before it draws, and by the one-user
+    bound; -1 is not read as the last user."""
+    sc = default_scenario
+    K = sc.num_users
+    alloc = single_band_alloc(sc)
+    for users in ((-1,), (K,), (-1, K - 1), (1.0,)):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ContractError):
+            monte_carlo_users(sc, alloc, 100, rng, users=users)
+        assert rng.standard_normal() == \
+            np.random.default_rng(0).standard_normal()
+    for k in (-1, K):
+        with pytest.raises(ContractError):
+            dmimo.rate.sinr_lower_bound(sc, alloc, k)
+
+
 @given(st.lists(st.integers(min_value=-1, max_value=4), min_size=1,
                 max_size=9))
 @settings(max_examples=200, deadline=None)
