@@ -134,9 +134,9 @@ class SystemConfig:
             raise ConfigError("no feasible partition: I * N_max < K")
         if not 0 < self.cluster_size <= self.num_satellites:
             raise ConfigError("cluster size must satisfy 0 < |M_k| <= M")
-        for name in ("pilot_power", "max_power", "total_bandwidth",
-                     "noise_temperature", "boltzmann", "carrier_frequency",
-                     "antenna_spacing_ratio", "altitude"):
+        for name in ("antennas_x", "antennas_y", "pilot_power", "max_power",
+                     "total_bandwidth", "noise_temperature", "boltzmann",
+                     "carrier_frequency", "antenna_spacing_ratio", "altitude"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
         if self.rate_requirement < 0:
@@ -149,17 +149,21 @@ class SystemConfig:
         return self.antennas_x * self.antennas_y
 
     def _check_rician_rows(self):
-        """Rows are three numbers and, without an override, cover every
-        elevation in [elevation_min_deg, elevation_max_deg)."""
+        """Rows are three numbers and Rician factors nonnegative; the elevation
+        band lies in [0, 90] and, without an override, the rows cover it."""
         for i, row in enumerate(self.rician_records):
             if not (isinstance(row, tuple) and len(row) == 3
                     and all(map(_is_real, row))):
                 raise ConfigError(
                     f"rician_records[{i}] must be three finite numbers "
                     f"(min_deg, max_deg, k_linear), not {row!r}")
+        if min((k for *_, k in self.rician_records), default=0.0) < 0 \
+                or (self.rician_override or 0.0) < 0:
+            raise ConfigError("Rician factors must be nonnegative")
         lo, hi = self.elevation_min_deg, self.elevation_max_deg
-        if lo > hi:
-            raise ConfigError("elevation_min_deg exceeds elevation_max_deg")
+        if not 0.0 <= lo <= hi <= 90.0:
+            raise ConfigError("elevation bounds must satisfy 0 <= "
+                              "elevation_min_deg <= elevation_max_deg <= 90")
         at, covered = lo, self.rician_override is not None
         while not covered:
             reach = max((b for a, b, _ in self.rician_records if a <= at < b),

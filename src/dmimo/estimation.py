@@ -71,10 +71,13 @@ def pilot_observations(scenario, h_batch, rng):
 def link_estimates(scenario, obs, mean, k, sats, out=None):
     """Estimates of the users `k` at the satellites `sats`, each an index,
     an index array or a slice (not both arrays): sqrt(tau p) filt times the
-    user's pilot observation, plus the LoS mean."""
+    user's pilot observation, plus the LoS mean. A gathered copy of `obs`
+    is scaled in place; a view of it is never written."""
     st = scenario.estimation_stats
-    out = np.multiply(obs[:, sats, scenario.pilots[k], :],
-                      np.sqrt(st.tau_p) * st.filt[sats, k], out=out)
+    picked = obs[:, sats, scenario.pilots[k], :]
+    if out is None and not np.may_share_memory(picked, obs):
+        out = picked
+    out = np.multiply(picked, np.sqrt(st.tau_p) * st.filt[sats, k], out=out)
     out += mean[sats, k]
     return out
 

@@ -55,7 +55,6 @@ class ExperimentSpec:
     seed: int
     trials: int
     out_dir: Path
-    paper_scale: bool = False
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -64,6 +63,8 @@ class ExperimentSpec:
         floor = EXPERIMENTS[self.name].min_trials
         if self.trials < floor:
             raise ValueError(f"{self.name} needs trials >= {floor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
         self.out_dir = Path(self.out_dir)
 
 
@@ -104,7 +105,6 @@ def write_manifest(spec, extra=None):
         "experiment": spec.name,
         "seed": spec.seed,
         "trials": spec.trials,
-        "paper_scale": spec.paper_scale,
         "config": spec.config.to_dict(),
         "build": build_identifier(),
         "versions": {
@@ -155,12 +155,6 @@ def write_plot_script(path, csv_name, title, xlabel, ylabel, plots,
         f.write("\n".join(lines) + "\n")
 
 
-def _paper_scale(config, flag):
-    if flag:
-        return config.replace(antennas_x=10, antennas_y=10)
-    return config
-
-
 def _spawn_rngs(seed, n):
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(n)]
@@ -173,8 +167,7 @@ def _spawn_rngs(seed, n):
 
 def run_nmse_sweep(spec):
     """Closed-form vs Monte Carlo estimation error across Rician factors."""
-    cfg = _paper_scale(spec.config, spec.paper_scale)
-    base = build_scenario(cfg, np.random.default_rng(spec.seed))
+    base = build_scenario(spec.config, np.random.default_rng(spec.seed))
     rows = []
     grid = spec.extras.get("rician_grid", NMSE_GRID)
     rngs = _spawn_rngs(spec.seed, len(grid))
@@ -210,10 +203,9 @@ def run_nmse_sweep(spec):
 def run_bound_validation(spec):
     """Closed-form rate lower bound vs Monte Carlo ergodic rate, from one
     shared channel draw per Rician point."""
-    cfg = _paper_scale(spec.config, spec.paper_scale)
     # high-SNR data/pilot power, 10 W, so the bound's Rician saturation
     # is visible
-    cfg = cfg.replace(max_power=10.0, pilot_power=10.0)
+    cfg = spec.config.replace(max_power=10.0, pilot_power=10.0)
     base = build_scenario(cfg, np.random.default_rng(spec.seed))
     grid = spec.extras.get("rician_grid", RICIAN_GRID)
     rngs = _spawn_rngs(spec.seed, len(grid))
@@ -238,7 +230,7 @@ def run_bound_validation(spec):
         "sum rate (bit/s)",
         [("2:3", "closed-form lower bound"), ("2:4", "MC ergodic rate"),
          ("2:6", "bound from MC terms")],
-        logx=True,
+        logx=True, extra={"config": cfg.to_dict()},
     )
 
 
@@ -258,9 +250,8 @@ def run_schedule_compare(spec):
     rows = []
     timings = []
     for K in grid:
-        cfg = _paper_scale(_cluster_config(spec.config, K, subband_capacity=3,
-                                           pilot_length=K - 1),
-                           spec.paper_scale)
+        cfg = _cluster_config(spec.config, K, subband_capacity=3,
+                              pilot_length=K - 1)
         rng = np.random.default_rng(spec.seed + K)
         sc = build_scenario(cfg, rng)
         powers = np.full(K, cfg.max_power)
@@ -359,8 +350,8 @@ def run_benchmark(spec):
     seeds = spec.trials
     rows = []
     for K in grid:
-        rates, feasible = zip(*benchmark_arm_rates(
-            _paper_scale(spec.config, spec.paper_scale), K, spec.seed, seeds))
+        rates, feasible = zip(*benchmark_arm_rates(spec.config, K, spec.seed,
+                                                   seeds))
         arms = ("proposed", "benchmark1", "benchmark2")
         for arm, arm_rates, met in zip(arms, zip(*rates), zip(*feasible)):
             mean = float(np.mean(arm_rates))
@@ -402,8 +393,9 @@ def run_experiment(spec):
 
 def main(argv=None):
     """The ``dmimo`` command. A ``--config`` that cannot be loaded or
-    validated, or too few ``--trials``, is a usage error (exit 2) naming the
-    problem; unattainable rate floors exit 1 with one line on stderr."""
+    validated, too few ``--trials`` or a negative ``--seed`` is a usage
+    error (exit 2) naming the problem; unattainable rate floors exit 1 with
+    one line on stderr."""
     parser = argparse.ArgumentParser(
         prog="dmimo",
         description="Distributed-MIMO LEO resource-allocation experiments",
@@ -417,8 +409,6 @@ def main(argv=None):
         p.add_argument("--trials", type=int,
                        default=EXPERIMENTS[name].default_trials)
         p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--paper-scale", action="store_true",
-                       help="run with a 10x10 (N=100) antenna array")
     args = parser.parse_args(argv)
     try:
         config = (SystemConfig() if args.config is None
@@ -428,7 +418,7 @@ def main(argv=None):
     try:
         spec = ExperimentSpec(
             name=args.experiment, config=config, seed=args.seed,
-            trials=args.trials, out_dir=args.out, paper_scale=args.paper_scale,
+            trials=args.trials, out_dir=args.out,
         )
     except ValueError as err:
         parser.error(str(err))

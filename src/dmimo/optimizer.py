@@ -90,10 +90,11 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
 
     Columns: chi_k at k, p_k at K + k, then, with optimize_weights, each
     user's weights w_{m,k}, m in M_k increasing, user by user: the order
-    of ``weights.T[serving.T]``. Constraints, in order: chi_k <= SINR_k^LB
-    for each scheduled user in group order, each followed by the rate floor
-    chi_k >= gamma_req when ``floors`` and a requirement is set; then for
-    every user p_k <= P_max and, with optimize_weights, sum_m w_{m,k}^2 <= 1.
+    of ``weights[scenario.serving_links].ravel()``. Constraints, in order:
+    chi_k <= SINR_k^LB for each scheduled user in group order, each
+    followed by the rate floor chi_k >= gamma_req when ``floors`` and a
+    requirement is set; then for every user p_k <= P_max and, with
+    optimize_weights, sum_m w_{m,k}^2 <= 1.
 
     chi_k <= SINR_k^LB is chi_k D_k(p, w) / N_k(p, w) <= 1. Each nonzero
     entry Q[i, j] of ``scenario.rate_context.quadratics[k, k']``, k' in
@@ -106,25 +107,18 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     its weights), which map in order to the global ones. Returns (x0, logs,
     row, col, value, starts), x0 the anchor in log domain.
     """
-    K, serving = scenario.num_users, scenario.serving.T
+    K, n = scenario.num_users, scenario.config.cluster_size
+    link = scenario.serving_links
     points = [np.maximum(chi, 1e-30), allocation.powers]
     if optimize_weights:
-        points.append(np.maximum(allocation.weights.T[serving], 1e-12))
+        points.append(np.maximum(allocation.weights[link].ravel(), 1e-12))
     x0 = np.log(np.concatenate(points))
     context = scenario.rate_context
-    # Serving sets are padded to the largest, n, bands to the largest, G:
-    # a padded term's coefficient is zero, so its row is dropped.
     Q = context.quadratics
-    n, size = Q.shape[-1], serving.sum(axis=1)
-    valid = np.arange(n) < size[:, None]
-    sat, wcol = np.zeros((2, K, n), dtype=np.intp)
-    sat[valid] = np.nonzero(serving)[1]
-    wcol[valid] = 2 * K + np.arange(size.sum())
+    wcol = 2 * K + np.arange(K * n).reshape(K, n)
     users = scheduled_users(allocation.band)  # in group order
     band, U = allocation.band[users], len(users)
-    link = sat, np.arange(K)[:, None]
-    gamma, w = np.where(valid, [context.gamma[link], allocation.weights[link]],
-                        0.0)[:, users]
+    gamma, w = context.gamma[link][users], allocation.weights[link][users]
     slot = np.arange(U) - np.searchsorted(band, band)  # place in its band
     G = slot.max() + 1
     table = np.full((band[-1] + 1, G), -1)  # the bands, padded with -1
@@ -134,7 +128,8 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
 
     # User u's rows: n * n per group mate (Q row by row), n noise rows and
     # a last one holding gamma_req, which becomes the rate floor; their
-    # exponents over u's own columns are one pattern e for every user.
+    # exponents over u's own columns are one pattern e for every user. A
+    # padded mate's (-1) terms are zero, so their rows are dropped.
     q = np.where(mates[:, :, None, None] >= 0, Q[users[:, None], mates], 0.0)
     noise = np.array([scenario.subband_noise(b)
                       for b in allocation.bandwidths])[band, None] * gamma
@@ -173,7 +168,7 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     # each row's constraint: per user slot its SINR constraint, then its
     # floor if it has one; then per user k p_k <= P_max and its weight norm
     k, j = np.nonzero(np.column_stack([np.ones(K, dtype=bool),
-                                       valid & optimize_weights]))
+                                       np.full((K, n), optimize_weights)]))
     unit = np.column_stack([K + np.arange(K), wcol])[k, j]
     con = np.append(2 * kept + floor, 2 * (U + k) + (j > 0))
     logs = np.append(logs, np.where(
@@ -192,7 +187,7 @@ def _allocation_at(scenario, allocation, x, optimize_weights):
     out = allocation.copy()
     out.powers = np.minimum(np.exp(x[:K]), scenario.config.max_power)
     if optimize_weights:
-        out.weights.T[scenario.serving.T] = np.exp(x[K:])
+        out.weights[scenario.serving_links] = np.exp(x[K:]).reshape(K, -1)
     out.weights = normalize_weights(scenario, out.weights)
     return out
 

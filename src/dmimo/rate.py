@@ -129,7 +129,7 @@ class RateContext:
                    q3 = tau p^p tr(R' R Psi R)
     tmat[m, k, k'] = tr(R_k Psi_k R_k')          (real, >= 0)
     smat[m, k, k'] = sqrt(Kbar a Kbar' a') hbar^H hbar'   (complex)
-    serving = scenario.serving, the (M, K) bool serving mask
+    serving, serving_links = scenario.serving, scenario.serving_links
     cohort[k, k'] = k' != k shares k's pilot
 
     Built from the spectra of ``scenario.estimation_stats`` in the basis U
@@ -159,22 +159,20 @@ class RateContext:
         self.smat = amp[:, :, None] * amp[:, None, :] \
             * (hbar.conj() @ hbar.transpose(0, 2, 1))
         self.serving = scenario.serving
+        self.serving_links = scenario.serving_links
         self.cohort = scenario.cohort & ~np.eye(K, dtype=bool)
         tau, pp = scenario.config.pilot_length, scenario.config.pilot_power
         self._pilot_gains = (tau * pp, tau * tau * pp * pp)
 
     @cached_property
     def quadratics(self):
-        """(K, K, n, n): w^T Q w, Q = quadratics[k, k'][:n_k, :n_k], is the
-        coefficient of p_k' in user k's interference power (k' = k: leakage)
-        at k's weights w over M_k in increasing order. Entries can be
+        """(K, K, n, n): w^T Q w, Q = quadratics[k, k'], is the coefficient
+        of p_k' in user k's interference power (k' = k: leakage) at k's
+        weights w over its n serving satellites, ascending. Entries can be
         negative (LoS). One array pass adds the terms of every pair in the
         order of a per-pair sum, so each entry rounds as that sum would."""
-        K, count = len(self.cohort), self.serving.sum(axis=0)
-        n = count.max()
-        # each user's serving satellites first, ascending, then the others
-        sats = np.argsort(~self.serving.T, axis=1, kind="stable")[:, :n]
-        q, s, t = (a[sats, np.arange(K)[:, None]].transpose(0, 2, 1)[..., None]
+        K, n = self.serving_links[0].shape
+        q, s, t = (a[self.serving_links].transpose(0, 2, 1)[..., None]
                    for a in (self.q, self.smat, self.tmat))  # (k, k', i, 1)
         c1, c2 = self._pilot_gains
         sh, th = s.swapaxes(2, 3), t.swapaxes(2, 3)  # (k, k', 1, i)
@@ -184,8 +182,6 @@ class RateContext:
                where=~np.eye(K, dtype=bool)[:, :, None, None])
         np.add(out, c1 * (s.real * th + t * sh.real), out=out, where=cohort)
         np.add(out, c2 * (t * th), out=out, where=cohort)
-        valid = np.arange(n) < count[:, None, None]
-        np.copyto(out, 0.0, where=~(valid & valid.swapaxes(1, 2))[:, None])
         return out
 
 

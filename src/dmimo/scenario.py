@@ -79,7 +79,18 @@ class Scenario:
     rician: np.ndarray  # (M, K) Rician factors Kbar
     los: np.ndarray  # (M, K, N) LoS vectors hbar, unit-modulus entries
     pilots: np.ndarray  # (K,) each user's pilot index, 0..tau-1
-    serving_sets: tuple  # serving_sets[k] -> sorted np.intp satellite indices
+    serving_sets: np.ndarray  # (K, cluster_size) np.intp, rows ascending
+
+    def __post_init__(self):
+        sets = self.serving_sets
+        if not (isinstance(sets, np.ndarray) and sets.dtype == np.intp
+                and sets.shape == (self.num_users, self.config.cluster_size)):
+            raise DomainError("serving sets must be one (K, cluster_size) "
+                              "np.intp array")
+        if not ((np.diff(sets, axis=1) > 0).all()
+                and 0 <= sets.min() <= sets.max() < self.num_satellites):
+            raise DomainError("each serving set must list distinct "
+                              "satellites of 0..M-1 in ascending order")
 
     @property
     def num_satellites(self):
@@ -103,9 +114,14 @@ class Scenario:
     def serving(self):
         """(M, K) bool: serving[m, k] where satellite m serves user k."""
         mask = np.zeros((self.num_satellites, self.num_users), dtype=bool)
-        for k, sset in enumerate(self.serving_sets):
-            mask[sset, k] = True
+        mask[self.serving_links] = True
         return mask
+
+    @property
+    def serving_links(self):
+        """The index of the serving links: an (M, K) array indexed by it
+        gives the (K, cluster_size) entries of each user's serving set."""
+        return self.serving_sets, np.arange(self.num_users)[:, None]
 
     @cached_property
     def cohort(self):
@@ -146,7 +162,9 @@ class Scenario:
     def with_rician(self, kbar):
         """Copy with every link's Rician factor set to kbar (for sweeps).
         Delta depends only on the config, which the copy keeps, so the
-        copy shares this scenario's correlation."""
+        copy shares this scenario's correlation. kbar < 0 is refused."""
+        if not kbar >= 0:
+            raise DomainError("Rician factor must be nonnegative")
         copy = replace(self, rician=np.full(self.rician.shape, float(kbar)))
         vars(copy)["correlation"] = self.correlation
         return copy
@@ -175,7 +193,7 @@ def build_scenario(config, rng):
     los = steering_vector(elev, azim, config.antennas_x, config.antennas_y,
                           config.antenna_spacing_ratio)
     pilots = assign_pilots_random(K, config.pilot_length, rng)
-    serving = tuple(select_serving_satellites(beta[:, k], config.cluster_size)
-                    for k in range(K))
+    serving = np.array([select_serving_satellites(b, config.cluster_size)
+                        for b in beta.T], dtype=np.intp)
     return Scenario(config=config, beta=beta, rician=rician, los=los,
                     pilots=pilots, serving_sets=serving)

@@ -98,13 +98,6 @@ def dsatur_color(adjacency, capacity):
     return np.array(color, dtype=np.intp), len(class_size)
 
 
-def validate_schedule(schedule, num_users, num_bands, capacity):
-    """Structural check of the partition/capacity/disjointness constraints."""
-    users = sorted(k for g in schedule.groups for k in g)
-    return users == list(range(num_users)) and len(schedule.groups) \
-        <= num_bands and all(0 < len(g) <= capacity for g in schedule.groups)
-
-
 def _floored_sum_rate(res, requirement):
     """The scheduled users' rates of the SinrArrays `res` summed in group
     order, as ``sum_rate`` adds them, or None when a user misses a positive

@@ -313,13 +313,14 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
 
 def manual_scenario(config, beta, rician, los, pilots, serving_sets):
     """A Scenario given by hand: (M, K) gains and Rician factors, (M, K, N)
-    LoS vectors, each user's pilot and serving set."""
+    LoS vectors, each user's pilot and serving set (each of the config's
+    cluster size)."""
     return Scenario(
         config=config, beta=np.asarray(beta, dtype=float),
         rician=np.asarray(rician, dtype=float),
         los=np.asarray(los, dtype=complex), pilots=np.asarray(pilots),
-        serving_sets=tuple(np.array(sorted(s), dtype=np.intp)
-                           for s in serving_sets),
+        serving_sets=np.array([sorted(s) for s in serving_sets],
+                              dtype=np.intp),
     )
 
 
@@ -330,11 +331,18 @@ def clone_user(scenario, k, into):
                                  scenario.los)]
     for a in arrays:
         a[:, into] = a[:, k]
-    sets = list(scenario.serving_sets)
+    sets = scenario.serving_sets.copy()
     sets[into] = sets[k]
     beta, rician, los = arrays
     return replace(scenario, beta=beta, rician=rician, los=los,
-                   serving_sets=tuple(sets))
+                   serving_sets=sets)
+
+
+def validate_schedule(schedule, num_users, num_bands, capacity):
+    """Structural check of the partition/capacity/disjointness constraints."""
+    users = sorted(k for g in schedule.groups for k in g)
+    return users == list(range(num_users)) and len(schedule.groups) \
+        <= num_bands and all(0 < len(g) <= capacity for g in schedule.groups)
 
 
 def score_partition_reference(scenario, groups, terms):

@@ -19,6 +19,7 @@ from conftest import (
     make_scenario,
     manual_scenario,
     sinr_lower_bound,
+    validate_schedule,
     with_correlation,
 )
 from dmimo.config import CorrelationModel, SystemConfig
@@ -45,7 +46,6 @@ from dmimo.scheduler import (
     dsatur_color,
     exhaustive_schedule,
     schedule_users,
-    validate_schedule,
 )
 
 

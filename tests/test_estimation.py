@@ -25,8 +25,10 @@ from dmimo.channel import complex_normal, link_arrays, sample_channel_batch
 from dmimo.config import ConfigError, CorrelationModel, SystemConfig
 from dmimo.estimation import (
     estimate_batch,
+    link_estimates,
     mse,
     nmse,
+    pilot_observations,
     scenario_estimation_stats,
 )
 from dmimo.rate import RateContext
@@ -206,6 +208,27 @@ def test_estimate_batch_defaults_to_cached_stats(default_scenario):
     noise = _pilot_noise(sc, 8, 1)
     ref = _estimate_per_user(sc, h, noise, scenario_estimation_stats(sc))
     assert np.array_equal(hhat, ref)
+
+
+def test_link_estimates_leave_the_observations_unchanged(default_scenario):
+    """link_estimates gives estimate_batch's estimates and writes nothing
+    to the observations: neither with a slice of satellites, whose pick is
+    a view of them, nor with an array of users, whose pick is a copy that
+    it scales in place."""
+    sc = default_scenario
+    h, _ = sample_channel_batch(sc, np.random.default_rng(0), 8)
+    hhat = estimate_batch(sc, h, np.random.default_rng(1))
+    obs, mean = pilot_observations(sc, h, np.random.default_rng(1))
+    before = obs.copy()
+    users = np.arange(sc.num_users)
+    for k, sats, ref in ((0, slice(None), hhat[:, :, 0]),
+                         (users, 1, hhat[:, 1]),
+                         (users[::-2], slice(1, 3), None),
+                         (3, 2, hhat[:, 2, 3])):
+        got = link_estimates(sc, obs, mean, k, sats)
+        assert np.array_equal(obs, before)
+        if ref is not None:
+            assert np.array_equal(got, ref)
 
 
 def _pilot_noise(scenario, trials, seed):

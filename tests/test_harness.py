@@ -70,6 +70,18 @@ def test_cli_rejects_unusable_trials(name, trials, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["bound-validate", "schedule-compare"])
+def test_cli_rejects_a_negative_seed(name, tmp_path, capsys):
+    """A negative seed ends in a usage error before the output directory
+    is made, not in a traceback from numpy or a run at seed + K."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "--seed", "-1", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "seed must be nonnegative, not -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, trials", [("nmse-sweep", 2),
                                           ("bound-validate", MIN_TRIALS)])
 def test_rician_sweep_makes_one_eigh(name, trials, tmp_path, monkeypatch):
@@ -112,12 +124,21 @@ def test_rician_sweep_makes_one_eigh(name, trials, tmp_path, monkeypatch):
      "rician_records[0] must be three finite numbers"),
     ('{"rician_records": [{"min_deg": 0, "max_deg": 10, "k_linear": 1}]}',
      "rician_records do not cover elevation 20 deg of [20, 20.1)"),
+    ('{"rician_override": -0.5}', "Rician factors must be nonnegative"),
+    ('{"rician_records": [{"min_deg": 0, "max_deg": 90, "k_linear": -2}]}',
+     "Rician factors must be nonnegative"),
+    ('{"antennas_x": 0}', "antennas_x must be strictly positive"),
+    ('{"elevation_min_deg": -1, "rician_override": 1}',
+     "elevation bounds must satisfy 0 <= elevation_min_deg"),
+    ('{"elevation_max_deg": 91, "rician_override": 1}',
+     "elevation bounds must satisfy 0 <= elevation_min_deg"),
 ])
 def test_cli_reports_a_bad_config(text, message, tmp_path, capsys):
     """A missing file, invalid JSON, an unknown field (nested ones
     included), a wrongly typed value, a malformed or short Rician table
-    and an invalid config each end in a usage error that names the file
-    and the field, not in a traceback or a run with a default."""
+    and an invalid or unphysical config each end in a usage error that
+    names the file and the field, not in a traceback or a run with a
+    default."""
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     if text is not None:
         path.write_text(text)
@@ -440,6 +461,26 @@ def test_cli_config_roundtrip(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["config"]["num_users"] == 4
+
+
+def test_paper_scale_config_is_the_default_at_10x10():
+    """The paper's N = 100 array is set by a config, as every other
+    parameter is: configs/paper-scale.json is the default at 10 x 10."""
+    cfg = SystemConfig.from_json(Path(__file__).resolve().parents[1]
+                                 / "configs" / "paper-scale.json")
+    assert cfg == SystemConfig().replace(antennas_x=10, antennas_y=10)
+
+
+def test_bound_validate_manifest_records_the_powers_that_ran(tmp_path):
+    """bound-validate runs at 10 W data and pilot power, and its manifest
+    records that config, not the caller's 0.2 W."""
+    run_experiment(spec_for("bound-validate", tmp_path, trials=MIN_TRIALS,
+                            rician_grid=(10.0,)))
+    config = json.loads((tmp_path / "run-manifest.json").read_text())[
+        "config"]
+    assert config["max_power"] == 10.0 and config["pilot_power"] == 10.0
+    assert SystemConfig.from_dict(config) == SystemConfig().replace(
+        max_power=10.0, pilot_power=10.0)
 
 
 def test_build_identifier_stable():

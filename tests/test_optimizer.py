@@ -25,6 +25,7 @@ from conftest import (
     make_scenario,
     manual_scenario,
     sinr_lower_bound,
+    validate_schedule,
 )
 from dmimo.config import SystemConfig
 from dmimo.gp import (GpInfeasibleError, GpProblem, GpUnboundedError,
@@ -56,7 +57,7 @@ from dmimo.rate import (
     sum_rate,
 )
 from dmimo.scenario import build_scenario
-from dmimo.scheduler import Schedule, schedule_users, validate_schedule
+from dmimo.scheduler import Schedule, schedule_users
 
 LN2 = math.log(2.0)
 
@@ -549,41 +550,41 @@ def test_gp_rows_match_reference_on_negative_terms_and_infeasible():
     assert _assert_rows_match(sc, alloc, _sca_anchor(sc, alloc))
 
 
-def _unequal_serving_scenario():
-    """Serving sets of one, two and three satellites, two users sharing a
-    pilot, and LoS vectors whose cross products are negative."""
+def _hand_built_scenario():
+    """Serving sets of two of three satellites, each pair of them used, two
+    users sharing a pilot, and LoS vectors whose cross products are
+    negative."""
     cfg = SystemConfig(num_satellites=3, num_users=4, antennas_x=2,
                        antennas_y=1, num_subbands=2, pilot_length=3,
-                       cluster_size=1, subband_capacity=3,
+                       cluster_size=2, subband_capacity=3,
                        rate_requirement=1e4)
     los = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1j], [-1.0, 1j]])
     m, k = np.ogrid[:3, :4]
     return manual_scenario(cfg, beta=1e-12 * (1 + m + k),
                            rician=np.broadcast_to(2.0 + m, (3, 4)),
                            los=los[(m + k) % 4], pilots=(0, 1, 0, 2),
-                           serving_sets=[{0}, {0, 1, 2}, {1, 2}, {2, 0}])
+                           serving_sets=[{0, 1}, {0, 2}, {1, 2}, {2, 0}])
 
 
 def test_quadratics_match_the_per_pair_reference_bits():
     """RateContext.quadratics, built in one array pass, holds the bytes of
-    _reference_quadratics stacked pair by pair and padded with +0.0, on
-    unequal serving sets and on an ao-small system."""
-    for sc in (_unequal_serving_scenario(),
+    _reference_quadratics stacked pair by pair, on the hand-built system
+    and on an ao-small system."""
+    for sc in (_hand_built_scenario(),
                build_scenario(AO_SMALL, np.random.default_rng(1011))):
-        ctx, K = sc.rate_context, sc.num_users
-        n = max(map(len, sc.serving_sets))
+        ctx, K, n = sc.rate_context, sc.num_users, sc.config.cluster_size
         ref = np.zeros((K, K, n, n))
         for k in range(K):
-            sset, mats = _reference_quadratics(sc, ctx, k, range(K))
-            for kp, Q in mats.items():
-                ref[k, kp, :len(sset), :len(sset)] = Q
+            for kp, Q in _reference_quadratics(sc, ctx, k,
+                                               range(K))[1].items():
+                ref[k, kp] = Q
         assert ctx.quadratics.tobytes() == ref.tobytes()
 
 
-def test_gp_rows_match_reference_with_unequal_serving_sets():
-    """The unequal serving sets; the second schedule lists its groups out
-    of order, and its rows come ascending."""
-    sc = _unequal_serving_scenario()
+def test_gp_rows_match_reference_on_a_hand_built_system():
+    """The hand-built system; the second schedule lists its groups out of
+    order, and its rows come ascending."""
+    sc = _hand_built_scenario()
     for groups in ([[0, 1, 2], [3]], [[3, 1], [2, 0]]):
         alloc = equal_split_allocation(sc, groups=groups)
         assert _assert_rows_match(sc, alloc, np.ones(4))

@@ -782,8 +782,8 @@ def test_monte_carlo_users_draw_order():
                          cluster_size=2, pilot_length=3,
                          subband_capacity=3)
     ssets = ([0, 2], [0, 1], [1, 2], [0, 2], [0, 1])
-    sc = dataclasses.replace(base, serving_sets=tuple(
-        np.array(s, dtype=np.intp) for s in ssets))
+    sc = dataclasses.replace(base, serving_sets=np.array(ssets,
+                                                         dtype=np.intp))
     alloc = equal_split_allocation(sc, groups=[[0, 2, 4], [1, 3]])
     users = [3, 0, 1]
     M, K, N = sc.num_satellites, sc.num_users, sc.num_antennas

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -141,6 +142,53 @@ def test_with_rician_keeps_the_rest_and_the_correlation():
 def test_config_rejects_infeasible_partition():
     with pytest.raises(ConfigError):
         SystemConfig(num_users=5, num_subbands=2, subband_capacity=2)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"rician_override": -0.5}, "Rician factors must be nonnegative"),
+    ({"rician_override": -1.0}, "Rician factors must be nonnegative"),
+    ({"rician_records": ((0.0, 90.001, -2.0),)},
+     "Rician factors must be nonnegative"),
+    ({"antennas_x": 0}, "antennas_x must be strictly positive"),
+    ({"antennas_y": -1}, "antennas_y must be strictly positive"),
+    ({"elevation_min_deg": -5.0, "rician_override": 3.0}, "elevation bounds"),
+    ({"elevation_max_deg": 95.0, "rician_override": 3.0}, "elevation bounds"),
+])
+def test_config_refuses_unphysical_values(fields, message):
+    """A negative Rician factor (the override's or a table row's), an
+    array side below one antenna and elevation bounds outside [0, 90] deg
+    are refused when the config is built, not partway through a run."""
+    with pytest.raises(ConfigError, match=message):
+        SystemConfig(**fields)
+
+
+def test_with_rician_refuses_a_negative_factor():
+    sc = make_scenario(seed=0)
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        sc.with_rician(-0.5)
+    assert (sc.with_rician(0.0).rician == 0.0).all()
+
+
+SHAPE, ROWS = "one (K, cluster_size) np.intp array", "distinct satellites"
+
+
+@pytest.mark.parametrize("sets, message", [
+    (np.array([[0, 1]] * 4), SHAPE),
+    (np.array([[0, 1, 2]] * 5), SHAPE),
+    (np.array([[0, 1]] * 5, dtype=np.int32), SHAPE),
+    (((0, 1),) * 5, SHAPE),
+    (np.array([[0, 1]] * 4 + [[2, 2]]), ROWS),
+    (np.array([[0, 1]] * 4 + [[2, 1]]), ROWS),
+    (np.array([[0, 1]] * 4 + [[1, 3]]), ROWS),
+    (np.array([[-1, 1]] + [[0, 1]] * 4), ROWS),
+])
+def test_scenario_refuses_malformed_serving_sets(sets, message):
+    """Serving sets are one (K, cluster_size) np.intp array whose row k
+    lists user k's satellites, distinct, ascending and within 0..M-1;
+    any other shape, type or row is refused."""
+    sc = make_scenario(seed=0)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        replace(sc, serving_sets=sets)
 
 
 def test_table_one_configuration_accepted():

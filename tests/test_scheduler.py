@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (make_scenario, score_partition_reference,
-                      sinr_lower_bound)
+                      sinr_lower_bound, validate_schedule)
 from dmimo import scheduler
 from dmimo.config import SystemConfig
 from dmimo.estimation import estimate_batch
@@ -33,7 +33,6 @@ from dmimo.scheduler import (
     exhaustive_schedule,
     schedule_users,
     score_partition,
-    validate_schedule,
 )
 
 
@@ -85,9 +84,9 @@ def test_correlation_clone_scenario():
     est = fake_estimates(sc, np.random.default_rng(1))
     est[:, 1, :] = est[:, 0, :]
     # force identical serving sets via direct scenario surgery
-    sets = list(sc.serving_sets)
+    sets = sc.serving_sets.copy()
     sets[1] = sets[0]
-    sc = dataclasses.replace(sc, serving_sets=tuple(sets))
+    sc = dataclasses.replace(sc, serving_sets=sets)
     assert correlation_factor(sc, est, 0, 1) == pytest.approx(2.0)
     assert correlation_matrix_rho(sc, est)[0, 1] == pytest.approx(2.0)
 
