@@ -222,8 +222,3 @@ class SystemConfig:
     def from_json(path):
         with open(path, "r", encoding="utf-8") as f:
             return SystemConfig.from_dict(json.load(f))
-
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")

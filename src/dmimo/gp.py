@@ -25,9 +25,9 @@ MAX_ITER = 100
 # duality gap are at most TOL (the gap relative to the objective where
 # that exceeds 1)
 TOL = 1e-10
-# Every column the solve moves stays within BOX of its start, so that a
-# direction no constraint bounds (a user's weight scale, which no SINR
-# sees) leaves the barrier bounded
+# Every column stays within BOX of its start, so that a direction no
+# constraint bounds (a user's weight scale, which no SINR sees) leaves the
+# barrier bounded
 BOX = 100.0
 # A constraint within HOLD of 0 at the start counts as active there, and
 # one above HOLD as violated
@@ -187,32 +187,16 @@ class GpSolution:
     iterations: int  # Newton steps, phase I included
 
 
-def _reach(problem, seeds):
-    """(cols, cons): the columns connected to the columns `seeds` through
-    shared constraints, and the constraints that touch them."""
-    touches = problem._incidence
-    cols = seeds
-    while True:
-        cons = touches[:, cols].any(axis=1)
-        grown = seeds | touches[cons].any(axis=0)
-        if np.array_equal(grown, cols):
-            return cols, cons
-        cols = grown
-
-
 def solve_gp(problem, x0):
     """Solve from the log-domain start x0. Returns a GpSolution; raises
     GpInfeasibleError / GpUnboundedError on detection.
 
     A start that already meets the KKT conditions is returned as it is.
-    Otherwise, columns that neither the objective nor a constraint violated
-    at x0 reaches through shared constraints keep their x0 values: nothing
-    they touch can change the objective, and they meet their constraints at
-    x0. The rest are solved within BOX of x0: a phase I from x0 finds a
-    point at least DEPTH inside every constraint, or as deep as there is,
-    or shows that none is strictly inside, and a phase II goes from there
-    to the optimum. The KKT residual is read off the method's own
-    multipliers.
+    Otherwise every column is solved within BOX of x0: a phase I from x0
+    finds a point at least DEPTH inside every constraint, or as deep as
+    there is, or shows that none is strictly inside, and a phase II goes
+    from there to the optimum. The KKT residual is read off the method's
+    own multipliers.
     """
     x0 = np.asarray(x0, dtype=float)
     obj = problem.objective
@@ -220,16 +204,11 @@ def solve_gp(problem, x0):
     x, status, steps = x0.copy(), 0, 0
     kkt = _kkt_at(problem, lse, soft)
     if kkt > TOL:  # x0 is not optimal already
-        seeds = (obj != 0) | problem._incidence[lse > HOLD].any(axis=0)
-        cols, cons = _reach(problem, seeds)
-        if cols.any() and not cons.any():
-            raise GpUnboundedError(
-                "the objective's variables are unconstrained")
-        kkt = 0.0
-        if cons.any():
-            path = _Path(_boxed(problem, cols, cons, x0[cols]), x0[cols])
-            status = path.run()
-            x[cols], steps, kkt = path.y, path.steps, path.kkt(cons.sum())
+        if not problem._incidence[:, obj != 0].any(axis=0).all():
+            raise GpUnboundedError("an objective variable is unconstrained")
+        path = _Path(_boxed(problem, x0), x0)
+        status = path.run()
+        x[:], steps, kkt = path.y, path.steps, path.kkt(len(problem.starts))
         lse = problem.lse(x)
     # Only the objective's variables signal unboundedness: a variable the
     # objective ignores may drift along a flat direction of the constraints
@@ -262,22 +241,18 @@ def _kkt_at(problem, lse, soft):
     return float(np.linalg.norm(problem.objective - G.T @ lam))
 
 
-def _boxed(problem, cols, cons, x0):
-    """The problem over columns `cols` and constraints `cons` (boolean
-    masks; those constraints touch no other column), followed by the box
-    x0 - BOX <= x <= x0 + BOX as one-row constraints."""
-    keep = cons[problem._segment]
-    nz, new = keep[problem.row], np.cumsum(keep) - 1  # a kept row's index
+def _boxed(problem, x0):
+    """The problem followed by the box x0 - BOX <= x <= x0 + BOX as one-row
+    constraints."""
     n = len(x0)
-    box = keep.sum() + np.arange(2 * n)
+    box = len(problem.logs) + np.arange(2 * n)
     return GpProblem(
-        problem.objective[cols],
-        np.concatenate([problem.logs[keep], x0 - BOX, -x0 - BOX]),
-        np.concatenate([new[problem.row[nz]], box]),
-        np.concatenate([(np.cumsum(cols) - 1)[problem.col[nz]],
-                        np.tile(np.arange(n), 2)]),
-        np.concatenate([problem.value[nz], np.repeat([-1.0, 1.0], n)]),
-        np.concatenate([new[problem.starts[cons]], box]))
+        problem.objective,
+        np.concatenate([problem.logs, x0 - BOX, -x0 - BOX]),
+        np.concatenate([problem.row, box]),
+        np.concatenate([problem.col, np.tile(np.arange(n), 2)]),
+        np.concatenate([problem.value, np.repeat([-1.0, 1.0], n)]),
+        np.concatenate([problem.starts, box]))
 
 
 def _ratio(v, dv):

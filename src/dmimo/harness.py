@@ -100,12 +100,14 @@ def _fmt(v):
     return v
 
 
-def write_manifest(spec, extra=None):
+def write_manifest(spec, systems, extra=None):
+    """Write run-manifest.json, with the configs `systems` that ran."""
     manifest = {
         "experiment": spec.name,
         "seed": spec.seed,
         "trials": spec.trials,
         "config": spec.config.to_dict(),
+        "systems": [cfg.to_dict() for cfg in systems],
         "build": build_identifier(),
         "versions": {
             "python": sys.version.split()[0],
@@ -121,15 +123,15 @@ def write_manifest(spec, extra=None):
     return path
 
 
-def write_outputs(spec, header, rows, title, xlabel, ylabel, plots,
+def write_outputs(spec, systems, header, rows, title, xlabel, ylabel, plots,
                   logx=False, extra=None):
-    """Write the experiment's CSV, its gnuplot script and the manifest;
-    returns the CSV path."""
+    """Write the experiment's CSV, its gnuplot script and the manifest of
+    the configs `systems` that ran, in row order; returns the CSV path."""
     path = spec.out_dir / f"{spec.name}.csv"
     write_csv(path, header, rows)
     write_plot_script(path.with_suffix(".gp"), path.name, title, xlabel,
                       ylabel, plots, logx)
-    write_manifest(spec, extra)
+    write_manifest(spec, systems, extra)
     return path
 
 
@@ -191,7 +193,7 @@ def run_nmse_sweep(spec):
     header = ["seed", "rician_factor", "mse_closed", "mse_mc", "mse_se",
               "nmse_closed", "nmse_mc", "nmse_se"]
     return write_outputs(
-        spec, header, rows,
+        spec, [spec.config], header, rows,
         "Channel estimation error vs Rician factor", "Rician factor",
         "error power",
         [("2:3", "MSE closed form"), ("2:4", "MSE Monte Carlo"),
@@ -225,12 +227,12 @@ def run_bound_validation(spec):
     header = ["seed", "rician_factor", "rate_lb", "rate_mc", "rate_mc_se",
               "rate_bound_mc"]
     return write_outputs(
-        spec, header, rows,
+        spec, [cfg], header, rows,
         "Achievable-rate bound vs Monte Carlo", "Rician factor",
         "sum rate (bit/s)",
         [("2:3", "closed-form lower bound"), ("2:4", "MC ergodic rate"),
          ("2:6", "bound from MC terms")],
-        logx=True, extra={"config": cfg.to_dict()},
+        logx=True,
     )
 
 
@@ -247,11 +249,11 @@ def run_schedule_compare(spec):
 
     Wall-clock times go to the manifest, so the CSV is reproducible."""
     grid = spec.extras.get("user_grid", (5, 6, 8))
+    systems = [_cluster_config(spec.config, K, subband_capacity=3,
+                               pilot_length=K - 1) for K in grid]
     rows = []
     timings = []
-    for K in grid:
-        cfg = _cluster_config(spec.config, K, subband_capacity=3,
-                              pilot_length=K - 1)
+    for K, cfg in zip(grid, systems):
         rng = np.random.default_rng(spec.seed + K)
         sc = build_scenario(cfg, rng)
         powers = np.full(K, cfg.max_power)
@@ -281,7 +283,7 @@ def run_schedule_compare(spec):
     header = ["seed", "num_users", "rate_heuristic", "rate_exhaustive",
               "rate_shared_band", "colors_used"]
     return write_outputs(
-        spec, header, rows,
+        spec, systems, header, rows,
         "Scheduling: heuristic vs exhaustive", "number of users",
         "sum rate (bit/s)",
         [("2:3", "conflict-graph heuristic"), ("2:4", "exhaustive search"),
@@ -296,8 +298,9 @@ def run_convergence(spec):
     two array sizes."""
     rows = []
     sizes = spec.extras.get("antenna_grid", ((8, 8), (10, 10)))
-    for nx, ny in sizes:
-        cfg = spec.config.replace(antennas_x=nx, antennas_y=ny)
+    systems = [spec.config.replace(antennas_x=nx, antennas_y=ny)
+               for nx, ny in sizes]
+    for cfg in systems:
         rng = np.random.default_rng(spec.seed)
         sc = build_scenario(cfg, rng)
         ao = alternating_optimize(sc, rng, max_rounds=1)
@@ -306,14 +309,14 @@ def run_convergence(spec):
             raise InfeasibleError(
                 f"rate requirements unattainable (phi = "
                 f"{ao.allocation.phi:.4f})", ao.allocation.phi)
-        n = nx * ny
+        n = cfg.num_antennas
         for it, obj in enumerate(first.sca.objectives):
             rows.append([spec.seed, n, "power-weights", it, obj])
         for it, obj in enumerate(first.bandwidth.objective_trace, start=1):
             rows.append([spec.seed, n, "bandwidth", it, obj])
     header = ["seed", "num_antennas", "stage", "iteration", "objective"]
     return write_outputs(
-        spec, header, rows,
+        spec, systems, header, rows,
         "Convergence of the alternating optimization stages", "iteration",
         "objective (bit/s)",
         [("4:(strcol(3) eq 'power-weights' ? $5 : 1/0)",
@@ -322,13 +325,18 @@ def run_convergence(spec):
     )
 
 
+def _benchmark_config(config, K):
+    """The ``benchmark`` experiment's system of K users."""
+    return _cluster_config(config, K, pilot_length=K - 2,
+                           subband_capacity=max(-(-K // 4), 3))
+
+
 def benchmark_arm_rates(config, K, seed, seeds):
     """Per system s < seeds of the benchmark experiment's stream for K users
     (`config` sets the rest), the sum rates of the proposed AO and of the
     equal-weight and estimate-norm-weight arms, and whether each arm's
     allocation meets the rate floors: ((rates), (feasible))."""
-    cfg = _cluster_config(config, K, pilot_length=K - 2,
-                          subband_capacity=max(-(-K // 4), 3))
+    cfg = _benchmark_config(config, K)
     children = np.random.SeedSequence(seed + K).spawn(2 * seeds)
     for s in range(seeds):
         sc = build_scenario(cfg, np.random.default_rng(children[2 * s]))
@@ -347,6 +355,7 @@ def run_benchmark(spec):
     """Seed-averaged sum rate: proposed AO vs the two fixed-weight arms,
     with the number of systems whose allocation misses the rate floors."""
     grid = spec.extras.get("user_grid", (6, 8))
+    systems = [_benchmark_config(spec.config, K) for K in grid]
     seeds = spec.trials
     rows = []
     for K in grid:
@@ -360,7 +369,7 @@ def run_benchmark(spec):
     header = ["seed", "num_users", "arm", "mean_sum_rate",
               "mean_rate_per_user", "num_seeds", "num_infeasible"]
     return write_outputs(
-        spec, header, rows,
+        spec, systems, header, rows,
         "Seed-averaged sum rate vs number of users", "number of users",
         "mean sum rate (bit/s)",
         [("2:(strcol(3) eq 'proposed' ? $4 : 1/0)", "proposed"),

@@ -91,7 +91,7 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     Columns: chi_k at k, p_k at K + k, then, with optimize_weights, each
     user's weights w_{m,k}, m in M_k increasing, user by user: the order
     of ``weights[scenario.serving_links].ravel()``. Constraints, in order:
-    chi_k <= SINR_k^LB for each scheduled user in group order, each
+    chi_k <= SINR_k^LB for each user in group order, each
     followed by the rate floor chi_k >= gamma_req when ``floors`` and a
     requirement is set; then for every user p_k <= P_max and, with
     optimize_weights, sum_m w_{m,k}^2 <= 1.
@@ -117,9 +117,9 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     Q = context.quadratics
     wcol = 2 * K + np.arange(K * n).reshape(K, n)
     users = scheduled_users(allocation.band)  # in group order
-    band, U = allocation.band[users], len(users)
+    band = allocation.band[users]
     gamma, w = context.gamma[link][users], allocation.weights[link][users]
-    slot = np.arange(U) - np.searchsorted(band, band)  # place in its band
+    slot = np.arange(K) - np.searchsorted(band, band)  # place in its band
     G = slot.max() + 1
     table = np.full((band[-1] + 1, G), -1)  # the bands, padded with -1
     table[band, slot] = users
@@ -138,7 +138,7 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
         noise = noise * w ** 2
     reqs = np.array([_rate_gamma(scenario, b) if floors else 0.0
                      for b in allocation.bandwidths])[band]
-    c = np.concatenate([q.reshape(U, -1), noise, reqs[:, None]], axis=1)
+    c = np.concatenate([q.reshape(K, -1), noise, reqs[:, None]], axis=1)
     e = np.zeros((c.shape[1], cols.shape[1]))
     e[:, 0] = 1.0
     e[np.arange(G * n * n), np.repeat(np.arange(1, G + 1), n * n)] = 1.0
@@ -147,8 +147,8 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
             side = np.append(np.tile(side, G), np.arange(n))
             e[np.arange(len(side)), 1 + G + side] += 1.0
 
-    num_e = np.zeros((U, cols.shape[1]))
-    num_e[np.arange(U), 1 + slot] = 1.0
+    num_e = np.zeros((K, cols.shape[1]))
+    num_e[np.arange(K), 1 + slot] = 1.0
     if optimize_weights:  # AM-GM bound on (sum w Gamma)^2
         cnum, num_e[:, 1 + G:] = monomial_bound(gamma, np.maximum(w, 1e-12))
     else:
@@ -170,7 +170,7 @@ def _gp_rows(scenario, allocation, chi, optimize_weights, floors):
     k, j = np.nonzero(np.column_stack([np.ones(K, dtype=bool),
                                        np.full((K, n), optimize_weights)]))
     unit = np.column_stack([K + np.arange(K), wcol])[k, j]
-    con = np.append(2 * kept + floor, 2 * (U + k) + (j > 0))
+    con = np.append(2 * kept + floor, 2 * (K + k) + (j > 0))
     logs = np.append(logs, np.where(
         j == 0, math.log(1.0 / scenario.config.max_power), 0.0))
     return (x0, logs, np.append(nz_row, len(exps) + np.arange(len(unit))),
@@ -220,8 +220,7 @@ def feasibility_check(scenario, allocation, optimize_weights=True):
     gamma = [_rate_gamma(scenario, b) for b in allocation.bandwidths]
     if math.inf in gamma:
         return 0.0, allocation.copy()
-    # an unscheduled user (band -1) reads the appended 0
-    log_gamma = np.array([*map(math.log, gamma), 0.0])[allocation.band]
+    log_gamma = np.array([*map(math.log, gamma)])[allocation.band]
 
     x0, logs, row, col, value, starts = _gp_rows(
         scenario, allocation, np.ones(K), optimize_weights, floors=False)
@@ -252,7 +251,7 @@ def build_sca_subproblem(scenario, allocation, chi, optimize_weights=True):
     x0, *rows = _gp_rows(scenario, allocation, chi, optimize_weights,
                          floors=True)
     psi, _ = sca_coefficients(chi)
-    bw = np.append(allocation.bandwidths, 0.0)[allocation.band]  # -1 reads 0
+    bw = allocation.bandwidths[allocation.band]
     objective = np.zeros(len(x0))
     objective[:len(chi)] = psi * bw / scenario.config.total_bandwidth
     return GpProblem(objective, *rows), x0
@@ -298,11 +297,8 @@ def optimize_power_weights(scenario, allocation, optimize_weights=True):
     trace = ScaTrace()
     trace.objectives.append(res.sum_rate)
     for _ in range(MAX_ITER_SCA):
-        chi = np.ones(scenario.num_users)
-        chi[res.users] = np.maximum(res.sinr[res.users], 1e-30)
         problem, x0 = build_sca_subproblem(
-            scenario, work, chi, optimize_weights=optimize_weights
-        )
+            scenario, work, np.maximum(res.sinr, 1e-30), optimize_weights)
         try:
             sol = solve_gp(problem, x0)
         except (GpInfeasibleError, GpUnboundedError) as err:
@@ -373,8 +369,8 @@ def optimize_bandwidth(scenario, allocation):
     """
     cfg = scenario.config
     total, n = cfg.total_bandwidth, len(allocation.bandwidths)
-    # The scheduled users' band index and (a, b, c), with which band_rate
-    # gives each one's sinr_all rate on its band.
+    # Every user's band index and (a, b, c) in group order, with which
+    # band_rate gives each one's sinr_all rate on its band.
     terms = pair_terms(scenario, allocation.powers, allocation.weights)
     res = sinr_in_bands(scenario, terms, allocation.band,
                         allocation.bandwidths)

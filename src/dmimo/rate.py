@@ -42,7 +42,9 @@ class AllocationState:
     bandwidths holds B_i in Hz; powers[k] is the uplink data power;
     weights[m, k] the combining weight (zero for satellites outside M_k).
     phi is the rate floors' feasibility margin where a feasibility check
-    ran (below 1 or nan: unattainable), which ``feasible`` reads.
+    ran (below 1 or nan: unattainable), which ``feasible`` reads. Groups
+    that are not a partition of the users, or a bandwidth count other than
+    the group count, are refused at build and at every read of ``band``.
     """
 
     groups: list
@@ -50,6 +52,9 @@ class AllocationState:
     powers: np.ndarray
     weights: np.ndarray
     phi: float = np.inf
+
+    def __post_init__(self):
+        self.band  # refuses groups and bandwidths that break the contract
 
     def __setattr__(self, name, value):
         if name == "bandwidths":  # a list, when built or assigned, too
@@ -63,7 +68,11 @@ class AllocationState:
 
     @property
     def band(self):
-        """``band_index`` of the groups, derived on each access."""
+        """``band_index`` of the groups, derived on each access so that a
+        list edited in place is refused, as is a wrong bandwidth count."""
+        if len(self.bandwidths) != len(self.groups):
+            raise ContractError(f"{len(self.bandwidths)} bandwidths for "
+                                f"{len(self.groups)} groups")
         return band_index(self.groups, len(self.powers))
 
     def copy(self):
@@ -74,18 +83,22 @@ class AllocationState:
 
 def band_index(groups, num_users):
     """The (num_users,) np.intp band index of the partition `groups`, the
-    form every stage computes with: entry k is user k's sub-band, or -1."""
-    band = np.full(num_users, -1, dtype=np.intp)
-    for i, g in enumerate(groups):
-        band[g] = i
+    form every stage computes with: entry k is user k's sub-band. Raises
+    ContractError unless the groups hold each of 0..num_users-1 exactly
+    once; a group may be empty."""
+    users = [k for g in groups for k in g]
+    if sorted(users) != list(range(num_users)):
+        raise ContractError(f"groups {groups!r} do not partition the users "
+                            f"0..{num_users - 1}")
+    band = np.empty(num_users, dtype=np.intp)
+    band[users] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     return band
 
 
 def scheduled_users(band):
-    """The users with a sub-band in `band`, band by band and ascending
-    within one: the group order, since every group is built ascending."""
-    order = np.argsort(band, kind="stable")
-    return order[band[order] >= 0]
+    """The users of `band`, band by band and ascending within one: the
+    group order, since every group is built ascending."""
+    return np.argsort(band, kind="stable")
 
 
 def equal_split_allocation(scenario, groups=None, powers=None, weights=None):
@@ -187,10 +200,9 @@ class RateContext:
 
 @dataclass(frozen=True)
 class SinrArrays:
-    """Every user's closed-form bound from one evaluation. Entries of
-    unscheduled users are zero: no rate and no interference."""
+    """Every user's closed-form bound from one evaluation."""
 
-    users: np.ndarray  # scheduled users, in group order
+    users: np.ndarray  # every user, in group order
     sinr: np.ndarray  # (K,)
     rate: np.ndarray  # (K,) bit/s
     numerator: np.ndarray  # (K,)
@@ -201,7 +213,7 @@ class SinrArrays:
 
     @property
     def sum_rate(self):
-        """The scheduled users' rates added in group order."""
+        """The users' rates added in group order."""
         return sum(self.rate[self.users])
 
 
@@ -244,21 +256,17 @@ def sinr_in_bands(scenario, terms, band, bandwidths=None):
     A band given no bandwidth has no noise, and its users rate 0."""
     if bandwidths is None:
         n = int(band.max()) + 1
-        bandwidths = [scenario.config.total_bandwidth / max(n, 1)] * n
-    scheduled = band >= 0
-    # per band, then the zero that an unscheduled user (band -1) reads
-    bw = np.array([*bandwidths, 0.0])[band]
-    sigma = np.array([*map(scenario.subband_noise, bandwidths), 0.0])[band]
-    numerator = np.where(scheduled, terms.signal, 0.0)
+        bandwidths = [scenario.config.total_bandwidth / n] * n
+    bw = np.asarray(bandwidths, dtype=float)[band]
+    sigma = np.array([*map(scenario.subband_noise, bandwidths)])[band]
     i_noise = terms.noise_gain * sigma
-    co_band = (band[:, None] == band[None, :]) & scheduled[:, None]
-    interference = np.where(co_band, terms.interference, 0.0)
-    sinr, rate = band_rate(bw, numerator, terms.noise_gain
+    interference = np.where(band[:, None] == band, terms.interference, 0.0)
+    sinr, rate = band_rate(bw, terms.signal, terms.noise_gain
                            * scenario.config.noise_density,
                            interference.sum(axis=1))
     return SinrArrays(
         users=scheduled_users(band), sinr=sinr, rate=rate,
-        numerator=numerator, i_noise=i_noise, interference=interference,
+        numerator=terms.signal, i_noise=i_noise, interference=interference,
     )
 
 
@@ -304,17 +312,16 @@ def sum_rate(scenario, allocation, context=None):
 # bound is the tests' reference, in tests/conftest.py.
 
 
-def _require_scheduled(band, k):
-    """Refuse k unless it is a user index 0..K-1 with a sub-band in `band`."""
-    if not (isinstance(k, (int, np.integer)) and 0 <= k < len(band)
-            and band[k] >= 0):
-        raise ContractError(f"user {k!r} is not a scheduled user index")
+def _require_user(k, num_users):
+    """Refuse k unless it is a user index 0..num_users-1."""
+    if not (isinstance(k, (int, np.integer)) and 0 <= k < num_users):
+        raise ContractError(f"user {k!r} is not a user index")
 
 
 def sinr_lower_bound(scenario, allocation, k, context=None):
     """User k's ``sinr_all`` entries as ``sinr_lb`` and ``rate_lb`` (bit/s);
-    a user not in 0..K-1 or unscheduled is refused."""
-    _require_scheduled(allocation.band, k)
+    a user not in 0..K-1 is refused."""
+    _require_user(k, scenario.num_users)
     res = sinr_all(scenario, allocation, context)
     return SimpleNamespace(sinr_lb=res.sinr[k], rate_lb=res.rate[k])
 
@@ -348,7 +355,8 @@ class McResult:
 
 def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     """Estimate |DS|^2, E|LS|^2, E|UI|^2, E|N|^2 and the ergodic rate of
-    each user in `users` (default: every scheduled user) by simulation.
+    each user in `users` (default: every user, in group order) by
+    simulation.
 
     Draws the trials in blocks of MC_BLOCK, the last one shorter. For each
     block of t trials it draws ``complex_normal`` batches in this order:
@@ -363,7 +371,8 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     scalars; T <= MC_BLOCK is one block. The ergodic rate uses the genie
     decomposition: the desired-signal power is the deterministic |DS|^2;
     leakage, interference, and noise powers are instantaneous per
-    realization. A user not in 0..K-1 or unscheduled is refused first.
+    realization. A user not in 0..K-1, or an allocation that is not a
+    partition with one bandwidth per band, is refused first.
     """
     if trials < MIN_TRIALS:
         raise ContractError(f"need at least {MIN_TRIALS} trials")
@@ -373,7 +382,7 @@ def monte_carlo_users(scenario, allocation, trials, rng, users=None):
     if len(set(users)) != len(users):
         raise ContractError("each user may be requested once")
     for k in users:
-        _require_scheduled(band, k)
+        _require_user(k, len(band))
 
     terms = pair_terms(scenario, allocation.powers, allocation.weights)
     closed = sinr_in_bands(scenario, terms, band, allocation.bandwidths)

@@ -99,10 +99,10 @@ def dsatur_color(adjacency, capacity):
 
 
 def _floored_sum_rate(res, requirement):
-    """The scheduled users' rates of the SinrArrays `res` summed in group
-    order, as ``sum_rate`` adds them, or None when a user misses a positive
-    rate requirement."""
-    if requirement > 0 and (res.rate[res.users] < requirement).any():
+    """The users' rates of the SinrArrays `res` summed in group order, as
+    ``sum_rate`` adds them, or None when a user misses a positive rate
+    requirement."""
+    if requirement > 0 and (res.rate < requirement).any():
         return None
     return res.sum_rate
 

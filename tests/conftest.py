@@ -13,8 +13,8 @@ from dmimo.config import SystemConfig
 from dmimo.gp import (GpInfeasibleError, GpProblem, GpSolution,
                       GpUnboundedError)
 from dmimo.optimizer import _min_bandwidth
-from dmimo.rate import (ContractError, band_index, band_rate_derivatives,
-                        pair_terms, sinr_all, sinr_in_bands)
+from dmimo.rate import (band_index, band_rate_derivatives, pair_terms,
+                        sinr_all, sinr_in_bands)
 from dmimo.scenario import Scenario, build_scenario
 from dmimo.scheduler import PartitionScore
 
@@ -176,7 +176,7 @@ def reference_estimates(scenario, h, noise):
 
 
 def reference_monte_carlo(scenario, allocation, trials, rng):
-    """Every scheduled user's per-trial term powers and rate, user -> name
+    """Every user's per-trial term powers and rate, user -> name
     -> (trials,) array with names "ls", "noise", "ui:<k'>" (k's band mates
     in ascending order) and "rate" (bit/s), simulated in antenna
     coordinates: channels from ``reference_channel``, estimates from
@@ -196,7 +196,7 @@ def reference_monte_carlo(scenario, allocation, trials, rng):
     hhat = reference_estimates(scenario, h, pilot_noise)
     band, p = allocation.band, allocation.powers
     out = {}
-    for k in np.flatnonzero(band >= 0).tolist():
+    for k in range(K):
         bw = allocation.bandwidths[band[k]]
         sset = scenario.serving_sets[k]
         w = allocation.weights[sset, k]
@@ -272,8 +272,6 @@ def sinr_lower_bound(scenario, allocation, k, context=None):
         context = scenario.rate_context
     cfg = scenario.config
     band = allocation.band
-    if band[k] < 0:
-        raise ContractError(f"user {k} is not scheduled in any sub-band")
     bw = allocation.bandwidths[band[k]]
     sigma_i = scenario.subband_noise(bw)
     sset = scenario.serving_sets[k]

@@ -434,14 +434,15 @@ def test_criterion_09_bandwidth_stage():
             assert abs(got_p - fp) <= 1e-6 * max(1.0, abs(fp))
             assert abs(got_pp - fpp) <= 1e-4 * max(1.0, abs(fpp))
 
-        # symmetric instance: user 1 is an exact clone of user 0
-        sc = make_scenario(seed=41, num_users=3, num_subbands=2,
-                           pilot_length=3, subband_capacity=3)
+        # symmetric instance: user 1 is an exact clone of user 0, and
+        # each has a band of its own
+        sc = make_scenario(seed=41, num_users=2, num_subbands=1,
+                           pilot_length=2, subband_capacity=2)
         sym = clone_user(sc, 0, into=1)
         alloc = AllocationState(
             groups=[[0], [1]],
             bandwidths=[sym.config.total_bandwidth / 2] * 2,
-            powers=np.full(3, sym.config.max_power),
+            powers=np.full(2, sym.config.max_power),
             weights=equal_weights(sym),
         )
         res = optimize_bandwidth(sym, alloc)

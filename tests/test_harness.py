@@ -18,6 +18,7 @@ from dmimo.estimation import estimate_batch
 from dmimo.rate import MC_BLOCK, MIN_TRIALS
 from dmimo.scenario import build_scenario
 from dmimo.harness import (
+    EXPERIMENTS,
     ExperimentSpec,
     build_identifier,
     main,
@@ -452,9 +453,9 @@ def test_cli_runs(tmp_path):
 
 def test_cli_config_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    SystemConfig(num_users=4, pilot_length=2, subband_capacity=4).to_json(
-        cfg_path
-    )
+    with open(cfg_path, "w", encoding="utf-8") as f:
+        json.dump(SystemConfig(num_users=4, pilot_length=2,
+                               subband_capacity=4).to_dict(), f)
     out = tmp_path / "cli2"
     rc = main(["nmse-sweep", "--config", str(cfg_path), "--seed", "1",
                "--trials", "200", "--out", str(out)])
@@ -473,14 +474,56 @@ def test_paper_scale_config_is_the_default_at_10x10():
 
 def test_bound_validate_manifest_records_the_powers_that_ran(tmp_path):
     """bound-validate runs at 10 W data and pilot power, and its manifest
-    records that config, not the caller's 0.2 W."""
+    lists that config as the system that ran; "config" stays the caller's
+    0.2 W."""
     run_experiment(spec_for("bound-validate", tmp_path, trials=MIN_TRIALS,
                             rician_grid=(10.0,)))
-    config = json.loads((tmp_path / "run-manifest.json").read_text())[
-        "config"]
+    manifest = json.loads((tmp_path / "run-manifest.json").read_text())
+    (config,) = manifest["systems"]
     assert config["max_power"] == 10.0 and config["pilot_power"] == 10.0
     assert SystemConfig.from_dict(config) == SystemConfig().replace(
         max_power=10.0, pilot_power=10.0)
+    assert SystemConfig.from_dict(manifest["config"]) == SystemConfig()
+
+
+def _cluster(cfg, K, **kw):
+    """K users on four sub-bands, in clusters of three of four satellites;
+    ``kw`` sets the rest."""
+    return cfg.replace(num_users=K, num_satellites=4, cluster_size=3,
+                       num_subbands=4, **kw)
+
+
+# experiment -> (trials, extras, the configs it runs from the caller's)
+SYSTEMS_THAT_RUN = {
+    "nmse-sweep": (200, {"rician_grid": (1.0, 10.0)}, lambda cfg: [cfg]),
+    "bound-validate": (MIN_TRIALS, {"rician_grid": (10.0,)}, lambda cfg: [
+        cfg.replace(max_power=10.0, pilot_power=10.0)]),
+    "schedule-compare": (1, {"user_grid": (5, 6)}, lambda cfg: [
+        _cluster(cfg, K, subband_capacity=3, pilot_length=K - 1)
+        for K in (5, 6)]),
+    "convergence": (1, {"antenna_grid": ((2, 2), (3, 2))}, lambda cfg: [
+        cfg.replace(antennas_x=2, antennas_y=2),
+        cfg.replace(antennas_x=3, antennas_y=2)]),
+    "benchmark": (1, {"user_grid": (6, 9)}, lambda cfg: [
+        _cluster(cfg, K, pilot_length=K - 2, subband_capacity=3)
+        for K in (6, 9)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS_THAT_RUN))
+def test_manifest_names_the_systems_that_ran(tmp_path, name):
+    """Every experiment's manifest lists the configs of the systems that
+    ran, in row order, under "systems": the 10 W one of bound-validate,
+    the per-K clusters of schedule-compare and benchmark, and the arrays
+    of convergence. "config" stays the caller's."""
+    trials, extras, systems = SYSTEMS_THAT_RUN[name]
+    assert set(SYSTEMS_THAT_RUN) == set(EXPERIMENTS)
+    spec = spec_for(name, tmp_path, trials=trials, **extras)
+    run_experiment(spec)
+    manifest = json.loads((tmp_path / "run-manifest.json").read_text())
+    assert SystemConfig.from_dict(manifest["config"]) == spec.config
+    assert [SystemConfig.from_dict(d) for d in manifest["systems"]] == \
+        systems(spec.config)
 
 
 def test_build_identifier_stable():

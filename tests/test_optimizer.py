@@ -146,6 +146,7 @@ def test_feasibility_zero_requirement(default_scenario):
 
 
 def single_user_scenario(rate_requirement=0.0):
+    """Two users of one satellite, for ``lone_users``."""
     sc = make_scenario(seed=21, num_satellites=1, num_users=2, cluster_size=1,
                        num_subbands=1, pilot_length=2, subband_capacity=2)
     if rate_requirement:
@@ -154,15 +155,20 @@ def single_user_scenario(rate_requirement=0.0):
     return sc
 
 
+def lone_users(sc):
+    """The equal split with each user alone in a band of its own, so that
+    no user sees interference. The stages read the band count off the
+    allocation: the config's single sub-band would hold both users."""
+    return equal_split_allocation(sc, groups=[[0], [1]])
+
+
 def test_feasibility_boundary_and_violation():
+    """With each user alone in its band, the floors are attainable up to
+    the lower of the two users' rates at full power, and not at ten times
+    that."""
     sc0 = single_user_scenario()
-    w = np.zeros((1, 2))
-    w[0, 0] = 1.0
-    alloc = AllocationState(
-        groups=[[0]], bandwidths=[sc0.config.total_bandwidth],
-        powers=np.full(2, sc0.config.max_power), weights=w,
-    )
-    max_rate = sinr_lower_bound(sc0, alloc, 0).rate_lb
+    alloc = lone_users(sc0)
+    max_rate = min(sinr_lower_bound(sc0, alloc, k).rate_lb for k in (0, 1))
 
     at_cap = single_user_scenario(rate_requirement=max_rate)
     phi, _ = feasibility_check(at_cap, alloc)
@@ -186,16 +192,14 @@ def test_power_weights_monotone(default_scenario):
 
 
 def test_power_weights_single_user_max_power():
+    """A user alone in its band, limited by noise alone, transmits at full
+    power: both users do, from half power."""
     sc = single_user_scenario()
-    w = np.zeros((1, 2))
-    w[0, 0] = 1.0
-    w[0, 1] = 1.0
-    alloc = AllocationState(
-        groups=[[0]], bandwidths=[sc.config.total_bandwidth],
-        powers=np.full(2, sc.config.max_power), weights=w,
-    )
+    alloc = lone_users(sc)
+    alloc.powers = alloc.powers / 2
     out, _ = optimize_power_weights(sc, alloc)
-    assert out.powers[0] == pytest.approx(sc.config.max_power, rel=1e-6)
+    assert out.powers == pytest.approx(np.full(2, sc.config.max_power),
+                                       rel=1e-6)
 
 
 def fig5_style_scenario(seed=31, nx=4, ny=4):
@@ -622,9 +626,10 @@ def test_bandwidth_derivatives_match_finite_differences():
 
 
 def symmetric_two_band_scenario():
-    """User 1 is an exact copy of user 0 (cloned links), one per band."""
-    sc = make_scenario(seed=41, num_users=3, num_subbands=2, pilot_length=3,
-                       subband_capacity=3)
+    """Two users, user 1 an exact copy of user 0 (cloned links), to be
+    given one band each."""
+    sc = make_scenario(seed=41, num_users=2, num_subbands=1, pilot_length=2,
+                       subband_capacity=2)
     return clone_user(sc, 0, into=1)
 
 
@@ -662,7 +667,7 @@ def test_bandwidth_symmetric_equal_split():
     alloc = AllocationState(
         groups=[[0], [1]],
         bandwidths=[sc.config.total_bandwidth / 2] * 2,
-        powers=np.full(3, sc.config.max_power), weights=w,
+        powers=np.full(2, sc.config.max_power), weights=w,
     )
     res = optimize_bandwidth(sc, alloc)
     half = sc.config.total_bandwidth / 2

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+from collections import Counter
 import math
 import weakref
 from pathlib import Path
@@ -60,22 +61,29 @@ def test_zero_power_zero_rate(default_scenario):
     assert t.rate_lb == 0.0
 
 
-def test_unscheduled_user_rejected(default_scenario):
-    """An unscheduled user reads band -1, and the scalar bound and the
-    Monte Carlo engine refuse it, the engine before it draws anything; the
-    engine's default users are the scheduled ones, in group order."""
+def test_partial_partition_refused(default_scenario):
+    """An allocation that leaves a user out is refused when built, and one
+    whose groups are edited in place afterwards is refused by every
+    evaluator and by the Monte Carlo engine, the engine before it draws
+    anything; the engine's default users are every user, in group order."""
     sc = default_scenario
-    alloc = equal_split_allocation(sc, groups=[[0, 1]])
-    assert alloc.band.dtype == np.intp
-    assert alloc.band.tolist() == [0, 0] + [-1] * (sc.num_users - 2)
     with pytest.raises(ContractError):
-        sinr_lower_bound(sc, alloc, 4)
+        equal_split_allocation(sc, groups=[[0, 1]])
+    alloc = equal_split_allocation(sc, groups=[[0, 1], [2, 3, 4]])
+    assert alloc.band.dtype == np.intp
+    assert alloc.band.tolist() == [0, 0, 1, 1, 1]
+    res = monte_carlo_users(sc, alloc, 100, np.random.default_rng(0))
+    assert list(res.users) == [0, 1, 2, 3, 4]
+    alloc.groups[1].remove(4)
+    for evaluate in (sinr_all, sum_rate):
+        with pytest.raises(ContractError):
+            evaluate(sc, alloc)
+    with pytest.raises(ContractError):
+        dmimo.rate.sinr_lower_bound(sc, alloc, 0)
     rng = np.random.default_rng(0)
     with pytest.raises(ContractError):
-        monte_carlo_users(sc, alloc, 100, rng, users=(0, 4))
+        monte_carlo_users(sc, alloc, 100, rng, users=(0, 1))
     assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
-    res = monte_carlo_users(sc, alloc, 100, np.random.default_rng(0))
-    assert list(res.users) == [0, 1]
 
 
 def test_out_of_range_user_refused_before_drawing(default_scenario):
@@ -96,28 +104,58 @@ def test_out_of_range_user_refused_before_drawing(default_scenario):
             dmimo.rate.sinr_lower_bound(sc, alloc, k)
 
 
-@given(st.lists(st.integers(min_value=-1, max_value=4), min_size=1,
-                max_size=9))
-@settings(max_examples=200, deadline=None)
-def test_band_index_round_trips(band):
-    """band -> groups -> band gives the band back, bands left empty
-    included, and groups -> band -> groups gives the groups back; the
-    scheduled users come band by band, ascending within one: the group
-    order of ascending groups."""
-    band = np.array(band, dtype=np.intp)
-    groups = [np.flatnonzero(band == i).tolist()
-              for i in range(band.max() + 1)]
-    back = band_index(groups, len(band))
-    assert back.dtype == np.intp and np.array_equal(back, band)
-    assert [np.flatnonzero(back == i).tolist()
-            for i in range(len(groups))] == groups
-    assert scheduled_users(band).tolist() == [k for g in groups for k in g]
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_allocation_builds_iff_a_partition_with_one_bandwidth_per_band(
+        data):
+    """Groups over -1..K: a partition of 0..K-1 (empty groups included),
+    one with a user changed to any of -1..K, or any lists at all, so that
+    users go missing, repeat, or are negative or out of range; and a
+    bandwidth count within one of the group count. The allocation builds
+    if and only if the groups hold each of 0..K-1 exactly once with one
+    bandwidth per group, and raises ContractError otherwise: never
+    IndexError, a silent -1 or a user wrapped from the end. A built one
+    round-trips, band -> groups -> band and groups -> band -> groups, and
+    its users come band by band, ascending within one."""
+    K = data.draw(st.integers(min_value=1, max_value=6), label="K")
+    user = st.integers(min_value=-1, max_value=K)
+    kind = data.draw(st.sampled_from(["partition", "changed", "any"]))
+    if kind == "any":
+        groups = data.draw(st.lists(st.lists(user, max_size=K + 1),
+                                    max_size=K + 1), label="groups")
+    else:
+        bands = data.draw(st.lists(st.integers(min_value=0, max_value=K),
+                                   min_size=K, max_size=K), label="bands")
+        groups = [[k for k in range(K) if bands[k] == i]
+                  for i in range(max(bands) + 1)]
+        if kind == "changed":
+            i = data.draw(st.sampled_from([i for i, g in enumerate(groups)
+                                           if g]), label="group")
+            j = data.draw(st.integers(0, len(groups[i]) - 1), label="slot")
+            groups[i][j] = data.draw(user, label="user")
+    count = max(len(groups) + data.draw(st.integers(-1, 1)), 0)
+    partition = Counter(k for g in groups for k in g) == Counter(range(K))
 
-    alloc = AllocationState(groups=groups, bandwidths=[1.0] * len(groups),
-                            powers=np.ones(len(band)),
-                            weights=np.ones((1, len(band))))
-    assert np.array_equal(alloc.band, band)
-    assert np.array_equal(alloc.copy().band, band)
+    def build():
+        return AllocationState(groups=groups, bandwidths=[1.0] * count,
+                               powers=np.ones(K), weights=np.ones((1, K)))
+    if not (partition and count == len(groups)):
+        with pytest.raises(ContractError):
+            build()
+        if not partition:
+            with pytest.raises(ContractError):
+                band_index(groups, K)
+        return
+    groups = [sorted(g) for g in groups]
+    band = build().band
+    assert band.dtype == np.intp and band.shape == (K,)
+    if kind == "partition":
+        assert band.tolist() == bands
+    assert [np.flatnonzero(band == i).tolist()
+            for i in range(len(groups))] == groups
+    assert np.array_equal(band_index(groups, K), band)
+    assert np.array_equal(build().copy().band, band)
+    assert scheduled_users(band).tolist() == [k for g in groups for k in g]
 
 
 @pytest.mark.parametrize("phi, feasible", [(math.inf, True), (1.0, True),
@@ -177,11 +215,12 @@ def single_satellite_los_scenario():
 
 def test_single_satellite_los_analytic():
     sc = single_satellite_los_scenario()
-    # schedule only user 0: no interference, pure LoS
+    # user 0 alone on the whole band, user 1 parked on a band with no
+    # bandwidth: no interference, pure LoS
     w = np.zeros((1, 2))
     w[0, 0] = 1.0
     alloc = AllocationState(
-        groups=[[0]], bandwidths=[sc.config.total_bandwidth],
+        groups=[[0], [1]], bandwidths=[sc.config.total_bandwidth, 0.0],
         powers=np.full(2, sc.config.max_power), weights=w,
     )
     t = sinr_lower_bound(sc, alloc, 0)
@@ -229,8 +268,9 @@ def test_removing_user_never_hurts(default_scenario):
     ctx = RateContext(sc)
     alloc = single_band_alloc(sc)
     base = sinr_lower_bound(sc, alloc, 0, ctx).sinr_lb
-    smaller = equal_split_allocation(sc, groups=[[0, 1, 2, 3]])
-    smaller.bandwidths = alloc.bandwidths.copy()
+    # user 4 parked on a band with no bandwidth
+    smaller = equal_split_allocation(sc, groups=[[0, 1, 2, 3], [4]])
+    smaller.bandwidths = [*alloc.bandwidths, 0.0]
     assert sinr_lower_bound(sc, smaller, 0, ctx).sinr_lb >= base - 1e-12
 
 
@@ -395,18 +435,15 @@ def test_engine_closed_forms_match_decomposition(seed, K, M, data):
         pilot_length=data.draw(st.integers(min_value=1, max_value=K)),
         num_subbands=1, subband_capacity=K, antennas_x=1, antennas_y=2,
     )
-    # band per user; -1 leaves the user unscheduled
-    bands = data.draw(st.lists(st.integers(min_value=-1, max_value=1),
-                               min_size=K, max_size=K)
-                      .filter(lambda b: max(b) >= 0))
+    bands = data.draw(st.lists(st.integers(min_value=0, max_value=1),
+                               min_size=K, max_size=K))
     groups = [[k for k in range(K) if bands[k] == i] for i in (0, 1)]
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.1, 1.0, K) * sc.config.max_power
     alloc = equal_split_allocation(sc, groups=[g for g in groups if g],
                                    powers=p)
     res = monte_carlo_users(sc, alloc, 100, rng)
-    scheduled = [k for g in alloc.groups for k in g]
-    assert list(res.users) == scheduled
+    assert list(res.users) == [k for g in alloc.groups for k in g]
     vec = sinr_all(sc, alloc)
     for k, rep in res.users.items():
         group = next(g for g in alloc.groups if k in g)
@@ -502,21 +539,23 @@ def test_sum_rate_aggregates(default_scenario):
 
 
 def test_one_user_adapter_reads_sinr_all(default_scenario):
-    """dmimo.rate.sinr_lower_bound gives sinr_all's SINR and rate of one
+    """dmimo.rate.sinr_lower_bound gives sinr_all's SINR and rate of every
     user bit for bit, at the cached context and at a fresh one, and
-    refuses an unscheduled user."""
+    refuses an index that is not a user's."""
     sc = default_scenario
     ctx = RateContext(sc)
     p = np.random.default_rng(5).uniform(0.1, 1.0, sc.num_users) \
         * sc.config.max_power
-    alloc = equal_split_allocation(sc, groups=[[0, 3], [1, 2]], powers=p)
+    alloc = equal_split_allocation(sc, groups=[[0, 3], [1, 2, 4]], powers=p)
     for context in (None, ctx):
         res = sinr_all(sc, alloc, context)
+        assert res.users.tolist() == [0, 3, 1, 2, 4]
         for k in res.users:
             one = dmimo.rate.sinr_lower_bound(sc, alloc, k, context)
             assert one.sinr_lb == res.sinr[k] and one.rate_lb == res.rate[k]
-        with pytest.raises(ContractError):
-            dmimo.rate.sinr_lower_bound(sc, alloc, 4, context)
+        for k in (-1, sc.num_users):
+            with pytest.raises(ContractError):
+                dmimo.rate.sinr_lower_bound(sc, alloc, k, context)
 
 
 def test_rate_context_built_once_per_scenario(default_scenario):
@@ -612,10 +651,8 @@ def test_sinr_all_matches_reference(seed, K, M, data):
         pilot_length=data.draw(st.integers(min_value=1, max_value=K)),
         num_subbands=1, subband_capacity=K, antennas_x=2, antennas_y=2,
     )
-    # band per user; -1 leaves the user unscheduled
-    bands = data.draw(st.lists(st.integers(min_value=-1, max_value=K - 1),
-                               min_size=K, max_size=K)
-                      .filter(lambda b: max(b) >= 0))
+    bands = data.draw(st.lists(st.integers(min_value=0, max_value=K - 1),
+                               min_size=K, max_size=K))
     groups = [g for g in ([k for k in range(K) if bands[k] == i]
                           for i in range(K)) if g]
     rng = np.random.default_rng(seed)
@@ -629,7 +666,7 @@ def test_sinr_all_matches_reference(seed, K, M, data):
     )
     res = sinr_all(sc, alloc)
     assert res.users.tolist() == [k for g in groups for k in g]
-    # a scheduled user with power has a positive SINR denominator, through
+    # a user with power has a positive SINR denominator, through
     # its own leakage, so the rate needs no floor
     denominator = res.i_noise + res.interference.sum(axis=1)
     assert all(denominator[k] > 0 for k in res.users if alloc.powers[k] > 0)
@@ -638,12 +675,6 @@ def test_sinr_all_matches_reference(seed, K, M, data):
     # which at an SINR of 7.3e-6 is 1.2e-11 off, relative.
     rates = {}
     for k in range(K):
-        if bands[k] < 0:
-            assert res.sinr[k] == res.rate[k] == 0.0
-            assert res.numerator[k] == res.i_noise[k] == 0.0
-            assert not res.interference[k].any()
-            assert not res.interference[:, k].any()
-            continue
         ref = sinr_lower_bound(sc, alloc, k)
         band = next(i for i, g in enumerate(groups) if k in g)
         rates[k] = alloc.bandwidths[band] \
@@ -661,6 +692,28 @@ def test_sinr_all_matches_reference(seed, K, M, data):
             assert _close(res.interference[k, kp], power), (k, kp)
     assert res.sum_rate == sum_rate(sc, alloc)
     assert _close(res.sum_rate, sum(rates[k] for k in res.users))
+
+
+def test_short_bandwidth_list_raises_rather_than_rating_users_zero():
+    """On configs/default.json at seed 0, the equal split cut to one
+    bandwidth for its two groups is refused by sinr_all and sum_rate. The
+    band -1 sentinel let band 1 read the 0.0 appended for unscheduled
+    users, so users 1 and 3 rated 0 and sum_rate returned 240 684 bit/s
+    in place of the split's 409 247. A list longer than the groups is
+    refused too; the equal split itself still evaluates."""
+    sc = build_scenario(SystemConfig.from_json(
+        Path(__file__).resolve().parents[1] / "configs" / "default.json"),
+        np.random.default_rng(0))
+    alloc = equal_split_allocation(sc)
+    assert sum_rate(sc, alloc) == pytest.approx(409_247, abs=1.0)
+    full = alloc.bandwidths
+    for cut in (full[:1], [*full, 0.0]):
+        alloc.bandwidths = cut
+        for evaluate in (sinr_all, sum_rate):
+            with pytest.raises(ContractError):
+                evaluate(sc, alloc)
+        with pytest.raises(ContractError):
+            dmimo.rate.sinr_lower_bound(sc, alloc, 0)
 
 
 def _bound_validate_system(kbar):
